@@ -11,11 +11,18 @@ and by ≥3× on the 128-rank CG configuration (the Fig. 21 bad-node scale);
 the lockstep SIMD-over-ranks tier beats bytecode by ≥5× on that same
 configuration, where one fetch serves 128 lanes.  Noise-draw caches are
 cleared before every timed run so no tier benefits from another's warm-up.
+
+Every number is a measured wall-clock median of ``REPEATS`` runs.  The
+payload also records (ungated) what instrumentation costs the lockstep
+tier, ``instrumented_over_uninstrumented`` per workload@ranks: the rank
+axis survives the Tock as one record batch, so this ratio is the price of
+running *with* vSensor at that width.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import pytest
@@ -30,16 +37,20 @@ PROGRAMS = ["CG", "FT", "LULESH"]
 RANK_COUNTS = [8, 32, 128]
 ENGINES = ["ast", "bytecode", "lockstep"]
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_interp.json")
+REPEATS = 3
 
 
 def _timed(fn) -> float:
-    # Fresh noise caches per measurement: the draws are deterministic, so a
-    # warm cache from a previous run would understate the second tier's cost.
-    noise._JITTER_CACHE.clear()
-    noise._SPIKE_CACHE.clear()
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+    samples = []
+    for _ in range(REPEATS):
+        # Fresh noise caches per measurement: the draws are deterministic,
+        # so a warm cache from a previous run would understate the cost.
+        noise._JITTER_CACHE.clear()
+        noise._SPIKE_CACHE.clear()
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
 
 
 @pytest.mark.slow
@@ -76,8 +87,14 @@ def test_interp_tier_trajectory():
 
     speedups = {}
     lockstep_speedups = {}
+    instrumented_over_uninstrumented = {}
     for name in PROGRAMS:
         for n_ranks in RANK_COUNTS:
+            instrumented_over_uninstrumented[f"{name}@{n_ranks}"] = round(
+                seconds_of(name, n_ranks, "instrumented", "lockstep")
+                / seconds_of(name, n_ranks, "uninstrumented", "lockstep"),
+                2,
+            )
             for mode in ("uninstrumented", "instrumented"):
                 ast_s = seconds_of(name, n_ranks, mode, "ast")
                 bc_s = seconds_of(name, n_ranks, mode, "bytecode")
@@ -88,9 +105,12 @@ def test_interp_tier_trajectory():
     payload = {
         "benchmark": "interpreter tier: AST reference vs bytecode VM vs lockstep",
         "unit": "wall-clock seconds per full simulation",
+        "measured": True,
+        "repeats": REPEATS,
         "results": rows,
         "speedups": speedups,
         "lockstep_speedups": lockstep_speedups,
+        "instrumented_over_uninstrumented": instrumented_over_uninstrumented,
     }
     write_payload(JSON_PATH, payload)
 

@@ -414,5 +414,9 @@ class AnalysisServer:
     def mean_rank_performance(self, sensor_type: SensorType) -> np.ndarray:
         """Per-rank mean normalized performance (persistent-fault signal)."""
         matrix = self.performance_matrix(sensor_type)
-        with np.errstate(invalid="ignore"):
-            return np.nanmean(matrix, axis=1)
+        # Ranks without any data stay NaN; nanmean would warn on their rows.
+        means = np.full(matrix.shape[0], np.nan)
+        has_data = ~np.isnan(matrix).all(axis=1)
+        if has_data.any():
+            means[has_data] = np.nanmean(matrix[has_data], axis=1)
+        return means

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.instrument.rewrite import SensorInfo
 from repro.obs import NULL_OBS, Obs
+from repro.runtime.batch_detector import BatchDetector
 from repro.runtime.detector import DetectorConfig, RankDetector, VarianceEvent
 from repro.runtime.dynrules import DynamicRule, NoGrouping
 from repro.runtime.records import SensorRecord
 from repro.runtime.report import VarianceReport, build_report
 from repro.runtime.server import AnalysisServer
-from repro.sim.hooks import RuntimeHooks
+from repro.sim.hooks import RuntimeHooks, SensorBatch
 from repro.sim.pmu import PmuSample
 
 
@@ -30,10 +33,15 @@ class VSensorRuntime(RuntimeHooks):
     config: DetectorConfig = field(default_factory=DetectorConfig)
     rule: DynamicRule = field(default_factory=NoGrouping)
     server: AnalysisServer = None  # type: ignore[assignment]
+    #: per rank: a :class:`RankDetector`, or after the first fused Tock a
+    #: :class:`~repro.runtime.batch_detector.RankView` of :attr:`_vector`
     detectors: dict[int, RankDetector] = field(default_factory=dict)
+    #: the detectors' state as arrays over ranks once a lockstep run has
+    #: delivered a fused Tock; ``None`` on the scalar tiers
+    _vector: BatchDetector | None = None
     #: per-rank outbound buffer and the virtual time of the last batch send
     _buffers: dict[int, list] = field(default_factory=dict)
-    _last_batch: dict[int, float] = field(default_factory=dict)
+    _last_batch: np.ndarray = None  # type: ignore[assignment]
     _summaries_seen: dict[int, int] = field(default_factory=dict)
     events: list[VarianceEvent] = field(default_factory=list)
     #: optional periodic reporter (workflow step 8's live updates)
@@ -57,9 +65,18 @@ class VSensorRuntime(RuntimeHooks):
 
     # -- hook interface ----------------------------------------------------
 
+    @property
+    def accepts_sensor_batches(self) -> bool:
+        """Fused Tocks are taken whole unless a governor is installed: its
+        lifecycles feed back across ranks per record, which only the scalar
+        record order can honour."""
+        return self.governor is None
+
     def on_program_start(self, n_ranks: int) -> None:
         metrics = self.obs.metrics if self.obs.enabled else None
         gov = self.governor
+        self._vector = None
+        self._last_batch = np.zeros(n_ranks)
         for rank in range(n_ranks):
             self.detectors[rank] = RankDetector(
                 rank=rank,
@@ -69,7 +86,6 @@ class VSensorRuntime(RuntimeHooks):
                 lifecycle=gov.lifecycle(rank) if gov is not None else None,
             )
             self._buffers[rank] = []
-            self._last_batch[rank] = 0.0
             self._summaries_seen[rank] = 0
 
     def on_sensor_record(
@@ -98,6 +114,33 @@ class VSensorRuntime(RuntimeHooks):
                 worst = min(new_events, key=lambda e: e.performance)
                 gov.on_variance(rank, t_end, worst.performance, worst.sensor_type)
         self._enqueue_new_summaries(rank, detector, before, t_end)
+
+    def on_sensor_batch(self, batch: SensorBatch, defer) -> None:
+        info = self.sensors.get(batch.sensor_id)
+        if info is None:
+            return
+        vec = self._vector
+        if vec is None:
+            vec = self._vector = BatchDetector.adopt(self.detectors)
+            self.detectors = {rank: vec.view(rank) for rank in self.detectors}
+        # Per-rank state advances now, in each rank's own record order ...
+        new = vec.step(
+            batch.sensor_id, info.sensor_type, batch.ranks, batch.t_start,
+            batch.t_end, batch.instructions, batch.cache_miss_rate,
+        )
+        # ... what other ranks can see waits for the lane's flush point,
+        # where the scalar engine's on_sensor_record would have run.
+        buffers = self._buffers
+        for lane, summary, event in new:
+            buffers[summary.rank].append(summary)
+            if event is not None:
+                defer(lane, self.events.append, (event,))
+        due = batch.t_end - self._last_batch[batch.ranks] >= self.server.batch_period_us
+        for lane in np.flatnonzero(due).tolist():
+            rank = int(batch.ranks[lane])
+            if buffers[rank]:
+                now = float(batch.t_end[lane])
+                defer(lane, self._ship, (rank, self._take_buffer(rank, now), now))
 
     def on_program_end(self, rank: int, t: float) -> None:
         detector = self.detectors.get(rank)
@@ -138,19 +181,28 @@ class VSensorRuntime(RuntimeHooks):
             self._buffers[rank].extend(new)
         due = now - self._last_batch[rank] >= self.server.batch_period_us
         if (due or force) and self._buffers[rank]:
-            # Time-aware transports (ReliableTransport) take the virtual
-            # send time; the plain server keeps the two-argument form.
-            send = getattr(self.server, "send_batch", None)
-            if send is not None:
-                send(rank, self._buffers[rank], now)
-            else:
-                self.server.receive_batch(rank, self._buffers[rank])
-            if self.obs.enabled:
-                self.obs.metrics.counter("runtime.batches_shipped").inc()
-            self._buffers[rank] = []
-            self._last_batch[rank] = now
-            if self.live is not None:
-                self.live.maybe_snapshot(self, now)
+            self._ship(rank, self._take_buffer(rank, now), now)
+
+    def _take_buffer(self, rank: int, now: float) -> list:
+        """Hand over ``rank``'s buffered summaries; the batch period restarts."""
+        summaries = self._buffers[rank]
+        self._buffers[rank] = []
+        self._last_batch[rank] = now
+        return summaries
+
+    def _ship(self, rank: int, summaries: list, now: float) -> None:
+        """Send one batch: everything other ranks and the server can see."""
+        # Time-aware transports (ReliableTransport) take the virtual
+        # send time; the plain server keeps the two-argument form.
+        send = getattr(self.server, "send_batch", None)
+        if send is not None:
+            send(rank, summaries, now)
+        else:
+            self.server.receive_batch(rank, summaries)
+        if self.obs.enabled:
+            self.obs.metrics.counter("runtime.batches_shipped").inc()
+        if self.live is not None:
+            self.live.maybe_snapshot(self, now)
 
     # -- results -----------------------------------------------------------
 

@@ -19,8 +19,6 @@ is no partial fusion — a spill drains the whole batch (see DESIGN.md §9).
 
 from __future__ import annotations
 
-from repro.sim.hooks import NullHooks
-
 from repro.sim.lockstep.clocks import VectorClocks
 from repro.sim.lockstep.vm import FusedVM
 
@@ -33,6 +31,12 @@ _FINISHED = "finished"
 
 #: Rendezvous ops that can never re-fuse a batch (pairwise, not whole-batch).
 _P2P_OPS = frozenset(["send", "recv", "sendrecv"])
+
+#: Notifications the fused VM buffers per lane.
+_BUFFERED_HOOKS = (
+    "on_func_enter", "on_func_exit", "on_program_end", "on_sensor_record",
+    "on_mpi_begin", "on_mpi_end", "on_io",
+)
 
 
 def _adapter(runner: "LockstepRunner", lane: int):
@@ -83,7 +87,18 @@ class LockstepRunner:
         self.n = len(interps)
         self.pos_of = {interp.rank: pos for pos, interp in enumerate(interps)}
         self.clocks = VectorClocks(interps)
-        self.buffering = type(hooks) is not NullHooks
+        #: bound notification per hook name, decided once: names the hooks
+        #: object leaves at the RuntimeHooks no-op are absent and their
+        #: events are dropped unbuffered (NullHooks leaves all of them)
+        self.sinks = {
+            name: getattr(hooks, name)
+            for name in _BUFFERED_HOOKS
+            if hooks.observes(name)
+        }
+        #: ``hooks.on_sensor_batch`` when the hooks take a fused Tock whole
+        self.batch_sink = (
+            hooks.on_sensor_batch if hooks.accepts_sensor_batches else None
+        )
         self.bufs: list[list] = [[] for _ in range(self.n)]
         self.status = [_FUSED] * self.n
         self.queue = [None] * self.n          # MpiRequest awaiting pickup
@@ -102,22 +117,26 @@ class LockstepRunner:
     # -- hook buffering ------------------------------------------------------
 
     def emit(self, lane: int, name: str, args: tuple) -> None:
-        """Buffer a hook event for ``lane`` (no-op under NullHooks).
+        """Buffer a hook event for ``lane`` (dropped when unobserved).
 
         Buffered events are flushed when the engine next polls the lane, so
         the caller-visible hook order is exactly the scalar engine's
         per-rank-segment order even though fused execution interleaves all
         lanes instruction by instruction.
         """
-        if self.buffering:
-            self.bufs[lane].append((name, args))
+        sink = self.sinks.get(name)
+        if sink is not None:
+            self.bufs[lane].append((sink, args))
+
+    def defer(self, lane: int, fn, args: tuple) -> None:
+        """Queue ``fn(*args)`` at ``lane``'s next flush (batch hooks)."""
+        self.bufs[lane].append((fn, args))
 
     def _flush(self, lane: int) -> None:
         buf = self.bufs[lane]
         if buf:
-            hooks = self.hooks
-            for name, args in buf:
-                getattr(hooks, name)(*args)
+            for fn, args in buf:
+                fn(*args)
             buf.clear()
 
     # -- engine protocol -----------------------------------------------------

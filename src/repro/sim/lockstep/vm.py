@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.errors import InterpError
 from repro.sim.bytecode.dispatch import UNDEF, ScalarState
+from repro.sim.hooks import SensorBatch
 from repro.sim.interp import MpiRequest
 
 _ND = np.ndarray
@@ -132,6 +133,8 @@ class FusedVM:
         self.control = first.probe_control
         self.nmod = max(1, first.n_ranks)
         self.ranks_vec = _obj_vec([i.rank for i in self.interps])
+        self.rank_ids = np.array([i.rank for i in self.interps], dtype=np.int64)
+        self.pmu_draws = [i.pmu.draw for i in self.interps]
         node_ids = [i.clock.node.node_id for i in self.interps]
         self.node_val = (
             node_ids[0] if len(set(node_ids)) == 1 else _obj_vec(node_ids)
@@ -858,19 +861,27 @@ class FusedVM:
         self._flush_all()
         t_start, half_at, frac_at = self.open_ticks.pop(sid)
         self._charge_uniform(self.machine.probe_cost)
-        half_now = self.tot_u + self.tot_v
-        now = self.clocks.now
+        # Lane by lane this is the scalar tier's true-work formula.
+        true_work = (self.tot_u + self.tot_v - half_at) * 0.5 + (
+            self.tot_frac - frac_at
+        )
+        t_end = self.clocks.now.copy()
+        # One normal + one random per lane from that rank's own generator,
+        # in lane order: per-rank RNG streams are part of bit-identity.
+        draws = [
+            draw(t) for draw, t in zip(self.pmu_draws, t_end.tolist())
+        ]
+        self.counts += 1
         runner = self.runner
-        emit = runner.emit
-        for pos, interp in enumerate(self.interps):
-            true_work = float(
-                (half_now[pos] - half_at[pos]) * 0.5
-                + (self.tot_frac[pos] - frac_at[pos])
-            )
-            sample = interp.pmu.read(true_work, float(now[pos]))
-            self.counts[pos] += 1
-            emit(pos, "on_sensor_record",
-                 (interp.rank, sid, float(t_start[pos]), float(now[pos]), sample))
+        if runner.batch_sink is None and "on_sensor_record" not in runner.sinks:
+            return True
+        err, miss = np.array(draws).T
+        batch = SensorBatch(sid, self.rank_ids, t_start, t_end, true_work * err, miss)
+        if runner.batch_sink is not None:
+            runner.batch_sink(batch, runner.defer)
+        else:
+            for pos, args in enumerate(batch.unrolled()):
+                runner.emit(pos, "on_sensor_record", args)
         return True
 
     def _io_full(self, opname: str, size_val) -> None:
@@ -996,9 +1007,10 @@ class FusedVM:
             sizes = [float(size_val)] * n
         t0 = clocks.now.copy()
         runner = self.runner
-        emit = runner.emit
-        for pos, interp in enumerate(self.interps):
-            emit(pos, "on_mpi_begin", (interp.rank, spelled, float(t0[pos])))
+        if "on_mpi_begin" in runner.sinks:
+            emit = runner.emit
+            for pos, interp in enumerate(self.interps):
+                emit(pos, "on_mpi_begin", (interp.rank, spelled, float(t0[pos])))
         self.block = {
             "dst": a,
             "spelled": spelled,
@@ -1022,12 +1034,14 @@ class FusedVM:
         block = self.block
         clocks = self.clocks
         clocks.wait_until_pos(pos, completion)
-        interp = self.interps[pos]
-        self.runner.emit(
-            pos, "on_mpi_end",
-            (interp.rank, block["spelled"], float(block["t0"][pos]),
-             float(clocks.now[pos]), block["sizes"][pos]),
-        )
+        runner = self.runner
+        if "on_mpi_end" in runner.sinks:
+            runner.emit(
+                pos, "on_mpi_end",
+                (self.interps[pos].rank, block["spelled"],
+                 float(block["t0"][pos]), float(clocks.now[pos]),
+                 block["sizes"][pos]),
+            )
         block["delivered"][pos] = True
         block["n_delivered"] += 1
         if block["n_delivered"] == self.n:

@@ -36,12 +36,21 @@ class Pmu:
         self._relative_error = relative_error
         self._base_miss_rate = base_miss_rate
 
-    def read(self, true_work: float, t: float) -> PmuSample:
-        err = 1.0 + abs(float(self._rng.normal(0.0, self._relative_error)))
+    def draw(self, t: float) -> tuple[float, float]:
+        """The random part of one reading: ``(overcount factor, miss rate)``.
+
+        Exactly one ``normal`` and one ``random`` from this rank's stream,
+        in that order — the lockstep tier calls this per lane and applies
+        the overcount to a whole work vector at once.
+        """
         # Counters overcount, never undercount (matches measured behaviour).
-        instructions = true_work * err
+        err = 1.0 + abs(float(self._rng.normal(0.0, self._relative_error)))
         mem = mem_factor_at(self._faults, self._node_id, t)
         # Degraded memory shows up as elevated miss rates.
         miss = min(0.95, self._base_miss_rate * (1.0 / max(mem, 0.05)) ** 1.5)
         miss *= 1.0 + 0.1 * float(self._rng.random())
-        return PmuSample(instructions=instructions, cache_miss_rate=miss)
+        return err, miss
+
+    def read(self, true_work: float, t: float) -> PmuSample:
+        err, miss = self.draw(t)
+        return PmuSample(instructions=true_work * err, cache_miss_rate=miss)

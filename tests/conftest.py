@@ -118,3 +118,31 @@ def small_machine():
 @pytest.fixture
 def noisy_machine():
     return MachineConfig(n_ranks=4, ranks_per_node=2)
+
+
+def runtime_state(run) -> dict:
+    """Everything one ``run_vsensor`` run's dynamic module produced, in a
+    form two engines' runs can be compared by (order of events included)."""
+    runtime = run.runtime
+    detectors = runtime.detectors
+    return {
+        "events": list(runtime.events),
+        "summaries": {r: list(d.summaries) for r, d in detectors.items()},
+        "rank_events": {r: list(d.events) for r, d in detectors.items()},
+        "shutoff": {r: set(d.shutoff) for r, d in detectors.items()},
+        "records": {r: d.records_processed for r, d in detectors.items()},
+        "standards": {
+            r: {
+                (s.sensor_id, s.group): d.history.standard_time(s.sensor_id, s.group)
+                for s in d.summaries
+            }
+            for r, d in detectors.items()
+        },
+        "matrices": {
+            stype.name: matrix.tobytes() for stype, matrix in run.report.matrices.items()
+        },
+        "inter_events": list(runtime.server.inter_events),
+        "channel_stats": run.channel_stats,
+        "bytes_to_server": run.report.bytes_to_server,
+        "total_time": run.sim.total_time,
+    }

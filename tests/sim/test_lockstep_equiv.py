@@ -15,14 +15,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import compile_and_instrument
+from repro.api import compile_and_instrument, run_vsensor
 from repro.frontend import parse_source
 from repro.obs import Obs
+from repro.runtime.batch_detector import RankView
+from repro.runtime.detector import DetectorConfig
 from repro.sim.engine import Simulator
 from repro.sim.faults import BadNode, IoDegradation, NetworkDegradation
-from repro.sim.hooks import RuntimeHooks
+from repro.sim.hooks import NullHooks, RawRecorder, RuntimeHooks, TeeHooks
 from repro.sim.machine import MachineConfig
 from repro.workloads import all_workloads
+from tests.conftest import runtime_state
 
 N_RANKS = 4
 
@@ -160,7 +163,7 @@ def test_lockstep_obs_counters_match_stats():
 _DIV_RANKS = 8
 
 
-def _divergence_program(marked: frozenset[int]) -> str:
+def _divergence_program(marked: frozenset[int], iterations: int = 2) -> str:
     """A program where exactly ``marked`` takes a data-dependent detour.
 
     Marked ranks burn extra compute and post a self-sendrecv inside the
@@ -177,7 +180,7 @@ int main() {{
     int r; int i;
     r = MPI_Comm_rank();
     {marks if marks else "MARK[0] = 0;"}
-    for (i = 0; i < 2; i = i + 1) {{
+    for (i = 0; i < {iterations}; i = i + 1) {{
         compute_units(20);
         if (MARK[r] == 1) {{
             compute_units(7);
@@ -228,3 +231,77 @@ def test_injected_divergence_bit_identical(marked, with_fault):
         assert runner.stats == {
                 "fuse": 0, "diverge": 0, "drain": 0, "governor_drain": 0
             }
+
+
+# -- the vSensor runtime on the batch path -----------------------------------
+
+
+@given(
+    marked=st.frozensets(
+        st.integers(min_value=0, max_value=_DIV_RANKS - 1), max_size=3
+    ),
+    with_fault=st.booleans(),
+)
+@settings(max_examples=15, deadline=None)
+def test_forced_drains_interleave_scalar_records_with_batches(marked, with_fault):
+    """Same divergence injector, real runtime installed.  The Sendrecv
+    sensor only ever executes on drained lanes (scalar records, the first
+    of them before any fused Tock), the Allreduce sensor ticks drained and
+    tocks re-fused (batches): both must advance one detector state."""
+    source = _divergence_program(marked, iterations=30)
+    machine = MachineConfig(n_ranks=_DIV_RANKS, ranks_per_node=4)
+    runs = {
+        engine: run_vsensor(
+            source, machine, faults=_DEFAULT_FAULT if with_fault else (),
+            engine=engine, store=None, batch_period_us=2_000.0,
+            detector=DetectorConfig(slice_us=300.0),
+        )
+        for engine in ("bytecode", "lockstep")
+    }
+    assert runtime_state(runs["lockstep"]) == runtime_state(runs["bytecode"])
+    detectors = runs["lockstep"].runtime.detectors
+    assert all(isinstance(d, RankView) for d in detectors.values())
+    per_rank = [r.sensor_records for r in runs["lockstep"].sim.ranks]
+    assert per_rank == [60 if r in marked else 30 for r in range(_DIV_RANKS)]
+
+
+def test_tee_unrolls_batches_for_members_without_batch_support():
+    """``TeeHooks(runtime, RawRecorder())``: the runtime takes each fused
+    Tock whole, the recorder still sees its scalar per-lane stream."""
+    wl = all_workloads()["CG"]
+    machine = wl.machine(n_ranks=16, ranks_per_node=4)
+    runs, raw = {}, {}
+    for engine in ("bytecode", "lockstep"):
+        recorder = RawRecorder()
+        runs[engine] = run_vsensor(
+            wl.source(), machine, faults=_DEFAULT_FAULT, engine=engine,
+            store=None, extra_hooks=(recorder,),
+        )
+        raw[engine] = recorder.records
+    assert raw["lockstep"] == raw["bytecode"]
+    assert raw["lockstep"]
+    assert runtime_state(runs["lockstep"]) == runtime_state(runs["bytecode"])
+    assert isinstance(runs["lockstep"].runtime.detectors[0], RankView)
+
+
+def test_only_observed_notifications_are_buffered():
+    """The runner decides once per hook name whether anything listens."""
+    wl = all_workloads()["CG"]
+    static = compile_and_instrument(wl.source())
+    machine = wl.machine(n_ranks=N_RANKS, ranks_per_node=2)
+
+    def sinks(hooks):
+        sim = Simulator(
+            static.program.module, machine, sensors=static.program.sensors,
+            engine="lockstep",
+        )
+        sim.run(hooks)
+        return set(sim._lockstep_runner.sinks)
+
+    assert sinks(NullHooks()) == set()
+    assert sinks(RuntimeHooks()) == set()
+    assert sinks(RawRecorder()) == {"on_sensor_record"}
+    assert sinks(TeeHooks(RawRecorder(), _Recorder())) == {
+        "on_sensor_record", "on_mpi_end", "on_io", "on_func_enter",
+        "on_func_exit", "on_program_end",
+    }
