@@ -170,6 +170,86 @@ def _resolve_governor(
     )
 
 
+def simulate_instrumented(
+    source: str,
+    machine: MachineConfig,
+    sink,
+    *,
+    faults: Sequence[Fault] = (),
+    max_depth: int = 3,
+    detector: DetectorConfig | None = None,
+    rule: DynamicRule | None = None,
+    engine: str = "bytecode",
+    store: ArtifactStore | None | object = _DEFAULT_STORE,
+    obs: Obs | None = None,
+    externs: ExternRegistry | None = None,
+    static_rules: Sequence | Iterable = (),
+    governor=None,
+    overhead_budget: float | None = None,
+    governor_policy: str | None = None,
+    live=None,
+    extra_hooks: Sequence = (),
+    job: int | None = None,
+) -> tuple[StaticResult, SimResult, VSensorRuntime]:
+    """The dynamic module's one path: compile ``source``, build the
+    :class:`VSensorRuntime` shipping its rank batches to ``sink``, and run
+    the instrumented program under the ``vsensor.simulate`` span.
+
+    ``sink`` is whatever receives the batches — an analysis server, a
+    :class:`~repro.runtime.transport.ReliableTransport` in front of one
+    (:func:`run_vsensor`), or a multi-job batch recorder
+    (:func:`~repro.parallel.runner.simulate_job`); it stays at
+    ``runtime.server``.  ``job`` tags the span for multi-job runs.
+
+    Artifact store, per caller: :func:`run_vsensor` and the in-process
+    loop of :func:`run_multi_job` compile against the caller's ``store``
+    (``None`` = no caching).  A pool worker never sees that object: it
+    opens ``ArtifactStore(disk_dir=task.cache_dir)`` when the caller's
+    store has a disk layer and otherwise uses its own process-wide
+    default store — also when the caller passed ``store=None``.
+    """
+    from repro.sim.hooks import TeeHooks
+
+    obs = obs or NULL_OBS
+    static = compile_and_instrument(
+        source,
+        max_depth=max_depth,
+        externs=externs,
+        static_rules=static_rules,
+        store=store,
+        obs=obs,
+    )
+    detector_config = detector or DetectorConfig()
+    gov = _resolve_governor(
+        governor, overhead_budget, governor_policy, machine, static,
+        detector_config, obs.metrics if obs.enabled else None, obs,
+    )
+    runtime = VSensorRuntime(
+        sensors=static.program.sensors,
+        n_ranks=machine.n_ranks,
+        config=detector_config,
+        rule=rule or NoGrouping(),
+        server=sink,
+        live=live,
+        governor=gov,
+        obs=obs,
+    )
+    hooks = TeeHooks(runtime, *extra_hooks) if extra_hooks else runtime
+    attrs = {} if job is None else {"job": job}
+    with obs.tracer.span("vsensor.simulate", engine=engine, **attrs):
+        sim = Simulator(
+            static.program.module,
+            machine,
+            faults=tuple(faults),
+            sensors=static.program.sensors,
+            externs=externs,
+            engine=engine,
+            obs=obs,
+            probe_control=gov.control if gov is not None else None,
+        ).run(hooks)
+    return static, sim, runtime
+
+
 def run_vsensor(
     source: str,
     machine: MachineConfig,
@@ -253,21 +333,12 @@ def run_vsensor(
     ``history_label`` / ``history_workload`` annotate the record.  The
     appended record lands in :attr:`VSensorRun.history_entry`.
     """
-    from repro.runtime.channel import ChannelConfig, LossyChannel
+    from repro.runtime.channel import as_channel
     from repro.runtime.server import AnalysisServer
     from repro.runtime.transport import ReliableTransport, RetryPolicy
-    from repro.sim.hooks import TeeHooks
 
     obs = obs or NULL_OBS
     metrics = obs.metrics if obs.enabled else None
-    static = compile_and_instrument(
-        source,
-        max_depth=max_depth,
-        externs=externs,
-        static_rules=static_rules,
-        store=store,
-        obs=obs,
-    )
     server = AnalysisServer(
         n_ranks=machine.n_ranks,
         window_us=window_us,
@@ -276,46 +347,34 @@ def run_vsensor(
         metrics=metrics,
         obs=obs if obs.enabled else None,
     )
-    detector_config = detector or DetectorConfig()
-    gov = _resolve_governor(
-        governor, overhead_budget, governor_policy, machine, static,
-        detector_config, metrics, obs,
-    )
-    runtime = VSensorRuntime(
-        sensors=static.program.sensors,
-        n_ranks=machine.n_ranks,
-        config=detector_config,
-        rule=rule or NoGrouping(),
-        server=server,
-        obs=obs,
-        governor=gov,
-    )
     transport = None
+    channel = as_channel(channel)
     if channel is not None:
-        if isinstance(channel, str):
-            channel = ChannelConfig.parse(channel)
-        if isinstance(channel, ChannelConfig):
-            channel = LossyChannel(config=channel)
         transport = ReliableTransport(
             server=server,
             channel=channel,
             policy=retry_policy or RetryPolicy(),
             metrics=metrics,
         )
-        runtime.server = transport  # type: ignore[assignment]
-    runtime.live = live
-    hooks = TeeHooks(runtime, *extra_hooks) if extra_hooks else runtime
-    with obs.tracer.span("vsensor.simulate", engine=engine):
-        sim = Simulator(
-            static.program.module,
-            machine,
-            faults=tuple(faults),
-            sensors=static.program.sensors,
-            externs=externs,
-            engine=engine,
-            obs=obs,
-            probe_control=gov.control if gov is not None else None,
-        ).run(hooks)
+    static, sim, runtime = simulate_instrumented(
+        source,
+        machine,
+        server if transport is None else transport,
+        faults=faults,
+        max_depth=max_depth,
+        detector=detector,
+        rule=rule,
+        engine=engine,
+        store=store,
+        obs=obs,
+        externs=externs,
+        static_rules=static_rules,
+        governor=governor,
+        overhead_budget=overhead_budget,
+        governor_policy=governor_policy,
+        live=live,
+        extra_hooks=extra_hooks,
+    )
     run = VSensorRun(static=static, sim=sim, runtime=runtime)
     with obs.tracer.span("vsensor.analyze"):
         if transport is not None:
@@ -333,7 +392,7 @@ def run_vsensor(
         key = run_fingerprint(
             source,
             machine,
-            detector_config,
+            runtime.config,
             engine=engine,
             max_depth=max_depth,
         )
@@ -386,10 +445,6 @@ class MultiJobRun:
 
     service: object
     jobs: dict[int, JobRun] = field(default_factory=dict)
-    #: the :class:`~repro.parallel.ProcessShardFabric` behind the service
-    #: when the run used ``shard_processes=True`` (closed by the time the
-    #: run returns; exposes ``restarts()`` for crash-recovery accounting)
-    fabric: object | None = None
 
 
 class _BatchRecorder:
@@ -421,9 +476,10 @@ def run_multi_job(
     """Run several jobs concurrently through one sharded analysis service.
 
     Each job is compiled and simulated exactly as :func:`run_vsensor`
-    would, but its rank batches — captured with their virtual send times —
-    are replayed interleaved across all jobs (globally time-ordered) into
-    a shared :class:`~repro.service.AnalysisService`: per-job
+    would (both go through :func:`simulate_instrumented`), but its rank
+    batches — captured with their virtual send times — are replayed
+    interleaved across all jobs (globally time-ordered) into a shared
+    :class:`~repro.service.AnalysisService`: per-job
     :class:`~repro.runtime.transport.ReliableTransport` instances carry
     the sequenced batches over each job's channel into the admission-
     controlled front, which routes them onto ``n_shards`` consistent-hash
@@ -441,25 +497,25 @@ def run_multi_job(
     replay, back-pressure drive and merged reports are a deterministic
     function of its outputs, so ``workers=N`` is bit-identical to
     ``workers=1``.  When the run's artifact ``store`` has an on-disk
-    layer, workers share it as a warm compile cache.
+    layer, workers share it as a warm compile cache.  ``max_restarts``
+    bounds crash/replay respawns per worker.
 
-    ``shard_processes=True`` additionally puts each shard worker's ingest
-    side in a child OS process (:class:`~repro.parallel.
-    ProcessShardFabric`), speaking the framed fabric wire protocol;
-    admission arithmetic stays in the parent so back-pressure behaviour —
-    and every merged query — is bit-identical to in-process shards.
-    ``max_restarts`` bounds crash/replay respawns per worker or shard.
+    ``shard_processes`` is accepted for callers that pin it to ``False``;
+    process-backed shards were removed (no measured benefit — see
+    CHANGES.md, PR 14) and ``True`` raises :class:`ReproError`.
     """
-    from repro.runtime.channel import ChannelConfig, LossyChannel, perfect_channel
+    from repro.parallel.runner import JobTask, simulate_job, simulate_jobs_parallel
+    from repro.runtime.channel import as_channel, perfect_channel
     from repro.runtime.transport import ReliableTransport, RetryPolicy
     from repro.service import AnalysisService
 
-    obs = obs or NULL_OBS
-    fabric = None
     if shard_processes:
-        from repro.parallel import ProcessShardFabric
-
-        fabric = ProcessShardFabric(max_restarts=max_restarts)
+        raise ReproError(
+            "shard_processes=True: process-backed shards were removed "
+            "(repro.parallel keeps the wire codec, the worker pool and the "
+            "phase-1 runner); shards run in-process"
+        )
+    obs = obs or NULL_OBS
     service = AnalysisService(
         n_shards,
         window_us=window_us,
@@ -469,31 +525,27 @@ def run_multi_job(
         cost=cost,
         vnodes=vnodes,
         obs=obs if obs.enabled else None,
-        fabric=fabric,
     )
-    run = MultiJobRun(service=service, fabric=fabric)
-    recorders: dict[int, _BatchRecorder] = {}
+    run = MultiJobRun(service=service)
     transports: dict[int, ReliableTransport] = {}
-    specs: dict[int, JobSpec] = {}
 
-    # Phase 1: compile + simulate every job, capturing timed batch sends.
-    job_ids: list[int] = []
+    # Phase 1: compile + simulate every job, capturing timed batch sends
+    # in a _BatchRecorder at ``runtime.server``.
+    if store is _DEFAULT_STORE:
+        store = default_store()
+    cache_dir = (
+        str(store.disk_dir)
+        if isinstance(store, ArtifactStore) and store.disk_dir is not None
+        else None
+    )
+    tasks: list[JobTask] = []
+    specs: dict[int, JobSpec] = {}
     for index, spec in enumerate(jobs):
         job_id = index if spec.job_id is None else spec.job_id
-        if job_id in job_ids:
+        if job_id in specs:
             raise ReproError(f"duplicate job id {job_id}")
-        job_ids.append(job_id)
-    if workers > 1:
-        from repro.parallel.runner import JobTask, simulate_jobs_parallel
-
-        resolved_store = default_store() if store is _DEFAULT_STORE else store
-        cache_dir = (
-            str(resolved_store.disk_dir)
-            if isinstance(resolved_store, ArtifactStore)
-            and resolved_store.disk_dir is not None
-            else None
-        )
-        tasks = [
+        specs[job_id] = spec
+        tasks.append(
             JobTask(
                 job_id=job_id,
                 source=spec.source,
@@ -506,46 +558,17 @@ def run_multi_job(
                 batch_period_us=batch_period_us,
                 cache_dir=cache_dir,
             )
-            for job_id, spec in zip(job_ids, jobs)
-        ]
+        )
+    if workers > 1:
         outcomes = simulate_jobs_parallel(
             tasks, workers, obs=obs, max_restarts=max_restarts
         )
-        for job_id, spec, outcome in zip(job_ids, jobs, outcomes):
-            static, sim, runtime = outcome
-            recorders[job_id] = runtime.server  # the _BatchRecorder
-            specs[job_id] = spec
-            run.jobs[job_id] = JobRun(
-                job_id=job_id, static=static, sim=sim, runtime=runtime
-            )
     else:
-        for job_id, spec in zip(job_ids, jobs):
-            static = compile_and_instrument(
-                spec.source, max_depth=spec.max_depth, store=store, obs=obs
-            )
-            recorder = _BatchRecorder(batch_period_us)
-            runtime = VSensorRuntime(
-                sensors=static.program.sensors,
-                n_ranks=spec.machine.n_ranks,
-                config=spec.detector or DetectorConfig(),
-                rule=spec.rule or NoGrouping(),
-                server=recorder,  # type: ignore[arg-type]
-                obs=obs,
-            )
-            with obs.tracer.span("vsensor.simulate", engine=spec.engine, job=job_id):
-                sim = Simulator(
-                    static.program.module,
-                    spec.machine,
-                    faults=tuple(spec.faults),
-                    sensors=static.program.sensors,
-                    engine=spec.engine,
-                    obs=obs,
-                ).run(runtime)
-            recorders[job_id] = recorder
-            specs[job_id] = spec
-            run.jobs[job_id] = JobRun(
-                job_id=job_id, static=static, sim=sim, runtime=runtime
-            )
+        outcomes = [simulate_job(task, store, obs) for task in tasks]
+    for task, (static, sim, runtime) in zip(tasks, outcomes):
+        run.jobs[task.job_id] = JobRun(
+            job_id=task.job_id, static=static, sim=sim, runtime=runtime
+        )
 
     # Phase 2: replay all jobs' batches, globally time-ordered, through
     # per-job sequenced transports into the shared sharded front.
@@ -553,16 +576,11 @@ def run_multi_job(
     for job_id, job_run in run.jobs.items():
         spec = specs[job_id]
         port = service.register_job(job_id, job_run.runtime.n_ranks)
-        channel = spec.channel
-        if channel is None:
-            channel = perfect_channel()
-        elif isinstance(channel, str):
-            channel = ChannelConfig.parse(channel)
-        if isinstance(channel, ChannelConfig):
-            channel = LossyChannel(config=channel)
         transports[job_id] = ReliableTransport(
             server=port,  # type: ignore[arg-type]
-            channel=channel,
+            channel=(
+                perfect_channel() if spec.channel is None else as_channel(spec.channel)
+            ),
             policy=spec.retry_policy or RetryPolicy(),
             metrics=metrics,
             job_id=job_id,
@@ -570,8 +588,8 @@ def run_multi_job(
     timeline = sorted(
         (
             (now, job_id, order, rank, rows)
-            for job_id, recorder in recorders.items()
-            for order, (now, rank, rows) in enumerate(recorder.events)
+            for job_id, job_run in run.jobs.items()
+            for order, (now, rank, rows) in enumerate(job_run.runtime.server.events)
         ),
         key=lambda item: (item[0], item[1], item[2]),
     )
@@ -582,20 +600,12 @@ def run_multi_job(
 
         # Phase 3: drive retries/back-pressure to quiescence, keeping the
         # shards pumping so deferred retries always find freed capacity.
-        while True:
-            targets = [
-                due
-                for transport in transports.values()
-                if (due := transport.channel.next_due()) is not None
-            ]
-            targets.extend(
-                pending.next_retry_at
-                for transport in transports.values()
-                for pending in transport._pending.values()
-            )
-            if not targets:
-                break
-            t = min(targets)
+        while wakeups := [
+            wakeup
+            for transport in transports.values()
+            if (wakeup := transport.next_wakeup()) is not None
+        ]:
+            t = min(wakeups)
             service.pump(t)
             for transport in transports.values():
                 transport.pump(t)
@@ -609,10 +619,6 @@ def run_multi_job(
             job_run.report = job_run.runtime.report(job_run.sim.total_time)
         job_run.channel_stats = transports[job_id].channel.stats.as_dict()
         job_run.report.channel_stats = dict(job_run.channel_stats)
-    # Process-backed shards are done once every report is answered: sync
-    # the merged views and shut the children down.  Later queries against
-    # the returned service answer from the synced merge state.
-    service.close()
     return run
 
 

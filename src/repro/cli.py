@@ -294,12 +294,9 @@ def _run_sharded(args, source: str, faults, obs) -> int:
         analysis_engine=args.analysis_engine,
         obs=obs,
         workers=args.workers,
-        shard_processes=args.shard_processes,
         **({"store": kwargs["store"]} if "store" in kwargs else {}),
     )
     print(f"sharded service : {run.service.describe()}")
-    if run.fabric is not None and run.fabric.restarts():
-        print(f"shard restarts  : {run.fabric.restarts()}")
     for job_id, job_run in sorted(run.jobs.items()):
         report = job_run.report
         print(
@@ -532,13 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="for --shards/--jobs: fan the per-job compile+simulate phase "
         "out to this many OS processes (deterministic pool; results are "
         "bit-identical to --workers 1)",
-    )
-    p_run.add_argument(
-        "--shard-processes",
-        action="store_true",
-        help="for --shards: run each shard worker's ingest side in a child "
-        "OS process over the framed fabric wire protocol (bit-identical "
-        "merged queries, crash/replay recovery)",
     )
     p_run.add_argument(
         "--profile",

@@ -1,17 +1,11 @@
-"""Process-parallel execution fabric (ROADMAP: a real process boundary).
+"""Process-parallel phase 1 of the multi-job runner.
 
-Two capabilities behind one framed wire protocol
-(:mod:`repro.parallel.wire`):
-
-* **Process shard workers** — :class:`ProcessShardFabric` puts each
-  :class:`~repro.service.shard.ShardWorker`'s ingest side in a child OS
-  process behind the existing consistent-hash router, with spool-replay
-  crash recovery and bit-identical merged queries.
-* **Parallel multi-job runner** — :func:`~repro.api.run_multi_job`
-  ``workers=N`` fans independent job simulations onto a deterministic
-  :class:`WorkerPool` of OS processes; results merge through the
-  unchanged order-invariant query-merger path, bit-identical to the
-  in-process run.
+:func:`~repro.api.run_multi_job` ``workers=N`` fans independent job
+simulations (:func:`simulate_job`, one :class:`JobTask` each) onto a
+deterministic :class:`WorkerPool` of OS processes speaking the framed
+wire protocol of :mod:`repro.parallel.wire`; results merge through the
+unchanged order-invariant query-merger path, bit-identical to the
+in-process run.
 
 Observability: ``parallel.dispatch`` / ``parallel.results`` /
 ``parallel.frames`` / ``parallel.worker_restart`` counters plus
@@ -19,12 +13,7 @@ Observability: ``parallel.dispatch`` / ``parallel.results`` /
 bundle (children run null-obs; enabling obs never changes results).
 """
 
-from repro.parallel.pool import WorkerPool, default_workers
-from repro.parallel.procshard import (
-    ProcessShardFabric,
-    ProcessShardWorker,
-    ShardServerConfig,
-)
+from repro.parallel.pool import WorkerPool
 from repro.parallel.runner import JobTask, simulate_job, simulate_jobs_parallel
 from repro.parallel.wire import (
     FrameConn,
@@ -37,10 +26,6 @@ from repro.parallel.wire import (
 
 __all__ = [
     "WorkerPool",
-    "default_workers",
-    "ProcessShardFabric",
-    "ProcessShardWorker",
-    "ShardServerConfig",
     "JobTask",
     "simulate_job",
     "simulate_jobs_parallel",

@@ -259,13 +259,5 @@ class WorkerPool:
         return [results[i] for i in range(n_tasks)]
 
 
-def default_workers() -> int:
-    """A sensible worker count for this host (affinity-aware)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
-
-
 if sys.platform == "win32":  # pragma: no cover - POSIX-only fabric
     raise ImportError("repro.parallel requires a POSIX platform (AF_UNIX sockets)")

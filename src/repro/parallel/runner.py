@@ -4,12 +4,12 @@
 + simulate every job, recording timed batch sends) is CPU-bound per job
 and embarrassingly parallel — phases 2–4 (globally time-ordered replay
 through the sharded service, quiescence drive, merged reports) are a
-deterministic function of phase 1's outputs.  So the fabric parallelizes
-exactly phase 1: each :class:`~repro.api.JobSpec` becomes one task on
-the deterministic :class:`~repro.parallel.pool.WorkerPool`, the worker
-compiles and simulates it with a null obs bundle (observability is
+deterministic function of phase 1's outputs.  So phase 1 is one list of
+:class:`JobTask` mapped through :func:`simulate_job` — in-process, or on
+the deterministic :class:`~repro.parallel.pool.WorkerPool`, where the
+worker runs it with a null obs bundle (observability is
 behaviour-neutral, so the results are bit-identical to an instrumented
-in-process run), and ships back ``(static, sim, runtime)`` — the
+in-process run) and ships back ``(static, sim, runtime)`` — the
 recorder with its timed batch events rides inside ``runtime.server``.
 Merging then goes through the unchanged order-invariant
 :class:`~repro.service.merge.QueryMerger` path, which is what makes
@@ -25,8 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.api import _BatchRecorder, _DEFAULT_STORE, simulate_instrumented
 from repro.obs import NULL_OBS, Obs
 from repro.parallel.pool import WorkerPool
+from repro.pipeline import ArtifactStore
 from repro.runtime.detector import DetectorConfig
 
 
@@ -47,42 +49,33 @@ class JobTask:
     cache_dir: str | None = None
 
 
-def simulate_job(task: JobTask):
-    """Run one job's compile + simulate phase (pool worker entry point).
+def simulate_job(task: JobTask, store=_DEFAULT_STORE, obs: Obs | None = None):
+    """Run one job's compile + simulate phase.
 
-    Mirrors the in-process phase-1 loop of :func:`repro.api.run_multi_job`
-    exactly: same recorder, same runtime construction, same simulator
-    arguments.  Returns ``(static, sim, runtime)`` pickled as one payload
-    so the ``static.program.sensors`` identity shared with the runtime
-    survives the trip back.
+    One :func:`~repro.api.simulate_instrumented` call recording timed
+    batch sends.  The pool calls it with the task alone (a worker's store
+    follows the rule documented there; children run null-obs);
+    :func:`~repro.api.run_multi_job`'s in-process loop passes its own
+    ``store`` and ``obs``.  Returns ``(static, sim, runtime)`` — pickled
+    as one payload on the pool hop, so the ``static.program.sensors``
+    identity shared with the runtime survives the trip back — with the
+    recorder at ``runtime.server``.
     """
-    from repro.api import _BatchRecorder, compile_and_instrument
-    from repro.pipeline import ArtifactStore
-    from repro.runtime.dynrules import NoGrouping
-    from repro.runtime.vsensor_hooks import VSensorRuntime
-    from repro.sim import Simulator
-
-    store = (
-        ArtifactStore(disk_dir=task.cache_dir) if task.cache_dir is not None else None
-    )
-    kwargs = {"store": store} if store is not None else {}
-    static = compile_and_instrument(task.source, max_depth=task.max_depth, **kwargs)
-    recorder = _BatchRecorder(task.batch_period_us)
-    runtime = VSensorRuntime(
-        sensors=static.program.sensors,
-        n_ranks=task.machine.n_ranks,
-        config=task.detector or DetectorConfig(),
-        rule=task.rule or NoGrouping(),
-        server=recorder,  # type: ignore[arg-type]
-    )
-    sim = Simulator(
-        static.program.module,
+    if store is _DEFAULT_STORE and task.cache_dir is not None:
+        store = ArtifactStore(disk_dir=task.cache_dir)
+    return simulate_instrumented(
+        task.source,
         task.machine,
-        faults=tuple(task.faults),
-        sensors=static.program.sensors,
+        _BatchRecorder(task.batch_period_us),
+        faults=task.faults,
+        max_depth=task.max_depth,
+        detector=task.detector,
+        rule=task.rule,
         engine=task.engine,
-    ).run(runtime)
-    return static, sim, runtime
+        store=store,
+        obs=obs,
+        job=task.job_id,
+    )
 
 
 def simulate_jobs_parallel(

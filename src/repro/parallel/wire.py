@@ -1,9 +1,9 @@
 """Length-prefixed framed wire protocol for the process fabric.
 
-Every hop of :mod:`repro.parallel` — pool parent ↔ pool worker, shard
-proxy ↔ shard child — speaks the same byte-stream protocol over a
-connected ``AF_UNIX`` socket pair: a fixed frame header (payload length,
-frame type, flags) followed by the payload.  Frames are the *only* unit
+The pool parent ↔ pool worker hop of :mod:`repro.parallel` speaks a
+byte-stream protocol over a connected ``AF_UNIX`` socket pair: a fixed
+frame header (payload length, frame type, flags) followed by the
+payload.  Frames are the *only* unit
 of exchange; a reader either gets a whole frame or, on a dead peer, a
 clean EOF it can turn into a restart.
 
@@ -16,7 +16,8 @@ are fine for §6.4 volume accounting), the fabric carries every float at
 full ``f64`` fidelity: the process boundary must be *bit-invisible* —
 ``decode_rows(encode_rows(rows))`` reproduces each
 :class:`~repro.runtime.records.SliceSummary` exactly, which is what
-makes the process-sharded matrices bit-identical to in-process ones.
+lets recorded batches cross a process boundary and still merge into
+bit-identical matrices.
 """
 
 from __future__ import annotations
@@ -51,21 +52,7 @@ T_RESULT = 2
 T_ERROR = 3
 #: either direction: orderly shutdown request
 T_SHUTDOWN = 4
-#: proxy -> shard child: apply one sequenced sub-batch
-T_APPLY = 5
-#: proxy -> shard child: export one job's rows from a cursor
-T_EXPORT = 6
-#: shard child -> proxy: export response
-T_EXPORT_ROWS = 7
-#: proxy -> shard child: declare one job's rank count before ingest
-T_REGISTER = 8
-#: shard child -> proxy: stats response (applied batches/rows)
-T_STATS = 9
 
-_APPLY_HEADER = struct.Struct("<IIIi")   # job, rank, seq, n_ranks
-_EXPORT_REQ = struct.Struct("<II")       # job, cursor
-_EXPORT_HEADER = struct.Struct("<III")   # total rows, duplicate_summaries, row count
-_REGISTER_BODY = struct.Struct("<II")    # job, n_ranks
 _GROUP_COUNT = struct.Struct("<H")
 _GROUP_ENTRY = struct.Struct("<HH")      # code, utf-8 byte length
 _ROW_COUNT = struct.Struct("<I")
@@ -287,42 +274,3 @@ def decode_rows(data: bytes, job: int = 0) -> list[SliceSummary]:
         out.extend(columns.to_summaries())
         start = end
     return out
-
-
-# -- shard-hop payload helpers ----------------------------------------------
-
-
-def pack_apply(job: int, rank: int, seq: int, n_ranks: int, rows: list[SliceSummary]) -> bytes:
-    return _APPLY_HEADER.pack(job, rank, seq, n_ranks) + encode_rows(rows)
-
-
-def unpack_apply(payload: bytes) -> tuple[int, int, int, int, list[SliceSummary]]:
-    job, rank, seq, n_ranks = _APPLY_HEADER.unpack_from(payload, 0)
-    rows = decode_rows(payload[_APPLY_HEADER.size :], job=job)
-    return job, rank, seq, n_ranks, rows
-
-
-def pack_export_request(job: int, cursor: int) -> bytes:
-    return _EXPORT_REQ.pack(job, cursor)
-
-
-def unpack_export_request(payload: bytes) -> tuple[int, int]:
-    return _EXPORT_REQ.unpack(payload)
-
-
-def pack_export_rows(total: int, duplicates: int, rows: list[SliceSummary]) -> bytes:
-    return _EXPORT_HEADER.pack(total, duplicates, len(rows)) + encode_rows(rows)
-
-
-def unpack_export_rows(payload: bytes, job: int = 0) -> tuple[int, int, list[SliceSummary]]:
-    total, duplicates, _count = _EXPORT_HEADER.unpack_from(payload, 0)
-    rows = decode_rows(payload[_EXPORT_HEADER.size :], job=job)
-    return total, duplicates, rows
-
-
-def pack_register(job: int, n_ranks: int) -> bytes:
-    return _REGISTER_BODY.pack(job, n_ranks)
-
-
-def unpack_register(payload: bytes) -> tuple[int, int]:
-    return _REGISTER_BODY.unpack(payload)

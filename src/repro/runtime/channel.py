@@ -218,6 +218,18 @@ def perfect_channel(delay_us: float = 0.0) -> LossyChannel:
     return LossyChannel(config=ChannelConfig(delay_us=delay_us))
 
 
+def as_channel(spec: str | ChannelConfig | LossyChannel | None) -> LossyChannel | None:
+    """Coerce a channel spec — a CLI-style string (:meth:`ChannelConfig.
+    parse`), a config, or a built channel — to a channel.  ``None`` stays
+    ``None``: whether that means "no transport" or :func:`perfect_channel`
+    is the caller's default to pick."""
+    if isinstance(spec, str):
+        spec = ChannelConfig.parse(spec)
+    if isinstance(spec, ChannelConfig):
+        spec = LossyChannel(config=spec)
+    return spec
+
+
 def with_seed(config: ChannelConfig, seed: int) -> ChannelConfig:
     """The same fault model with a different failure schedule."""
     return replace(config, seed=seed)

@@ -466,16 +466,19 @@ class ReliableTransport:
     def unacked(self) -> int:
         return len(self._pending)
 
+    def next_wakeup(self) -> float | None:
+        """Earliest virtual time at which :meth:`pump` has work: the next
+        in-flight arrival or pending retransmit; ``None`` once quiescent."""
+        targets = [p.next_retry_at for p in self._pending.values()]
+        due = self.channel.next_due()
+        if due is not None:
+            targets.append(due)
+        return min(targets) if targets else None
+
     def finish(self) -> AnalysisServer:
         """Drive virtual time forward until every batch is acked or abandoned."""
-        while self._pending or self.channel.pending():
-            targets = [p.next_retry_at for p in self._pending.values()]
-            due = self.channel.next_due()
-            if due is not None:
-                targets.append(due)
-            if not targets:
-                break
-            self.pump(max(self.clock, min(targets)))
+        while (wakeup := self.next_wakeup()) is not None:
+            self.pump(max(self.clock, wakeup))
         return self.server
 
     # -- server duck-typing for live reporting -----------------------------

@@ -120,10 +120,9 @@ def noisy_machine():
     return MachineConfig(n_ranks=4, ranks_per_node=2)
 
 
-def runtime_state(run) -> dict:
-    """Everything one ``run_vsensor`` run's dynamic module produced, in a
-    form two engines' runs can be compared by (order of events included)."""
-    runtime = run.runtime
+def detector_state(runtime, sim) -> dict:
+    """The rank side of a run — everything upstream of ``runtime.server``,
+    so callers with different sinks can be compared by it."""
     detectors = runtime.detectors
     return {
         "events": list(runtime.events),
@@ -138,11 +137,19 @@ def runtime_state(run) -> dict:
             }
             for r, d in detectors.items()
         },
+        "total_time": sim.total_time,
+    }
+
+
+def runtime_state(run) -> dict:
+    """Everything one ``run_vsensor`` run's dynamic module produced, in a
+    form two engines' runs can be compared by (order of events included)."""
+    return {
+        **detector_state(run.runtime, run.sim),
         "matrices": {
             stype.name: matrix.tobytes() for stype, matrix in run.report.matrices.items()
         },
-        "inter_events": list(runtime.server.inter_events),
+        "inter_events": list(run.runtime.server.inter_events),
         "channel_stats": run.channel_stats,
         "bytes_to_server": run.report.bytes_to_server,
-        "total_time": run.sim.total_time,
     }

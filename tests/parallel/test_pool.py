@@ -8,13 +8,14 @@ a fresh process with exactly-once effect per task index.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
 
 from repro.errors import ReproError
 from repro.obs import Obs
-from repro.parallel.pool import WorkerPool, default_workers
+from repro.parallel.pool import WorkerPool
 
 
 def _square(x):
@@ -74,6 +75,13 @@ def test_task_exception_propagates_with_traceback():
         assert pool.run([4]) == [4]
 
 
+def test_failed_run_leaves_no_children():
+    with pytest.raises(ReproError, match="unlucky task"):
+        with WorkerPool(2, _raise_on_13) as pool:
+            pool.run([1, 13, 2])
+    assert multiprocessing.active_children() == []
+
+
 def test_crashed_worker_replays_outstanding_exactly_once(tmp_path):
     obs = Obs.create()
     marker = str(tmp_path / "crashed")
@@ -117,7 +125,3 @@ def test_dispatch_counters(tmp_path):
 def test_rejects_zero_workers():
     with pytest.raises(ReproError):
         WorkerPool(0, _square)
-
-
-def test_default_workers_positive():
-    assert default_workers() >= 1

@@ -5,21 +5,28 @@ process pool; the time-ordered replay, back-pressure drive and merged
 per-job reports are a deterministic function of its outputs.  So the
 whole :func:`~repro.api.run_multi_job` result — matrices, regions,
 inter-process events, coverage confidence, channel counters — must be
-identical for any worker count, and for process-backed shards too.
+identical for any worker count.  ``run_vsensor``, an in-process
+``simulate_job`` and a pool worker all go through the one
+``simulate_instrumented`` path, so their detector sides must agree too.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
+import pytest
 
 from repro.api import JobSpec, run_multi_job, run_vsensor
+from repro.errors import ReproError
 from repro.obs import Obs
-from repro.parallel import JobTask, simulate_job, simulate_jobs_parallel
+from repro.parallel import JobTask, WorkerPool, simulate_job, simulate_jobs_parallel
 from repro.runtime.channel import ChannelConfig
+from repro.runtime.server import AnalysisServer
 from repro.runtime.transport import RetryPolicy
 from repro.sim import MachineConfig
 from repro.sim.faults import CpuContention
-from tests.conftest import SIMPLE_MPI_PROGRAM
+from tests.conftest import SIMPLE_MPI_PROGRAM, detector_state
 
 
 def _machine(seed: int) -> MachineConfig:
@@ -78,25 +85,50 @@ def test_worker_pool_run_is_bit_identical_to_serial():
     kw = _kwargs(span)
     serial = run_multi_job(specs, **kw)
     fanned = run_multi_job(specs, workers=2, **kw)
+    assert multiprocessing.active_children() == []
     _assert_runs_identical(serial, fanned)
     # More workers than jobs is fine (idle workers never dispatch).
     wide = run_multi_job(specs, workers=5, **kw)
     _assert_runs_identical(serial, wide)
 
 
-def test_process_shards_end_to_end_match_default(tmp_path):
+def test_shard_processes_true_is_rejected():
+    spec = JobSpec(SIMPLE_MPI_PROGRAM, _machine(11))
+    with pytest.raises(ReproError, match="process-backed shards were removed"):
+        run_multi_job([spec], shard_processes=True, store=None)
+    run_multi_job([spec], shard_processes=False, store=None)  # pinned callers
+
+
+def test_three_callers_share_one_simulate_path():
+    machine = _machine(11)
     span = _span()
-    specs = _specs(span)
-    kw = _kwargs(span)
-    serial = run_multi_job(specs, **kw)
-    obs = Obs.create()
-    fabric_run = run_multi_job(
-        specs, workers=2, shard_processes=True, obs=obs, **kw
+    faults = (CpuContention(node_ids=(1,), t0=0.2 * span, t1=0.7 * span, cpu_factor=0.3),)
+    direct = run_vsensor(
+        SIMPLE_MPI_PROGRAM, machine, faults=faults, window_us=span / 10,
+        batch_period_us=span / 10, store=None,
     )
-    _assert_runs_identical(serial, fabric_run)
-    assert fabric_run.fabric is not None
-    assert fabric_run.fabric.restarts() == 0
-    assert obs.metrics.counter("parallel.dispatch").value == len(specs)
+    expected = detector_state(direct.runtime, direct.sim)
+    task = JobTask(
+        job_id=7, source=SIMPLE_MPI_PROGRAM, machine=machine, faults=faults,
+        detector=None, rule=None, engine="bytecode", max_depth=3,
+        batch_period_us=span / 10,
+    )
+    obs = Obs.create()
+    in_process = simulate_job(task, store=None, obs=obs)
+    with WorkerPool(2, simulate_job) as pool:
+        (pooled,) = pool.run([task])
+    for _static, sim, runtime in (in_process, pooled):
+        assert detector_state(runtime, sim) == expected
+        # The recorded batches, re-ingested, are run_vsensor's matrices.
+        server = AnalysisServer(
+            n_ranks=machine.n_ranks, window_us=span / 10, batch_period_us=span / 10
+        )
+        for _now, rank, rows in runtime.server.events:
+            server.receive_batch(rank, rows)
+        for stype, matrix in direct.report.matrices.items():
+            assert server.performance_matrix(stype).tobytes() == matrix.tobytes()
+    spans = [s for s in obs.tracer.records() if s.name == "vsensor.simulate"]
+    assert [s.attrs["job"] for s in spans] == [7]
 
 
 def test_simulate_jobs_parallel_matches_direct_calls():

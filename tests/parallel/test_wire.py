@@ -21,13 +21,7 @@ from repro.parallel.wire import (
     WireError,
     decode_rows,
     encode_rows,
-    pack_apply,
-    pack_export_rows,
-    pack_register,
     socket_pair,
-    unpack_apply,
-    unpack_export_rows,
-    unpack_register,
 )
 from repro.runtime.records import SliceSummary
 from repro.sensors.model import SensorType
@@ -81,20 +75,6 @@ def test_decode_rejects_truncated_row_block():
     payload = encode_rows(_awkward_rows())
     with pytest.raises(WireError):
         decode_rows(payload[:-4])
-
-
-def test_apply_and_export_payloads_roundtrip():
-    rows = _awkward_rows(job=3)
-    job, rank, seq, n_ranks, back = unpack_apply(pack_apply(3, 2, 9, 8, rows))
-    assert (job, rank, seq, n_ranks) == (3, 2, 9, 8)
-    assert back == rows
-
-    total, dups, back = unpack_export_rows(pack_export_rows(41, 6, rows), job=3)
-    assert (total, dups) == (41, 6)
-    assert back == rows
-    assert all(s.job_id == 3 for s in back)
-
-    assert unpack_register(pack_register(12, 64)) == (12, 64)
 
 
 def test_frame_roundtrip_and_peer_death():

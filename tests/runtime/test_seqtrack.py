@@ -1,11 +1,11 @@
 """SequenceTracker: exactly-once admission, gaps, and restart replay.
 
-The fabric's crash recovery rebuilds a shard child by replaying the
-*entire* frame spool into a fresh process, so the tracker must make a
-full-history replay idempotent from any point: every already-seen
-sequence number is refused, every genuinely new one is admitted, and
-the watermark/parked-gap state converges to exactly what an uncrashed
-stream would hold.
+At-least-once delivery can redeliver any prefix of a stream — up to a
+replay of its *entire* history into a receiver that lost its state — so
+the tracker must make a full-history replay idempotent from any point:
+every already-seen sequence number is refused, every genuinely new one
+is admitted, and the watermark/parked-gap state converges to exactly
+what an uncrashed stream would hold.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def test_full_replay_after_restart_is_exactly_once():
 
 
 def test_restarted_fresh_tracker_converges_under_replay():
-    """The shard child's side of the same story: its tracker is *lost*
-    with the process, and the replayed spool rebuilds an equivalent one —
+    """The receiver's side of the same story: its tracker is *lost*
+    with its state, and the replayed history rebuilds an equivalent one —
     same watermark, same parked set — even with gaps in flight."""
     original = SequenceTracker()
     in_flight = [0, 1, 2, 5, 7]  # 3, 4, 6 still missing at crash time

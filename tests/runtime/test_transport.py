@@ -282,6 +282,38 @@ def test_reliable_transport_recovers_from_drops():
     assert lossy.degraded == set()
 
 
+def test_next_wakeup_steps_the_schedule_finish_runs():
+    from repro.runtime.channel import ChannelConfig, LossyChannel
+    from repro.runtime.transport import ReliableTransport
+
+    def loaded() -> ReliableTransport:
+        channel = LossyChannel(config=ChannelConfig(drop_rate=0.4, reorder_rate=0.3, seed=11))
+        transport = ReliableTransport(
+            server=AnalysisServer(n_ranks=2, window_us=1000.0), channel=channel
+        )
+        _send_all(transport, _batches())
+        return transport
+
+    finished = loaded()
+    finished.finish()
+    stepped = loaded()
+    steps = 0
+    while (wakeup := stepped.next_wakeup()) is not None:
+        due = stepped.channel.next_due()
+        retries = [p.next_retry_at for p in stepped._pending.values()]
+        assert wakeup == min(retries + ([] if due is None else [due]))
+        stepped.pump(max(stepped.clock, wakeup))
+        steps += 1
+    assert steps > 1, "the scenario must leave work for the quiescence drive"
+    assert finished.next_wakeup() is None
+    assert stepped.unacked() == 0 and stepped.channel.pending() == 0
+    assert stepped.clock == finished.clock
+    assert stepped.channel.stats == finished.channel.stats
+    assert stepped.server.performance_matrix(SensorType.COMPUTATION).tobytes() == (
+        finished.server.performance_matrix(SensorType.COMPUTATION).tobytes()
+    )
+
+
 def test_reliable_transport_dedupes_channel_duplicates():
     from repro.runtime.channel import ChannelConfig, LossyChannel
     from repro.runtime.transport import ReliableTransport
