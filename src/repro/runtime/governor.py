@@ -203,6 +203,25 @@ class PaperShutoff:
         return True
 
 
+#: promote only when spend is below this fraction of the budget
+PROMOTE_HEADROOM = 0.5
+#: variance-triggered promotion fires only for events at least this severe
+#: (normalized performance below this).  Ordinary machine jitter produces a
+#: steady trickle of events just under the 0.7 detection threshold; if every
+#: one of them re-promoted, the budget loop could never hold a demotion.
+#: Genuine faults land far lower.
+PROMOTE_SEVERITY = 0.5
+#: ...but not *too* far: a systemic slowdown (contention, thermal
+#: throttling, a bad node) scales durations by a bounded factor, while an
+#: isolated extreme outlier — an OS interrupt or SMI landing inside one
+#: snippet execution — craters performance to near zero.  Events below this
+#: floor are treated as measurement artifacts and do not trigger promotion.
+#: ``performance == 0.0`` (programmatic signal) is exempt.
+PROMOTE_FLOOR = 0.2
+#: the window ``GovernorConfig.promote_confirm`` severe events must fall in
+PROMOTE_CONFIRM_WINDOW_US = 3000.0
+
+
 @dataclass(slots=True)
 class GovernorConfig:
     """Tuning knobs of the overhead governor."""
@@ -219,30 +238,13 @@ class GovernorConfig:
     demote_patience: int = 2
     #: consecutive comfortably-under-budget evaluations before a promotion
     promote_patience: int = 3
-    #: promote only when spend is below this fraction of the budget
-    promote_headroom: float = 0.5
-    #: variance-triggered promotion fires only for events at least this
-    #: severe (normalized performance below this).  Ordinary machine
-    #: jitter produces a steady trickle of events just under the 0.7
-    #: detection threshold; if every one of them re-promoted, the budget
-    #: loop could never hold a demotion.  Genuine faults land far lower.
-    promote_severity: float = 0.5
-    #: ...but not *too* far: a systemic slowdown (contention, thermal
-    #: throttling, a bad node) scales durations by a bounded factor,
-    #: while an isolated extreme outlier — an OS interrupt or SMI landing
-    #: inside one snippet execution — craters performance to near zero.
-    #: Events below this floor are treated as measurement artifacts and
-    #: do not trigger promotion.  ``performance == 0.0`` (programmatic
-    #: signal) is exempt.
-    promote_floor: float = 0.2
     #: a *sustained* episode, not an isolated noise spike, is what
     #: deserves full telemetry: permanent promotion needs this many
-    #: severe events within ``promote_confirm_window_us`` on the rank.
+    #: severe events within ``PROMOTE_CONFIRM_WINDOW_US`` on the rank.
     #: An event with ``performance == 0.0`` (a programmatic
     #: maximal-severity signal) bypasses confirmation and promotes
     #: immediately.
     promote_confirm: int = 3
-    promote_confirm_window_us: float = 3000.0
     #: an *unconfirmed* severe event starts a probation: demoted sensors
     #: run at full rate for this long, so a genuine episode (one severe
     #: event per slice at full rate) confirms within the window, while an
@@ -388,9 +390,9 @@ class OverheadGovernor:
         skip the episode's onset.
 
         ``performance`` is the event's normalized performance (worst of
-        the batch); only events below ``config.promote_severity`` act, so
+        the batch); only events below ``PROMOTE_SEVERITY`` act, so
         routine jitter events cannot defeat the budget loop, and the
-        severe ones must recur within ``promote_confirm_window_us`` —
+        severe ones must recur within ``PROMOTE_CONFIRM_WINDOW_US`` —
         machine-noise spikes are deep but isolated, genuine fault
         episodes produce a severe event per slice.  The default
         ``performance=0.0`` is a programmatic maximal-severity signal
@@ -403,14 +405,14 @@ class OverheadGovernor:
             return
         if performance > 0.0 and not self._drives_promotion(sensor_type):
             return
-        if performance >= self.config.promote_severity:
+        if performance >= PROMOTE_SEVERITY:
             return
-        if 0.0 < performance < self.config.promote_floor:
+        if 0.0 < performance < PROMOTE_FLOOR:
             return  # isolated-outlier artifact, not a systemic slowdown
         if performance > 0.0 and self.config.promote_confirm > 1:
-            window = self.config.promote_confirm_window_us
             recent = [
-                t for t in self._severe.get(rank, []) if now - t <= window
+                t for t in self._severe.get(rank, [])
+                if now - t <= PROMOTE_CONFIRM_WINDOW_US
             ]
             recent.append(now)
             self._severe[rank] = recent
@@ -552,7 +554,7 @@ class OverheadGovernor:
                 self._demote(rank, frac)
             else:
                 self._over[rank] = strikes
-        elif frac <= budget * self.config.promote_headroom:
+        elif frac <= budget * PROMOTE_HEADROOM:
             self._over[rank] = 0
             strikes = self._under.get(rank, 0) + 1
             if strikes >= self.config.promote_patience:

@@ -143,19 +143,8 @@ class AnalysisServer:
         it ``None`` and are accounted at the nominal header + payload size.
         Returns True iff the batch was new.
         """
-        self.batches_received += 1
-        if encoded_bytes is None:
-            encoded_bytes = 8 + SliceSummary.WIRE_BYTES * len(summaries)
-        self.bytes_received += encoded_bytes
-        if seq is not None and not self._advance_watermark(rank, seq):
-            self.duplicate_batches += 1
-            if self.metrics is not None:
-                self.metrics.counter("server.duplicate_batches").inc()
+        if not self._admit(rank, len(summaries), seq, encoded_bytes):
             return False
-        self.summaries_received += len(summaries)
-        if self.metrics is not None:
-            self.metrics.counter("server.batches").inc()
-            self.metrics.counter("server.summaries").inc(len(summaries))
         if self._columns is not None:
             duplicates, max_window = self._columns.ingest_summaries(
                 summaries, self._sensor_types, self._last_seen
@@ -180,19 +169,8 @@ class AnalysisServer:
         per-summary ``_ingest`` path (and any test hook overriding it)
         stays on the wire path.
         """
-        self.batches_received += 1
-        if encoded_bytes is None:
-            encoded_bytes = 8 + SliceSummary.WIRE_BYTES * len(columns)
-        self.bytes_received += encoded_bytes
-        if seq is not None and not self._advance_watermark(rank, seq):
-            self.duplicate_batches += 1
-            if self.metrics is not None:
-                self.metrics.counter("server.duplicate_batches").inc()
+        if not self._admit(rank, len(columns), seq, encoded_bytes):
             return False
-        self.summaries_received += len(columns)
-        if self.metrics is not None:
-            self.metrics.counter("server.batches").inc()
-            self.metrics.counter("server.summaries").inc(len(columns))
         if self._columns is not None:
             duplicates, max_window = self._columns.ingest_columns(
                 columns, self._sensor_types, self._last_seen
@@ -201,6 +179,25 @@ class AnalysisServer:
         else:
             for summary in columns.to_summaries():
                 self._ingest(summary)
+        return True
+
+    def _admit(
+        self, rank: int, n_rows: int, seq: int | None, encoded_bytes: int | None
+    ) -> bool:
+        """Account one arriving batch; False for a redelivered ``seq``."""
+        self.batches_received += 1
+        if encoded_bytes is None:
+            encoded_bytes = 8 + SliceSummary.WIRE_BYTES * n_rows
+        self.bytes_received += encoded_bytes
+        if seq is not None and not self._advance_watermark(rank, seq):
+            self.duplicate_batches += 1
+            if self.metrics is not None:
+                self.metrics.counter("server.duplicate_batches").inc()
+            return False
+        self.summaries_received += n_rows
+        if self.metrics is not None:
+            self.metrics.counter("server.batches").inc()
+            self.metrics.counter("server.summaries").inc(n_rows)
         return True
 
     def _note_ingest(self, duplicates: int, max_window: int | None) -> None:

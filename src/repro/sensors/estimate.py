@@ -15,7 +15,7 @@ Estimation rules:
 
 * a for-loop ``for (i = c0; i < c1; i = i + c2)`` with constant chain has
   trip count ``ceil((c1 - c0) / c2)``; other loops are unknown;
-* statement costs mirror the simulator's charge table;
+* statement costs are the simulator's charge table (``COST_*`` below);
 * ``compute_units(c)`` costs ``c``; described externs cost
   ``base + unit * workload args`` when those are constants;
 * a call to a defined function costs that function's estimate
@@ -29,14 +29,17 @@ from dataclasses import dataclass, field
 from repro.frontend import ast_nodes as A
 from repro.sensors.extern import ExternRegistry, default_extern_registry
 
-# Cost table mirroring repro.sim.interp.
-_COST_BINOP = 1.0
-_COST_UNARY = 0.5
-_COST_LOAD = 0.5
-_COST_STORE = 0.5
-_COST_INDEX = 0.5
-_COST_CALL = 2.0
-_COST_BRANCH = 0.5
+# Work-unit costs of interpreted operations: the simulator's charge table.
+# It lives here, below ``repro.sim`` in the import order, so that the static
+# estimate and both interpreter tiers (``sim.interp``, ``sim.bytecode.compiler``)
+# charge from one definition.
+COST_BINOP = 1.0
+COST_UNARY = 0.5
+COST_LOAD = 0.5
+COST_STORE = 0.5
+COST_INDEX = 0.5
+COST_CALL = 2.0
+COST_BRANCH = 0.5
 
 
 @dataclass(slots=True)
@@ -83,12 +86,12 @@ class WorkloadEstimator:
             return self._sum(self._stmt_cost(s) for s in stmt.stmts)
         if isinstance(stmt, A.VarDecl):
             init = self._expr_cost(stmt.init) if stmt.init is not None else 0.0
-            return _add(init, _COST_STORE)
+            return _add(init, COST_STORE)
         if isinstance(stmt, A.Assign):
             target_cost = 0.0
             if isinstance(stmt.target, A.ArrayRef):
-                target_cost = _add(self._expr_cost(stmt.target.index), _COST_INDEX)
-            return self._sum([self._expr_cost(stmt.value), target_cost, _COST_STORE])
+                target_cost = _add(self._expr_cost(stmt.target.index), COST_INDEX)
+            return self._sum([self._expr_cost(stmt.value), target_cost, COST_STORE])
         if isinstance(stmt, A.IfStmt):
             cond = self._expr_cost(stmt.cond)
             then_cost = self._stmt_cost(stmt.then_body)
@@ -96,7 +99,7 @@ class WorkloadEstimator:
             if then_cost is None or else_cost is None or cond is None:
                 return None
             # Take the mean of the branches: an estimate, not a bound.
-            return cond + _COST_BRANCH + 0.5 * (then_cost + else_cost)
+            return cond + COST_BRANCH + 0.5 * (then_cost + else_cost)
         if isinstance(stmt, A.ForStmt):
             trips = self.trip_count(stmt)
             if trips is None:
@@ -104,7 +107,7 @@ class WorkloadEstimator:
             per_iter = self._sum(
                 [
                     self._expr_cost(stmt.cond) if stmt.cond is not None else 0.0,
-                    _COST_BRANCH,
+                    COST_BRANCH,
                     self._stmt_cost(stmt.body),
                     self._stmt_cost(stmt.step) if stmt.step is not None else 0.0,
                 ]
@@ -131,18 +134,18 @@ class WorkloadEstimator:
         if isinstance(expr, (A.IntLit, A.FloatLit, A.StringLit, A.AddrOf)):
             return 0.0
         if isinstance(expr, A.VarRef):
-            return _COST_LOAD
+            return COST_LOAD
         if isinstance(expr, A.ArrayRef):
-            return _add(self._expr_cost(expr.index), _COST_LOAD + _COST_INDEX)
+            return _add(self._expr_cost(expr.index), COST_LOAD + COST_INDEX)
         if isinstance(expr, A.BinOp):
-            return self._sum([self._expr_cost(expr.left), self._expr_cost(expr.right), _COST_BINOP])
+            return self._sum([self._expr_cost(expr.left), self._expr_cost(expr.right), COST_BINOP])
         if isinstance(expr, A.UnaryOp):
-            return _add(self._expr_cost(expr.operand), _COST_UNARY)
+            return _add(self._expr_cost(expr.operand), COST_UNARY)
         if isinstance(expr, A.CallExpr):
             args_cost = self._sum(self._expr_cost(a) for a in expr.args)
             if args_cost is None:
                 return None
-            return _add(self._call_cost(expr), args_cost + _COST_CALL)
+            return _add(self._call_cost(expr), args_cost + COST_CALL)
         return None
 
     def _call_cost(self, call: A.CallExpr) -> float | None:

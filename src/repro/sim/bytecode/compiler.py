@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from repro.errors import InterpError
 from repro.frontend import ast_nodes as A
 from repro.instrument.rewrite import TICK, TOCK
-from repro.sim.bytecode import ops
-from repro.sim.interp import (
+from repro.sensors.estimate import (
     COST_BINOP,
     COST_BRANCH,
     COST_CALL,
@@ -44,6 +43,9 @@ from repro.sim.interp import (
     COST_LOAD,
     COST_STORE,
     COST_UNARY,
+)
+from repro.sim.bytecode import ops
+from repro.sim.interp import (
     _INTRINSIC_NAMES,
     _MATH_FUNCS,
     _MPI_COLLECTIVES,

@@ -1,20 +1,37 @@
-"""Table-driven opcode dispatch shared by the scalar VM and lockstep tier.
+"""The opcode table: every opcode's semantics, written once.
 
 One :data:`OP_TABLE` entry per opcode carries
 
 * the scalar handler body (source text), from which the per-rank dispatch
-  core :data:`DISPATCH_CORE` is code-generated at import time, and
+  core :data:`DISPATCH_CORE` is code-generated at import time;
 * a **fusability class** telling the lockstep tier (and the disassembler's
   ``fusability`` annotations) how the op behaves under SIMD-over-ranks
-  execution.
+  execution; and
+* optionally the name of a ``FusedVM`` **handler** method.
 
-Generating the core instead of hand-writing the ``elif`` ladder buys two
-things: the opcode numbers are inlined as integer literals (the historical
-ladder paid a global + attribute load per ``op == ops.X`` comparison), and
-the exact same handler source can be re-entered mid-program — the core
-runs off an explicit :class:`ScalarState`, which is how drained lockstep
-lanes resume on a real :class:`~repro.sim.bytecode.vm.BytecodeInterp`
-from an arbitrary program point.
+The lockstep tier (:mod:`repro.sim.lockstep.vm`) renders its full-width
+and masked loops from this table as well; class and handler together say
+how an entry renders there:
+
+* *elementwise* (no handler): both fused bodies are lifted from the scalar
+  body — operand reads become lane variables; with every operand uniform
+  the scalar statements run verbatim, otherwise the same statements run
+  over the active lanes; a masked result goes through the copy-on-write
+  masked store;
+* *lane handler* (handler, class vector/branch/call): one hand-written
+  method taking the active mask (``None`` = every lane), called by both
+  loops;
+* *full-width only* (class in :data:`NEEDS_FULL_BATCH`): the handler runs
+  at full width, and the masked loop drains the batch instead.
+
+Generating the scalar core instead of hand-writing the ``elif`` ladder
+buys two things: the opcode numbers are inlined as integer literals (the
+historical ladder paid a global + attribute load per ``op == ops.X``
+comparison), and the exact same handler source can be re-entered
+mid-program — the core runs off an explicit :class:`ScalarState`, which is
+how drained lockstep lanes resume on a real
+:class:`~repro.sim.bytecode.vm.BytecodeInterp` from an arbitrary program
+point.
 
 Handler bodies must mirror the AST tier exactly; see the bit-identity
 recipe in DESIGN.md §9.
@@ -73,6 +90,10 @@ FUSE_RENDEZVOUS = "rendezvous"  # needs the full batch converged (MPI)
 FUSE_OBSERVE = "observe"        # needs the full batch converged (probes/IO/clock)
 FUSE_DIVERGE = "diverge"        # always drains diverged lanes (indirect calls)
 
+#: classes the lockstep tier cannot execute under a partial lane mask: the
+#: masked loop drains the batch at these ops
+NEEDS_FULL_BATCH = frozenset((FUSE_RENDEZVOUS, FUSE_OBSERVE, FUSE_DIVERGE))
+
 
 @dataclass(frozen=True, slots=True)
 class OpSpec:
@@ -82,63 +103,84 @@ class OpSpec:
     codes: tuple
     fuse: str
     body: str
+    #: ``FusedVM`` method executing the op; None = lifted from ``body``
+    handler: str | None
 
 
-def _spec(name: str, fuse: str, body: str, *extra_codes) -> OpSpec:
+def _spec(name: str, fuse: str, body: str, *extra_codes, handler=None) -> OpSpec:
     return OpSpec(
         name=name,
         codes=(getattr(ops, name),) + tuple(getattr(ops, x) for x in extra_codes),
         fuse=fuse,
         body=body,
+        handler=handler,
     )
 
 
-#: dispatch table in hot-first order (the generated ladder tests in order)
+#: dispatch table, hottest first by measured execution counts over the
+#: workload analogues (every rendered chain tests in this order)
 OP_TABLE = (
     _spec("CHARGE", FUSE_VECTOR, """\
 pend_h += a
 tot_h += a
 """),
-    _spec("MOVE", FUSE_VECTOR, """\
-regs[a] = regs[b]
-"""),
     _spec("ADD", FUSE_VECTOR, """\
 regs[a] = regs[b] + regs[c]
 """),
-    _spec("SUB", FUSE_VECTOR, """\
-regs[a] = regs[b] - regs[c]
+    _spec("JLT_F", FUSE_BRANCH, """\
+if not (regs[a] < regs[b]):
+    pc = c
 """),
-    _spec("MUL", FUSE_VECTOR, """\
-regs[a] = regs[b] * regs[c]
-"""),
-    _spec("INDEX", FUSE_VECTOR, """\
-arr = regs[b]
-if type(arr) is not list:
-    self._bad_array(fc, pc - 1)
-regs[a] = arr[int(regs[c]) % len(arr)]
-"""),
+    _spec("JUMP", FUSE_BRANCH, """\
+pc = a
+""", handler="_jump"),
+    _spec("CU", FUSE_VECTOR, """\
+units = max(0.0, float(regs[a])) if a >= 0 else 0.0
+doubled = units + units
+if doubled < 1e15 and doubled == int(doubled):
+    n = int(doubled)
+    pend_h += n
+    tot_h += n
+else:
+    self._pending_frac += units
+    self._total_frac += units
+""", handler="_cu"),
     _spec("INDEXG", FUSE_VECTOR, """\
 arr = glist[b]
 if type(arr) is not list:
     self._bad_array(fc, pc - 1)
 regs[a] = arr[int(regs[c]) % len(arr)]
+""", handler="_index"),
+    _spec("LOADG", FUSE_VECTOR, """\
+regs[a] = glist[b]
 """),
-    _spec("STIDX", FUSE_VECTOR, """\
-arr = regs[a]
-if type(arr) is not list:
-    self._bad_array(fc, pc - 1)
-arr[int(regs[b]) % len(arr)] = regs[c]
+    _spec("MUL", FUSE_VECTOR, """\
+regs[a] = regs[b] * regs[c]
 """),
     _spec("STIDXG", FUSE_VECTOR, """\
 arr = glist[a]
 if type(arr) is not list:
     self._bad_array(fc, pc - 1)
 arr[int(regs[b]) % len(arr)] = regs[c]
+""", handler="_stidx"),
+    _spec("MOVE", FUSE_VECTOR, """\
+regs[a] = regs[b]
 """),
-    _spec("JLT_F", FUSE_BRANCH, """\
-if not (regs[a] < regs[b]):
-    pc = c
+    _spec("SUB", FUSE_VECTOR, """\
+regs[a] = regs[b] - regs[c]
 """),
+    _spec("INDEX", FUSE_VECTOR, """\
+arr = regs[b]
+if type(arr) is not list:
+    self._bad_array(fc, pc - 1)
+regs[a] = arr[int(regs[c]) % len(arr)]
+""", handler="_index"),
+    _spec("STIDX", FUSE_VECTOR, """\
+arr = regs[a]
+if type(arr) is not list:
+    self._bad_array(fc, pc - 1)
+arr[int(regs[b]) % len(arr)] = regs[c]
+""", handler="_stidx"),
     _spec("JLE_F", FUSE_BRANCH, """\
 if not (regs[a] <= regs[b]):
     pc = c
@@ -159,27 +201,9 @@ if not (regs[a] == regs[b]):
 if not (regs[a] != regs[b]):
     pc = c
 """),
-    _spec("JUMP", FUSE_BRANCH, """\
-pc = a
-"""),
     _spec("JF", FUSE_BRANCH, """\
 if not regs[a]:
     pc = b
-"""),
-    _spec("JT", FUSE_BRANCH, """\
-if regs[a]:
-    pc = b
-"""),
-    _spec("CU", FUSE_VECTOR, """\
-units = max(0.0, float(regs[a])) if a >= 0 else 0.0
-doubled = units + units
-if doubled < 1e15 and doubled == int(doubled):
-    n = int(doubled)
-    pend_h += n
-    tot_h += n
-else:
-    self._pending_frac += units
-    self._total_frac += units
 """),
     _spec("DIV", FUSE_VECTOR, """\
 left = regs[b]
@@ -229,9 +253,6 @@ regs[a] = -regs[b]
     _spec("NOTL", FUSE_VECTOR, """\
 regs[a] = 0 if regs[b] else 1
 """),
-    _spec("LOADG", FUSE_VECTOR, """\
-regs[a] = glist[b]
-"""),
     _spec("STOREG", FUSE_VECTOR, """\
 glist[a] = regs[b]
 """),
@@ -241,17 +262,17 @@ if regs[a] is undef:
         f"rank {rank}: read of undefined variable "
         f"{fc.names.get(pc - 1, '?')!r}"
     )
-"""),
+""", handler="_chkdef"),
     _spec("LOADX", FUSE_VECTOR, """\
 value = regs[b]
 regs[a] = glist[c] if value is undef else value
-"""),
+""", handler="_loadx"),
     _spec("STOREX", FUSE_VECTOR, """\
 if regs[a] is undef:
     glist[b] = regs[c]
 else:
     regs[a] = regs[c]
-"""),
+""", handler="_storex"),
     _spec("NEWARR", FUSE_VECTOR, """\
 regs[a] = [c] * b
 """),
@@ -277,7 +298,7 @@ pc = 0
 trace = hooks.wants_function_events
 if trace:
     hooks.on_func_enter(rank, fc.name, clock.now)
-"""),
+""", handler="_call"),
     _spec("RET", FUSE_CALL, """\
 value = regs[a] if op == __RET__ else a
 if trace:
@@ -286,7 +307,7 @@ if not stack:
     break
 code, regs, pc, dst, fc, trace = stack.pop()
 regs[dst] = value
-""", "RETK"),
+""", "RETK", handler="_ret"),
     _spec("RANKOP", FUSE_VECTOR, """\
 self._pending_frac += 0.1
 self._total_frac += 0.1
@@ -303,7 +324,7 @@ self._total_half = tot_h
 self._flush()
 pend_h = 0
 regs[a] = clock.now
-"""),
+""", handler="_now_full"),
     _spec("COLL", FUSE_RENDEZVOUS, """\
 self._pending_half = pend_h
 self._total_half = tot_h
@@ -326,7 +347,7 @@ completion = yield MpiRequest(
 clock.wait_until(completion)
 hooks.on_mpi_end(rank, spelled, t0, clock.now, size)
 regs[a] = 0
-"""),
+""", handler="_mpi_full"),
     _spec("P2P", FUSE_RENDEZVOUS, """\
 self._pending_half = pend_h
 self._total_half = tot_h
@@ -351,21 +372,21 @@ completion = yield MpiRequest(
 clock.wait_until(completion)
 hooks.on_mpi_end(rank, spelled, t0, clock.now, size)
 regs[a] = 0
-"""),
+""", handler="_mpi_full"),
     _spec("TICKOP", FUSE_OBSERVE, """\
 self._pending_half = pend_h
 self._total_half = tot_h
 self._probe_tick(int(regs[a]))
 pend_h = self._pending_half
 tot_h = self._total_half
-"""),
+""", handler="_tick_full"),
     _spec("TOCKOP", FUSE_OBSERVE, """\
 self._pending_half = pend_h
 self._total_half = tot_h
 self._probe_tock(int(regs[a]))
 pend_h = self._pending_half
 tot_h = self._total_half
-"""),
+""", handler="_tock_full"),
     _spec("IOOP", FUSE_OBSERVE, """\
 self._pending_half = pend_h
 self._total_half = tot_h
@@ -373,7 +394,7 @@ size = float(regs[c]) if c >= 0 else 1.0
 self._io_op(b, size)
 pend_h = 0
 regs[a] = 0
-"""),
+""", handler="_io_full"),
     _spec("RANDOP", FUSE_VECTOR, """\
 pend_h += 1
 tot_h += 1
@@ -385,7 +406,7 @@ self._total_half = tot_h
 self._flush()
 pend_h = 0
 regs[a] = int(clock.now)
-"""),
+""", handler="_now_full"),
     _spec("HOSTOP", FUSE_VECTOR, """\
 pend_h += 1
 tot_h += 1
@@ -403,7 +424,7 @@ elif gidx >= 0:
 regs[a] = (
     func_index.get(value, -1) if type(value) is str else -1
 )
-"""),
+""", handler="_resfp"),
     _spec("CALLIND", FUSE_DIVERGE, """\
 target = regs[b]
 meta, arg_regs = c
@@ -426,13 +447,13 @@ else:
         meta, [regs[i] for i in arg_regs], pend_h, tot_h
     )
     regs[a] = 0
-"""),
+""", handler="_callind_full"),
     _spec("EXTCALL", FUSE_OBSERVE, """\
 pend_h, tot_h = self._extern(
     b, [regs[i] for i in c], pend_h, tot_h
 )
 regs[a] = 0
-"""),
+""", handler="_extern_full"),
 )
 
 #: opcode -> OpSpec (RETK maps to the shared RET spec)

@@ -4,8 +4,9 @@ Every instruction is a 4-tuple ``(op, a, b, c)``; unused fields are None.
 Register operands index one flat per-frame list laid out as
 ``[locals | temps | consts]`` — constants are materialized once at frame
 creation (the prototype list is copied), so operand fetch is always a plain
-list index.  Numbering groups the hottest opcodes first purely for the
-benefit of the VM's dispatch ladder.
+list index.  Every constant here has exactly one entry in
+:data:`repro.sim.bytecode.dispatch.OP_TABLE`, whose order (not this
+numbering) is the order the rendered dispatch chains test in.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ NOTL = 14  # a=dst, b=operand
 CHARGE = 15
 
 JUMP = 16   # a=target
-JF = 17     # a=reg, b=target  (jump when falsy)
-JT = 18     # a=reg, b=target  (jump when truthy)
+JF = 17     # a=reg, b=target  (jump when falsy; 18 is unassigned)
 # fused compare-and-branch: jump to c when the comparison is FALSE
 JLT_F = 19  # a=lhs, b=rhs, c=target
 JLE_F = 20
@@ -71,8 +71,7 @@ COLL = 46    # a=dst, b=(engine op, spelled name), c=size reg or -1
 P2P = 47     # a=dst, b=(engine op, spelled name), c=(peer reg|-1, size reg|-1)
 MATHOP = 48  # a=dst, b=callable, c=arg regs tuple (already sliced)
 IOOP = 49    # a=dst, b=op name, c=size reg or -1
-RANDOP = 50  # a=dst
-SRANDOP = 51  # a=dst (unused: srand lowers to nothing, kept for numbering)
+RANDOP = 50  # a=dst  (51 is unassigned: srand lowers to nothing)
 CLOCKOP = 52  # a=dst
 HOSTOP = 53   # a=dst
 EXTCALL = 54  # a=dst, b=(name, ExternModel | None), c=arg regs tuple

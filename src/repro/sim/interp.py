@@ -34,6 +34,15 @@ import numpy as np
 from repro.errors import InterpError
 from repro.frontend import ast_nodes as A
 from repro.instrument.rewrite import TICK, TOCK, SensorInfo
+from repro.sensors.estimate import (
+    COST_BINOP,
+    COST_BRANCH,
+    COST_CALL,
+    COST_INDEX,
+    COST_LOAD,
+    COST_STORE,
+    COST_UNARY,
+)
 from repro.sim.clock import RankClock
 from repro.sim.faults import Fault
 from repro.sim.hooks import RuntimeHooks
@@ -41,15 +50,6 @@ from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkModel
 from repro.sim.noise import NodeNoise
 from repro.sim.pmu import Pmu
-
-# Work-unit costs of interpreted operations.
-COST_BINOP = 1.0
-COST_UNARY = 0.5
-COST_LOAD = 0.5
-COST_STORE = 0.5
-COST_INDEX = 0.5
-COST_CALL = 2.0
-COST_BRANCH = 0.5
 
 _MPI_COLLECTIVES = {
     "MPI_Barrier": "barrier",

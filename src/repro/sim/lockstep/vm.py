@@ -31,14 +31,40 @@ calls, unstructured jumps — **spills**: every lane is materialized into a
 :class:`BytecodeInterp` (sharing clock/PMU/RNG objects with the batch the
 whole time), to be re-fused by the runner at the next full-width
 collective.  See DESIGN.md §9 for the full lifecycle.
+
+Dispatch
+--------
+This file holds machinery only — mask frames, spill/re-fuse, MPI
+block/deliver, probes, IO and the per-opcode handler methods the table
+names.  Neither interpreter loop is written here: ``_run_full`` (every
+lane active) and ``_run_masked`` (under a lane mask) are rendered at
+import time from :data:`~repro.sim.bytecode.dispatch.OP_TABLE`, the same
+table the scalar core is rendered from (see "loop rendering" at the bottom
+of this file).  The loops keep ``pc``, the uniform work counters and the
+mask in locals and write them back before every handler call; the frame
+state a call or return replaces (``code``/``regs``/``fc``/``trace``/
+``stack``) lives on ``self`` and is re-read after one.  A handler returns
+true when the loop must stop (drained, blocked, finished, or — at full
+width — diverged).
 """
 
 from __future__ import annotations
 
+import ast
+import re
+from itertools import repeat
+
 import numpy as np
 
 from repro.errors import InterpError
-from repro.sim.bytecode.dispatch import UNDEF, ScalarState
+from repro.sim.bytecode import ops
+from repro.sim.bytecode.dispatch import (
+    NEEDS_FULL_BATCH,
+    OP_TABLE,
+    UNDEF,
+    ScalarState,
+)
+from repro.sim.faults import io_factor_at
 from repro.sim.hooks import SensorBatch
 from repro.sim.interp import MpiRequest
 
@@ -94,6 +120,30 @@ def _merge_lanes(values: list, n: int):
     return first
 
 
+def _compact(value, M):
+    """A Value restricted to the active lanes (``M=None``: unchanged)."""
+    return value[M] if M is not None and type(value) is _ND else value
+
+
+def _each(value):
+    """Per-lane iterator over a (compact) Value."""
+    return value if type(value) is _ND else repeat(value)
+
+
+def _masked(old, res, M) -> np.ndarray:
+    """Copy-on-write masked store: ``old`` with lanes ``M`` replaced.
+
+    ``res`` is uniform or holds one value per *active* lane.
+    """
+    new = old.copy() if type(old) is _ND else _broadcast(old, len(M))
+    if type(res) is list:
+        for i in np.nonzero(M)[0]:
+            new[i] = res
+    else:
+        new[M] = res
+    return new
+
+
 class _MaskFrame:
     """One level of structured divergence (an ``if`` or a loop)."""
 
@@ -131,14 +181,17 @@ class FusedVM:
         self.faults = first.faults
         #: governor control table shared by every lane (None = no governor)
         self.control = first.probe_control
-        self.nmod = max(1, first.n_ranks)
+        self.n_ranks = first.n_ranks
+        self.nmod = max(1, self.n_ranks)
+        # The per-lane names of the scalar core, as Values (see _LANE_ENV).
         self.ranks_vec = _obj_vec([i.rank for i in self.interps])
-        self.rank_ids = np.array([i.rank for i in self.interps], dtype=np.int64)
-        self.pmu_draws = [i.pmu.draw for i in self.interps]
+        self.rngs = _obj_vec([i._rng for i in self.interps])
         node_ids = [i.clock.node.node_id for i in self.interps]
         self.node_val = (
             node_ids[0] if len(set(node_ids)) == 1 else _obj_vec(node_ids)
         )
+        self.rank_ids = np.array([i.rank for i in self.interps], dtype=np.int64)
+        self.pmu_draws = [i.pmu.draw for i in self.interps]
         n = self.n
         self.pend_u = 0
         self.tot_u = 0
@@ -180,10 +233,7 @@ class FusedVM:
         vm.pc = 0
         vm.trace = runner.hooks.wants_function_events
         if vm.trace:
-            now = vm.clocks.now
-            for pos in range(vm.n):
-                runner.emit(pos, "on_func_enter",
-                            (vm.interps[pos].rank, fc.name, float(now[pos])))
+            vm._func_event("on_func_enter", None)
         return vm
 
     @classmethod
@@ -242,27 +292,29 @@ class FusedVM:
 
     # -- value plumbing ------------------------------------------------------
 
-    def _mput(self, slot: int, value, M) -> None:
-        """Masked store of a full-width (or uniform) value into a register."""
-        self.regs[slot] = self._merge_value(self.regs[slot], value, M)
+    def _lanes(self, M):
+        """Positions of the active lanes (``M=None``: every lane)."""
+        return range(self.n) if M is None else np.nonzero(M)[0].tolist()
 
-    def _mputc(self, slot: int, res, M) -> None:
-        """Masked store of a compact (active-lanes-only) result."""
-        old = self.regs[slot]
-        new = old.copy() if type(old) is _ND else _broadcast(old, self.n)
-        new[M] = res
-        self.regs[slot] = new
+    def _store(self, slot: int, res, M) -> None:
+        """``regs[slot] = res`` on the active lanes (``res`` compact)."""
+        regs = self.regs
+        regs[slot] = res if M is None else _masked(regs[slot], res, M)
 
-    def _merge_value(self, old, value, M):
-        new = old.copy() if type(old) is _ND else _broadcast(old, self.n)
+    def _lane_floats(self, value) -> list:
+        """One float per lane from a full-width Value."""
         if type(value) is _ND:
-            new[M] = value[M]
-        elif type(value) is list:
-            for i in np.nonzero(M)[0]:
-                new[i] = value
-        else:
-            new[M] = value
-        return new
+            return [float(v) for v in value]
+        return [float(value)] * self.n
+
+    def _func_event(self, name: str, M) -> None:
+        """Buffer ``on_func_enter``/``on_func_exit`` for the active lanes."""
+        emit = self.runner.emit
+        interps = self.interps
+        now = self.clocks.now
+        func = self.fc.name
+        for pos in self._lanes(M):
+            emit(pos, name, (interps[pos].rank, func, float(now[pos])))
 
     # -- work accounting -----------------------------------------------------
 
@@ -273,27 +325,25 @@ class FusedVM:
         self.pend_v[:] = 0
         self.pend_frac[:] = 0.0
 
-    def _charge_uniform(self, units: float) -> None:
+    def _charge(self, units: float, M=None) -> None:
+        """Charge work to every lane (``M=None``), a lane mask or one lane."""
         doubled = units + units
         if doubled < 1e15 and doubled == int(doubled):
             k = int(doubled)
-            self.pend_u += k
-            self.tot_u += k
-        else:
+            if M is None:
+                self.pend_u += k
+                self.tot_u += k
+            else:
+                self.pend_v[M] += k
+                self.tot_v[M] += k
+        elif M is None:
             self.pend_frac += units
             self.tot_frac += units
-
-    def _charge_lane(self, pos: int, units: float) -> None:
-        doubled = units + units
-        if doubled < 1e15 and doubled == int(doubled):
-            k = int(doubled)
-            self.pend_v[pos] += k
-            self.tot_v[pos] += k
         else:
-            self.pend_frac[pos] += units
-            self.tot_frac[pos] += units
+            self.pend_frac[M] += units
+            self.tot_frac[M] += units
 
-    # -- the full-width interpreter loop -------------------------------------
+    # -- the interpreter loops (rendered from OP_TABLE, see bottom) ----------
 
     def run(self) -> None:
         while self.state == "running":
@@ -302,551 +352,208 @@ class FusedVM:
             else:
                 self._run_masked()
 
-    def _run_full(self) -> None:  # noqa: C901 - the dispatch ladder
-        runner = self.runner
-        interps = self.interps
-        clocks = self.clocks
-        n = self.n
-        funcs = self.funcs
-        undef = UNDEF
-        nd = _ND
-        emit = runner.emit
-        glist = self.glist
-        fc = self.fc
-        code = self.code
+    # -- lane handlers: (M, op, a, b, c), M=None at full width ----------------
+
+    def _index(self, M, op, a, b, c):
         regs = self.regs
-        pc = self.pc
-        stack = self.stack
-        trace = self.trace
-        pend_u = self.pend_u
-        tot_u = self.tot_u
-
-        def sync():
-            self.fc = fc
-            self.code = code
-            self.regs = regs
-            self.pc = pc
-            self.trace = trace
-            self.pend_u = pend_u
-            self.tot_u = tot_u
-
-        while True:
-            op, a, b, c = code[pc]
-            pc += 1
-            if op == 15:  # CHARGE
-                pend_u += a
-                tot_u += a
-            elif op == 25:  # MOVE
-                regs[a] = regs[b]
-            elif op == 0:  # ADD
-                regs[a] = regs[b] + regs[c]
-            elif op == 1:  # SUB
-                regs[a] = regs[b] - regs[c]
-            elif op == 2:  # MUL
-                regs[a] = regs[b] * regs[c]
-            elif op == 31 or op == 33:  # INDEX / INDEXG
-                arr = regs[b] if op == 31 else glist[b]
-                if type(arr) is not list:
-                    sync()
-                    return self._spill(pc - 1)
-                idx = regs[c]
-                if type(idx) is nd:
-                    ln = len(arr)
-                    out = []
-                    for pos in range(n):
-                        e = arr[int(idx[pos]) % ln]
-                        out.append(e[pos] if type(e) is nd else e)
-                    regs[a] = _obj_vec(out)
-                else:
-                    regs[a] = arr[int(idx) % len(arr)]
-            elif op == 32 or op == 34:  # STIDX / STIDXG
-                arr = regs[a] if op == 32 else glist[a]
-                if type(arr) is not list:
-                    sync()
-                    return self._spill(pc - 1)
-                idx = regs[b]
-                if type(idx) is nd:
-                    val = regs[c]
-                    ln = len(arr)
-                    vvec = type(val) is nd
-                    for pos in range(n):
-                        i = int(idx[pos]) % ln
-                        cur = arr[i]
-                        cur = cur.copy() if type(cur) is nd else _broadcast(cur, n)
-                        cur[pos] = val[pos] if vvec else val
-                        arr[i] = cur
-                else:
-                    arr[int(idx) % len(arr)] = regs[c]
-            elif 19 <= op <= 24 or op == 17 or op == 18:  # JXX_F / JF / JT
-                if op == 17 or op == 18:
-                    x = regs[a]
-                    target = b
-                    if type(x) is not nd:
-                        if (not x) if op == 17 else x:
-                            pc = target
-                        continue
-                    # ok = lanes that fall through (JF falls through on truthy)
-                    ok = self._truthy(x, None)
-                    if op == 18:
-                        ok = ~ok
-                else:
-                    x = regs[a]
-                    y = regs[b]
-                    target = c
-                    if type(x) is not nd and type(y) is not nd:
-                        if not self._cmp_scalar(op, x, y):
-                            pc = target
-                        continue
-                    ok = self._cmp_vec(op, x, y, None)
-                if ok.all():
-                    continue
-                if not ok.any():
-                    pc = target
-                    continue
-                sync()
-                self._diverge(pc - 1, target, ok)
-                return
-            elif op == 16:  # JUMP
-                pc = a
-            elif op == 40:  # CU
-                v = regs[a] if a >= 0 else None
-                if type(v) is nd:
-                    pend_v = self.pend_v
-                    tot_v = self.tot_v
-                    pend_frac = self.pend_frac
-                    tot_frac = self.tot_frac
-                    for pos in range(n):
-                        units = max(0.0, float(v[pos]))
-                        doubled = units + units
-                        if doubled < 1e15 and doubled == int(doubled):
-                            k = int(doubled)
-                            pend_v[pos] += k
-                            tot_v[pos] += k
-                        else:
-                            pend_frac[pos] += units
-                            tot_frac[pos] += units
-                else:
-                    units = max(0.0, float(v)) if a >= 0 else 0.0
-                    doubled = units + units
-                    if doubled < 1e15 and doubled == int(doubled):
-                        k = int(doubled)
-                        pend_u += k
-                        tot_u += k
-                    else:
-                        self.pend_frac += units
-                        self.tot_frac += units
-            elif op == 3:  # DIV
-                left = regs[b]
-                right = regs[c]
-                if type(left) is nd or type(right) is nd:
-                    regs[a] = self._div_vec(left, right, None)
-                elif right == 0:
-                    regs[a] = 0
-                elif type(left) is int and type(right) is int:
-                    regs[a] = (
-                        left // right
-                        if (left >= 0) == (right >= 0)
-                        else -((-left) // right)
-                    )
-                else:
-                    regs[a] = left / right
-            elif op == 4:  # MOD
-                left = regs[b]
-                right = regs[c]
-                if type(left) is nd or type(right) is nd:
-                    regs[a] = self._mod_vec(left, right, None)
-                else:
-                    regs[a] = left % right if right != 0 else 0
-            elif 5 <= op <= 12:  # LT..NE / ANDL / ORL
-                x = regs[b]
-                y = regs[c]
-                if type(x) is nd or type(y) is nd:
-                    regs[a] = self._logic_vec(op, x, y, None)
-                else:
-                    regs[a] = 1 if self._cmp_scalar(op, x, y) else 0
-            elif op == 13:  # NEG
-                regs[a] = -regs[b]
-            elif op == 14:  # NOTL
-                x = regs[b]
-                if type(x) is nd:
-                    regs[a] = _obj_vec([0 if e else 1 for e in x])
-                else:
-                    regs[a] = 0 if x else 1
-            elif op == 26:  # LOADG
-                regs[a] = glist[b]
-            elif op == 27:  # STOREG
-                glist[a] = regs[b]
-            elif op == 28:  # CHKDEF
-                v = regs[a]
-                if type(v) is nd:
-                    if any(e is undef for e in v):
-                        sync()
-                        return self._spill(pc - 1)
-                elif v is undef:
-                    sync()
-                    return self._spill(pc - 1)
-            elif op == 29:  # LOADX
-                value = regs[b]
-                if type(value) is nd:
-                    if any(e is undef for e in value):
-                        g = glist[c]
-                        gvec = type(g) is nd
-                        regs[a] = _obj_vec([
-                            (g[pos] if gvec else g) if value[pos] is undef
-                            else value[pos]
-                            for pos in range(n)
-                        ])
-                    else:
-                        regs[a] = value
-                else:
-                    regs[a] = glist[c] if value is undef else value
-            elif op == 30:  # STOREX
-                v = regs[a]
-                if type(v) is nd:
-                    um = np.fromiter((e is undef for e in v), bool, n)
-                    if um.all():
-                        glist[b] = regs[c]
-                    elif not um.any():
-                        regs[a] = regs[c]
-                    else:
-                        glist[b] = self._merge_value(glist[b], regs[c], um)
-                        regs[a] = self._merge_value(v, regs[c], ~um)
-                elif v is undef:
-                    glist[b] = regs[c]
-                else:
-                    regs[a] = regs[c]
-            elif op == 35:  # NEWARR
-                regs[a] = [c] * b
-            elif op == 48:  # MATHOP
-                pend_u += 4
-                tot_u += 4
-                args = [regs[i] for i in c]
-                if any(type(x) is nd for x in args):
-                    regs[a] = self._math_vec(b, args, None)
-                else:
-                    try:
-                        regs[a] = b(*args)
-                    except (ValueError, OverflowError):
-                        regs[a] = 0.0
-            elif op == 36:  # CALL
-                callee = funcs[b]
-                nregs = list(callee.proto)
-                n_args = len(c)
-                for i, slot in enumerate(callee.param_slots):
-                    nregs[slot] = regs[c[i]] if i < n_args else 0
-                stack.append((code, regs, pc, a, fc, trace))
-                fc = callee
-                code = callee.code
-                regs = nregs
-                pc = 0
-                trace = runner.hooks.wants_function_events
-                if trace:
-                    now = clocks.now
-                    name = fc.name
-                    for pos in range(n):
-                        emit(pos, "on_func_enter",
-                             (interps[pos].rank, name, float(now[pos])))
-            elif op == 38 or op == 39:  # RET / RETK
-                value = regs[a] if op == 38 else a
-                if trace:
-                    now = clocks.now
-                    name = fc.name
-                    for pos in range(n):
-                        emit(pos, "on_func_exit",
-                             (interps[pos].rank, name, float(now[pos])))
-                if not stack:
-                    sync()
-                    return self._finish()
-                code, regs, pc, dst, fc, trace = stack.pop()
-                regs[dst] = value
-            elif op == 43:  # RANKOP
-                self.pend_frac += 0.1
-                self.tot_frac += 0.1
-                regs[a] = self.ranks_vec
-            elif op == 44:  # SIZEOP
-                self.pend_frac += 0.1
-                self.tot_frac += 0.1
-                regs[a] = interps[0].n_ranks
-            elif op == 45:  # WTIME
-                self.pend_u = pend_u
-                self.tot_u = tot_u
-                self._flush_all()
-                pend_u = 0
-                regs[a] = _obj_vec([float(t) for t in clocks.now])
-            elif op == 46 or op == 47:  # COLL / P2P
-                sync()
-                return self._mpi_full(op, a, b, c)
-            elif op == 41 or op == 42:  # TICKOP / TOCKOP
-                sid = regs[a]
-                if type(sid) is nd:
-                    sync()
-                    return self._spill(pc - 1)
-                ctl = self.control
-                if ctl is None:
-                    self.pend_u = pend_u
-                    self.tot_u = tot_u
-                    if op == 41:
-                        self._tick_full(int(sid))
-                    elif not self._tock_full(int(sid)):
-                        sync()
-                        return self._spill(pc - 1)
-                    pend_u = self.pend_u
-                    tot_u = self.tot_u
-                else:
-                    # Governor consult. ``peek``/``peek_skip`` are free of
-                    # side effects: on a non-uniform answer the batch drains
-                    # BEFORE any lane's decision is consumed, and the scalar
-                    # re-execution of this op consults per lane —
-                    # exactly-once accounting either way.
-                    sidn = int(sid)
-                    if op == 41:
-                        keeps = [ctl.peek(i.rank, sidn) for i in interps]
-                        if any(keeps) != all(keeps):
-                            self.runner.note_governor_drain()
-                            sync()
-                            return self._spill(pc - 1)
-                        self.pend_u = pend_u
-                        self.tot_u = tot_u
-                        for i in interps:
-                            ctl.decide(i.rank, sidn)
-                        if keeps[0]:
-                            self._tick_full(sidn)
-                        else:
-                            # uniform skip: table check only, no flush —
-                            # mirrors the scalar skip path exactly
-                            self._charge_uniform(ctl.check_cost)
-                        pend_u = self.pend_u
-                        tot_u = self.tot_u
-                    else:
-                        skips = [ctl.peek_skip(i.rank, sidn) for i in interps]
-                        if any(skips) != all(skips):
-                            self.runner.note_governor_drain()
-                            sync()
-                            return self._spill(pc - 1)
-                        self.pend_u = pend_u
-                        self.tot_u = tot_u
-                        if skips[0]:
-                            for i in interps:
-                                ctl.pop_skip(i.rank, sidn)
-                            self._charge_uniform(ctl.check_cost)
-                        elif not self._tock_full(sidn):
-                            sync()
-                            return self._spill(pc - 1)
-                        pend_u = self.pend_u
-                        tot_u = self.tot_u
-            elif op == 49:  # IOOP
-                self.pend_u = pend_u
-                self.tot_u = tot_u
-                self._io_full(b, regs[c] if c >= 0 else None)
-                pend_u = 0
-                regs[a] = 0
-            elif op == 50:  # RANDOP
-                pend_u += 1
-                tot_u += 1
-                regs[a] = _merge_lanes(
-                    [int(i._rng.integers(0, 2**31 - 1)) for i in interps], n
-                )
-            elif op == 52:  # CLOCKOP
-                self.pend_u = pend_u
-                self.tot_u = tot_u
-                self._flush_all()
-                pend_u = 0
-                regs[a] = _obj_vec([int(t) for t in clocks.now])
-            elif op == 53:  # HOSTOP
-                pend_u += 1
-                tot_u += 1
-                regs[a] = self.node_val
-            elif op == 55:  # RESFP
-                slot, gidx = b
-                self.regs = regs
-                regs[a] = self._resfp(slot, gidx, None)
-            elif op == 37:  # CALLIND
-                target = regs[b]
-                if type(target) is nd:
-                    first = target[0]
-                    if not all(t == first for t in target):
-                        sync()
-                        return self._spill(pc - 1)
-                    target = first
-                meta, arg_regs = c
-                if target >= 0:
-                    callee = funcs[target]
-                    nregs = list(callee.proto)
-                    n_args = len(arg_regs)
-                    for i, slot in enumerate(callee.param_slots):
-                        nregs[slot] = regs[arg_regs[i]] if i < n_args else 0
-                    stack.append((code, regs, pc, a, fc, trace))
-                    fc = callee
-                    code = callee.code
-                    regs = nregs
-                    pc = 0
-                    trace = runner.hooks.wants_function_events
-                    if trace:
-                        now = clocks.now
-                        name = fc.name
-                        for pos in range(n):
-                            emit(pos, "on_func_enter",
-                                 (interps[pos].rank, name, float(now[pos])))
-                else:
-                    self.pend_u = pend_u
-                    self.tot_u = tot_u
-                    sync()
-                    if not self._extern_full(a, meta,
-                                             [regs[i] for i in arg_regs]):
-                        return
-                    pend_u = self.pend_u
-                    tot_u = self.tot_u
-            elif op == 54:  # EXTCALL
-                self.pend_u = pend_u
-                self.tot_u = tot_u
-                sync()
-                if not self._extern_full(a, b, [regs[i] for i in c]):
-                    return
-                pend_u = self.pend_u
-                tot_u = self.tot_u
-            else:  # pragma: no cover - compiler never emits unknown ops
-                raise InterpError(f"bad opcode {op}")
-
-    # -- scalar-op helpers ---------------------------------------------------
-
-    @staticmethod
-    def _cmp_scalar(op: int, x, y) -> bool:
-        if op == 5 or op == 19:
-            return x < y
-        if op == 6 or op == 20:
-            return x <= y
-        if op == 7 or op == 21:
-            return x > y
-        if op == 8 or op == 22:
-            return x >= y
-        if op == 9 or op == 23:
-            return x == y
-        if op == 10 or op == 24:
-            return x != y
-        if op == 11:
-            return bool(x and y)
-        return bool(x or y)  # ORL
-
-    def _compact(self, v, M):
-        if type(v) is _ND:
-            return v[M] if M is not None else v
-        return v
-
-    def _truthy(self, x, M) -> np.ndarray:
-        xa = self._compact(x, M)
-        if type(xa) is _ND:
-            return np.fromiter((bool(e) for e in xa), bool, len(xa))
-        size = int(M.sum()) if M is not None else self.n
-        return np.full(size, bool(xa))
-
-    def _cmp_vec(self, op: int, x, y, M) -> np.ndarray:
-        """Comparison outcome (True = fall through) over active lanes."""
-        xa = self._compact(x, M)
-        ya = self._compact(y, M)
-        if op == 19:
-            r = xa < ya
-        elif op == 20:
-            r = xa <= ya
-        elif op == 21:
-            r = xa > ya
-        elif op == 22:
-            r = xa >= ya
-        elif op == 23:
-            r = xa == ya
+        arr = regs[b] if op == ops.INDEX else self.glist[b]
+        if type(arr) is not list:
+            return self._spill(self.pc - 1)  # scalar re-execution raises
+        idx = regs[c]
+        ln = len(arr)
+        if type(idx) is _ND:
+            out = []
+            for pos in self._lanes(M):
+                e = arr[int(idx[pos]) % ln]
+                out.append(e[pos] if type(e) is _ND else e)
+            res = _obj_vec(out)
         else:
-            r = xa != ya
-        if type(r) is _ND:
-            return r.astype(bool)
-        size = int(M.sum()) if M is not None else self.n
-        return np.full(size, bool(r))
+            res = _compact(arr[int(idx) % ln], M)
+        self._store(a, res, M)
 
-    def _pairs(self, x, y, M):
-        xa = self._compact(x, M)
-        ya = self._compact(y, M)
-        size = len(xa) if type(xa) is _ND else (
-            len(ya) if type(ya) is _ND else
-            (int(M.sum()) if M is not None else self.n)
-        )
-        xs = xa if type(xa) is _ND else [xa] * size
-        ys = ya if type(ya) is _ND else [ya] * size
-        return xs, ys
+    def _stidx(self, M, op, a, b, c):
+        regs = self.regs
+        arr = regs[a] if op == ops.STIDX else self.glist[a]
+        if type(arr) is not list:
+            return self._spill(self.pc - 1)  # scalar re-execution raises
+        idx = regs[b]
+        val = regs[c]
+        ln = len(arr)
+        if type(idx) is _ND:
+            n = self.n
+            vvec = type(val) is _ND
+            for pos in self._lanes(M):
+                i = int(idx[pos]) % ln
+                cur = arr[i]
+                cur = cur.copy() if type(cur) is _ND else _broadcast(cur, n)
+                cur[pos] = val[pos] if vvec else val
+                arr[i] = cur
+        else:
+            i = int(idx) % ln
+            arr[i] = val if M is None else _masked(arr[i], _compact(val, M), M)
 
-    def _div_vec(self, x, y, M) -> np.ndarray:
-        out = []
-        for left, right in zip(*self._pairs(x, y, M)):
-            if right == 0:
-                out.append(0)
-            elif type(left) is int and type(right) is int:
-                out.append(
-                    left // right
-                    if (left >= 0) == (right >= 0)
-                    else -((-left) // right)
-                )
-            else:
-                out.append(left / right)
-        return _obj_vec(out)
+    def _jump(self, M, op, a, b, c):
+        if M is not None:
+            f = self.frames[-1]
+            # Inside a function called under the mask jumps are unrestricted;
+            # in the frame's own function only structured targets are.
+            if (f.code is self.code and f.depth == len(self.stack)
+                    and a != f.merge
+                    and not (f.kind == "loop" and f.head <= a <= f.merge)):
+                return self._spill(self.pc - 1)
+        self.pc = a
 
-    def _mod_vec(self, x, y, M) -> np.ndarray:
-        return _obj_vec([
-            left % right if right != 0 else 0
-            for left, right in zip(*self._pairs(x, y, M))
-        ])
+    def _cu(self, M, op, a, b, c):
+        v = self.regs[a] if a >= 0 else 0.0
+        if type(v) is _ND:
+            for pos in self._lanes(M):
+                self._charge(max(0.0, float(v[pos])), pos)
+        else:
+            self._charge(max(0.0, float(v)), M)
 
-    def _logic_vec(self, op: int, x, y, M) -> np.ndarray:
-        cmp = self._cmp_scalar
-        return _obj_vec([
-            1 if cmp(op, left, right) else 0
-            for left, right in zip(*self._pairs(x, y, M))
-        ])
+    def _chkdef(self, M, op, a, b, c):
+        v = _compact(self.regs[a], M)
+        if any(e is UNDEF for e in v) if type(v) is _ND else v is UNDEF:
+            return self._spill(self.pc - 1)  # scalar re-execution raises
 
-    def _math_vec(self, fn, args, M) -> np.ndarray:
-        size = None
-        cols = []
-        for v in args:
-            va = self._compact(v, M)
-            cols.append(va)
-            if type(va) is _ND:
-                size = len(va)
-        if size is None:  # pragma: no cover - callers check for a vector
-            size = int(M.sum()) if M is not None else self.n
-        out = []
-        for i in range(size):
-            row = [v[i] if type(v) is _ND else v for v in cols]
-            try:
-                out.append(fn(*row))
-            except (ValueError, OverflowError):
-                out.append(0.0)
-        return _obj_vec(out)
+    def _loadx(self, M, op, a, b, c):
+        value = _compact(self.regs[b], M)
+        if type(value) is _ND:
+            res = _obj_vec([
+                g if e is UNDEF else e
+                for e, g in zip(value, _each(_compact(self.glist[c], M)))
+            ])
+        else:
+            res = _compact(self.glist[c], M) if value is UNDEF else value
+        self._store(a, res, M)
 
-    def _resfp(self, slot: int, gidx: int, M):
-        n = self.n
+    def _storex(self, M, op, a, b, c):
+        regs = self.regs
+        v = regs[a]
+        val = regs[c]
+        # Lanes whose local slot is still undefined write the global.
+        if type(v) is _ND:
+            to_global = np.fromiter((e is UNDEF for e in v), bool, self.n)
+        else:
+            to_global = np.full(self.n, v is UNDEF)
+        to_local = ~to_global
+        if M is not None:
+            to_global &= M
+            to_local &= M
+        for store, slot, mask in ((self.glist, b, to_global), (regs, a, to_local)):
+            if mask.all():
+                store[slot] = val
+            elif mask.any():
+                store[slot] = _masked(store[slot], _compact(val, mask), mask)
+
+    def _resfp(self, M, op, a, b, c):
+        slot, gidx = b
         glist = self.glist
         regs = self.regs
-        undef = UNDEF
+        func_index = self.func_index
 
         def resolve(pos):
             value = None
             if slot >= 0:
                 value = _lane_get(regs[slot], pos)
-                if value is undef:
+                if value is UNDEF:
                     value = _lane_get(glist[gidx], pos) if gidx >= 0 else None
             elif gidx >= 0:
                 value = _lane_get(glist[gidx], pos)
-            return self.func_index.get(value, -1) if type(value) is str else -1
+            return func_index.get(value, -1) if type(value) is str else -1
 
-        if M is None:
-            varying = (slot >= 0 and type(regs[slot]) is _ND) or (
-                gidx >= 0 and type(glist[gidx]) is _ND
-            )
-            if not varying:
-                return resolve(0)
-            return _merge_lanes([resolve(pos) for pos in range(n)], n)
-        return _obj_vec([resolve(int(p)) for p in np.nonzero(M)[0]])
+        if M is not None:
+            res = _obj_vec([resolve(pos) for pos in self._lanes(M)])
+        elif (slot >= 0 and type(regs[slot]) is _ND) or (
+            gidx >= 0 and type(glist[gidx]) is _ND
+        ):
+            res = _merge_lanes([resolve(pos) for pos in range(self.n)], self.n)
+        else:
+            res = resolve(0)
+        self._store(a, res, M)
 
-    # -- observation ops (full width only) -----------------------------------
+    def _enter(self, M, callee, dst: int, arg_regs) -> None:
+        """Push the caller's frame and start ``callee`` on the active lanes."""
+        regs = self.regs
+        nregs = list(callee.proto)
+        n_args = len(arg_regs)
+        for i, slot in enumerate(callee.param_slots):
+            nregs[slot] = regs[arg_regs[i]] if i < n_args else 0
+        self.stack.append((self.code, regs, self.pc, dst, self.fc, self.trace))
+        self.fc = callee
+        self.code = callee.code
+        self.regs = nregs
+        self.pc = 0
+        self.trace = self.runner.hooks.wants_function_events
+        if self.trace:
+            self._func_event("on_func_enter", M)
 
-    def _tick_full(self, sid: int) -> None:
-        self._charge_uniform(self.machine.probe_cost)
+    def _call(self, M, op, a, b, c):
+        self._enter(M, self.funcs[b], a, c)
+
+    def _ret(self, M, op, a, b, c):
+        stack = self.stack
+        if M is not None:
+            f = self.frames[-1]
+            if (f.code is self.code and f.depth == len(stack)) or not stack:
+                # Divergent return: lanes would leave the function that
+                # owns the innermost mask frame.
+                return self._spill(self.pc - 1)
+        value = self.regs[a] if op == ops.RET else a
+        if self.trace:
+            self._func_event("on_func_exit", M)
+        if not stack:
+            return self._finish()
+        self.code, self.regs, self.pc, dst, self.fc, self.trace = stack.pop()
+        self._store(dst, _compact(value, M), M)
+
+    # -- full-width-only handlers: (op, a, b, c) -----------------------------
+
+    def _now_full(self, op, a, b, c):
+        self._flush_all()
+        cast = float if op == ops.WTIME else int
+        self.regs[a] = _obj_vec([cast(t) for t in self.clocks.now])
+
+    def _probe_sid(self, a: int):
+        """The probe's sensor id, or None after draining on a varying one."""
+        sid = self.regs[a]
+        if type(sid) is _ND:
+            self._spill(self.pc - 1)
+            return None
+        return int(sid)
+
+    def _consult(self, peek, sid: int):
+        """Every lane's governor answer if they agree, else None (drained).
+
+        ``peek``/``peek_skip`` are free of side effects: on a non-uniform
+        answer the batch drains BEFORE any lane's decision is consumed, and
+        the scalar re-execution of the probe consults per lane —
+        exactly-once accounting either way.
+        """
+        answers = [peek(i.rank, sid) for i in self.interps]
+        if any(answers) != all(answers):
+            self.runner.note_governor_drain()
+            self._spill(self.pc - 1)
+            return None
+        return answers[0]
+
+    def _tick_full(self, op, a, b, c):
+        sid = self._probe_sid(a)
+        if sid is None:
+            return True
+        ctl = self.control
+        if ctl is not None:
+            keep = self._consult(ctl.peek, sid)
+            if keep is None:
+                return True
+            for interp in self.interps:
+                ctl.decide(interp.rank, sid)
+            if not keep:
+                # uniform skip: table check only, no flush — mirrors the
+                # scalar skip path exactly
+                self._charge(ctl.check_cost)
+                return False
+        self._charge(self.machine.probe_cost)
         self._flush_all()
         self.open_ticks[sid] = (
             self.clocks.now.copy(),
@@ -854,13 +561,26 @@ class FusedVM:
             self.tot_frac.copy(),
         )
 
-    def _tock_full(self, sid: int) -> bool:
-        """Returns False when there is no open tick (spill -> scalar raise)."""
+    def _tock_full(self, op, a, b, c):
+        sid = self._probe_sid(a)
+        if sid is None:
+            return True
+        ctl = self.control
+        if ctl is not None:
+            skip = self._consult(ctl.peek_skip, sid)
+            if skip is None:
+                return True
+            if skip:
+                for interp in self.interps:
+                    ctl.pop_skip(interp.rank, sid)
+                self._charge(ctl.check_cost)
+                return False
         if sid not in self.open_ticks:
-            return False  # scalar re-execution raises with rank attribution
+            # no open tick: scalar re-execution raises with rank attribution
+            return self._spill(self.pc - 1)
         self._flush_all()
         t_start, half_at, frac_at = self.open_ticks.pop(sid)
-        self._charge_uniform(self.machine.probe_cost)
+        self._charge(self.machine.probe_cost)
         # Lane by lane this is the scalar tier's true-work formula.
         true_work = (self.tot_u + self.tot_v - half_at) * 0.5 + (
             self.tot_frac - frac_at
@@ -874,7 +594,7 @@ class FusedVM:
         self.counts += 1
         runner = self.runner
         if runner.batch_sink is None and "on_sensor_record" not in runner.sinks:
-            return True
+            return False
         err, miss = np.array(draws).T
         batch = SensorBatch(sid, self.rank_ids, t_start, t_end, true_work * err, miss)
         if runner.batch_sink is not None:
@@ -882,24 +602,20 @@ class FusedVM:
         else:
             for pos, args in enumerate(batch.unrolled()):
                 runner.emit(pos, "on_sensor_record", args)
-        return True
 
-    def _io_full(self, opname: str, size_val) -> None:
-        from repro.sim.faults import io_factor_at
+    def _io_full(self, op, a, b, c):
+        self._io_lanes(b, self._lane_floats(self.regs[c] if c >= 0 else 1.0))
+        self.regs[a] = 0
 
+    def _io_lanes(self, opname: str, sizes: list) -> None:
         self._flush_all()
-        n = self.n
         machine = self.machine
         faults = self.faults
         clocks = self.clocks
         t0 = clocks.now.copy()
-        vvec = type(size_val) is _ND
         emit = self.runner.emit
         for pos, interp in enumerate(self.interps):
-            if size_val is None:
-                size = 1.0
-            else:
-                size = float(size_val[pos]) if vvec else float(size_val)
+            size = sizes[pos]
             cost = machine.io_alpha + machine.io_beta * size
             cost /= max(io_factor_at(faults, interp.clock.node.node_id,
                                      float(t0[pos])), 1e-6)
@@ -907,16 +623,30 @@ class FusedVM:
             emit(pos, "on_io",
                  (interp.rank, opname, float(t0[pos]), float(clocks.now[pos]), size))
 
-    def _extern_full(self, dst: int, meta, args) -> bool:
-        """Extern-model call at full width; False when spilled."""
+    def _callind_full(self, op, a, b, c):
+        target = self.regs[b]
+        if type(target) is _ND:
+            first = target[0]
+            if not all(t == first for t in target):
+                return self._spill(self.pc - 1)
+            target = first
+        meta, arg_regs = c
+        if target >= 0:
+            self._enter(None, self.funcs[target], a, arg_regs)
+            return False
+        return self._extern(a, meta, [self.regs[i] for i in arg_regs])
+
+    def _extern_full(self, op, a, b, c):
+        return self._extern(a, b, [self.regs[i] for i in c])
+
+    def _extern(self, dst: int, meta, args):
+        """Extern-model call at full width."""
         name, model = meta
         if model is None:
             # The scalar tier raises a per-rank InterpError here — drain so
             # the error surfaces with the right rank attribution.
-            self._spill(self.pc - 1)
-            return False
+            return self._spill(self.pc - 1)
         n = self.n
-        varying = any(type(x) is _ND for x in args)
 
         def units_of(pos):
             units = 1.0
@@ -924,6 +654,11 @@ class FusedVM:
                 if idx < len(args):
                     units *= max(0.0, float(_lane_get(args[idx], pos)))
             return units
+
+        def cost_of(units):
+            return model.base_cost + model.unit_cost * (
+                units if model.workload_args else 0.0
+            )
 
         if model.category == "net":
             self._flush_all()
@@ -933,78 +668,40 @@ class FusedVM:
             emit = self.runner.emit
             for pos, interp in enumerate(self.interps):
                 units = units_of(pos)
-                cost = model.base_cost + model.unit_cost * (
-                    units if model.workload_args else 0.0
-                )
                 clocks.now[pos] = t0[pos] + max(
-                    0.0, cost * network.stretch_at(float(t0[pos]))
+                    0.0, cost_of(units) * network.stretch_at(float(t0[pos]))
                 )
                 emit(pos, "on_mpi_end",
                      (interp.rank, name, float(t0[pos]),
                       float(clocks.now[pos]), units))
         elif model.category == "io":
-            from repro.sim.faults import io_factor_at
-
-            self._flush_all()
-            machine = self.machine
-            clocks = self.clocks
-            t0 = clocks.now.copy()
-            emit = self.runner.emit
-            for pos, interp in enumerate(self.interps):
-                units = units_of(pos)
-                cost = machine.io_alpha + machine.io_beta * units
-                cost /= max(io_factor_at(self.faults,
-                                         interp.clock.node.node_id,
-                                         float(t0[pos])), 1e-6)
-                clocks.now[pos] = t0[pos] + max(0.0, cost)
-                emit(pos, "on_io",
-                     (interp.rank, name, float(t0[pos]),
-                      float(clocks.now[pos]), units))
-        elif not varying:
-            units = units_of(0)
-            cost = model.base_cost + model.unit_cost * (
-                units if model.workload_args else 0.0
-            )
-            self._charge_uniform(cost)
-        else:
+            self._io_lanes(name, [units_of(pos) for pos in range(n)])
+        elif any(type(x) is _ND for x in args):
             for pos in range(n):
-                units = units_of(pos)
-                cost = model.base_cost + model.unit_cost * (
-                    units if model.workload_args else 0.0
-                )
-                self._charge_lane(pos, cost)
+                self._charge(cost_of(units_of(pos)), pos)
+        else:
+            self._charge(cost_of(units_of(0)))
         self.regs[dst] = 0
-        return True
 
     # -- MPI (full width only) ----------------------------------------------
 
-    def _mpi_full(self, op: int, a: int, b, c) -> None:
+    def _mpi_full(self, op, a, b, c):
         self._flush_all()
         n = self.n
         clocks = self.clocks
         engine_op, spelled = b
         regs = self.regs
-        nd = _ND
-        if op == 46:  # COLL
-            size_val = regs[c] if c >= 0 else None
-            peers = None
-        else:  # P2P
-            peer_reg, size_reg = c
-            size_val = regs[size_reg] if size_reg >= 0 else None
-            if peer_reg >= 0:
-                pv = regs[peer_reg]
-                if type(pv) is nd:
-                    peers = [int(pv[pos]) % self.nmod for pos in range(n)]
-                else:
-                    peers = [int(pv) % self.nmod] * n
-            else:
-                peers = [0] * n
-        if size_val is None:
-            sizes = [0.0] * n
-        elif type(size_val) is nd:
-            sizes = [float(size_val[pos]) for pos in range(n)]
+        if op == ops.COLL:
+            size_reg = c
+            peers = [-1] * n
         else:
-            sizes = [float(size_val)] * n
+            peer_reg, size_reg = c
+            pv = regs[peer_reg] if peer_reg >= 0 else 0
+            if type(pv) is _ND:
+                peers = [int(p) % self.nmod for p in pv]
+            else:
+                peers = [int(pv) % self.nmod] * n
+        sizes = self._lane_floats(regs[size_reg] if size_reg >= 0 else 0.0)
         t0 = clocks.now.copy()
         runner = self.runner
         if "on_mpi_begin" in runner.sinks:
@@ -1025,9 +722,10 @@ class FusedVM:
                 rank=interp.rank,
                 op=engine_op,
                 size=sizes[pos],
-                peer=(peers[pos] if peers is not None else -1),
+                peer=peers[pos],
                 arrive=float(t0[pos]),
             )
+        return True
 
     def deliver(self, pos: int, completion: float) -> None:
         """Eager completion delivery from the engine (batch blocked)."""
@@ -1051,388 +749,56 @@ class FusedVM:
 
     # -- divergence ----------------------------------------------------------
 
-    def _diverge(self, branch_pc: int, target: int, ok: np.ndarray) -> bool:
-        """Open (or narrow) a mask frame at a varying conditional.
+    def _diverge(self, branch_pc: int, target: int, ok: np.ndarray, M) -> bool:
+        """Split the active lanes at a varying conditional jump.
 
-        ``ok`` is the fall-through mask over all lanes (full mode).
-        Returns False when the op had no reconvergence metadata (spilled).
+        ``ok`` is the fall-through outcome of each active lane (``M=None``:
+        of every lane).  Opens a mask frame — or narrows the innermost loop
+        frame when this is its repeated test — and leaves the fall-through
+        mask in ``self.M``.  True when the calling loop must stop: always
+        at full width (the masked loop takes over), under a mask only when
+        the jump has no reconvergence metadata (drained).
         """
+        if M is None:
+            active = np.ones(self.n, dtype=bool)
+            stay = ok
+        else:
+            active = M
+            stay = np.zeros(self.n, dtype=bool)
+            stay[M] = ok
+            f = self.frames[-1]
+            if (f.kind == "loop" and f.start == branch_pc
+                    and f.code is self.code and f.depth == len(self.stack)):
+                # Repeated loop test: exiting lanes park at the merge.
+                self._note_diverge(active, stay)
+                self.M = stay
+                return False
         cf = self.fc.cf.get(branch_pc)
         if cf is None:
-            return self._spill_false(branch_pc)
+            return self._spill(branch_pc)
         kind, merge, head = cf
-        n = self.n
-        entry = np.ones(n, dtype=bool)
-        self._note_diverge(entry, ok, target_side_jump=True)
+        self._note_diverge(active, stay)
         if kind == "if":
             frame = _MaskFrame("if", self.code, self.fc, len(self.stack),
-                               branch_pc, merge, -1, entry,
-                               entry & ~ok, target)
+                               branch_pc, merge, -1, active,
+                               active & ~stay, target)
         else:
             frame = _MaskFrame("loop", self.code, self.fc, len(self.stack),
-                               branch_pc, merge, head, entry, None, -1)
+                               branch_pc, merge, head, active, None, -1)
         self.frames.append(frame)
-        self.M = ok.copy()
-        self.pc = branch_pc + 1
-        return True
+        self.M = stay
+        return M is None
 
-    def _note_diverge(self, active: np.ndarray, ok: np.ndarray, *,
-                      target_side_jump: bool) -> None:
-        runner = self.runner
-        stay = int(ok.sum())
-        leave = int(active.sum()) - stay
+    def _note_diverge(self, active: np.ndarray, stay: np.ndarray) -> None:
+        n_stay = int(stay.sum())
+        n_leave = int(active.sum()) - n_stay
         # Minority side counts as "diverged"; ties go to the jump-taken side.
-        if stay < leave:
-            minority = active & ok
-        else:
-            minority = active & ~ok
-        runner.note_diverge(np.nonzero(minority)[0])
-
-    def _spill_false(self, at_pc: int) -> bool:
-        self._spill(at_pc)
-        return False
-
-    # -- the masked interpreter loop -----------------------------------------
-
-    def _run_masked(self) -> None:  # noqa: C901 - the dispatch ladder
-        runner = self.runner
-        interps = self.interps
-        clocks = self.clocks
-        n = self.n
-        funcs = self.funcs
-        undef = UNDEF
-        nd = _ND
-        emit = runner.emit
-        glist = self.glist
-        fc = self.fc
-        code = self.code
-        regs = self.regs
-        pc = self.pc
-        stack = self.stack
-        trace = self.trace
-        frames = self.frames
-        M = self.M
-
-        def sync():
-            self.fc = fc
-            self.code = code
-            self.regs = regs
-            self.pc = pc
-            self.trace = trace
-            self.M = M
-
-        while True:
-            # Reconvergence check: restore parked lanes at merge points.
-            while frames:
-                f = frames[-1]
-                if f.code is not code or pc != f.merge or f.depth != len(stack):
-                    break
-                if f.kind == "if" and f.pending is not None:
-                    pm = f.pending
-                    f.pending = None
-                    if pm.any():
-                        M = pm
-                        pc = f.ppc
-                        # An if with no else has ppc == merge: the loop
-                        # re-check pops the frame immediately in that case.
-                        continue
-                M = f.entry
-                frames.pop()
-            if not frames:
-                self.M = None
-                sync()
-                self.M = None
-                return
-            self.regs = regs  # keep self fresh for helpers below
-
-            op, a, b, c = code[pc]
-            pc += 1
-            if op == 15:  # CHARGE
-                self.pend_v[M] += a
-                self.tot_v[M] += a
-            elif op == 25:  # MOVE
-                self._mput(a, regs[b], M)
-            elif op == 0 or op == 1 or op == 2:  # ADD / SUB / MUL
-                xa = self._compact(regs[b], M)
-                ya = self._compact(regs[c], M)
-                if op == 0:
-                    res = xa + ya
-                elif op == 1:
-                    res = xa - ya
-                else:
-                    res = xa * ya
-                self._mputc(a, res, M)
-                regs = self.regs
-            elif op == 31 or op == 33:  # INDEX / INDEXG
-                arr = regs[b] if op == 31 else glist[b]
-                if type(arr) is not list:
-                    sync()
-                    return self._spill(pc - 1)
-                idx = regs[c]
-                ln = len(arr)
-                if type(idx) is nd:
-                    out = []
-                    for pos in np.nonzero(M)[0]:
-                        e = arr[int(idx[pos]) % ln]
-                        out.append(e[pos] if type(e) is nd else e)
-                    self._mputc(a, _obj_vec(out), M)
-                else:
-                    e = arr[int(idx) % ln]
-                    if type(e) is nd:
-                        self._mputc(a, e[M], M)
-                    else:
-                        self._mputc(a, e, M)
-                regs = self.regs
-            elif op == 32 or op == 34:  # STIDX / STIDXG
-                arr = regs[a] if op == 32 else glist[a]
-                if type(arr) is not list:
-                    sync()
-                    return self._spill(pc - 1)
-                idx = regs[b]
-                val = regs[c]
-                ln = len(arr)
-                vvec = type(val) is nd
-                if type(idx) is nd:
-                    for pos in np.nonzero(M)[0]:
-                        i = int(idx[pos]) % ln
-                        cur = arr[i]
-                        cur = cur.copy() if type(cur) is nd else _broadcast(cur, n)
-                        cur[pos] = val[pos] if vvec else val
-                        arr[i] = cur
-                else:
-                    i = int(idx) % ln
-                    arr[i] = self._merge_value(arr[i], val, M)
-            elif 19 <= op <= 24 or op == 17 or op == 18:  # branches
-                if op == 17 or op == 18:
-                    x = regs[a]
-                    target = b
-                    ok = self._truthy(x, M)
-                    if op == 18:
-                        ok = ~ok
-                else:
-                    target = c
-                    ok = self._cmp_vec(op, regs[a], regs[b], M)
-                if ok.all():
-                    continue
-                if not ok.any():
-                    pc = target
-                    continue
-                okfull = np.zeros(n, dtype=bool)
-                okfull[M] = ok
-                f = frames[-1]
-                if (f.kind == "loop" and f.start == pc - 1
-                        and f.code is code and f.depth == len(stack)):
-                    # Repeated loop test: exiting lanes park at the merge.
-                    self._note_diverge(M, okfull & M, target_side_jump=True)
-                    M = okfull
-                    continue
-                cf = fc.cf.get(pc - 1)
-                if cf is None:
-                    sync()
-                    return self._spill(pc - 1)
-                kind, merge, head = cf
-                self._note_diverge(M, okfull & M, target_side_jump=True)
-                if kind == "if":
-                    frames.append(_MaskFrame(
-                        "if", code, fc, len(stack), pc - 1, merge, -1,
-                        M.copy(), M & ~okfull, target))
-                else:
-                    frames.append(_MaskFrame(
-                        "loop", code, fc, len(stack), pc - 1, merge, head,
-                        M.copy(), None, -1))
-                M = okfull
-            elif op == 16:  # JUMP
-                f = frames[-1]
-                if f.code is not code or f.depth != len(stack):
-                    # Inside a function called under the mask: unrestricted.
-                    pc = a
-                elif a == f.merge:
-                    pc = a
-                elif f.kind == "loop" and f.head <= a <= f.merge:
-                    pc = a
-                else:
-                    sync()
-                    return self._spill(pc - 1)
-            elif op == 40:  # CU
-                v = regs[a] if a >= 0 else None
-                if type(v) is nd:
-                    for pos in np.nonzero(M)[0]:
-                        self._charge_lane(int(pos), max(0.0, float(v[pos])))
-                else:
-                    units = max(0.0, float(v)) if a >= 0 else 0.0
-                    doubled = units + units
-                    if doubled < 1e15 and doubled == int(doubled):
-                        k = int(doubled)
-                        self.pend_v[M] += k
-                        self.tot_v[M] += k
-                    else:
-                        self.pend_frac[M] += units
-                        self.tot_frac[M] += units
-            elif op == 3:  # DIV
-                self._mputc(a, self._div_vec(regs[b], regs[c], M), M)
-                regs = self.regs
-            elif op == 4:  # MOD
-                self._mputc(a, self._mod_vec(regs[b], regs[c], M), M)
-                regs = self.regs
-            elif 5 <= op <= 12:  # LT..NE / ANDL / ORL
-                x = regs[b]
-                y = regs[c]
-                if type(x) is nd or type(y) is nd:
-                    res = self._logic_vec(op, x, y, M)
-                else:
-                    res = 1 if self._cmp_scalar(op, x, y) else 0
-                self._mputc(a, res, M)
-                regs = self.regs
-            elif op == 13:  # NEG
-                self._mputc(a, -self._compact(regs[b], M), M)
-                regs = self.regs
-            elif op == 14:  # NOTL
-                xa = self._compact(regs[b], M)
-                if type(xa) is nd:
-                    res = _obj_vec([0 if e else 1 for e in xa])
-                else:
-                    res = 0 if xa else 1
-                self._mputc(a, res, M)
-                regs = self.regs
-            elif op == 26:  # LOADG
-                self._mput(a, glist[b], M)
-                regs = self.regs
-            elif op == 27:  # STOREG
-                glist[a] = self._merge_value(glist[a], regs[b], M)
-            elif op == 28:  # CHKDEF
-                v = regs[a]
-                if type(v) is nd:
-                    if any(v[pos] is undef for pos in np.nonzero(M)[0]):
-                        sync()
-                        return self._spill(pc - 1)
-                elif v is undef:
-                    sync()
-                    return self._spill(pc - 1)
-            elif op == 29:  # LOADX
-                value = regs[b]
-                if type(value) is nd:
-                    g = glist[c]
-                    gvec = type(g) is nd
-                    out = []
-                    for pos in np.nonzero(M)[0]:
-                        e = value[pos]
-                        if e is undef:
-                            e = g[pos] if gvec else g
-                        out.append(e)
-                    self._mputc(a, _obj_vec(out), M)
-                elif value is undef:
-                    self._mput(a, glist[c], M)
-                else:
-                    self._mput(a, value, M)
-                regs = self.regs
-            elif op == 30:  # STOREX
-                v = regs[a]
-                if type(v) is nd:
-                    um = np.zeros(n, dtype=bool)
-                    for pos in np.nonzero(M)[0]:
-                        if v[pos] is undef:
-                            um[pos] = True
-                    mg = um
-                    mr = M & ~um
-                    if mg.any():
-                        glist[b] = self._merge_value(glist[b], regs[c], mg)
-                    if mr.any():
-                        self._mput(a, regs[c], mr)
-                elif v is undef:
-                    glist[b] = self._merge_value(glist[b], regs[c], M)
-                else:
-                    self._mput(a, regs[c], M)
-                regs = self.regs
-            elif op == 35:  # NEWARR
-                self._mput(a, [c] * b, M)
-                regs = self.regs
-            elif op == 48:  # MATHOP
-                self.pend_v[M] += 4
-                self.tot_v[M] += 4
-                args = [regs[i] for i in c]
-                if any(type(x) is nd for x in args):
-                    res = self._math_vec(b, args, M)
-                else:
-                    try:
-                        res = b(*args)
-                    except (ValueError, OverflowError):
-                        res = 0.0
-                self._mputc(a, res, M)
-                regs = self.regs
-            elif op == 36:  # CALL
-                callee = funcs[b]
-                nregs = list(callee.proto)
-                n_args = len(c)
-                for i, slot in enumerate(callee.param_slots):
-                    nregs[slot] = regs[c[i]] if i < n_args else 0
-                stack.append((code, regs, pc, a, fc, trace))
-                fc = callee
-                code = callee.code
-                regs = nregs
-                self.regs = regs
-                pc = 0
-                trace = runner.hooks.wants_function_events
-                if trace:
-                    now = clocks.now
-                    name = fc.name
-                    for pos in np.nonzero(M)[0]:
-                        emit(int(pos), "on_func_enter",
-                             (interps[pos].rank, name, float(now[pos])))
-            elif op == 38 or op == 39:  # RET / RETK
-                f = frames[-1]
-                if (f.code is code and f.depth == len(stack)) or not stack:
-                    # Divergent return: lanes would leave the function that
-                    # owns the innermost mask frame.
-                    sync()
-                    return self._spill(pc - 1)
-                value = regs[a] if op == 38 else a
-                if trace:
-                    now = clocks.now
-                    name = fc.name
-                    for pos in np.nonzero(M)[0]:
-                        emit(int(pos), "on_func_exit",
-                             (interps[pos].rank, name, float(now[pos])))
-                code, regs, pc, dst, fc, trace = stack.pop()
-                self.regs = regs
-                self._mput(dst, value, M)
-                regs = self.regs
-            elif op == 43:  # RANKOP
-                self.pend_frac[M] += 0.1
-                self.tot_frac[M] += 0.1
-                self._mput(a, self.ranks_vec, M)
-                regs = self.regs
-            elif op == 44:  # SIZEOP
-                self.pend_frac[M] += 0.1
-                self.tot_frac[M] += 0.1
-                self._mput(a, interps[0].n_ranks, M)
-                regs = self.regs
-            elif op == 50:  # RANDOP
-                self.pend_v[M] += 1
-                self.tot_v[M] += 1
-                draws = [
-                    int(interps[pos]._rng.integers(0, 2**31 - 1))
-                    for pos in np.nonzero(M)[0]
-                ]
-                self._mputc(a, _obj_vec(draws), M)
-                regs = self.regs
-            elif op == 53:  # HOSTOP
-                self.pend_v[M] += 1
-                self.tot_v[M] += 1
-                self._mput(a, self.node_val, M)
-                regs = self.regs
-            elif op == 55:  # RESFP
-                slot, gidx = b
-                self._mputc(a, self._resfp(slot, gidx, M), M)
-                regs = self.regs
-            else:
-                # Observation, MPI, IO, extern and indirect-call ops need the
-                # full batch: drain every lane.
-                sync()
-                return self._spill(pc - 1)
+        minority = stay if n_stay < n_leave else active & ~stay
+        self.runner.note_diverge(np.nonzero(minority)[0])
 
     # -- spill / finish ------------------------------------------------------
 
-    def _spill(self, cur_pc: int, blocked: dict | None = None) -> None:
+    def _spill(self, cur_pc: int, blocked: dict | None = None) -> bool:
         """Materialize every lane into a ScalarState and drain the batch."""
         n = self.n
         stack = self.stack
@@ -1495,6 +861,7 @@ class FusedVM:
                     st.regs[dst] = 0
         self.state = "spilled"
         self.runner.on_spill(states, blocked)
+        return True
 
     def spill_blocked(self) -> None:
         """Drain a blocked batch (rendezvous stall: partial delivery)."""
@@ -1502,7 +869,7 @@ class FusedVM:
         self.block = None
         self._spill(self.pc, blocked=block)
 
-    def _finish(self) -> None:
+    def _finish(self) -> bool:
         """Program end at full width."""
         self._flush_all()
         runner = self.runner
@@ -1517,3 +884,241 @@ class FusedVM:
             interp.sensor_record_count = int(self.counts[pos])
         self.state = "done"
         runner.on_done()
+        return True
+
+
+# -- loop rendering ------------------------------------------------------------
+#
+# Both loops are one ``if``/``elif`` chain over OP_TABLE in table (hot-first)
+# order.  An entry renders as: a drain, in the masked loop, when its fuse
+# class needs the full batch; a call of its handler when it names one; and
+# otherwise the *lifted* scalar body —
+#
+# * work-counter updates are respelled for the fused counters (_COUNTERS);
+# * each operand read (``regs[b]``, ``glist[b]``, a per-lane name of the
+#   scalar core, MATHOP's argument list) is fetched into a lane variable
+#   ``x0, x1, …`` (masked: restricted to the active lanes) and the store
+#   target becomes ``res``;
+# * with every operand uniform the scalar statements run verbatim; with a
+#   varying operand they run once per active lane — or as the single NumPy
+#   expression when the body is one assignment NumPy's object-dtype
+#   operators already evaluate lane by lane;
+# * ``res`` is stored plainly at full width, through the copy-on-write
+#   masked store under a mask; a conditional jump whose outcome varies goes
+#   through ``_diverge``.
+
+#: per-lane names of the scalar core -> the FusedVM Value holding them
+_LANE_ENV = {
+    "rank": "self.ranks_vec",
+    "rng": "self.rngs",
+    "clock.node.node_id": "self.node_val",
+}
+
+#: scalar work counter -> its (full-width, masked) spelling
+_COUNTERS = {
+    "pend_h": ("pend_u", "self.pend_v[M]"),
+    "tot_h": ("tot_u", "self.tot_v[M]"),
+    "self._pending_frac": ("self.pend_frac", "self.pend_frac[M]"),
+    "self._total_frac": ("self.tot_frac", "self.tot_frac[M]"),
+}
+
+#: MATHOP's operand: a list of Values, one row of scalars per lane
+_ARG_LIST = "[regs[i] for i in c]"
+
+#: operators object-dtype vectors apply lane by lane with Python semantics
+_NUMPY_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.USub,
+                    ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+
+
+class _Lifter(ast.NodeTransformer):
+    """Respells an elementwise scalar body over lane variables and ``res``."""
+
+    def __init__(self) -> None:
+        self.operands: dict[str, str] = {}  # fetch expression -> lane variable
+        self.dst = None
+
+    def _operand(self, fetch: str) -> ast.Name:
+        name = self.operands.setdefault(fetch, f"x{len(self.operands)}")
+        return ast.Name(name, ast.Load())
+
+    def visit_Subscript(self, node):
+        text = ast.unparse(node)
+        if isinstance(node.ctx, ast.Store):
+            self.dst = text
+            return ast.Name("res", ast.Store())
+        if re.fullmatch(r"(regs|glist)\[[abc]\]", text):
+            return self._operand(text)
+        return self.generic_visit(node)
+
+    def _lane_name(self, node):
+        fetch = _LANE_ENV.get(ast.unparse(node))
+        return self._operand(fetch) if fetch else self.generic_visit(node)
+
+    visit_Name = visit_Attribute = _lane_name
+
+    def visit_ListComp(self, node):
+        if ast.unparse(node) == _ARG_LIST:
+            return self._operand(_ARG_LIST)
+        return self.generic_visit(node)
+
+
+def _numpy_form(expr: ast.expr) -> bool:
+    """Whether NumPy evaluates ``expr`` over object vectors lane by lane."""
+    for node in ast.walk(expr):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            ok = isinstance(node.op, _NUMPY_OPERATORS)
+        elif isinstance(node, ast.Compare):
+            ok = len(node.ops) == 1 and isinstance(node.ops[0], _NUMPY_OPERATORS)
+        else:
+            ok = isinstance(node, (ast.Name, ast.expr_context, ast.operator,
+                                   ast.unaryop, ast.cmpop))
+        if not ok:
+            return False
+    return True
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _lift(spec, masked: bool, save: list[str]) -> list[str]:
+    """Fused handler lines for an elementwise entry (the lifting rule)."""
+    lifter = _Lifter()
+    lines = []
+    value = []
+    for stmt in lifter.visit(ast.parse(spec.body)).body:
+        counter, _, amount = ast.unparse(stmt).partition(" += ")
+        if counter in _COUNTERS:
+            lines.append(f"{_COUNTERS[counter][masked]} += {amount}")
+        else:
+            value.append(stmt)
+    if not value:
+        return lines
+    varying, each = [], []
+    for fetch, x in lifter.operands.items():
+        lines.append(f"{x} = {fetch}")
+        if fetch == _ARG_LIST:
+            if masked:
+                lines.append(f"{x} = [v[M] if type(v) is nd else v for v in {x}]")
+            varying.append(f"any(type(v) is nd for v in {x})")
+            each.append(f"zip(*map(_each, {x}))")
+        else:
+            if masked:
+                lines += [f"if type({x}) is nd:", f"    {x} = {x}[M]"]
+            varying.append(f"type({x}) is nd")
+            each.append(f"_each({x})")
+    per_lane = f"{', '.join(lifter.operands.values())}, in zip({', '.join(each)})"
+    scalar = "\n".join(map(ast.unparse, value)).split("\n")
+
+    if isinstance(value[0], ast.If):  # conditional jump: ``if cond: pc = target``
+        cond = value[0].test
+        target = ast.unparse(value[0].body[0].value)
+        negated = isinstance(cond, ast.UnaryOp) and isinstance(cond.op, ast.Not)
+        test = cond.operand if negated else cond
+        if isinstance(test, ast.Compare) and _numpy_form(test):
+            taken = f"{'~' if negated else ''}np.asarray({ast.unparse(test)}, bool)"
+        else:
+            taken = f"np.array([bool({ast.unparse(cond)}) for {per_lane}], bool)"
+        return lines + [
+            f"if {' or '.join(varying)}:",
+            f"    taken = {taken}",
+            "    if taken.all():",
+            f"        pc = {target}",
+            "    elif taken.any():",
+            *_indent(_indent(save)),
+            f"        if self._diverge(pc - 1, {target}, ~taken, {'M' if masked else None}):",
+            "            return",
+            *(["        M = self.M"] if masked else []),
+            "else:",
+            *_indent(scalar),
+        ]
+
+    one_numpy_expr = (
+        len(value) == 1 and isinstance(value[0], ast.Assign)
+        and _numpy_form(value[0].value)
+    )
+    if one_numpy_expr or not varying:
+        lines += scalar
+    else:
+        lines += [
+            f"if {' or '.join(varying)}:",
+            "    out = []",
+            f"    for {per_lane}:",
+            *_indent(_indent(scalar)),
+            "        out.append(res)",
+            "    res = _obj_vec(out)",
+            "else:",
+            *_indent(scalar),
+        ]
+    dst = lifter.dst
+    lines.append(f"{dst} = _masked({dst}, res, M)" if masked else f"{dst} = res")
+    return lines
+
+
+#: the masked loop's head: restore parked lanes at merge points
+_RECONVERGE = """\
+while frames:
+    f = frames[-1]
+    if f.code is not code or pc != f.merge or f.depth != len(stack):
+        break
+    if f.kind == "if" and f.pending is not None:
+        pm = f.pending
+        f.pending = None
+        if pm.any():
+            M = pm
+            pc = f.ppc
+            # An if with no else has ppc == merge: the re-check pops
+            # the frame immediately in that case.
+            continue
+    M = f.entry
+    frames.pop()
+if not frames:
+    self.M = None
+    self.pc = pc
+    return
+""".splitlines()
+
+
+def render_loop(masked: bool) -> str:
+    """Source of ``FusedVM._run_masked`` / ``FusedVM._run_full``."""
+    owned = ["pc", "M"] if masked else ["pc", "pend_u", "tot_u"]
+    save = [f"self.{name} = {name}" for name in owned]
+    load = [f"{name} = self.{name}" for name in ["code", "regs"] + owned]
+    head = ["nd = _ND", "glist = self.glist"] + load
+    if masked:
+        head += ["frames = self.frames", "stack = self.stack"]
+    lines = [f"def {'_run_masked' if masked else '_run_full'}(self):"]
+    lines += _indent(head + ["while True:"])
+    step = (_RECONVERGE if masked else []) + ["op, a, b, c = code[pc]", "pc += 1"]
+    keyword = "if"
+    for spec in OP_TABLE:
+        test = " or ".join(f"op == {code}" for code in spec.codes)
+        step.append(f"{keyword} {test}:  # {spec.name}")
+        keyword = "elif"
+        full_only = spec.fuse in NEEDS_FULL_BATCH
+        if masked and full_only:
+            body = save + ["return self._spill(pc - 1)"]
+        elif spec.handler is not None:
+            args = "op, a, b, c" if full_only else f"{'M' if masked else None}, op, a, b, c"
+            body = save + [f"if self.{spec.handler}({args}):", "    return"] + load
+        else:
+            body = _lift(spec, masked, save)
+        step += _indent(body)
+    step += [
+        "else:  # pragma: no cover - compiler never emits unknown ops",
+        "    raise InterpError(f'bad opcode {op}')",
+    ]
+    return "\n".join(lines + _indent(_indent(step))) + "\n"
+
+
+def _build_loops():
+    namespace = {
+        "np": np, "_ND": _ND, "InterpError": InterpError,
+        "_obj_vec": _obj_vec, "_each": _each, "_masked": _masked,
+    }
+    for name, masked in (("_run_full", False), ("_run_masked", True)):
+        exec(compile(render_loop(masked), f"<lockstep{name}>", "exec"), namespace)
+    return namespace["_run_full"], namespace["_run_masked"]
+
+
+FusedVM._run_full, FusedVM._run_masked = _build_loops()
