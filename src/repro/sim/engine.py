@@ -50,10 +50,11 @@ from repro.sim.network import NetworkModel
 _P2P_OPS = ("send", "recv", "sendrecv")
 
 #: rank count at and above which ``engine="auto"`` picks the lockstep
-#: tier.  BENCH_interp.json: at 8 ranks lockstep is a net slowdown over
-#: bytecode (CG 0.95x uninstrumented, LULESH 0.56x) because batch setup
-#: and divergence draining dominate narrow lanes; from 32 ranks up every
-#: measured workload is >1x and the gap widens with width.  The
+#: tier.  BENCH_interp.json (uninstrumented, lockstep over bytecode): at
+#: 8 ranks the answer depends on the program (CG 1.22x, FT 2.75x, LULESH
+#: 0.60x — batch setup and divergence draining still dominate LULESH's
+#: narrow lanes); from 32 ranks up every measured workload is >1x (CG
+#: 3.66x, FT 7.87x, LULESH 1.60x) and the gap widens with width.  The
 #: crossover is pinned between those measured points.
 AUTO_LOCKSTEP_MIN_RANKS = 16
 

@@ -1,20 +1,49 @@
 """Rank-axis vectorized virtual clocks for the lockstep tier.
 
 :class:`VectorClocks` holds every fused lane's ``now`` in one float64 array
-and advances all lanes through the same slice-stepping integration loop as
-:meth:`repro.sim.clock.RankClock.advance_compute` — per lane, the sequence
-of float operations is *identical* to the scalar loop (same multiplies in
-the same order, same ``max(..., 1e-9)`` clamps, same slice/fault-edge
-boundaries), so the resulting timestamps are bit-identical.  Noise draws
-come from the same cached chunk arrays as the scalar path
-(:meth:`NodeNoise.speed_multipliers`), grouped per node.
+and integrates work into time a **block** at a time: a ``(lanes, J)`` grid
+whose column ``j`` is the ``j``-th slice step each lane's
+:meth:`repro.sim.clock.RankClock.advance_compute` loop would take.  The
+result is bit-identical to that loop, lane by lane, because
+
+* a step's start is known before the step before it is evaluated — after
+  the first, every step starts on the jitter-slice grid at ``k * slice_us``,
+  an ``int * float`` product in both tiers — so the whole grid of starts
+  ``ta`` and boundaries can be laid out up front;
+* speed is a pure function of ``(lane, ta)``: noise draws come from the same
+  cached chunk arrays as the scalar path (:class:`repro.sim.noise.NoiseBank`),
+  fault factors multiply in fault-tuple order, and the blend is the scalar
+  expression with the same clamps, evaluated elementwise — IEEE multiply,
+  divide and add give one answer per operand pair however many elements
+  ride along;
+* the only value carried from step to step, the work remaining, comes from
+  ``np.subtract.accumulate`` along the slice axis, which subtracts
+  sequentially — ``(r - a0) - a1 ...``, the scalar loop's own order — and is
+  not a re-associated sum;
+* a lane ends at its *first* column with ``dt_needed <= dt_max``; what the
+  grid holds beyond that column is never read.
+
+A fault edge inside a block clips the boundary of the step it falls in,
+exactly as in the scalar loop, and that column becomes the block's last
+(``J = 1`` when the edge is in the first slice): the steps after it no
+longer start where the grid put them, so the next block lays them out
+again from the edge.  ``J`` is sized from the work at hand; lanes that
+outlast a block carry ``remaining`` and ``t`` into the next one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import SimulationError
+from repro.sim.clock import STEP_CAP, blend_speeds
 from repro.sim.faults import BadNode, CpuContention, SlowMemoryNode, fault_boundaries
+from repro.sim.noise import NoiseBank
+
+#: Most slice steps one block lays out per lane.
+_BLOCK_SLICES = 256
+#: Most grid cells (lanes x slices) per block; bounds the temporaries.
+_BLOCK_CELLS = 1 << 15
 
 
 class VectorClocks:
@@ -43,175 +72,134 @@ class VectorClocks:
         self.frac = self.machine.mem_fraction
         self.slice_us = max(1.0, self.machine.noise.jitter_slice_us)
         self.edges = np.array(fault_boundaries(self.faults), dtype=np.float64)
-        # Group lanes by node so one NodeNoise serves each node's draws.
-        groups: list = []
+        # Work units per slice at a lane's undisturbed speed: sizes a block.
+        self._slice_work = self.slice_us * blend_speeds(
+            self.cpu_speed, self.mem_perf, self.frac
+        )
+        # One NodeNoise per node serves all of that node's lanes.
         group_of = np.empty(self.n, dtype=np.int64)
         seen: dict[int, int] = {}
+        noises = []
         for pos, interp in enumerate(interps):
             nid = interp.clock.node.node_id
             g = seen.get(nid)
             if g is None:
-                g = seen[nid] = len(groups)
-                groups.append(interp.clock.noise)
+                g = seen[nid] = len(noises)
+                noises.append(interp.clock.noise)
             group_of[pos] = g
-        self._noise_groups = groups
         self._group_of = group_of
-        self._noise_cfg = self.machine.noise
-        # Stacked per-node chunk caches: chunk id -> (n_groups, chunk_len)
-        # arrays, so one 2D fancy index serves every lane of a round.
-        self._jitter_stacks: dict[int, np.ndarray] = {}
-        self._spike_stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    # -- noise / fault factor gathers ---------------------------------------
-
-    def _speed_multipliers(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        groups = self._noise_groups
-        if len(groups) == 1:
-            return groups[0].speed_multipliers(t)
-        cfg = self._noise_cfg
-        gi = self._group_of[idx]
-        # Fast path: lockstep keeps lanes nearly synchronized, so one noise
-        # chunk usually covers every lane across all nodes.  Gather from a
-        # stacked (node-group, slice) table in one indexing op; element per
-        # element this reads the same cached draws as the per-group path.
-        if cfg.jitter_sigma > 0:
-            k = (t / cfg.jitter_slice_us).astype(np.int64)
-            c = int(k[0]) >> 9
-            if (int(k.max()) >> 9) != c or (int(k.min()) >> 9) != c:
-                return self._per_group_multipliers(gi, t)
-            stack = self._jitter_stacks.get(c)
-            if stack is None:
-                stack = np.stack([g._jitter_chunk(c) for g in groups])
-                self._jitter_stacks[c] = stack
-            mult = stack[gi, k & 511]
-        else:
-            mult = np.ones(len(t))
-        if cfg.spike_rate_per_ms > 0:
-            ms = (t / 1000.0).astype(np.int64)
-            c = int(ms[0]) // 256
-            if int(ms.max()) // 256 != c or int(ms.min()) // 256 != c:
-                return self._per_group_multipliers(gi, t)
-            pf = self._spike_stacks.get(c)
-            if pf is None:
-                pf = (
-                    np.stack([g._spike_chunk(c)[0] for g in groups]),
-                    np.stack([g._spike_chunk(c)[1] for g in groups]),
-                )
-                self._spike_stacks[c] = pf
-            lanes = ms - c * 256
-            p = pf[0][gi, lanes]
-            frac = pf[1][gi, lanes]
-            start = ms * 1000.0 + frac * 1000.0
-            active = (
-                (p < cfg.spike_rate_per_ms)
-                & (start <= t)
-                & (t < start + cfg.spike_duration_us)
-            )
-            if active.any():
-                mult[active] *= 0.25
-        return mult
-
-    def _per_group_multipliers(self, gi: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Chunk-boundary rounds: delegate to the per-node vectorized path."""
-        out = np.empty(len(t))
-        for g, noise in enumerate(self._noise_groups):
-            m = gi == g
-            if m.any():
-                out[m] = noise.speed_multipliers(t[m])
-        return out
-
-    def _cpu_factors(self, nids: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # Mirrors faults.cpu_factor_at: one multiplicative pass per fault,
-        # in fault-tuple order, so per-lane products match bit for bit.
-        f = np.ones(len(t))
+        self._noise = NoiseBank(noises)
+        # Each fault's lane membership, once: (member, t0, t1, factor) in
+        # fault-tuple order, mirroring faults.cpu_factor_at / mem_factor_at.
+        self._cpu_faults: list[tuple] = []
+        self._mem_faults: list[tuple] = []
         for fault in self.faults:
-            if isinstance(fault, BadNode):
-                m = (nids == fault.node_id) & (fault.t0 <= t) & (t < fault.t1)
-                if m.any():
-                    f[m] *= fault.cpu_factor
-            elif isinstance(fault, CpuContention):
-                m = np.isin(nids, fault.node_ids) & (fault.t0 <= t) & (t < fault.t1)
-                if m.any():
-                    f[m] *= fault.cpu_factor
+            if isinstance(fault, CpuContention):
+                member = np.isin(self.node_ids, fault.node_ids)
+            elif isinstance(fault, (BadNode, SlowMemoryNode)):
+                member = self.node_ids == fault.node_id
+            else:
+                continue
+            if not member.any():
+                continue
+            if not isinstance(fault, SlowMemoryNode):
+                self._cpu_faults.append((member, fault.t0, fault.t1, fault.cpu_factor))
+            self._mem_faults.append((member, fault.t0, fault.t1, fault.mem_factor))
+        #: NumPy passes made, and the lane-slice steps they covered (what the
+        #: per-rank loops would have taken): ``sim.lockstep.clock_*`` counters
+        self.blocks = 0
+        self.steps = 0
+
+    @staticmethod
+    def _fault_factors(windows, lanes: np.ndarray, ta: np.ndarray):
+        # One multiplicative pass per fault, so per-cell products match the
+        # scalar helper bit for bit (``f * 1.0`` outside a window is ``f``).
+        f = 1.0
+        for member, t0, t1, factor in windows:
+            inside = member[lanes][:, None] & (t0 <= ta) & (ta < t1)
+            f = f * np.where(inside, factor, 1.0)
         return f
 
-    def _mem_factors(self, nids: np.ndarray, t: np.ndarray) -> np.ndarray:
-        f = np.ones(len(t))
-        for fault in self.faults:
-            if isinstance(fault, (BadNode, SlowMemoryNode)):
-                m = (nids == fault.node_id) & (fault.t0 <= t) & (t < fault.t1)
-                if m.any():
-                    f[m] *= fault.mem_factor
-            elif isinstance(fault, CpuContention):
-                m = np.isin(nids, fault.node_ids) & (fault.t0 <= t) & (t < fault.t1)
-                if m.any():
-                    f[m] *= fault.mem_factor
-        return f
-
-    def _interrupt_losses(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-        # interrupt_loss depends only on the (machine-wide) NoiseConfig, so
-        # any group's NodeNoise serves every lane.
-        return self._noise_groups[0].interrupt_losses(start, end)
-
-    # -- the vectorized integration loop ------------------------------------
+    # -- the block integrator -----------------------------------------------
 
     def advance_compute(self, work: np.ndarray) -> None:
         """Advance each lane by ``work[lane]`` compute units (0 = no-op)."""
         idx = np.nonzero(work > 0)[0]
         if idx.size == 0:
             return
-        start = self.now[idx].copy()
-        t = self.now[idx].copy()
-        remaining = work[idx].astype(np.float64, copy=True)
-        nids = self.node_ids[idx]
-        cpu_speed = self.cpu_speed[idx]
-        mem_perf = self.mem_perf[idx]
-        frac = self.frac
+        start = self.now[idx]
+        t = start.copy()
+        remaining = work[idx].astype(np.float64)
         slice_us = self.slice_us
+        frac = self.frac
         edges = self.edges
         n_edges = len(edges)
-        have_faults = bool(self.faults)
-        # Per round: every still-active lane takes exactly the step the
-        # scalar loop would take, with identical float operations.
+        steps_left = STEP_CAP
         live = np.arange(idx.size)
-        for _ in range(10_000_000):
-            ta = t[live]
-            if have_faults:
-                cpu = cpu_speed[live] * self._cpu_factors(nids[live], ta)
-                cpu = cpu * self._speed_multipliers(idx[live], ta)
-                mem = mem_perf[live] * self._mem_factors(nids[live], ta)
-            else:
-                cpu = cpu_speed[live] * self._speed_multipliers(idx[live], ta)
-                mem = mem_perf[live]
-            denom = (1.0 - frac) / np.maximum(cpu, 1e-9) + frac / np.maximum(
-                cpu * mem, 1e-9
-            )
-            speed = 1.0 / denom
-            boundary = ((ta / slice_us).astype(np.int64) + 1) * slice_us
+        while live.size:
+            left = remaining[live]
+            if steps_left <= 0:
+                raise SimulationError(
+                    f"virtual clock made no headway: {STEP_CAP} slice steps "
+                    f"left {float(left.max())!r} work units uncharged"
+                )
+            lanes = idx[live]
+            tl = t[live]
+            # Slices the slowest lane needs at full speed, plus slack for
+            # jitter; a lane that noise or a fault slows further goes round.
+            want = float((left / self._slice_work[lanes]).max()) * 1.25 + 2.0
+            J = int(min(want, _BLOCK_SLICES, max(1, _BLOCK_CELLS // live.size)))
+            steps_left -= J
+            # Boundaries: the slice grid after each lane's start.  A start
+            # already on (or, by rounding, past) its own "next" grid point
+            # moves one further, as in RankClock.
+            k = (tl / slice_us).astype(np.int64) + 1
+            k += (k * slice_us <= tl)
+            bound = (k[:, None] + np.arange(J)) * slice_us
+            ta = np.empty_like(bound)
+            ta[:, 0] = tl
+            ta[:, 1:] = bound[:, :-1]
             if n_edges:
-                ei = np.searchsorted(edges, ta, side="right")
-                has_edge = ei < n_edges
-                if has_edge.any():
-                    nxt = edges[np.minimum(ei, n_edges - 1)]
-                    closer = has_edge & (nxt < boundary)
-                    boundary[closer] = nxt[closer]
-            dt_max = boundary - ta
-            dt_needed = remaining[live] / np.maximum(speed, 1e-9)
-            done = dt_needed <= dt_max
-            if done.any():
-                fin = live[done]
-                t[fin] = ta[done] + dt_needed[done]
-                remaining[fin] = 0.0
-                live = live[~done]
-                if live.size == 0:
-                    break
-                cont = ~done
-                remaining[live] -= speed[cont] * dt_max[cont]
-                t[live] = boundary[cont]
-            else:
-                remaining[live] -= speed * dt_max
-                t[live] = boundary
-        t += self._interrupt_losses(start, t)
+                ei = int(np.searchsorted(edges, tl.min(), side="right"))
+                if ei < n_edges and edges[ei] < bound[:, -1].max():
+                    # An edge falls inside the block: clip the step it cuts
+                    # short and end the block with that column.
+                    at = np.searchsorted(edges, ta, side="right")
+                    nxt = edges[np.minimum(at, n_edges - 1)]
+                    cut = (at < n_edges) & (nxt < bound)
+                    if cut.any():
+                        J = int(cut.any(axis=0).argmax()) + 1
+                        bound = np.where(cut, nxt, bound)[:, :J]
+                        ta = ta[:, :J]
+            cpu = self.cpu_speed[lanes][:, None] * self._fault_factors(
+                self._cpu_faults, lanes, ta
+            )
+            cpu = cpu * self._noise.speed_multipliers(
+                self._group_of[lanes][:, None], ta
+            )
+            mem = self.mem_perf[lanes][:, None] * self._fault_factors(
+                self._mem_faults, lanes, ta
+            )
+            speed = blend_speeds(cpu, mem, frac)
+            dt_max = bound - ta
+            # before[:, j]: work remaining as step j begins; [:, J] after it.
+            before = np.subtract.accumulate(
+                np.concatenate((left[:, None], speed * dt_max), axis=1), axis=1
+            )
+            dt_needed = before[:, :J] / np.maximum(speed, 1e-9)
+            fits = dt_needed <= dt_max
+            done = fits.any(axis=1)
+            fin = np.nonzero(done)[0]
+            col = fits[fin].argmax(axis=1)
+            t[live[fin]] = ta[fin, col] + dt_needed[fin, col]
+            live = live[~done]
+            t[live] = bound[~done, J - 1]
+            remaining[live] = before[~done, J]
+            self.blocks += 1
+            self.steps += int(col.sum()) + col.size + J * live.size
+        # Periodic interrupt loss stretches each window; it depends only on
+        # the machine-wide NoiseConfig, so any node's NodeNoise serves.
+        t += self._noise.noises[0].interrupt_losses(start, t)
         self.now[idx] = t
 
     # -- wall-time helpers ---------------------------------------------------

@@ -15,11 +15,11 @@ congestion, a bad node) are *faults*, not noise — see
 
 Draws are generated **chunked**: one numpy ``Generator`` produces a whole
 chunk of slices (or spike milliseconds) at once and the resulting arrays
-are cached.  A single scalar query and a vectorized rank-axis query
-(:meth:`NodeNoise.speed_multipliers`) read the *same* cached arrays, which
-is what makes the lockstep tier's vectorized clocks bit-identical to the
-per-rank path: there is exactly one draw per (node, slice) no matter how
-many ranks observe it or in which order.
+are cached.  A single scalar query and a vectorized (node, time) query
+(:class:`NoiseBank`) read the *same* cached arrays, which is what makes
+the lockstep tier's vectorized clocks bit-identical to the per-rank path:
+there is exactly one draw per (node, slice) no matter how many ranks
+observe it, in which order, or how many slices one query spans.
 """
 
 from __future__ import annotations
@@ -125,58 +125,10 @@ class NodeNoise:
     def speed_multipliers(self, times_us: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`speed_multiplier` over a float64 time array.
 
-        Bit-identical to calling the scalar form per element: both paths
-        gather from the same cached chunk arrays and apply the same float
-        operations (``1.0 * jitter`` then ``* 0.25`` inside a spike).
+        Bit-identical to calling the scalar form per element (see
+        :class:`NoiseBank`, which this is at one node).
         """
-        cfg = self.config
-        if cfg.jitter_sigma > 0:
-            k = (times_us / cfg.jitter_slice_us).astype(np.int64)
-            # gathers always copy, so mutating below never touches the cache
-            mult = self._gather_jitter(k)
-        else:
-            mult = np.ones(len(times_us))
-        if cfg.spike_rate_per_ms > 0:
-            ms = (times_us / 1000.0).astype(np.int64)
-            p, frac = self._gather_spikes(ms)
-            start = ms * 1000.0 + frac * 1000.0
-            active = (
-                (p < cfg.spike_rate_per_ms)
-                & (start <= times_us)
-                & (times_us < start + cfg.spike_duration_us)
-            )
-            mult[active] *= 0.25
-        return mult
-
-    def _gather_jitter(self, k: np.ndarray) -> np.ndarray:
-        chunks = k >> 9
-        lanes = k & (_JITTER_CHUNK - 1)
-        first = int(chunks[0])
-        # Lockstep lanes stay nearly synchronized, so one chunk usually
-        # covers the whole query — skip the unique/scatter machinery then.
-        if int(chunks.max()) == first and int(chunks.min()) == first:
-            return self._jitter_chunk(first)[lanes]
-        out = np.empty(len(k))
-        for chunk in np.unique(chunks):
-            sel = chunks == chunk
-            out[sel] = self._jitter_chunk(int(chunk))[lanes[sel]]
-        return out
-
-    def _gather_spikes(self, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        chunks = ms // _SPIKE_CHUNK
-        lanes = ms % _SPIKE_CHUNK
-        first = int(chunks[0])
-        if int(chunks.max()) == first and int(chunks.min()) == first:
-            cp, cf = self._spike_chunk(first)
-            return cp[lanes], cf[lanes]
-        p = np.empty(len(ms))
-        frac = np.empty(len(ms))
-        for chunk in np.unique(chunks):
-            sel = chunks == chunk
-            cp, cf = self._spike_chunk(int(chunk))
-            p[sel] = cp[lanes[sel]]
-            frac[sel] = cf[lanes[sel]]
-        return p, frac
+        return NoiseBank([self]).speed_multipliers(0, times_us)
 
     def interrupt_loss(self, start_us: float, end_us: float) -> float:
         """Total compute time (µs) lost to periodic interrupts in a window."""
@@ -199,3 +151,76 @@ class NodeNoise:
         loss = n * cfg.interrupt_duration_us
         loss[end_us <= start_us] = 0.0
         return loss
+
+
+class NoiseBank:
+    """Vectorized draws for several nodes at once.
+
+    :meth:`speed_multipliers` answers ``(node, time)`` queries of any shape
+    with one gather per draw family.  The draws of chunks ``c0..c1`` —
+    whatever the query spans — are laid side by side in a
+    ``(node, slice)`` table built from the very arrays the scalar path
+    caches, so an element reads the same draw whether its query crosses a
+    chunk boundary or not.  Only the latest table is kept: simulated time
+    moves forward, and so does the chunk range.
+    """
+
+    def __init__(self, noises) -> None:
+        self.noises = list(noises)
+        self.config = self.noises[0].config
+        self._jitter: tuple | None = None  # (c0, c1, table)
+        self._spikes: tuple | None = None  # (c0, c1, probability, phase)
+
+    def _jitter_table(self, c0: int, c1: int) -> np.ndarray:
+        held = self._jitter
+        if held is None or held[:2] != (c0, c1):
+            held = self._jitter = (c0, c1, np.stack([
+                np.concatenate([n._jitter_chunk(c) for c in range(c0, c1 + 1)])
+                for n in self.noises
+            ]))
+        return held[2]
+
+    def _spike_tables(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
+        held = self._spikes
+        if held is None or held[:2] != (c0, c1):
+            probability, phase = (
+                np.stack([
+                    np.concatenate([n._spike_chunk(c)[i] for c in range(c0, c1 + 1)])
+                    for n in self.noises
+                ])
+                for i in (0, 1)
+            )
+            held = self._spikes = (c0, c1, probability, phase)
+        return held[2], held[3]
+
+    def speed_multipliers(self, node, times_us: np.ndarray) -> np.ndarray:
+        """:meth:`NodeNoise.speed_multiplier` of ``noises[node]`` at each time.
+
+        ``node`` broadcasts against ``times_us``.  Per element the float
+        operations are the scalar form's: ``1.0 * jitter``, then ``* 0.25``
+        inside a spike.
+        """
+        cfg = self.config
+        if cfg.jitter_sigma > 0:
+            k = (times_us / cfg.jitter_slice_us).astype(np.int64)
+            c0 = int(k.min()) >> 9
+            table = self._jitter_table(c0, int(k.max()) >> 9)
+            # a gather copies, so the spike pass never touches the cache
+            mult = table[node, k - c0 * _JITTER_CHUNK]
+        else:
+            mult = np.ones(np.shape(times_us))
+        if cfg.spike_rate_per_ms > 0:
+            ms = (times_us / 1000.0).astype(np.int64)
+            c0 = int(ms.min()) // _SPIKE_CHUNK
+            p, frac = self._spike_tables(c0, int(ms.max()) // _SPIKE_CHUNK)
+            at = ms - c0 * _SPIKE_CHUNK
+            candidate = p[node, at] < cfg.spike_rate_per_ms
+            if candidate.any():
+                start = ms * 1000.0 + frac[node, at] * 1000.0
+                active = (
+                    candidate
+                    & (start <= times_us)
+                    & (times_us < start + cfg.spike_duration_us)
+                )
+                mult[active] *= 0.25
+        return mult
