@@ -328,8 +328,9 @@ def run_vsensor(
     ``history_store`` appends this run's sensor baselines to a cross-run
     regression history (:mod:`repro.history`): pass a
     :class:`~repro.history.RunStore` or a directory path.  The trajectory
-    key is a content fingerprint of (source, machine, detector, engine,
-    max_depth), so only bit-identical configurations share a history;
+    key is a content fingerprint of (source, machine, detector, max_depth,
+    resolved governor config) — what moves baselines, so the interpreter
+    tier, bit-identical by contract, is not part of it;
     ``history_label`` / ``history_workload`` annotate the record.  The
     appended record lands in :attr:`VSensorRun.history_entry`.
     """
@@ -389,12 +390,14 @@ def run_vsensor(
 
         if not isinstance(history_store, RunStore):
             history_store = RunStore(history_store)
+        # Keyed on what moves baselines: the governor's resolved config
+        # does; the interpreter tier (bit-identical by contract) does not.
         key = run_fingerprint(
             source,
             machine,
             runtime.config,
-            engine=engine,
             max_depth=max_depth,
+            governor=None if runtime.governor is None else runtime.governor.config,
         )
         with obs.tracer.span("history.append", fingerprint=key[:12]):
             run.history_entry = history_store.append(
@@ -482,10 +485,12 @@ def run_multi_job(
     :class:`~repro.service.AnalysisService`: per-job
     :class:`~repro.runtime.transport.ReliableTransport` instances carry
     the sequenced batches over each job's channel into the admission-
-    controlled front, which routes them onto ``n_shards`` consistent-hash
-    shard workers.  Every job's report/matrices are then answered by the
-    service's per-job query merger — bit-identical to what an unsharded
-    run of that job alone would produce.
+    controlled front, which queues them on ``n_shards`` consistent-hash
+    shard workers; each shard applies its sub-batches into the owning
+    job's one analysis store.  Every job's report/matrices are answered
+    from that store — bit-identical to what an unsharded run of that job
+    alone would produce.  Each job needs its own channel object: two
+    specs resolving to the same one raise :class:`ReproError`.
 
     ``cost`` is an optional :class:`~repro.service.ShardCostModel` giving
     shards a virtual processing cost (that is what makes bounded queues
@@ -494,7 +499,7 @@ def run_multi_job(
     ``workers`` fans the compile+simulate phase out to that many OS
     processes on the deterministic :class:`~repro.parallel.WorkerPool`
     (:mod:`repro.parallel`); only phase 1 is parallel — the time-ordered
-    replay, back-pressure drive and merged reports are a deterministic
+    replay, back-pressure drive and per-job reports are a deterministic
     function of its outputs, so ``workers=N`` is bit-identical to
     ``workers=1``.  When the run's artifact ``store`` has an on-disk
     layer, workers share it as a warm compile cache.  ``max_restarts``
@@ -540,11 +545,22 @@ def run_multi_job(
     )
     tasks: list[JobTask] = []
     specs: dict[int, JobSpec] = {}
+    channels: dict[int, object] = {}
     for index, spec in enumerate(jobs):
         job_id = index if spec.job_id is None else spec.job_id
         if job_id in specs:
             raise ReproError(f"duplicate job id {job_id}")
         specs[job_id] = spec
+        channel = perfect_channel() if spec.channel is None else as_channel(spec.channel)
+        # A channel hands every due envelope to whichever transport pumps
+        # it first, so two jobs on one channel object cross-deliver.
+        sharer = next((j for j, c in channels.items() if c is channel), None)
+        if sharer is not None:
+            raise ReproError(
+                f"jobs {sharer} and {job_id} share one channel object; give "
+                "each JobSpec its own (or a ChannelConfig / spec string)"
+            )
+        channels[job_id] = channel
         tasks.append(
             JobTask(
                 job_id=job_id,
@@ -574,14 +590,11 @@ def run_multi_job(
     # per-job sequenced transports into the shared sharded front.
     metrics = obs.metrics if obs.enabled else None
     for job_id, job_run in run.jobs.items():
-        spec = specs[job_id]
         port = service.register_job(job_id, job_run.runtime.n_ranks)
         transports[job_id] = ReliableTransport(
             server=port,  # type: ignore[arg-type]
-            channel=(
-                perfect_channel() if spec.channel is None else as_channel(spec.channel)
-            ),
-            policy=spec.retry_policy or RetryPolicy(),
+            channel=channels[job_id],
+            policy=specs[job_id].retry_policy or RetryPolicy(),
             metrics=metrics,
             job_id=job_id,
         )
@@ -611,7 +624,7 @@ def run_multi_job(
                 transport.pump(t)
         service.finish()
 
-    # Phase 4: per-job reports answered by the merged per-job view.
+    # Phase 4: per-job reports answered from each job's store.
     for job_id, job_run in run.jobs.items():
         port = service.ports[job_id]
         job_run.runtime.server = port  # type: ignore[assignment]

@@ -554,7 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--history-store",
         default=None,
         help="append this run's sensor baselines to the cross-run regression "
-        "history store at this directory (see 'repro history')",
+        "history store at this directory (see 'repro history'); trajectories "
+        "are keyed by program, machine, detector, depth and governor config, "
+        "not by --engine (stores written before that re-key start new ones)",
     )
     p_run.add_argument(
         "--history-label",

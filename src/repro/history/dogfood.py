@@ -1,7 +1,7 @@
 """Dogfooding: hunt the repo's own ``BENCH_*.json`` files for regressions.
 
 Every benchmark in this repo writes a JSON payload (``BENCH_interp.json``,
-``BENCH_service.json``, ...) whose numeric leaves are exactly the numbers
+``BENCH_server.json``, ...) whose numeric leaves are exactly the numbers
 the CI gates care about — speedups, overheads, F-scores, wall seconds.
 This module flattens those payloads into metric series and feeds them to
 the :class:`~repro.history.hunter.RegressionHunter`, so the regression

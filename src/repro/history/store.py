@@ -153,9 +153,11 @@ def run_fingerprint(source: str, machine, detector=None, **extra) -> str:
 
     Content-hashes the program text, the full machine config (ranks,
     node layout, noise model, seed), the detector config, and any extra
-    keyword dimensions the caller wants runs partitioned by (engine,
-    max_depth, rule name, ...) through the pipeline's
-    :func:`~repro.pipeline.artifacts.fingerprint`.
+    keyword dimensions the caller wants runs partitioned by (max_depth,
+    governor config, rule name, ...) through the pipeline's
+    :func:`~repro.pipeline.artifacts.fingerprint`.  Pass what changes
+    results: :func:`~repro.api.run_vsensor` leaves the interpreter tier
+    out because tiers are bit-identical by contract.
     """
     from repro.runtime.detector import DetectorConfig
 

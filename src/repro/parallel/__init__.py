@@ -3,9 +3,9 @@
 :func:`~repro.api.run_multi_job` ``workers=N`` fans independent job
 simulations (:func:`simulate_job`, one :class:`JobTask` each) onto a
 deterministic :class:`WorkerPool` of OS processes speaking the framed
-wire protocol of :mod:`repro.parallel.wire`; results merge through the
-unchanged order-invariant query-merger path, bit-identical to the
-in-process run.
+wire protocol of :mod:`repro.parallel.wire`; the parent feeds the
+results through the same phases 2–4, bit-identical to the in-process
+run.
 
 Observability: ``parallel.dispatch`` / ``parallel.results`` /
 ``parallel.frames`` / ``parallel.worker_restart`` counters plus

@@ -3,7 +3,7 @@
 :func:`~repro.api.run_multi_job` has four phases; only phase 1 (compile
 + simulate every job, recording timed batch sends) is CPU-bound per job
 and embarrassingly parallel — phases 2–4 (globally time-ordered replay
-through the sharded service, quiescence drive, merged reports) are a
+through the sharded service, quiescence drive, per-job reports) are a
 deterministic function of phase 1's outputs.  So phase 1 is one list of
 :class:`JobTask` mapped through :func:`simulate_job` — in-process, or on
 the deterministic :class:`~repro.parallel.pool.WorkerPool`, where the
@@ -11,9 +11,9 @@ worker runs it with a null obs bundle (observability is
 behaviour-neutral, so the results are bit-identical to an instrumented
 in-process run) and ships back ``(static, sim, runtime)`` — the
 recorder with its timed batch events rides inside ``runtime.server``.
-Merging then goes through the unchanged order-invariant
-:class:`~repro.service.merge.QueryMerger` path, which is what makes
-``workers=N`` bit-identical to ``workers=1`` by construction.
+Phases 2–4 run in the parent exactly as for ``workers=1``, over rows
+that crossed the pool unchanged, which is what makes ``workers=N``
+bit-identical to ``workers=1`` by construction.
 
 Workers optionally share a warm compile cache through an
 :class:`~repro.pipeline.ArtifactStore` disk directory — safe under

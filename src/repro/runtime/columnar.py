@@ -290,45 +290,6 @@ class ColumnarStore:
             last_seen[rank] = t_max
         return duplicates, int(window.max())
 
-    # -- export ------------------------------------------------------------
-
-    def export_summaries(self, start: int, stop: int) -> list[SliceSummary]:
-        """Materialize stored rows ``[start, stop)`` in insertion order.
-
-        Rows are append-only, so insertion positions are stable cursors;
-        the sharded service's query merger uses them to gather only the
-        rows appended since its last refresh."""
-        stop = min(stop, self.n)
-        if start >= stop:
-            return []
-        cols = self._cols
-        sel = slice(start, stop)
-        groups = self._group_strs
-        return [
-            SliceSummary(
-                rank=rank,
-                sensor_id=sensor,
-                sensor_type=CODE_SENSOR_TYPE[stype],
-                group=groups[code],
-                slice_index=slice_index,
-                t_slice_start=t_start,
-                mean_duration=duration,
-                count=count,
-                mean_cache_miss=miss,
-            )
-            for rank, sensor, code, slice_index, t_start, duration, count, miss, stype in zip(
-                cols["rank"][sel].tolist(),
-                cols["sensor"][sel].tolist(),
-                cols["group"][sel].tolist(),
-                cols["slice"][sel].tolist(),
-                cols["t_start"][sel].tolist(),
-                cols["duration"][sel].tolist(),
-                cols["count"][sel].tolist(),
-                cols["miss"][sel].tolist(),
-                cols["stype"][sel].tolist(),
-            )
-        ]
-
     # -- canonical replay --------------------------------------------------
 
     def pending(self) -> bool:

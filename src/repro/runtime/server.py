@@ -247,19 +247,6 @@ class AnalysisServer:
             return len(self._columns)
         return len(self._store)
 
-    def export_rows(self, start: int = 0) -> tuple[list[SliceSummary], int]:
-        """Stored summaries from insertion position ``start`` onward.
-
-        The store is append-only (deduplicated rows are never reordered or
-        removed), so ``(rows, total)`` lets a caller keep a cursor and pull
-        only the delta on each call — the shard → query-merger gather path
-        of the sharded analysis service."""
-        if self._columns is not None:
-            total = len(self._columns)
-            return self._columns.export_summaries(start, total), total
-        rows = list(self._store.values())
-        return rows[start:], len(rows)
-
     # -- degradation / coverage --------------------------------------------
 
     def mark_degraded(self, rank: int) -> None:

@@ -3,9 +3,10 @@
 Assembles the PR 2 sequenced/idempotent transport contract and the
 columnar analysis engine into a service spine: an admission-controlled
 ingest front (:class:`AnalysisService` / :class:`TenantPort`), a
-consistent-hash :class:`ShardRouter`, bounded-queue
-:class:`ShardWorker` partitions, and a per-job :class:`QueryMerger`
-whose answers are bit-identical to an unsharded server.
+consistent-hash :class:`ShardRouter`, and bounded-queue
+:class:`ShardWorker` partitions in front of one analysis store per job
+(:class:`QueryMerger`), whose answers are bit-identical to an unsharded
+server.
 """
 
 from repro.service.front import AnalysisService, TenantPort

@@ -3,30 +3,32 @@
 :class:`AnalysisService` assembles the pieces: a consistent-hash
 :class:`~repro.service.router.ShardRouter`, N bounded-queue
 :class:`~repro.service.shard.ShardWorker` partitions, and one
-:class:`TenantPort` per registered job.  A port duck-types the
+:class:`TenantPort` — with the job's one analysis store behind it — per
+registered job.  A port duck-types the
 :class:`~repro.runtime.server.AnalysisServer` surface on both sides:
 
 * **ingest** — each job's :class:`~repro.runtime.transport.
   ReliableTransport` (or the runtime directly) calls ``receive_batch``;
-  the front dedups against the job's per-rank sequence watermark, tags
-  rows with the tenant's ``job_id``, splits the batch into per-shard
-  sub-batches, and applies admission control: if any target shard's
-  queue is full the whole batch is rejected *without consuming its
-  sequence number*, and a retry-after hint (the head-of-queue projected
-  completion) is parked for the transport's ``pop_retry_hint`` probe, so
-  its exponential backoff is re-timed instead of burning the wire.
+  the front dedups against the job's per-rank sequence watermark, splits
+  the batch into per-shard sub-batches (the tenant is the port a
+  sub-batch is queued under, not a tag on its rows), and applies
+  admission control: if any target shard's queue is full the whole batch
+  is rejected *without consuming its sequence number*, and a retry-after
+  hint (the head-of-queue projected completion) is parked for the
+  transport's ``pop_retry_hint`` probe, so its exponential backoff is
+  re-timed instead of burning the wire.
   When the service is built with ``rate_limit_rows_per_ms`` each tenant
   also gets a token bucket (rows per virtual millisecond, burst capacity
   ``rate_burst_rows``); a batch that would overdraw the bucket is
   rejected through the same retry-after machinery, with the hint timed
-  to when the bucket will have refilled enough.  Accepted batches get
-  dense per-(shard, rank) sub-sequence numbers — the PR 2
-  sequenced/idempotent contract reused as the front -> shard protocol.
+  to when the bucket will have refilled enough.  An accepted batch's
+  sub-batches wait in the shard queues and are applied, each at its
+  shard's virtual completion time, into the job's store.
 
-* **query** — matrix / summary / inter-process queries delegate to the
-  job's :class:`~repro.service.merge.QueryMerger`, whose refreshed
-  merged server is bit-identical to an unsharded server fed only this
-  job's records.
+* **query** — matrix / summary / inter-process queries go to that store
+  through the job's :class:`~repro.service.merge.QueryMerger`; holding
+  exactly the rows applied so far, it is bit-identical to an unsharded
+  server fed the same rows.
 
 Rejections never lose data: the sequence number stays unconsumed, the
 transport redelivers, and watermark dedup upholds exactly-once effect —
@@ -34,8 +36,6 @@ transport redelivers, and watermark dedup upholds exactly-once effect —
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from repro.errors import ReproError
 from repro.runtime.records import SliceSummary
@@ -84,7 +84,6 @@ class AnalysisService:
         self.shards = [
             ShardWorker(
                 shard_id=i,
-                server_factory=self._shard_server,
                 queue_limit=queue_limit,
                 cost=self.cost,
                 obs=obs,
@@ -95,28 +94,15 @@ class AnalysisService:
         self.ports: dict[int, TenantPort] = {}
         #: virtual clock — the max time any port or pump has observed
         self.clock = 0.0
-        self._job_ranks: dict[int, int] = {}
 
     @property
     def n_shards(self) -> int:
         return self.router.n_shards
 
-    def _shard_server(self, job: int) -> AnalysisServer:
-        # Quiet servers: the service layer owns observability, the
-        # shard-local stores just hold rows.
-        return AnalysisServer(
-            n_ranks=self._job_ranks.get(job, 0),
-            window_us=self.window_us,
-            batch_period_us=self.batch_period_us,
-            threshold=self.threshold,
-            engine=self.engine,
-        )
-
     def register_job(self, job_id: int, n_ranks: int) -> "TenantPort":
         """Admit one tenant; returns its ingest/query port."""
         if job_id in self.ports:
             raise ReproError(f"job {job_id} already registered")
-        self._job_ranks[job_id] = n_ranks
         port = TenantPort(self, job_id, n_ranks)
         self.ports[job_id] = port
         if self.metrics is not None:
@@ -167,11 +153,11 @@ class TenantPort:
         self._tokens = self._burst if self._burst is not None else 0.0
         self._refilled_at = 0.0
         self._seqs: dict[int, SequenceTracker] = {}
-        #: dense sub-sequence counters per (shard, rank) stream
-        self._sub_seqs: dict[tuple[int, int], int] = {}
         #: retry-after hints parked for the transport, keyed (rank, seq)
         self._retry_hints: dict[tuple[int, int], float] = {}
         self._merger = QueryMerger(self)
+        #: the job's one analysis store; shard workers apply into it
+        self.store = self._merger.store
 
     # -- ingest ------------------------------------------------------------
 
@@ -209,8 +195,7 @@ class TenantPort:
             service.clock, max((s.t_slice_start for s in summaries), default=0.0)
         )
         service.clock = now
-        job = self.job_id
-        rows = [s if s.job_id == job else replace(s, job_id=job) for s in summaries]
+        n_rows = len(summaries)
         if tracker is not None and self._rate is not None:
             rate_per_us = self._rate / 1000.0
             self._tokens = min(
@@ -220,15 +205,15 @@ class TenantPort:
             self._refilled_at = now
             # Tolerance so a retry at exactly the hinted refill time is
             # admitted despite float rounding in rate conversions.
-            if len(rows) > self._tokens + 1e-9:
-                retry_at = now + (len(rows) - self._tokens) / rate_per_us
+            if n_rows > self._tokens + 1e-9:
+                retry_at = now + (n_rows - self._tokens) / rate_per_us
                 self._retry_hints[(rank, seq)] = retry_at
                 self.rejected_batches += 1
                 self.ratelimited_batches += 1
                 if metrics is not None:
                     metrics.counter("service.ratelimit.rejected").inc()
                 return False
-        split = service.router.split(job, rank, rows)
+        split = service.router.split(self.job_id, rank, summaries)
         targets = [service.shards[i] for i in split]
         for shard in targets:
             shard.process_due(now)
@@ -243,16 +228,13 @@ class TenantPort:
                 return False
             tracker.accept(seq)
             if self._rate is not None:
-                self._tokens -= len(rows)
-        self.summaries_received += len(rows)
+                self._tokens -= n_rows
+        self.summaries_received += n_rows
         for shard_id, sub_rows in split.items():
-            key = (shard_id, rank)
-            sub_seq = self._sub_seqs.get(key, 0)
-            self._sub_seqs[key] = sub_seq + 1
-            service.shards[shard_id].enqueue(job, rank, sub_seq, sub_rows, now)
+            service.shards[shard_id].enqueue(self, rank, sub_rows, now)
         if metrics is not None:
             metrics.counter("service.front.batches").inc()
-            metrics.counter("service.front.rows").inc(len(rows))
+            metrics.counter("service.front.rows").inc(n_rows)
         return True
 
     # -- transport contract ------------------------------------------------
@@ -272,20 +254,20 @@ class TenantPort:
     def mark_degraded(self, rank: int) -> None:
         self.degraded.add(rank)
 
-    # -- queries (merged, bit-identical to unsharded) ----------------------
+    # -- queries (bit-identical to unsharded) ------------------------------
 
     @property
     def server(self) -> AnalysisServer:
-        """This job's merged analysis server, refreshed to now."""
+        """This job's store, carrying the front's transport accounting."""
         return self._merger.refresh()
 
     @property
     def inter_events(self):
-        return self._merger.merged.inter_events
+        return self.store.inter_events
 
     @property
     def duplicate_summaries(self) -> int:
-        return self._merger.merged.duplicate_summaries
+        return self.store.duplicate_summaries
 
     @property
     def stored_summaries(self) -> int:

@@ -1,42 +1,35 @@
-"""Per-job query merging across shard-local stores.
+"""The one analysis store of a tenant, and the view queries get of it.
 
 Shard-local *results* are not mergeable: the per-(sensor, group) history
 normalization is a cumulative minimum over all ranks' durations in
-canonical slice order — ranks of one sensor live on one shard, but a
-job's sensors spread across shards and the per-cell matrix means then
-mix sensors again.  Any distributive merge of shard matrices would
-diverge from the unsharded server in the last bits.
-
-So the merger merges *rows*: every shard store is append-only, and
-:meth:`~repro.runtime.server.AnalysisServer.export_rows` exposes stable
-insertion-position cursors, so each refresh gathers only the rows
-appended since the last one and re-ingests them into a per-job merged
-:class:`~repro.runtime.server.AnalysisServer`.  Ingest there is
-order-invariant and identity-deduplicated, and shard routing keys
-``(job, rank, sensor)`` are a function of the identity — so the merged
-store holds exactly the job's deduplicated rows and every query is
-bit-identical to an unsharded server by construction.  The differential
-suite in ``tests/service/test_shard_equiv.py`` pins that equivalence
-under random shard counts, interleavings and redelivery.
+canonical slice order, a job's sensors spread across shards, and the
+per-cell matrix means mix sensors again — any distributive merge of
+per-shard matrices would diverge from the unsharded server in the last
+bits.  So there are no shard-local stores to merge: each job has exactly
+one :class:`~repro.runtime.server.AnalysisServer`, the §5.4 analysis
+server of that job, and every shard worker applies the job's sub-batches
+straight into it.  Ingest there is order-invariant and
+identity-deduplicated, so whatever order the shards' queues release the
+sub-batches in, the store holds exactly the job's deduplicated rows and
+every query is bit-identical to an unsharded server by construction.
+The differential suite in ``tests/service/test_shard_equiv.py`` pins
+that equivalence under random shard counts, interleavings, redelivery
+and queries between applies.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
-from operator import attrgetter
 
 from repro.runtime.server import AnalysisServer
 
 
 class QueryMerger:
-    """Incremental row gatherer + merged server for one tenant."""
+    """Owns one tenant's store; :meth:`refresh` is the query-side view."""
 
     def __init__(self, port) -> None:
         self.port = port
         service = port.service
-        #: insertion-position cursor per shard id
-        self._cursors: dict[int, int] = {}
-        self.merged = AnalysisServer(
+        # Quiet: the service layer owns observability, the store holds rows.
+        self.store = AnalysisServer(
             n_ranks=port.n_ranks,
             window_us=service.window_us,
             batch_period_us=service.batch_period_us,
@@ -45,41 +38,18 @@ class QueryMerger:
         )
 
     def refresh(self) -> AnalysisServer:
-        """Pull row deltas from every shard; return the merged server.
+        """The job's store, holding every row the shards have applied.
 
-        After the gather, the merged server's transport-facing counters
-        are overwritten with the front's authoritative per-job accounting
-        (the merge hop is internal plumbing, not received traffic) and
-        its degraded set mirrors the port's.
+        Its transport-facing counters are overwritten with the front's
+        authoritative per-job accounting (the store's own tallies count
+        sub-batches, which is internal plumbing, not received traffic)
+        and its degraded set mirrors the port's.
         """
         port = self.port
-        service = port.service
-        job = port.job_id
-        merged = self.merged
-        pulled = 0
-        duplicate_summaries = 0
-        for shard in service.shards:
-            server = shard.servers.get(job)
-            if server is None:
-                continue
-            rows, total = server.export_rows(self._cursors.get(shard.shard_id, 0))
-            duplicate_summaries += server.duplicate_summaries
-            if rows:
-                pulled += len(rows)
-                for rank, run in groupby(rows, key=attrgetter("rank")):
-                    merged.receive_batch(rank, list(run))
-            self._cursors[shard.shard_id] = total
-        merged.degraded = set(port.degraded)
-        merged.bytes_received = port.bytes_received
-        merged.batches_received = port.batches_received
-        merged.summaries_received = port.summaries_received
-        merged.duplicate_batches = port.duplicate_batches
-        merged.duplicate_summaries = duplicate_summaries
-        if pulled:
-            if service.obs is not None:
-                with service.obs.tracer.span("service.merge.refresh") as span:
-                    span.set("job", job)
-                    span.set("rows", pulled)
-            if service.metrics is not None:
-                service.metrics.counter("service.merge.rows").inc(pulled)
-        return merged
+        store = self.store
+        store.degraded = set(port.degraded)
+        store.bytes_received = port.bytes_received
+        store.batches_received = port.batches_received
+        store.summaries_received = port.summaries_received
+        store.duplicate_batches = port.duplicate_batches
+        return store

@@ -1,32 +1,27 @@
-"""Shard workers: bounded-queue, virtual-time analysis partitions.
+"""Shard workers: bounded, virtual-time queues in front of the tenant stores.
 
-One :class:`ShardWorker` owns the :class:`~repro.runtime.server.
-AnalysisServer` instances for every (job, stream) routed to it — one
-quiet per-job server each, so tenants never share identity space or
-history state.  Work arrives as sequenced sub-batches from the ingest
-front and drains through a single-server discipline: batches are applied
-in arrival order, each occupying the shard for its processing cost on
-the run's virtual clock (``busy_until``).  The bounded queue is what
-admission control pushes against — a full queue makes the front reject
-with a retry-after hint derived from the head batch's projected
-completion.
+A :class:`ShardWorker` stores nothing.  Sub-batches arrive from the
+ingest front, wait in a bounded queue, and drain through a single-server
+discipline: applied in arrival order, each occupying the shard for its
+processing cost on the run's virtual clock (``busy_until``).  Applying a
+sub-batch ingests it into its tenant's one
+:class:`~repro.runtime.server.AnalysisServer` (``port.store``), so a
+query sees exactly the rows the shards have applied by then.  The
+bounded queue is what admission control pushes against — a full queue
+makes the front reject with a retry-after hint derived from the head
+batch's projected completion.
 
-Processing cost comes from a :class:`ShardCostModel`: deterministic
-(``base_us + per_row_us * rows``; the default, and the only mode golden
-traces use) or measured (actual wall time of the apply, scaled to
-virtual µs — what the scaling bench uses so speedups reflect real
-ingest work).
+Processing cost comes from a :class:`ShardCostModel`
+(``base_us + per_row_us * rows``): a pure function of the batch, so the
+service's virtual time never depends on wall time.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.runtime.records import SliceSummary
-from repro.runtime.server import AnalysisServer
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,9 +30,6 @@ class ShardCostModel:
 
     base_us: float = 0.0
     per_row_us: float = 0.0
-    #: replace the deterministic estimate with the measured wall time of
-    #: each apply (virtual µs = wall µs) — bench mode, not for goldens
-    measured: bool = False
 
     def estimate(self, rows: int) -> float:
         return self.base_us + self.per_row_us * rows
@@ -45,33 +37,28 @@ class ShardCostModel:
 
 @dataclass(slots=True)
 class _QueuedBatch:
-    job: int
+    #: the owning tenant's :class:`~repro.service.front.TenantPort`
+    port: object
     rank: int
-    seq: int
     rows: list[SliceSummary]
     enqueued_at: float
 
 
 @dataclass(slots=True)
 class ShardWorker:
-    """One analysis partition: per-job servers behind a bounded queue."""
+    """One partition of the ingest load: a bounded queue with a cost model."""
 
     shard_id: int
-    server_factory: Callable[[int], AnalysisServer]
     queue_limit: int = 64
     cost: ShardCostModel = field(default_factory=ShardCostModel)
     obs: object | None = None
     metrics: object | None = None
 
-    #: per-job analysis servers, created on first batch for the job
-    servers: dict[int, AnalysisServer] = field(default_factory=dict)
     #: virtual time the shard finishes its in-progress work
     busy_until: float = 0.0
     applied_batches: int = 0
     applied_rows: int = 0
     _queue: deque = field(default_factory=deque)
-    #: EWMA of measured apply cost (µs), seeds retry-after projections
-    _avg_cost_us: float = 100.0
 
     # -- queue -------------------------------------------------------------
 
@@ -81,11 +68,10 @@ class ShardWorker:
     def queued(self) -> int:
         return len(self._queue)
 
-    def enqueue(
-        self, job: int, rank: int, seq: int, rows: list[SliceSummary], now: float
-    ) -> None:
-        """Append one sub-batch (admission control is the front's job)."""
-        self._queue.append(_QueuedBatch(job, rank, seq, rows, now))
+    def enqueue(self, port, rank: int, rows: list[SliceSummary], now: float) -> None:
+        """Append one of ``port``'s sub-batches (admission control is the
+        front's job)."""
+        self._queue.append(_QueuedBatch(port, rank, rows, now))
         if self.metrics is not None:
             self.metrics.counter(f"service.shard.{self.shard_id}.enqueued").inc()
 
@@ -97,13 +83,8 @@ class ShardWorker:
             return now + 1.0
         head = self._queue[0]
         start = max(self.busy_until, head.enqueued_at)
-        done = start + self._estimate(len(head.rows))
+        done = start + self.cost.estimate(len(head.rows))
         return max(done, now + 1.0)
-
-    def _estimate(self, rows: int) -> float:
-        if self.cost.measured:
-            return self._avg_cost_us
-        return self.cost.estimate(rows)
 
     # -- processing --------------------------------------------------------
 
@@ -113,7 +94,7 @@ class ShardWorker:
         while self._queue:
             head = self._queue[0]
             start = max(self.busy_until, head.enqueued_at)
-            if start + self._estimate(len(head.rows)) > now:
+            if start + self.cost.estimate(len(head.rows)) > now:
                 break
             self._queue.popleft()
             self.busy_until = start + self._apply(head)
@@ -131,26 +112,16 @@ class ShardWorker:
         return applied
 
     def _apply(self, batch: _QueuedBatch) -> float:
-        """Ingest one sub-batch into its job's server; return its cost."""
-        server = self.servers.get(batch.job)
-        if server is None:
-            server = self.servers[batch.job] = self.server_factory(batch.job)
-        if self.cost.measured:
-            t0 = time.perf_counter()
-            server.receive_batch(batch.rank, batch.rows, seq=batch.seq)
-            cost = (time.perf_counter() - t0) * 1e6
-            self._avg_cost_us += 0.25 * (cost - self._avg_cost_us)
-        else:
-            server.receive_batch(batch.rank, batch.rows, seq=batch.seq)
-            cost = self.cost.estimate(len(batch.rows))
+        """Ingest one sub-batch into its tenant's store; return its cost."""
+        batch.port.store.receive_batch(batch.rank, batch.rows)
         self.applied_batches += 1
         self.applied_rows += len(batch.rows)
         if self.obs is not None:
             with self.obs.tracer.span(f"service.shard.{self.shard_id}.apply") as span:
-                span.set("job", batch.job)
+                span.set("job", batch.port.job_id)
                 span.set("rank", batch.rank)
                 span.set("rows", len(batch.rows))
         if self.metrics is not None:
             self.metrics.counter(f"service.shard.{self.shard_id}.batches").inc()
             self.metrics.counter(f"service.shard.{self.shard_id}.rows").inc(len(batch.rows))
-        return cost
+        return self.cost.estimate(len(batch.rows))

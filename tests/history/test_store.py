@@ -150,6 +150,29 @@ def test_history_fingerprint_splits_on_config(tmp_path, small_machine):
     assert len(RunStore(tmp_path).fingerprints()) == 2
 
 
+def test_history_key_ignores_engine_and_splits_on_governor(tmp_path, small_machine):
+    """The key holds what moves baselines: tiers are bit-identical by
+    contract, so bytecode and lockstep runs extend one trajectory; a
+    governed run's sampling changes its baselines, so it starts another."""
+    from tests.conftest import SIMPLE_MPI_PROGRAM
+
+    runs = [
+        run_vsensor(SIMPLE_MPI_PROGRAM, small_machine, history_store=tmp_path, **kw)
+        for kw in (
+            {"engine": "bytecode"},
+            {"engine": "lockstep"},
+            {"engine": "bytecode", "overhead_budget": 0.02},
+        )
+    ]
+    bytecode, lockstep, governed = (run.history_entry for run in runs)
+    assert bytecode.fingerprint == lockstep.fingerprint
+    assert (bytecode.seq, lockstep.seq) == (0, 1)
+    assert bytecode.sensors == lockstep.sensors
+    assert governed.fingerprint != bytecode.fingerprint
+    assert governed.seq == 0
+    assert len(RunStore(tmp_path).fingerprints()) == 2
+
+
 def test_history_append_emits_obs_span_and_counter(tmp_path, small_machine):
     from tests.conftest import SIMPLE_MPI_PROGRAM
 

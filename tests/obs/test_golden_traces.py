@@ -150,9 +150,9 @@ def _scenario_governor():
 def _scenario_multi_job_sharded():
     # Two tenants through the sharded service: the trace pins the per-job
     # ``vsensor.simulate``/``vsensor.analyze`` spans, the ``service.ingest``
-    # span, per-shard ``service.shard.*.apply`` spans and counters, and the
-    # merger's ``service.merge.refresh`` spans — the whole multi-tenant
-    # span topology is a reviewed artifact.
+    # span and the per-shard ``service.shard.*.apply`` spans and counters
+    # (a query reads the job's store in place, so it leaves no span) — the
+    # whole multi-tenant span topology is a reviewed artifact.
     from repro.api import JobSpec, run_multi_job
 
     def runner(obs):

@@ -117,9 +117,9 @@ def test_no_drop_no_double_apply_under_sustained_pressure():
     assert port.stored_summaries == 2 * n_batches
     assert port.ack_watermark(0) == n_batches - 1
     assert transport.gave_up == {}
-    shard_server = service.shards[0].servers[0]
-    assert shard_server.duplicate_batches == 0
-    assert shard_server.duplicate_summaries == 0
+    # ... and each applied row went into the job's one store exactly once.
+    assert port.duplicate_summaries == 0
+    assert sum(s.applied_rows for s in service.shards) == port.stored_summaries
 
     # Every rejection is accounted: the front counter, the per-port
     # tally, and the transport's deferral counter all agree, and every

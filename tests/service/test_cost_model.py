@@ -1,15 +1,12 @@
-"""ShardCostModel and the shard's measured-cost EWMA on edge batches.
+"""ShardCostModel and the shard's virtual clock on edge batches.
 
-Zero-row sub-batches are legal (a router split can assign a rank's rows
-entirely to other shards while a sequenced marker still lands here), so
-the cost model and the measured EWMA must stay finite, positive, and
-monotone-sane when ``rows == 0`` — a degenerate estimate would corrupt
-``busy_until`` and every retry-after hint derived from it.
+``ShardWorker.enqueue`` accepts a zero-row sub-batch, so the cost model
+must stay finite and monotone-sane when ``rows == 0`` — a degenerate
+estimate would corrupt ``busy_until`` and every retry-after hint derived
+from it.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.service.shard import ShardCostModel, ShardWorker
 
@@ -17,12 +14,17 @@ from repro.service.shard import ShardCostModel, ShardWorker
 class _NullServer:
     """Accepts any batch; the cost path is what is under test."""
 
-    def receive_batch(self, rank, rows, seq=None):
+    def receive_batch(self, rank, rows):
         return True
 
 
+class _NullPort:
+    job_id = 0
+    store = _NullServer()
+
+
 def _worker(cost: ShardCostModel) -> ShardWorker:
-    return ShardWorker(shard_id=0, server_factory=lambda job: _NullServer(), cost=cost)
+    return ShardWorker(shard_id=0, cost=cost)
 
 
 def test_deterministic_estimate_of_zero_rows_is_base_cost():
@@ -31,49 +33,22 @@ def test_deterministic_estimate_of_zero_rows_is_base_cost():
     assert ShardCostModel(per_row_us=3.0).estimate(4) == 12.0
 
 
-def test_measured_ewma_updates_on_zero_row_batch():
-    worker = _worker(ShardCostModel(measured=True))
-    seed = worker._avg_cost_us
-    worker.enqueue(0, 0, 0, [], now=0.0)
-    worker.drain()
-    # The apply was near-instant, so the EWMA moved a quarter of the way
-    # from its seed toward ~0 — finite, positive, strictly below seed.
-    assert math.isfinite(worker._avg_cost_us)
-    assert 0.0 < worker._avg_cost_us < seed
-    assert worker.applied_batches == 1
-    assert worker.applied_rows == 0
-
-
-def test_measured_ewma_converges_under_repeated_zero_row_batches():
-    worker = _worker(ShardCostModel(measured=True))
-    for seq in range(32):
-        worker.enqueue(0, 0, seq, [], now=float(seq))
-        worker.drain()
-    # 32 quarter-steps toward ~0µs applies: well below the 100µs seed.
-    assert math.isfinite(worker._avg_cost_us)
-    assert 0.0 < worker._avg_cost_us < 10.0
-
-
 def test_retry_after_stays_strictly_future_with_zero_row_head():
     now = 50.0
-    # Deterministic zero-cost model: projected completion == enqueue
-    # time, so the strictly-future clamp must kick in.
+    # Zero-cost model: projected completion == enqueue time, so the
+    # strictly-future clamp must kick in.
     worker = _worker(ShardCostModel())
-    worker.enqueue(0, 0, 0, [], now=now)
+    worker.enqueue(_NullPort, 0, [], now=now)
     assert worker.retry_after(now) >= now + 1.0
-    # Measured mode projects the EWMA, also strictly ahead.
-    measured = _worker(ShardCostModel(measured=True))
-    measured.enqueue(0, 0, 0, [], now=now)
-    assert measured.retry_after(now) > now
 
 
 def test_busy_until_never_regresses_across_zero_row_applies():
     worker = _worker(ShardCostModel(base_us=2.0))
-    worker.enqueue(0, 0, 0, [], now=10.0)
-    worker.enqueue(0, 0, 1, [], now=10.0)
+    worker.enqueue(_NullPort, 0, [], now=10.0)
+    worker.enqueue(_NullPort, 0, [], now=10.0)
     worker.drain()
     first = worker.busy_until
     assert first == 14.0  # two base-cost applies back to back
-    worker.enqueue(0, 0, 2, [], now=0.0)  # stale enqueue time
+    worker.enqueue(_NullPort, 0, [], now=0.0)  # stale enqueue time
     worker.drain()
     assert worker.busy_until >= first  # clock is monotone regardless

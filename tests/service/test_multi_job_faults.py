@@ -13,11 +13,14 @@ through the same sharded service path:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.api import JobSpec, run_multi_job, run_vsensor
-from repro.runtime.channel import ChannelConfig
+from repro.errors import ReproError
+from repro.runtime.channel import ChannelConfig, LossyChannel
 from repro.runtime.quality import score_detection
 from repro.runtime.transport import RetryPolicy
 from repro.sensors.model import SensorType
@@ -149,3 +152,25 @@ def test_clean_tenant_sees_no_variance_from_neighbor_fault(span):
         combined.jobs[1].report, [], _machine(71)
     )
     assert clean_score.precision == 1.0  # nothing spurious leaked across tenants
+
+
+def test_two_jobs_on_one_channel_object_are_refused(span):
+    """A ``LossyChannel`` hands every due envelope to whichever transport
+    pumps it, so two jobs sharing one would cross-deliver (the second job
+    silently stored 136 of its 360 summaries); the run must refuse it up
+    front and name both tenants."""
+    shared = LossyChannel(config=ChannelConfig(delay_us=50.0))
+    specs = [
+        JobSpec(SIMPLE_MPI_PROGRAM, _machine(seed), job_id=job_id, channel=shared)
+        for job_id, seed in ((3, 11), (8, 23))
+    ]
+    with pytest.raises(ReproError, match=r"jobs 3 and 8 share one channel"):
+        run_multi_job(specs, **_run_kwargs(span))
+    # The same fault model given as a config builds one channel per job.
+    own = [replace(spec, channel=ChannelConfig(delay_us=50.0)) for spec in specs]
+    combined = run_multi_job(own, **_run_kwargs(span))
+    for job_run in combined.jobs.values():
+        assert job_run.report.degraded_ranks == ()
+        assert job_run.runtime.server.stored_summaries == sum(
+            len(d.summaries) for d in job_run.runtime.detectors.values()
+        )

@@ -12,6 +12,7 @@ the engine-equality suites of PRs 5–6 one layer up.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from repro.runtime.server import AnalysisServer
 from repro.sensors.model import SensorType
 from repro.service import AnalysisService
 from repro.service.router import ShardRouter
-from repro.service.shard import ShardCostModel
+from repro.service.shard import ShardCostModel, ShardWorker
 from tests.service.util import make_summary
 
 N_RANKS = 4
@@ -97,14 +98,21 @@ def test_sharded_queries_bit_identical_under_redelivery(
     pools, n_shards, order_seed, dup_seed
 ):
     """Jobs' batches interleaved in random global order, with random
-    redelivery: every job's merged view matches its solo reference."""
+    redelivery: every job's merged view matches its solo reference.
+    Sequenced redeliveries stop at the front's watermark; unsequenced
+    ones reach the job's store, whose identity dedup must count exactly
+    what the unsharded server's does."""
     rng = random.Random(dup_seed)
     stream = [
         (job, rank, batch, seq)
         for job, batches in pools.items()
         for rank, batch, seq in batches
     ]
-    stream += [item for item in stream if rng.random() < 0.4]
+    stream += [item for item in stream if rng.random() < 0.4] + [
+        (job, rank, batch, None)
+        for job, rank, batch, _ in stream
+        if rng.random() < 0.2
+    ]
     random.Random(order_seed).shuffle(stream)
 
     service = AnalysisService(n_shards, window_us=2000.0)
@@ -126,6 +134,11 @@ def test_sharded_queries_bit_identical_under_redelivery(
         assert port.bytes_received == ref.bytes_received
         assert port.duplicate_batches == ref.duplicate_batches
         assert port.summaries_received == ref.summaries_received
+    # Every row a shard applied is in its job's store once or counted as
+    # a duplicate there once — no second copy anywhere.
+    assert sum(shard.applied_rows for shard in service.shards) == sum(
+        port.stored_summaries + port.duplicate_summaries for port in ports.values()
+    )
 
 
 @given(
@@ -167,6 +180,76 @@ def test_sharded_queries_bit_identical_with_interleaved_queries(
     service.finish()
     for job in pools:
         _assert_job_equivalent(ports[job], refs[job])
+
+
+@given(
+    pools=job_pools(),
+    n_shards=st.integers(1, 4),
+    order_seed=st.integers(0, 2**32 - 1),
+    step_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_queries_between_applies_see_exactly_the_applied_rows(
+    pools, n_shards, order_seed, step_seed
+):
+    """One store per tenant: after any prefix of sends and pumps — slow
+    shards, short queues, rejections, unsequenced redelivery — a job's
+    store accounts for exactly the sub-batches the shards have applied
+    for it, and answers as an unsharded server fed those sub-batches."""
+    rng = random.Random(step_seed)
+    stream = [
+        (job, rank, batch, seq)
+        for job, batches in pools.items()
+        for rank, batch, seq in batches
+    ]
+    stream += [
+        (job, rank, batch, None)
+        for job, rank, batch, _ in stream
+        if rng.random() < 0.3
+    ]
+    random.Random(order_seed).shuffle(stream)
+
+    service = AnalysisService(
+        n_shards,
+        window_us=2000.0,
+        cost=ShardCostModel(base_us=40.0, per_row_us=3.0),
+        queue_limit=3,
+    )
+    ports = {job: service.register_job(job, N_RANKS) for job in pools}
+    refs = {job: AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="reference")
+            for job in pools}
+    applied_rows = dict.fromkeys(pools, 0)
+    apply = ShardWorker._apply
+
+    def recording_apply(shard, batch):
+        job = batch.port.job_id
+        refs[job].receive_batch(batch.rank, list(batch.rows))
+        applied_rows[job] += len(batch.rows)
+        return apply(shard, batch)
+
+    now = 0.0
+    with mock.patch.object(ShardWorker, "_apply", recording_apply):
+        for job, rank, batch, seq in stream:
+            ports[job].receive_batch(rank, list(batch), seq=seq)
+            if rng.random() < 0.5:
+                now += rng.choice((10.0, 60.0, 400.0))
+                service.pump(now)
+            probe = rng.choice(sorted(pools))
+            port, ref = ports[probe], refs[probe]
+            assert port.stored_summaries + port.duplicate_summaries == applied_rows[probe]
+            assert port.stored_summaries == ref.stored_summaries
+            stype = rng.choice(list(SensorType))
+            assert np.array_equal(
+                ref.performance_matrix(stype),
+                port.performance_matrix(stype),
+                equal_nan=True,
+            )
+        service.finish()
+    for job in pools:
+        _assert_job_equivalent(ports[job], refs[job])
+    assert sum(shard.applied_rows for shard in service.shards) == sum(
+        applied_rows.values()
+    )
 
 
 @given(
