@@ -469,7 +469,6 @@ def run_multi_job(
     queue_limit: int = 64,
     cost=None,
     analysis_engine: str = "columnar",
-    vnodes: int = 64,
     store: ArtifactStore | None | object = _DEFAULT_STORE,
     obs: Obs | None = None,
     workers: int = 1,
@@ -528,7 +527,6 @@ def run_multi_job(
         engine=analysis_engine,
         queue_limit=queue_limit,
         cost=cost,
-        vnodes=vnodes,
         obs=obs if obs.enabled else None,
     )
     run = MultiJobRun(service=service)
@@ -596,7 +594,6 @@ def run_multi_job(
             channel=channels[job_id],
             policy=specs[job_id].retry_policy or RetryPolicy(),
             metrics=metrics,
-            job_id=job_id,
         )
     timeline = sorted(
         (

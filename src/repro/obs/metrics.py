@@ -98,6 +98,8 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self.snapshots: dict[str, dict] = {}
+        #: calibrated cost of one instrument op, timed on first use
+        self._per_op_s: float | None = None
 
     def counter(self, name: str) -> Counter:
         inst = self._counters.get(name)
@@ -168,18 +170,20 @@ class MetricsRegistry:
     def estimated_cost_s(self, calibration_ops: int = 20_000) -> float:
         """Total registry cost: observed op count × calibrated per-op cost.
 
-        Calibration times a scratch counter at report time, so the estimate
-        tracks the actual machine this run used.
+        Calibration times a scratch counter the first time a cost is asked
+        for (so the estimate tracks the machine this run used) and keeps
+        the per-op cost: every later call states the same measurement.
         """
         ops = self.op_count()
         if ops == 0:
             return 0.0
-        scratch = Counter("_calibration")
-        t0 = time.perf_counter()
-        for _ in range(calibration_ops):
-            scratch.inc()
-        per_op = (time.perf_counter() - t0) / calibration_ops
-        return ops * per_op
+        if self._per_op_s is None:
+            scratch = Counter("_calibration")
+            t0 = time.perf_counter()
+            for _ in range(calibration_ops):
+                scratch.inc()
+            self._per_op_s = (time.perf_counter() - t0) / calibration_ops
+        return ops * self._per_op_s
 
 
 class _NullInstrument:

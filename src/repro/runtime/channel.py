@@ -91,12 +91,6 @@ class ChannelConfig:
     def is_faulty(self) -> bool:
         return self.drop_rate > 0 or self.dup_rate > 0 or self.reorder_rate > 0
 
-    def describe(self) -> str:
-        return (
-            f"drop={self.drop_rate:g} dup={self.dup_rate:g} "
-            f"reorder={self.reorder_rate:g} delay={self.delay_us:g}us seed={self.seed}"
-        )
-
 
 @dataclass(slots=True)
 class ChannelStats:
@@ -124,13 +118,6 @@ class ChannelStats:
             "late": self.late,
         }
 
-    def describe(self) -> str:
-        return (
-            f"sent={self.sent} delivered={self.delivered} dropped={self.dropped} "
-            f"retried={self.retried} duplicated={self.duplicated} "
-            f"reordered={self.reordered} late={self.late}"
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Envelope:
@@ -143,8 +130,6 @@ class Envelope:
     deliver_at: float
     #: True for channel-created duplicate copies
     is_copy: bool = False
-    #: tenant dimension — sequence numbers are only unique per (job, rank)
-    job: int = 0
 
 
 @dataclass(slots=True)
@@ -168,20 +153,18 @@ class LossyChannel:
 
     # -- sending -----------------------------------------------------------
 
-    def send(self, rank: int, seq: int, payload: tuple, now: float, job: int = 0) -> None:
+    def send(self, rank: int, seq: int, payload: tuple, now: float) -> None:
         """Submit one batch copy; the channel decides its fate."""
         self.stats.sent += 1
         if self._rng.random() < self.config.drop_rate:
             self.stats.dropped += 1
         else:
-            self._enqueue(rank, seq, payload, now, is_copy=False, job=job)
+            self._enqueue(rank, seq, payload, now, is_copy=False)
         if self.config.dup_rate and self._rng.random() < self.config.dup_rate:
             self.stats.duplicated += 1
-            self._enqueue(rank, seq, payload, now, is_copy=True, job=job)
+            self._enqueue(rank, seq, payload, now, is_copy=True)
 
-    def _enqueue(
-        self, rank: int, seq: int, payload: tuple, now: float, is_copy: bool, job: int = 0
-    ) -> None:
+    def _enqueue(self, rank: int, seq: int, payload: tuple, now: float, is_copy: bool) -> None:
         delay = self.config.delay_us
         if self.config.jitter_us:
             delay += self._rng.random() * self.config.jitter_us
@@ -190,7 +173,7 @@ class LossyChannel:
             delay += self._rng.random() * self.config.reorder_delay_us
         envelope = Envelope(
             rank=rank, seq=seq, payload=payload, sent_at=now,
-            deliver_at=now + delay, is_copy=is_copy, job=job,
+            deliver_at=now + delay, is_copy=is_copy,
         )
         heapq.heappush(self._heap, (envelope.deliver_at, self._order, envelope))
         self._order += 1

@@ -3,17 +3,18 @@
 The analysis server's derived state — normalized performance per slice,
 per-cell matrix means, inter-process rank comparisons — is a function of
 the *canonically ordered* summary store, not of batch arrival order.  The
-reference engine realizes that as a Python dict keyed by summary identity
-plus a full re-sort-and-replay after every ingest; interleaved
-ingest/query (the :class:`~repro.runtime.live.LiveReporter` pattern) then
-degrades quadratically in run length.
+oracle (:mod:`repro.runtime.reference`) realizes that as a Python dict
+keyed by summary identity plus a full re-sort-and-replay after every
+ingest; interleaved ingest/query (the
+:class:`~repro.runtime.live.LiveReporter` pattern) then degrades
+quadratically in run length.
 
-This module is the vectorized twin: summaries live in append-only NumPy
-columns (amortized-doubling growth, interned group strings), the
-canonical order is maintained as a sorted base plus an unsorted tail, and
-the replay rolls forward instead of restarting whenever an epoch's new
-rows all sort after everything already replayed — the common case for an
-in-order run.  Every kernel reproduces the reference semantics
+This module is the production store behind the same interface: summaries
+live in append-only NumPy columns (amortized-doubling growth, interned
+group strings) holding exactly what a query reads, the canonical order is
+maintained as a sorted base plus an unsorted tail, and the replay rolls
+forward instead of restarting whenever an epoch's new rows all sort after
+everything already replayed — the common case for an in-order run.  Every kernel reproduces the reference semantics
 bit-for-bit: the cumulative-min history normalization uses
 :func:`repro.runtime.history.observe_block`, cell means are taken with
 ``np.mean`` over the same values in the same canonical order, and the
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro.runtime.history import observe_block
 from repro.runtime.records import CODE_SENSOR_TYPE, SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
+from repro.sensors.model import SensorType
 
 #: store column names and dtypes; ``window`` is precomputed at ingest so
 #: matrix group-bys never touch floating-point division
@@ -41,8 +43,6 @@ _COLUMNS = (
     ("slice", np.int64),
     ("t_start", np.float64),
     ("duration", np.float64),
-    ("count", np.int64),
-    ("miss", np.float64),
     ("stype", np.int8),
     ("window", np.int64),
 )
@@ -75,11 +75,14 @@ class ColumnarStore:
     """Append-only columnar store of slice summaries plus replay state.
 
     The owner (:class:`~repro.runtime.server.AnalysisServer`) drives the
-    lifecycle: ``ingest_*`` appends deduplicated rows, :meth:`replay`
-    brings the canonical order and per-row normalized performance up to
-    date (returning what kind of epoch it was, for observability), and
-    the query kernels (:meth:`matrix`, :meth:`inter_blocks`) assume
-    :meth:`replay` ran first.
+    lifecycle: ``ingest_*`` appends a batch's new rows and returns how
+    many were identity duplicates, :meth:`replay` brings the canonical
+    order and per-row normalized performance up to date (returning what
+    kind of epoch it was, for observability), and the query kernels
+    (:meth:`matrix`, :meth:`inter_blocks`) assume :meth:`replay` ran
+    first.  :meth:`max_window`, :meth:`last_seen` and :meth:`sensor_types`
+    are computed from the columns when asked; ingest keeps no table
+    beside them.
     """
 
     def __init__(self, window_us: float) -> None:
@@ -160,19 +163,9 @@ class ColumnarStore:
             self._cols[name][self.n : need] = staged[name]
         self.n = need
 
-    def ingest_summaries(
-        self,
-        summaries: list[SliceSummary],
-        sensor_types: dict,
-        last_seen: dict[int, float],
-    ) -> tuple[int, int | None]:
-        """Append deduplicated object-form summaries.
-
-        Returns ``(duplicates, max_window)`` where ``max_window`` is None
-        when every row was a duplicate.  ``sensor_types`` / ``last_seen``
-        are the server's trackers, updated exactly as the reference
-        ``_ingest`` does (kept rows only).
-        """
+    def ingest_summaries(self, summaries: list[SliceSummary]) -> int:
+        """Append deduplicated object-form summaries; returns the number
+        of rows dropped as identity duplicates."""
         keys = self._keys
         ranks: list[int] = []
         sensors: list[int] = []
@@ -180,8 +173,6 @@ class ColumnarStore:
         slices: list[int] = []
         t_starts: list[float] = []
         durations: list[float] = []
-        counts: list[int] = []
-        misses: list[float] = []
         stypes: list[int] = []
         duplicates = 0
         for s in summaries:
@@ -197,15 +188,9 @@ class ColumnarStore:
             slices.append(s.slice_index)
             t_starts.append(s.t_slice_start)
             durations.append(s.mean_duration)
-            counts.append(s.count)
-            misses.append(s.mean_cache_miss)
             stypes.append(SENSOR_TYPE_CODE[s.sensor_type])
-            sensor_types[s.sensor_id] = s.sensor_type
-            last = last_seen.get(s.rank)
-            if last is None or s.t_slice_start > last:
-                last_seen[s.rank] = s.t_slice_start
         if not ranks:
-            return duplicates, None
+            return duplicates
         t_arr = np.asarray(t_starts, np.float64)
         window = np.floor_divide(t_arr, self.window_us).astype(np.int64)
         self._append(
@@ -216,24 +201,18 @@ class ColumnarStore:
                 "slice": np.asarray(slices, np.int64),
                 "t_start": t_arr,
                 "duration": np.asarray(durations, np.float64),
-                "count": np.asarray(counts, np.int64),
-                "miss": np.asarray(misses, np.float64),
                 "stype": np.asarray(stypes, np.int8),
                 "window": window,
             }
         )
-        return duplicates, int(window.max())
+        return duplicates
 
-    def ingest_columns(
-        self,
-        cols: SummaryColumns,
-        sensor_types: dict,
-        last_seen: dict[int, float],
-    ) -> tuple[int, int | None]:
-        """Append a zero-copy decoded batch (column arrays, one rank)."""
+    def ingest_columns(self, cols: SummaryColumns) -> int:
+        """Append a zero-copy decoded batch (column arrays, one rank);
+        returns the number of rows dropped as identity duplicates."""
         n = len(cols)
         if n == 0:
-            return 0, None
+            return 0
         local_codes, inverse = np.unique(cols.group_code, return_inverse=True)
         remap = np.empty(len(local_codes), np.int64)
         for i, local in enumerate(local_codes.tolist()):
@@ -255,7 +234,7 @@ class ColumnarStore:
             else:
                 keys.add(key)
         if not keep.any():
-            return duplicates, None
+            return duplicates
         if duplicates:
             sensors = sensors[keep]
             slices = slices[keep]
@@ -272,23 +251,11 @@ class ColumnarStore:
                 "slice": slices,
                 "t_start": np.asarray(t_arr, np.float64),
                 "duration": (cols.mean_duration[keep] if duplicates else cols.mean_duration).astype(np.float64),
-                "count": (cols.count[keep] if duplicates else cols.count).astype(np.int64),
-                "miss": (cols.mean_cache_miss[keep] if duplicates else cols.mean_cache_miss).astype(np.float64),
                 "stype": np.asarray(stype_codes, np.int8),
                 "window": window,
             }
         )
-        # Last occurrence wins per sensor, as in sequential ingest.
-        flipped_sensors = sensors[::-1]
-        uniq, first_in_flipped = np.unique(flipped_sensors, return_index=True)
-        last_idx = (k - 1) - first_in_flipped
-        for sid, tcode in zip(uniq.tolist(), np.asarray(stype_codes)[last_idx].tolist()):
-            sensor_types[sid] = CODE_SENSOR_TYPE[tcode]
-        t_max = float(np.max(t_arr))
-        last = last_seen.get(rank)
-        if last is None or t_max > last:
-            last_seen[rank] = t_max
-        return duplicates, int(window.max())
+        return duplicates
 
     # -- canonical replay --------------------------------------------------
 
@@ -385,6 +352,29 @@ class ColumnarStore:
             (sensor_id, self._group_strs[code]): standard
             for (sensor_id, code), standard in self._standards.items()
         }
+
+    # -- answers read off the columns (no replay needed) -------------------
+
+    def max_window(self) -> int:
+        """Highest matrix window any stored row falls in (0 when empty)."""
+        if not self.n:
+            return 0
+        return max(0, int(self._cols["window"][: self.n].max()))
+
+    def last_seen(self) -> dict[int, float]:
+        """rank -> virtual start time of the freshest slice it reported."""
+        ranks, inverse = np.unique(self._cols["rank"][: self.n], return_inverse=True)
+        latest = np.full(len(ranks), -np.inf)
+        np.maximum.at(latest, inverse, self._cols["t_start"][: self.n])
+        return dict(zip(ranks.tolist(), latest.tolist()))
+
+    def sensor_types(self) -> dict[int, SensorType]:
+        """sensor id -> type; the last stored row wins, as sequential
+        ingest would have left it."""
+        n = self.n
+        sensors, first = np.unique(self._cols["sensor"][:n][::-1], return_index=True)
+        codes = self._cols["stype"][:n][(n - 1) - first]
+        return {s: CODE_SENSOR_TYPE[c] for s, c in zip(sensors.tolist(), codes.tolist())}
 
     # -- query kernels (assume replay() ran) -------------------------------
 

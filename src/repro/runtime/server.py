@@ -21,17 +21,17 @@ matrices and inter-process verdicts are computed by replaying the keyed
 store in canonical slice order, which makes them bit-identical under any
 permutation or redelivery of the incoming batches.
 
-Two analysis engines share those semantics:
+This module is the *endpoint*: byte and batch accounting, the sequence
+watermarks, degraded-rank marking, and the §5.4 / §5.5 queries phrased
+over one store interface.  ``engine=`` picks the store class:
 
-* ``engine="columnar"`` (default) keeps the store as append-only NumPy
-  columns (:mod:`repro.runtime.columnar`) with incremental canonical
-  replay and vectorized matrix / inter-process kernels;
-* ``engine="reference"`` is the original object-at-a-time dict store and
-  pure-Python full replay, kept as the differential-testing oracle.
+* ``"columnar"`` (default) — :class:`~repro.runtime.columnar.ColumnarStore`,
+  NumPy columns, incremental canonical replay, vectorized kernels;
+* ``"reference"`` — :class:`~repro.runtime.reference.ReferenceStore`, the
+  object-at-a-time dict store with a full pure-Python replay: the oracle.
 
-The two are bit-identical — same matrices, events, counters and byte
-accounting — under any delivery schedule; ``tests/runtime/
-test_server_columnar.py`` pins that with hypothesis.
+The two are bit-identical — matrices, events, counters, byte accounting —
+under any delivery schedule (``tests/runtime/test_server_columnar.py``).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 from repro.runtime.columnar import ColumnarStore
 from repro.runtime.history import SensorHistory
 from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
+from repro.runtime.reference import ReferenceStore
 from repro.runtime.seqtrack import SequenceTracker
 from repro.sensors.model import SensorType
 
@@ -64,15 +65,7 @@ class InterProcessEvent:
     coverage: float = 1.0
 
 
-@dataclass(slots=True)
-class _Analysis:
-    """Derived state replayed from the summary store (cached per epoch)."""
-
-    #: (type, window) -> rank -> [normalized perf per slice]
-    cells: dict[tuple[SensorType, int], dict[int, list[float]]] = field(default_factory=dict)
-    #: (sensor, window) -> rank -> mean duration of the rank's slices
-    per_sensor: dict[tuple[int, int], dict[int, float]] = field(default_factory=dict)
-    history: SensorHistory = field(default_factory=SensorHistory)
+_STORES = {"columnar": ColumnarStore, "reference": ReferenceStore}
 
 
 @dataclass(slots=True)
@@ -104,25 +97,18 @@ class AnalysisServer:
     #: optional :class:`~repro.obs.Obs` bundle for per-epoch replay spans
     obs: object | None = None
 
-    #: identity-keyed summary store: (rank, sensor, group, slice) -> summary
-    #: (reference engine only; the columnar engine stores rows in _columns)
-    _store: dict[tuple[int, int, str, int], SliceSummary] = field(default_factory=dict)
     #: per-rank sequence trackers (cumulative watermark + gap set)
     _seqs: dict[int, SequenceTracker] = field(default_factory=dict)
-    _max_window: int = 0
-    _sensor_types: dict[int, SensorType] = field(default_factory=dict)
-    #: virtual time of the freshest slice each rank has reported
-    _last_seen: dict[int, float] = field(default_factory=dict)
-    _analysis: _Analysis | None = None
-    _columns: ColumnarStore | None = None
+    #: the identity-keyed summary store ``engine`` selected
+    _rows: ColumnarStore | ReferenceStore = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.engine == "columnar":
-            self._columns = ColumnarStore(self.window_us)
-        elif self.engine != "reference":
+        store_class = _STORES.get(self.engine)
+        if store_class is None:
             raise ValueError(
                 f"unknown analysis engine {self.engine!r} (expected 'columnar' or 'reference')"
             )
+        self._rows = store_class(self.window_us)
 
     # -- ingestion ----------------------------------------------------------
 
@@ -141,18 +127,12 @@ class AnalysisServer:
         size when the batch arrived through the codec (frame headers and
         group-definition frames included); direct in-process handoffs leave
         it ``None`` and are accounted at the nominal header + payload size.
-        Returns True iff the batch was new.
+        Returns True iff the batch was new, i.e. its sequence number was
+        consumed — the ack the reliable transport acts on.
         """
         if not self._admit(rank, len(summaries), seq, encoded_bytes):
             return False
-        if self._columns is not None:
-            duplicates, max_window = self._columns.ingest_summaries(
-                summaries, self._sensor_types, self._last_seen
-            )
-            self._note_ingest(duplicates, max_window)
-        else:
-            for summary in summaries:
-                self._ingest(summary)
+        self._count_duplicates(self._rows.ingest_summaries(summaries))
         return True
 
     def receive_batch_columns(
@@ -162,23 +142,12 @@ class AnalysisServer:
         seq: int | None = None,
         encoded_bytes: int | None = None,
     ) -> bool:
-        """Like :meth:`receive_batch`, for a zero-copy decoded batch.
-
-        The columnar engine ingests the arrays directly; the reference
-        engine materializes :class:`SliceSummary` objects first so its
-        per-summary ``_ingest`` path (and any test hook overriding it)
-        stays on the wire path.
-        """
+        """Like :meth:`receive_batch`, for a zero-copy decoded batch (the
+        columnar store ingests the arrays directly; the reference store
+        materializes :class:`SliceSummary` objects first)."""
         if not self._admit(rank, len(columns), seq, encoded_bytes):
             return False
-        if self._columns is not None:
-            duplicates, max_window = self._columns.ingest_columns(
-                columns, self._sensor_types, self._last_seen
-            )
-            self._note_ingest(duplicates, max_window)
-        else:
-            for summary in columns.to_summaries():
-                self._ingest(summary)
+        self._count_duplicates(self._rows.ingest_columns(columns))
         return True
 
     def _admit(
@@ -200,14 +169,11 @@ class AnalysisServer:
             self.metrics.counter("server.summaries").inc(n_rows)
         return True
 
-    def _note_ingest(self, duplicates: int, max_window: int | None) -> None:
-        """Fold one columnar ingest's outcome into the server counters."""
+    def _count_duplicates(self, duplicates: int) -> None:
         if duplicates:
             self.duplicate_summaries += duplicates
             if self.metrics is not None:
                 self.metrics.counter("server.duplicate_summaries").inc(duplicates)
-        if max_window is not None and max_window > self._max_window:
-            self._max_window = max_window
 
     def _advance_watermark(self, rank: int, seq: int) -> bool:
         """Record one received sequence number; False if already seen."""
@@ -225,27 +191,10 @@ class AnalysisServer:
         tracker = self._seqs.get(rank)
         return tracker is not None and tracker.is_acked(seq)
 
-    def _ingest(self, summary: SliceSummary) -> None:
-        key = summary.identity
-        if key in self._store:
-            self.duplicate_summaries += 1
-            if self.metrics is not None:
-                self.metrics.counter("server.duplicate_summaries").inc()
-            return
-        self._store[key] = summary
-        self._analysis = None
-        self._max_window = max(self._max_window, int(summary.t_slice_start // self.window_us))
-        self._sensor_types[summary.sensor_id] = summary.sensor_type
-        last = self._last_seen.get(summary.rank)
-        if last is None or summary.t_slice_start > last:
-            self._last_seen[summary.rank] = summary.t_slice_start
-
     @property
     def stored_summaries(self) -> int:
         """Deduplicated summaries currently in the store (either engine)."""
-        if self._columns is not None:
-            return len(self._columns)
-        return len(self._store)
+        return len(self._rows)
 
     # -- degradation / coverage --------------------------------------------
 
@@ -257,56 +206,24 @@ class AnalysisServer:
         candidates for degraded marking when their spool goes quiet."""
         if staleness_us is None:
             staleness_us = 4.0 * self.batch_period_us
+        last_seen = self._rows.last_seen()
         out = []
         for rank in range(self.n_ranks):
-            last = self._last_seen.get(rank)
+            last = last_seen.get(rank)
             if last is None or now - last > staleness_us:
                 out.append(rank)
         return out
 
     # -- canonical replay ---------------------------------------------------
 
-    def _replay(self) -> _Analysis:
-        """Build derived state by replaying the store in canonical order.
-
-        The store is keyed, so the replay order is a function of the data
-        only — identical matrices for any batch arrival order.  Canonical
-        order is slice-major (virtual time), matching how a loss-free
-        in-order run would have fed the online history.
-        """
-        if self._analysis is not None:
-            return self._analysis
-        analysis = _Analysis()
-        history = analysis.history
-        totals: dict[tuple[int, int], dict[int, list[float]]] = {}
-        # Slice-major (virtual-time) order, then rank/sensor/group as the
-        # deterministic tiebreak.
-        for key in sorted(self._store, key=lambda k: (k[3], k[0], k[1], k[2])):
-            summary = self._store[key]
-            window = int(summary.t_slice_start // self.window_us)
-            perf = history.observe(summary.sensor_id, summary.group, summary.mean_duration)
-            analysis.cells.setdefault((summary.sensor_type, window), {}).setdefault(
-                summary.rank, []
-            ).append(perf)
-            totals.setdefault((summary.sensor_id, window), {}).setdefault(
-                summary.rank, []
-            ).append(summary.mean_duration)
-        for sensor_window, per_rank in totals.items():
-            analysis.per_sensor[sensor_window] = {
-                rank: float(np.mean(values)) for rank, values in per_rank.items()
-            }
-        self._analysis = analysis
-        return analysis
-
-    def _replay_columnar(self) -> ColumnarStore:
-        """Bring the columnar store's canonical order up to date.
+    def _replayed(self) -> ColumnarStore | ReferenceStore:
+        """The store with its canonical order up to date.
 
         Emits a ``server.replay`` span (kind + rows attrs) and bumps the
         ``server.replay.{full,incremental}`` counter — only when the store
-        actually had pending rows, so pure queries stay silent.
+        reports pending rows, so pure queries stay silent.
         """
-        store = self._columns
-        assert store is not None
+        store = self._rows
         if not store.pending():
             return store
         if self.obs is not None:
@@ -323,31 +240,16 @@ class AnalysisServer:
     @property
     def history(self) -> SensorHistory:
         """Cross-rank standard times, as replayed from the current store."""
-        if self._columns is not None:
-            self._replay_columnar()
-            return SensorHistory.from_standards(self._columns.history_standards())
-        return self._replay().history
+        return SensorHistory.from_standards(self._replayed().history_standards())
 
     # -- inter-process analysis (§5.4) --------------------------------------
 
     def detect_inter_process(self, min_ranks: int = 2) -> list[InterProcessEvent]:
         """Compare the same v-sensor across ranks within each window."""
         self.inter_events = []
-        if self._columns is not None:
-            store = self._replay_columnar()
-            blocks = store.inter_blocks()
-        else:
-            analysis = self._replay()
-            blocks = (
-                (
-                    sensor_id,
-                    window,
-                    np.array(sorted(per_rank)),
-                    np.array([per_rank[rank] for rank in sorted(per_rank)]),
-                )
-                for (sensor_id, window), per_rank in sorted(analysis.per_sensor.items())
-            )
-        for sensor_id, window, ranks, durations in blocks:
+        store = self._replayed()
+        sensor_types = store.sensor_types()
+        for sensor_id, window, ranks, durations in store.inter_blocks():
             if len(ranks) < min_ranks:
                 continue
             best = durations.min()
@@ -360,7 +262,7 @@ class AnalysisServer:
             self.inter_events.append(
                 InterProcessEvent(
                     sensor_id=sensor_id,
-                    sensor_type=self._sensor_type_of(sensor_id),
+                    sensor_type=sensor_types[sensor_id],
                     window_index=window,
                     t_window_start=window * self.window_us,
                     slow_ranks=tuple(int(r) for r in ranks[slow_mask]),
@@ -369,9 +271,6 @@ class AnalysisServer:
                 )
             )
         return self.inter_events
-
-    def _sensor_type_of(self, sensor_id: int) -> SensorType:
-        return self._sensor_types.get(sensor_id, SensorType.COMPUTATION)
 
     # -- matrices (§5.5) -------------------------------------------------------
 
@@ -382,18 +281,8 @@ class AnalysisServer:
         Degraded ranks simply keep their NaN cells — partial telemetry
         must never crash matrix rendering.
         """
-        n_windows = self._max_window + 1
-        if self._columns is not None:
-            store = self._replay_columnar()
-            return store.matrix(SENSOR_TYPE_CODE[sensor_type], self.n_ranks, n_windows)
-        analysis = self._replay()
-        matrix = np.full((self.n_ranks, n_windows), np.nan)
-        for (stype, window), ranks in analysis.cells.items():
-            if stype is not sensor_type:
-                continue
-            for rank, values in ranks.items():
-                matrix[rank, window] = float(np.mean(values))
-        return matrix
+        store = self._replayed()
+        return store.matrix(SENSOR_TYPE_CODE[sensor_type], self.n_ranks, store.max_window() + 1)
 
     def mean_rank_performance(self, sensor_type: SensorType) -> np.ndarray:
         """Per-rank mean normalized performance (persistent-fault signal)."""

@@ -14,12 +14,12 @@ adds the two hardened alternatives:
   is left for the next drain instead of corrupting the stream.
 * :class:`ReliableTransport` — the message path over an unreliable
   channel (:mod:`repro.runtime.channel`).  Batches carry per-rank
-  sequence numbers; unacknowledged batches are retransmitted on timeout
-  with exponential backoff, and the server's watermark-based ingest
-  deduplicates the redeliveries.  Delivery guarantee: at-least-once on
-  the wire, exactly-once effect in the matrices.  Ranks whose batches
-  exhaust their retry budget are marked *degraded* on the server instead
-  of crashing the run.
+  sequence numbers; the endpoint accepting one is its ack, batches not
+  yet accepted are retransmitted on timeout with exponential backoff,
+  and the endpoint's watermark deduplicates the redeliveries.  Delivery
+  guarantee: at-least-once on the wire, exactly-once effect in the
+  matrices.  Ranks whose batches exhaust their retry budget are marked
+  *degraded* on the server instead of crashing the run.
 
 The record wire format matches ``SliceSummary``'s accounted size, so the
 §6.4 volume numbers are transport-independent.
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.runtime.channel import LossyChannel
-from repro.runtime.records import CODE_SENSOR_TYPE, SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
+from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
 from repro.runtime.server import AnalysisServer
 
 #: one record: sensor id (u32), slice index (u32), mean duration (f32),
@@ -66,9 +66,6 @@ _FRAME_DTYPE = np.dtype(
     ]
 )
 assert _FRAME_DTYPE.itemsize == _FRAME_HEADER.size + _RECORD.size
-
-_TYPE_CODE = SENSOR_TYPE_CODE
-_CODE_TYPE = CODE_SENSOR_TYPE
 
 
 @dataclass(slots=True)
@@ -146,7 +143,7 @@ class FileSpool:
                 chunks.append(_FRAME_HEADER.pack(rank, _GROUP_FRAME, code))
                 chunks.append(_GROUP_LEN.pack(len(encoded)))
                 chunks.append(encoded)
-            tag = (_TYPE_CODE[s.sensor_type] << 12) | (code & 0x0FFF)
+            tag = (SENSOR_TYPE_CODE[s.sensor_type] << 12) | (code & 0x0FFF)
             chunks.append(_FRAME_HEADER.pack(rank, 1, tag))
             chunks.append(
                 _RECORD.pack(
@@ -333,19 +330,21 @@ class _Pending:
     payload: tuple
     attempts: int
     next_retry_at: float
-    job: int = 0
 
 
 @dataclass(slots=True)
 class ReliableTransport:
-    """Sequenced, acked, retrying delivery of rank batches to the server.
+    """Sequenced, acked, retrying delivery of one job's rank batches.
 
     Duck-types the server surface :class:`VSensorRuntime` uses (install
     with ``runtime.server = transport``): rank-side sends go through the
-    lossy channel, due envelopes are pumped into the real server, and the
-    server's cumulative ack watermark retires in-flight batches.  Acks
-    model the server's durable watermark being visible to ranks (the
-    shared-file analogue); the simulated faults apply to the data path.
+    lossy channel and due envelopes are pumped into the endpoint (an
+    :class:`AnalysisServer` or a service ``TenantPort``).  Acceptance is
+    the ack: ``receive_batch`` returns True exactly when the endpoint
+    consumed the sequence number, and that return retires the pending
+    batch.  Acks are never lost (the server's durable watermark being
+    visible to ranks, the shared-file analogue); the simulated faults
+    apply to the data path.
     """
 
     server: AnalysisServer
@@ -358,18 +357,15 @@ class ReliableTransport:
     #: optional :class:`~repro.obs.metrics.MetricsRegistry` for delivery
     #: counters; ``None`` keeps the send/pump paths at one branch each
     metrics: object | None = None
-    #: tenant this transport carries; stamped on every envelope so several
-    #: jobs' transports can share a channel into one ingest front
-    job_id: int = 0
-    _next_seq: dict[tuple[int, int], int] = field(default_factory=dict)
-    _pending: dict[tuple[int, int, int], _Pending] = field(default_factory=dict)
-    #: group strings already encoded once per (job, rank) stream (codec
-    #: state: a group definition frame goes on the wire only before its
-    #: first use)
-    _sent_groups: dict[tuple[int, int], set[str]] = field(default_factory=dict)
-    #: encoded wire size per (job, rank, seq) — retransmissions reuse it,
-    #: so a redelivered batch is accounted at exactly its original size
-    _encoded: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    _next_seq: dict[int, int] = field(default_factory=dict)
+    #: sent batches neither accepted nor abandoned, (rank, seq) in send order
+    _pending: dict[tuple[int, int], _Pending] = field(default_factory=dict)
+    #: group strings already encoded once per rank stream (codec state: a
+    #: group definition frame goes on the wire only before its first use)
+    _sent_groups: dict[int, set[str]] = field(default_factory=dict)
+    #: encoded wire size per (rank, seq), kept past the ack: duplicates and
+    #: stale retransmits arriving later are accounted at the original size
+    _encoded: dict[tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def batch_period_us(self) -> float:
@@ -378,7 +374,7 @@ class ReliableTransport:
     def _encoded_size(self, rank: int, summaries: tuple | list) -> int:
         """Wire size of the batch under the spool codec (headers + group
         definition frames included) — what ``bytes_received`` accounts."""
-        sent = self._sent_groups.setdefault((self.job_id, rank), {""})
+        sent = self._sent_groups.setdefault(rank, {""})
         size = 0
         for s in summaries:
             if s.group not in sent:
@@ -392,15 +388,14 @@ class ReliableTransport:
     def send_batch(self, rank: int, summaries: list[SliceSummary], now: float) -> int:
         """Assign the next sequence number and launch the batch."""
         self.clock = max(self.clock, now)
-        job = self.job_id
-        seq = self._next_seq.get((job, rank), 0)
-        self._next_seq[(job, rank)] = seq + 1
+        seq = self._next_seq.get(rank, 0)
+        self._next_seq[rank] = seq + 1
         payload = tuple(summaries)
-        self._encoded[(job, rank, seq)] = self._encoded_size(rank, payload)
-        self.channel.send(rank, seq, payload, self.clock, job=job)
-        self._pending[(job, rank, seq)] = _Pending(
+        self._encoded[(rank, seq)] = self._encoded_size(rank, payload)
+        self.channel.send(rank, seq, payload, self.clock)
+        self._pending[(rank, seq)] = _Pending(
             rank=rank, seq=seq, payload=payload, attempts=1,
-            next_retry_at=self.clock + self.policy.retry_delay(1), job=job,
+            next_retry_at=self.clock + self.policy.retry_delay(1),
         )
         if self.metrics is not None:
             self.metrics.counter("transport.batches_sent").inc()
@@ -415,16 +410,22 @@ class ReliableTransport:
     # -- pump --------------------------------------------------------------
 
     def pump(self, now: float) -> None:
-        """Deliver due envelopes, retire acked batches, retransmit stale ones."""
+        """Deliver due envelopes (an accepted one retires its pending
+        batch), then retransmit or abandon batches whose timer ran out."""
         self.clock = max(self.clock, now)
         for envelope in self.channel.deliver_due(self.clock):
+            key = (envelope.rank, envelope.seq)
             accepted = self.server.receive_batch(
                 envelope.rank,
                 list(envelope.payload),
                 seq=envelope.seq,
-                encoded_bytes=self._encoded.get((envelope.job, envelope.rank, envelope.seq)),
+                encoded_bytes=self._encoded.get(key),
             )
-            if not accepted:
+            if accepted:
+                # (a late copy of an abandoned batch has no entry to retire)
+                if self._pending.pop(key, None) is not None and self.metrics is not None:
+                    self.metrics.counter("transport.batches_acked").inc()
+            else:
                 # An admission-controlled server (the sharded front) can
                 # attach a retry-after hint to a rejection; honoring it
                 # re-times the pending retransmit instead of counting the
@@ -434,7 +435,7 @@ class ReliableTransport:
                 if hint is not None:
                     retry_at = hint(envelope.rank, envelope.seq)
                 if retry_at is not None:
-                    pending = self._pending.get((envelope.job, envelope.rank, envelope.seq))
+                    pending = self._pending.get(key)
                     if pending is not None:
                         pending.next_retry_at = max(pending.next_retry_at, retry_at)
                     if self.metrics is not None:
@@ -442,11 +443,7 @@ class ReliableTransport:
                 else:
                     self.channel.stats.late += 1
         for key, pending in list(self._pending.items()):
-            if self.server.is_acked(pending.rank, pending.seq):
-                del self._pending[key]
-                if self.metrics is not None:
-                    self.metrics.counter("transport.batches_acked").inc()
-            elif pending.next_retry_at <= self.clock:
+            if pending.next_retry_at <= self.clock:
                 if pending.attempts >= self.policy.max_attempts:
                     del self._pending[key]
                     self.gave_up[pending.rank] = self.gave_up.get(pending.rank, 0) + 1
@@ -458,9 +455,7 @@ class ReliableTransport:
                 if self.metrics is not None:
                     self.metrics.counter("transport.retries").inc()
                 pending.attempts += 1
-                self.channel.send(
-                    pending.rank, pending.seq, pending.payload, self.clock, job=pending.job
-                )
+                self.channel.send(pending.rank, pending.seq, pending.payload, self.clock)
                 pending.next_retry_at = self.clock + self.policy.retry_delay(pending.attempts)
 
     def unacked(self) -> int:

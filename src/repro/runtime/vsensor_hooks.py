@@ -42,7 +42,6 @@ class VSensorRuntime(RuntimeHooks):
     #: per-rank outbound buffer and the virtual time of the last batch send
     _buffers: dict[int, list] = field(default_factory=dict)
     _last_batch: np.ndarray = None  # type: ignore[assignment]
-    _summaries_seen: dict[int, int] = field(default_factory=dict)
     events: list[VarianceEvent] = field(default_factory=list)
     #: optional periodic reporter (workflow step 8's live updates)
     live: object | None = None
@@ -86,7 +85,6 @@ class VSensorRuntime(RuntimeHooks):
                 lifecycle=gov.lifecycle(rank) if gov is not None else None,
             )
             self._buffers[rank] = []
-            self._summaries_seen[rank] = 0
 
     def on_sensor_record(
         self, rank: int, sensor_id: int, t_start: float, t_end: float, pmu: PmuSample

@@ -59,7 +59,6 @@ class AnalysisService:
         engine: str = "columnar",
         queue_limit: int = 64,
         cost: ShardCostModel | None = None,
-        vnodes: int = 64,
         rate_limit_rows_per_ms: float | None = None,
         rate_burst_rows: float | None = None,
         obs: object | None = None,
@@ -79,7 +78,7 @@ class AnalysisService:
         )
         self.obs = obs
         self.metrics = obs.metrics if obs is not None else None
-        self.router = ShardRouter(n_shards, vnodes=vnodes)
+        self.router = ShardRouter(n_shards)
         self.cost = cost if cost is not None else ShardCostModel()
         self.shards = [
             ShardWorker(

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.api import run_vsensor
 from repro.obs import Obs
 from repro.sim import MachineConfig
@@ -51,11 +49,8 @@ def test_overhead_report_is_consistent():
     wall, obs = _measure_once()
     report = obs.overhead_report(wall)
     assert report["wall_s"] == wall
-    assert report["tracer_self_s"] + report["metrics_estimated_s"] == pytest.approx(
-        obs.self_cost_s(), rel=0.5
-    )
-    # the metrics term is re-calibrated per call, so only approximately stable
-    assert report["overhead_fraction"] == pytest.approx(
-        obs.overhead_fraction(wall), rel=0.5
-    )
+    # one calibration per registry: the report and the accessors state
+    # the same measurement, not two timings of it
+    assert report["tracer_self_s"] + report["metrics_estimated_s"] == obs.self_cost_s()
+    assert report["overhead_fraction"] == obs.overhead_fraction(wall)
     assert report["spans"] > 0 and report["metric_ops"] > 0

@@ -158,3 +158,95 @@ def test_real_run_batches_invariant(real_batches, order_seed, dup_seed):
     redelivered = list(real_batches) + [b for b in real_batches if rng.random() < 0.3]
     random.Random(order_seed).shuffle(redelivered)
     _assert_equivalent(baseline, _deliver(redelivered))
+
+
+# -- the transport's side of the contract: acceptance is the ack --------------
+
+
+@given(
+    drop=st.floats(0.0, 0.6),
+    dup=st.floats(0.0, 0.5),
+    reorder=st.floats(0.0, 0.5),
+    channel_seed=st.integers(0, 2**16),
+    max_attempts=st.sampled_from([2, 4, 40]),
+    steps=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 1), st.floats(0.0, 3000.0)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_pending_is_exactly_sent_minus_acked_minus_abandoned(
+    drop, dup, reorder, channel_seed, max_attempts, steps
+):
+    """Over random drop/dup/reorder schedules into a back-pressured
+    ``TenantPort`` (one slow shard, queue of one): after every
+    ``send_batch`` / ``pump`` the transport's pending set is exactly the
+    sent ``(rank, seq)`` that the endpoint has not acked and the transport
+    has not abandoned, and ``finish()`` leaves it empty."""
+    from collections import Counter
+
+    from repro.runtime.channel import ChannelConfig, LossyChannel
+    from repro.runtime.transport import ReliableTransport, RetryPolicy
+    from repro.service import AnalysisService, ShardCostModel
+
+    service = AnalysisService(
+        1, window_us=2000.0, queue_limit=1, cost=ShardCostModel(base_us=2_000.0)
+    )
+    port = service.register_job(0, 2)
+    transport = ReliableTransport(
+        server=port,  # type: ignore[arg-type]
+        channel=LossyChannel(
+            config=ChannelConfig(
+                drop_rate=drop,
+                dup_rate=dup,
+                reorder_rate=reorder,
+                reorder_delay_us=5_000.0,
+                seed=channel_seed,
+            )
+        ),
+        policy=RetryPolicy(timeout_us=500.0, max_attempts=max_attempts),
+    )
+    sent: set[tuple[int, int]] = set()
+    abandoned: set[tuple[int, int]] = set()
+    was_pending: set[tuple[int, int]] = set()
+
+    def check() -> None:
+        nonlocal was_pending
+        pending = set(transport._pending)
+        # Deliveries precede the retry walk inside one pump, so a batch
+        # that left the pending set unacked was abandoned by that walk.
+        abandoned.update(k for k in was_pending - pending if not port.is_acked(*k))
+        assert transport.gave_up == dict(Counter(rank for rank, _ in abandoned))
+        assert pending == {
+            k for k in sent if k not in abandoned and not port.is_acked(*k)
+        }
+        was_pending = pending
+
+    now = 0.0
+    for is_send, rank, dt in steps:
+        now += dt
+        service.pump(now)
+        if is_send:
+            seq = sum(1 for r, _ in sent if r == rank)
+            row = _summary(rank, 1, SensorType.COMPUTATION, "", seq, 10.0)
+            assert transport.send_batch(rank, [row], now) == seq
+            sent.add((rank, seq))
+            # send_batch pumps before returning, so the new batch may
+            # already have been retired; it was pending in between.
+            was_pending.add((rank, seq))
+        else:
+            transport.pump(now)
+        check()
+
+    # finish() alone does not advance the shards' clock, so what is still
+    # queued behind the full shard ends in hinted retries or abandonment.
+    transport.finish()
+    service.finish()
+    assert transport._pending == {} and transport.unacked() == 0
+    unacked = {k for k in sent if not port.is_acked(*k)}
+    assert len(unacked) <= sum(transport.gave_up.values())
+    assert {rank for rank, _ in unacked} <= set(transport.gave_up) == port.degraded
+    # Exactly-once effect: one row per accepted batch, none twice.
+    assert port.stored_summaries == len(sent) - len(unacked)
+    assert port.duplicate_summaries == 0

@@ -40,6 +40,11 @@ def _summary(rank, sensor_id, stype, group, slice_index, duration, miss=0.1):
     )
 
 
+#: sensor 3 reports under a type drawn per summary, so the sensor -> type
+#: answer depends on which stored row came last
+_FIXED_TYPES = {1: SensorType.COMPUTATION, 2: SensorType.NETWORK}
+
+
 @st.composite
 def batch_pools(draw):
     """A pool of per-rank batches with unique summary identities."""
@@ -47,7 +52,7 @@ def batch_pools(draw):
         st.sets(
             st.tuples(
                 st.integers(0, N_RANKS - 1),        # rank
-                st.sampled_from([1, 2]),            # sensor
+                st.sampled_from([1, 2, 3]),         # sensor
                 st.sampled_from(["", "H", "L"]),    # group
                 st.integers(0, 5),                  # slice
             ),
@@ -58,7 +63,7 @@ def batch_pools(draw):
     summaries = []
     for rank, sensor_id, group, slice_index in sorted(keys):
         duration = draw(st.floats(min_value=0.5, max_value=100.0, allow_nan=False))
-        stype = SensorType.COMPUTATION if sensor_id == 1 else SensorType.NETWORK
+        stype = _FIXED_TYPES.get(sensor_id) or draw(st.sampled_from(list(SensorType)))
         summaries.append(_summary(rank, sensor_id, stype, group, slice_index, duration))
     batches = []
     for rank in range(N_RANKS):
@@ -95,7 +100,12 @@ def _assert_equivalent(ref: AnalysisServer, col: AnalysisServer) -> None:
             col.mean_rank_performance(stype),
             equal_nan=True,
         )
+    # Event equality covers ``sensor_type``: last stored row wins on both.
     assert ref.detect_inter_process() == col.detect_inter_process()
+    for now in (0.0, 2500.0, 6000.0):
+        assert ref.silent_ranks(now, staleness_us=1500.0) == col.silent_ranks(
+            now, staleness_us=1500.0
+        )
     assert ref.history._standard == col.history._standard
     assert ref.stored_summaries == col.stored_summaries
     assert ref.degraded == col.degraded
@@ -116,6 +126,9 @@ def _assert_equivalent(ref: AnalysisServer, col: AnalysisServer) -> None:
 def test_engines_bit_identical_under_redelivery(pool, order_seed, dup_seed, degraded):
     rng = random.Random(dup_seed)
     stream = list(pool) + [b for b in pool if rng.random() < 0.4]
+    # Unsequenced copies pass the watermark, so whichever copy comes second
+    # reaches the store as a batch holding only identity duplicates.
+    stream += [(rank, batch, None) for rank, batch, _ in pool if rng.random() < 0.3]
     random.Random(order_seed).shuffle(stream)
     ref, col = _servers()
     for rank, batch, seq in stream:
@@ -273,6 +286,36 @@ def test_stored_summaries_counts_deduplicated_rows():
         server.receive_batch(0, batch)  # identity duplicate, no seq
         assert server.stored_summaries == 1
         assert server.duplicate_summaries == 1
+
+
+def test_sensor_type_is_last_stored_row_and_duplicates_change_nothing():
+    """One sensor id arriving under two types: the later stored row names
+    the event's type on both engines, and a batch of nothing but identity
+    duplicates (carrying the older type) moves none of the answers."""
+    first = [_summary(r, 7, SensorType.COMPUTATION, "", 0, 10.0 * (1 + 3 * r)) for r in (0, 1)]
+    second = [_summary(r, 7, SensorType.NETWORK, "", 4, 10.0 * (1 + 3 * r)) for r in (0, 1)]
+
+    def answers(server):
+        events = server.detect_inter_process()
+        return (
+            [(e.window_index, e.sensor_type, e.slow_ranks) for e in events],
+            server.silent_ranks(5000.0, staleness_us=1500.0),
+            server.performance_matrix(SensorType.NETWORK).shape,
+        )
+
+    for server in _servers():
+        for row in first + second:
+            server.receive_batch(row.rank, [row])
+        expected = (
+            [(0, SensorType.NETWORK, (1,)), (2, SensorType.NETWORK, (1,))],
+            [2, 3],
+            (N_RANKS, 3),
+        )
+        assert answers(server) == expected
+        for row in first:
+            server.receive_batch(row.rank, [row])
+        assert server.duplicate_summaries == 2 and server.stored_summaries == 4
+        assert answers(server) == expected
 
 
 # -- byte accounting ----------------------------------------------------------

@@ -76,16 +76,16 @@ def test_multiple_ranks_separate_spools(tmp_path):
 
 
 class _CapturingServer(AnalysisServer):
-    """Records every ingested summary (AnalysisServer uses slots, so the
-    capture must be a subclass override, not a monkeypatch).  The hook
-    only exists on the reference engine's per-object ingest path, so
-    instances are built with ``engine="reference"``."""
+    """Records every summary a spool drain hands over (AnalysisServer uses
+    slots, so the capture must be a subclass override, not a monkeypatch).
+    A drain delivers decoded column batches; they are captured in object
+    form, as the reference engine (``engine="reference"``) ingests them."""
 
     captured: list = []
 
-    def _ingest(self, s):
-        type(self).captured.append(s)
-        super()._ingest(s)
+    def receive_batch_columns(self, rank, columns, seq=None, encoded_bytes=None):
+        type(self).captured.extend(columns.to_summaries())
+        return super().receive_batch_columns(rank, columns, seq, encoded_bytes)
 
 
 def test_cache_miss_quantization_error_small(tmp_path):
@@ -436,27 +436,3 @@ def test_spool_job_round_trip_preserves_job_id_and_groups(tmp_path):
     (legacy,) = _CapturingServer.captured
     assert legacy.job_id == 0
     assert legacy.group == "phase-b"
-
-
-def test_reliable_transport_recovers_with_nonzero_job_id():
-    """Sequencing, retransmit lookup, and acks are keyed by (job, rank):
-    a tenant with a non-zero job_id survives a lossy channel exactly like
-    the single-tenant path."""
-    from repro.runtime.channel import ChannelConfig, LossyChannel
-    from repro.runtime.transport import ReliableTransport, RetryPolicy
-
-    server = AnalysisServer(n_ranks=2, window_us=1000.0)
-    channel = LossyChannel(config=ChannelConfig(drop_rate=0.4, dup_rate=0.2, seed=13))
-    transport = ReliableTransport(
-        server=server,
-        channel=channel,
-        policy=RetryPolicy(timeout_us=1000.0, max_attempts=12),
-        job_id=7,
-    )
-    _send_all(transport, _batches())
-    assert all(key[0] == 7 for key in transport._next_seq)
-    transport.finish()
-    assert transport.unacked() == 0
-    assert transport.gave_up == {}
-    assert server.stored_summaries == 12
-    assert channel.stats.dropped > 0, "the channel really was lossy"

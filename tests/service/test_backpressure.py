@@ -81,11 +81,10 @@ def test_transport_honors_retry_after_over_its_own_backoff():
         server=port,  # type: ignore[arg-type]
         channel=perfect_channel(),
         policy=RetryPolicy(timeout_us=100.0, max_attempts=50),
-        job_id=0,
     )
     transport.send_batch(0, _batch(0, [0]), now=0.0)
     transport.send_batch(0, _batch(0, [1]), now=0.0)  # rejected, hint=10000
-    pending = transport._pending[(0, 0, 1)]
+    pending = transport._pending[(0, 1)]
     assert pending.next_retry_at == 10_000.0  # hint, not clock + 100
     sent_before = transport.channel.stats.sent
     transport.pump(5_000.0)  # before the hint: no retransmit
@@ -106,7 +105,6 @@ def test_no_drop_no_double_apply_under_sustained_pressure():
         channel=perfect_channel(),
         policy=RetryPolicy(timeout_us=1_000.0, max_attempts=60),
         metrics=obs.metrics,
-        job_id=0,
     )
     n_batches = 8
     for i in range(n_batches):
@@ -144,7 +142,6 @@ def test_tenants_do_not_share_blame_for_backpressure():
             channel=perfect_channel(),
             policy=RetryPolicy(timeout_us=500.0, max_attempts=60),
             metrics=obs.metrics,
-            job_id=j,
         )
         for j in (1, 2)
     }

@@ -111,7 +111,6 @@ def test_transport_paces_to_the_bucket_and_loses_nothing():
         channel=perfect_channel(),
         policy=RetryPolicy(timeout_us=100.0, max_attempts=80),
         metrics=obs.metrics,
-        job_id=0,
     )
     n_batches = 6
     for i in range(n_batches):

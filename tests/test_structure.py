@@ -1,0 +1,121 @@
+"""Structural gates: what must stay *absent*, asserted on the objects.
+
+Each block names a duplicate path or a second copy of a fact that a PR
+removed, and fails if it grows back.  The checks import the modules and
+look at classes, signatures and source text — nothing here runs the
+pipeline (table completeness lives in ``tests/sim/test_op_table.py``).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+import re
+from pathlib import Path
+
+import repro
+import repro.service
+import repro.sim.lockstep
+from repro.api import run_multi_job
+from repro.runtime import columnar
+from repro.runtime.channel import Envelope, LossyChannel
+from repro.runtime.columnar import ColumnarStore
+from repro.runtime.reference import ReferenceStore
+from repro.runtime.server import AnalysisServer
+from repro.runtime.transport import ReliableTransport, _Pending
+from repro.runtime.vsensor_hooks import VSensorRuntime
+from repro.service import AnalysisService
+from repro.sim.lockstep import clocks
+
+
+def _package_sources(package) -> dict[str, str]:
+    root = Path(package.__file__).parent
+    return {str(path.relative_to(root)): path.read_text() for path in root.rglob("*.py")}
+
+
+def _public_methods(cls) -> set[str]:
+    return {
+        name
+        for name, member in inspect.getmembers(cls, inspect.isfunction)
+        if not name.startswith("_")
+    }
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# -- the rank -> server hop holds each fact once ------------------------------
+
+
+def test_transport_does_not_poll_for_acks():
+    """Acceptance is the ack: ``pump`` acts on ``receive_batch``'s return."""
+    assert "is_acked" not in inspect.getsource(ReliableTransport.pump)
+    assert "is_acked" not in inspect.getsource(inspect.getmodule(ReliableTransport))
+
+
+def test_a_transport_carries_one_tenant():
+    assert "job" not in _field_names(Envelope)
+    assert "job" not in _field_names(_Pending)
+    assert "job_id" not in _field_names(ReliableTransport)
+    assert "job" not in inspect.signature(LossyChannel.send).parameters
+
+
+def test_server_is_endpoint_accounting_over_one_store():
+    removed = {
+        "_columns", "_store", "_analysis", "_max_window", "_sensor_types", "_last_seen",
+    }
+    assert not removed & set(AnalysisServer.__slots__)
+    for name in ("_ingest", "_replay", "_note_ingest", "_replay_columnar", "export_rows"):
+        assert not hasattr(AnalysisServer, name)
+    assert "_rows" in AnalysisServer.__slots__
+
+
+def test_both_stores_answer_the_same_questions():
+    assert _public_methods(ColumnarStore) == _public_methods(ReferenceStore)
+    for cls in (ColumnarStore, ReferenceStore):
+        for ingest in (cls.ingest_summaries, cls.ingest_columns):
+            assert len(inspect.signature(ingest).parameters) == 2  # self + the batch
+    assert not hasattr(ColumnarStore, "export_summaries")
+
+
+def test_columnar_store_keeps_only_columns_a_query_reads():
+    names = [name for name, _ in columnar._COLUMNS]
+    assert "count" not in names and "miss" not in names
+    assert set(ColumnarStore(1000.0)._cols) == set(names)
+
+
+def test_dead_state_and_unset_knobs_stay_gone():
+    assert "_summaries_seen" not in VSensorRuntime.__slots__
+    assert "vnodes" not in inspect.signature(run_multi_job).parameters
+    assert "vnodes" not in inspect.signature(AnalysisService.__init__).parameters
+
+
+# -- gates that used to be grep steps in ci.yml -------------------------------
+
+
+def test_no_opcode_number_literals_in_the_lockstep_tier():
+    """Its loops are rendered from ``OP_TABLE``; an ``op == 17`` is a
+    second statement of an opcode's number."""
+    literal = re.compile(r"op (==|!=|<=|>=) [0-9]|[0-9]+ <= op")
+    for name, source in _package_sources(repro.sim.lockstep).items():
+        assert not literal.search(source), name
+
+
+def test_no_per_slice_round_loop_in_the_lockstep_clocks():
+    """A NumPy pass integrates a block of jitter slices."""
+    loop = re.compile(r"for _ in range\((10_000_000|STEP_CAP)\)")
+    assert not loop.search(inspect.getsource(clocks))
+
+
+def test_one_analysis_store_per_tenant():
+    """Shard workers apply into the job's one store: the service builds an
+    ``AnalysisServer`` in exactly one place and nothing re-exports rows."""
+    built = sum(
+        source.count("AnalysisServer(")
+        for source in _package_sources(repro.service).values()
+    )
+    assert built == 1
+    hop = re.compile(r"export_rows|export_summaries|_sub_seqs")
+    for name, source in _package_sources(repro).items():
+        assert not hop.search(source), name
