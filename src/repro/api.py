@@ -305,7 +305,8 @@ def run_vsensor(
     drained onto per-rank interpreters) or ``"auto"`` (bytecode below
     :data:`~repro.sim.AUTO_LOCKSTEP_MIN_RANKS` ranks, lockstep at or
     above — the crossover measured in ``BENCH_interp.json``, where
-    lockstep is a slowdown at 8 ranks but wins from 32 up).  All tiers
+    lockstep is a slowdown at 8 ranks for two programs of three and wins
+    at 32 for two of three, at 128 for all).  All tiers
     are bit-identical; ``"auto"`` is the recommended setting for runs
     whose rank counts vary.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.frontend.location import SourceLoc
 
@@ -353,3 +353,23 @@ def collect_calls(root: Stmt) -> list[CallExpr]:
 def collect_loops(root: Stmt) -> list[Stmt]:
     """All loop statements (for/while) anywhere under ``root``."""
     return [s for s in walk_stmts(root) if isinstance(s, (ForStmt, WhileStmt))]
+
+
+def clone_tree(node: Node) -> Node:
+    """Structural copy of the tree under ``node``, node ids included.
+
+    Nodes and the lists that hold them are copied; everything else a node
+    carries (locations, names, literal values) is immutable and shared.  The
+    instrumenter splices probes into such a copy, so the parse artifact the
+    other passes hold stays as parsed.
+    """
+    cls = type(node)
+    clone = object.__new__(cls)
+    for f in fields(cls):
+        value = getattr(node, f.name)
+        if isinstance(value, Node):
+            value = clone_tree(value)
+        elif type(value) is list:
+            value = [clone_tree(child) for child in value]
+        setattr(clone, f.name, value)
+    return clone

@@ -97,15 +97,29 @@ class Parser:
         self._advance()
         return tok.text
 
+    def _parse_array_size(self, name: str) -> int | None:
+        """The ``[N]`` suffix of a declaration of ``name``, if present.
+
+        Every tier indexes modulo the length, so an empty array has no
+        valid index: refused here, where the size is still a literal.
+        """
+        if not self._match(K.LBRACKET):
+            return None
+        size_tok = self._expect(K.INT_LIT, "array size")
+        size = int(size_tok.text)
+        if size < 1:
+            raise ParseError(
+                f"array {name!r} must have at least one element, not {size}",
+                size_tok.loc.line, size_tok.loc.col,
+            )
+        self._expect(K.RBRACKET, "']'")
+        return size
+
     def _parse_global(self) -> A.GlobalVar:
         loc = self._expect(K.KW_GLOBAL, "'global'").loc
         var_type = self._parse_type()
         name = self._expect(K.IDENT, "global variable name").text
-        array_size: int | None = None
-        if self._match(K.LBRACKET):
-            size_tok = self._expect(K.INT_LIT, "array size")
-            array_size = int(size_tok.text)
-            self._expect(K.RBRACKET, "']'")
+        array_size = self._parse_array_size(name)
         init: A.Expr | None = None
         if self._match(K.ASSIGN):
             init = self._parse_expr()
@@ -175,11 +189,7 @@ class Parser:
         loc = self._peek().loc
         var_type = self._parse_type()
         name = self._expect(K.IDENT, "variable name").text
-        array_size: int | None = None
-        if self._match(K.LBRACKET):
-            size_tok = self._expect(K.INT_LIT, "array size")
-            array_size = int(size_tok.text)
-            self._expect(K.RBRACKET, "']'")
+        array_size = self._parse_array_size(name)
         init: A.Expr | None = None
         if self._match(K.ASSIGN):
             init = self._parse_expr()

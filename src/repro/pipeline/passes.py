@@ -17,7 +17,7 @@ so the :class:`~repro.pipeline.manager.PassManager` can cache artifacts
 content-addressed and re-run exactly the stages a change invalidates.
 
 The ``instrument`` pass never mutates the shared ``parse`` artifact: it
-splices probes into a deep copy (node ids are preserved by copying, and the
+splices probes into a structural copy (``ast_nodes.clone_tree`` keeps node ids; the
 probe nodes themselves are numbered deterministically past the tree's
 maximum id), which is what makes the parse/identify artifacts safely
 shareable across cached compilations.
@@ -25,7 +25,6 @@ shareable across cached compilations.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 
 from repro.callgraph.graph import CallGraph, build_call_graph
@@ -166,7 +165,7 @@ def _max_node_id(module: A.Module) -> int:
 
 def _instrument_pass(_ctx: CompilerContext, ins) -> InstrumentedProgram:
     selection: SelectionArtifact = ins["select"]
-    module = copy.deepcopy(ins["parse"])
+    module = A.clone_tree(ins["parse"])
     # Probe nodes get deterministic ids just past the tree's own, keeping the
     # instrumented tree reproducible and its ids collision-free.
     with A.fresh_node_ids(start=_max_node_id(module) + 1):

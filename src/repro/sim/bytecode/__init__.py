@@ -12,7 +12,10 @@ compact register-based instruction stream:
   float result — see the accounting note in :mod:`repro.sim.interp`);
 * call sites are pre-classified (user function / intrinsic family /
   extern model / indirect funcptr) so the VM never string-matches a name
-  in the hot loop.
+  in the hot loop;
+* at first dispatch the program is *rendered* (:mod:`.render`) into one
+  generator function whose basic blocks are straight-line code built from
+  the opcode table's bodies — no per-instruction fetch or dispatch chain.
 
 The read-only :class:`ProgramCode` is shared by all N rank VMs; per-rank
 setup is allocation-only.  The VM speaks the exact generator protocol of

@@ -30,7 +30,7 @@ Lowering decisions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import InterpError
 from repro.frontend import ast_nodes as A
@@ -45,6 +45,7 @@ from repro.sensors.estimate import (
     COST_UNARY,
 )
 from repro.sim.bytecode import ops
+from repro.sim.bytecode.render import block_leaders, render_core
 from repro.sim.interp import (
     _INTRINSIC_NAMES,
     _MATH_FUNCS,
@@ -70,6 +71,11 @@ class FuncCode:
     #: — the reconvergence metadata the lockstep tier's mask frames run on.
     #: ``head_pc`` is -1 for ifs; for loops it is the loop-header pc.
     cf: dict
+    #: first constant register: ``proto[const_base:]`` are the literals of
+    #: the source, and no instruction writes a register from here up
+    const_base: int
+    #: pcs the scalar core can be entered at (``render.block_leaders``)
+    leaders: frozenset
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +88,15 @@ class ProgramCode:
     global_index: dict
     #: the module's globals in declaration order (AST nodes, for per-rank init)
     global_decls: tuple
+    _core: object = field(default=None, init=False, repr=False, compare=False)
+
+    def core(self):
+        """The scalar tier's generator function ``core(interp, state)`` for
+        this program, rendered at first dispatch (a lockstep run that never
+        drains a lane never pays for it) and freed with the program."""
+        if self._core is None:
+            object.__setattr__(self, "_core", render_core(self))
+        return self._core
 
 
 _MATH_TWO_ARG = frozenset(("pow", "fmod", "min", "max"))
@@ -659,6 +674,8 @@ class _FuncCompiler:
             local_names=tuple(self.local_names),
             names=names,
             cf=cf,
+            const_base=const_base,
+            leaders=block_leaders(code),
         )
 
     def _peephole(self) -> None:

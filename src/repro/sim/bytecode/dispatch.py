@@ -2,8 +2,10 @@
 
 One :data:`OP_TABLE` entry per opcode carries
 
-* the scalar handler body (source text), from which the per-rank dispatch
-  core :data:`DISPATCH_CORE` is code-generated at import time;
+* the scalar handler body (source text): the one statement of the opcode's
+  semantics, from which :mod:`repro.sim.bytecode.render` renders each
+  program's scalar core — one generator function per ``ProgramCode``, its
+  basic blocks straight-line code with the operands substituted;
 * a **fusability class** telling the lockstep tier (and the disassembler's
   ``fusability`` annotations) how the op behaves under SIMD-over-ranks
   execution; and
@@ -24,14 +26,14 @@ how an entry renders there:
 * *full-width only* (class in :data:`NEEDS_FULL_BATCH`): the handler runs
   at full width, and the masked loop drains the batch instead.
 
-Generating the scalar core instead of hand-writing the ``elif`` ladder
-buys two things: the opcode numbers are inlined as integer literals (the
-historical ladder paid a global + attribute load per ``op == ops.X``
-comparison), and the exact same handler source can be re-entered
-mid-program — the core runs off an explicit :class:`ScalarState`, which is
-how drained lockstep lanes resume on a real
-:class:`~repro.sim.bytecode.vm.BytecodeInterp` from an arbitrary program
-point.
+Bodies are written against the names of the rendered core (``regs``,
+``glist``, ``pend_h``/``tot_h``, ``fc``, ``stack``, ``state`` …) and the
+operand names ``a``/``b``/``c``/``op``; ``pc`` reads as the pc *after* the
+instruction, so ``pc - 1`` is the instruction itself.  The core runs off
+an explicit :class:`ScalarState`, which is how drained lockstep lanes
+resume on a real :class:`~repro.sim.bytecode.vm.BytecodeInterp`
+mid-program — at any block leader
+(:func:`repro.sim.bytecode.render.block_leaders`).
 
 Handler bodies must mirror the AST tier exactly; see the bit-identity
 recipe in DESIGN.md §9.
@@ -41,9 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import InterpError
 from repro.sim.bytecode import ops
-from repro.sim.interp import MpiRequest
 
 
 class _Undef:
@@ -59,10 +59,13 @@ UNDEF = _Undef()
 
 
 class ScalarState:
-    """Explicit machine state for one rank's dispatch core.
+    """Explicit machine state for one rank's scalar core.
 
     ``BytecodeInterp.run`` builds one per program run; the lockstep tier
     builds them mid-flight when a diverged lane leaves the fused batch.
+    ``pc`` (and every saved frame's return pc) is a block leader of its
+    function; the core writes it back at each MPI yield, where the lane
+    may be re-fused, and not when the program finishes.
     """
 
     __slots__ = ("glist", "fc", "code", "regs", "pc", "stack", "trace",
@@ -94,6 +97,14 @@ FUSE_DIVERGE = "diverge"        # always drains diverged lanes (indirect calls)
 #: masked loop drains the batch at these ops
 NEEDS_FULL_BATCH = frozenset((FUSE_RENDEZVOUS, FUSE_OBSERVE, FUSE_DIVERGE))
 
+#: vector/branch-class ops whose ``FusedVM`` handler can still drain the
+#: batch *at* the op — an unstructured jump under a lane mask, an array
+#: operand that is not one uniform list, an undefined read the scalar tier
+#: reports — so a drained lane re-executes them: their pcs are block leaders
+SPILLS_IN_PLACE = frozenset(
+    (ops.JUMP, ops.INDEX, ops.INDEXG, ops.STIDX, ops.STIDXG, ops.CHKDEF)
+)
+
 
 @dataclass(frozen=True, slots=True)
 class OpSpec:
@@ -118,7 +129,7 @@ def _spec(name: str, fuse: str, body: str, *extra_codes, handler=None) -> OpSpec
 
 
 #: dispatch table, hottest first by measured execution counts over the
-#: workload analogues (every rendered chain tests in this order)
+#: workload analogues (the lockstep tier's rendered chains test in this order)
 OP_TABLE = (
     _spec("CHARGE", FUSE_VECTOR, """\
 pend_h += a
@@ -466,69 +477,3 @@ def fuse_class(op: int) -> str | None:
     """Fusability class of ``op``, or None for unknown/unused opcodes."""
     spec = OP_SPECS.get(op)
     return spec.fuse if spec is not None else None
-
-
-def _render_core_source() -> str:
-    lines = [
-        "def _dispatch_core(self, state):",
-        "    program = self.program",
-        "    funcs = program.funcs",
-        "    func_index = program.func_index",
-        "    rank = self.rank",
-        "    clock = self.clock",
-        "    hooks = self.hooks",
-        "    rng = self._rng",
-        "    undef = UNDEF",
-        "    nmod = max(1, self.n_ranks)",
-        "    glist = state.glist",
-        "    fc = state.fc",
-        "    code = state.code",
-        "    regs = state.regs",
-        "    pc = state.pc",
-        "    stack = state.stack",
-        "    trace = state.trace",
-        "    pend_h = self._pending_half",
-        "    tot_h = self._total_half",
-        "    while True:",
-        "        op, a, b, c = code[pc]",
-        "        pc += 1",
-    ]
-    kw = "if"
-    for spec in OP_TABLE:
-        cond = " or ".join(f"op == {code}" for code in spec.codes)
-        lines.append(f"        {kw} {cond}:  # {spec.name}")
-        body = spec.body.replace("__RET__", str(ops.RET))
-        for body_line in body.rstrip("\n").split("\n"):
-            lines.append(f"            {body_line}" if body_line else "")
-        kw = "elif"
-    lines += [
-        "        else:  # pragma: no cover - compiler never emits unknown ops",
-        "            raise InterpError(f'bad opcode {op}')",
-        "    self._pending_half = pend_h",
-        "    self._total_half = tot_h",
-        "    self._flush()",
-        "    hooks.on_program_end(rank, clock.now)",
-        "    state.fc = fc",
-        "    state.code = code",
-        "    state.regs = regs",
-        "    state.pc = pc",
-        "    state.trace = trace",
-        "    state.finished = True",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _build_core():
-    source = _render_core_source()
-    namespace = {
-        "MpiRequest": MpiRequest,
-        "InterpError": InterpError,
-        "UNDEF": UNDEF,
-    }
-    exec(compile(source, "<bytecode-dispatch>", "exec"), namespace)
-    return namespace["_dispatch_core"]
-
-
-#: the generated per-rank dispatch core (a generator function taking
-#: ``(self, state)``) — installed as ``BytecodeInterp._dispatch_core``
-DISPATCH_CORE = _build_core()

@@ -6,7 +6,7 @@ Register operands index one flat per-frame list laid out as
 creation (the prototype list is copied), so operand fetch is always a plain
 list index.  Every constant here has exactly one entry in
 :data:`repro.sim.bytecode.dispatch.OP_TABLE`, whose order (not this
-numbering) is the order the rendered dispatch chains test in.
+numbering) is the order the lockstep tier's rendered chains test in.
 """
 
 from __future__ import annotations

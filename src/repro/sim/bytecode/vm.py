@@ -4,8 +4,12 @@ One :class:`BytecodeInterp` per rank, all sharing one read-only
 :class:`~repro.sim.bytecode.compiler.ProgramCode`.  The VM subclasses
 :class:`~repro.sim.interp.RankInterp` so the clock, PMU, RNG, probe and IO
 machinery — everything observable — is literally the same object code as
-the AST tier; only statement/expression execution is replaced by the
-dispatch core generated from :data:`repro.sim.bytecode.dispatch.OP_TABLE`.
+the AST tier; only statement/expression execution is replaced, by the
+program's *rendered core* (``ProgramCode.core()``,
+:mod:`repro.sim.bytecode.render`): one generator function per program whose
+basic blocks are straight-line code assembled from the
+:data:`~repro.sim.bytecode.dispatch.OP_TABLE` bodies.  There is no generic
+per-instruction loop beside it.
 
 The core keeps the hot half-unit work counters (``pend_h`` / ``tot_h``) in
 Python locals and mirrors them into the inherited ``_pending_half`` /
@@ -17,14 +21,15 @@ must be applied in program order.
 The generator protocol is the AST tier's: MPI rendezvous yields an
 :class:`~repro.sim.interp.MpiRequest` and receives the completion time.
 Because the core runs off an explicit :class:`ScalarState`, execution can
-also *start mid-program*: the lockstep tier drains diverged lanes by
-handing a materialized state to :meth:`BytecodeInterp.resume`.
+also *start mid-program*, at any block leader: the lockstep tier drains
+diverged lanes by handing a materialized state to
+:meth:`BytecodeInterp.resume`.
 """
 
 from __future__ import annotations
 
 from repro.errors import InterpError
-from repro.sim.bytecode.dispatch import DISPATCH_CORE, UNDEF, ScalarState, _Undef
+from repro.sim.bytecode.dispatch import UNDEF, ScalarState, _Undef
 from repro.sim.interp import RankInterp
 
 __all__ = ["BytecodeInterp", "ScalarState", "UNDEF", "_Undef"]
@@ -60,9 +65,6 @@ class BytecodeInterp(RankInterp):
                 glist.append(0.0 if gv.var_type == "float" else 0)
         return glist
 
-    #: generated dispatch loop — ``def _dispatch_core(self, state)`` generator
-    _dispatch_core = DISPATCH_CORE
-
     def run(self):
         """Generator: yields MpiRequest; receives completion times."""
         program = self.program
@@ -81,17 +83,19 @@ class BytecodeInterp(RankInterp):
         )
         if state.trace:
             self.hooks.on_func_enter(self.rank, fc.name, self.clock.now)
-        yield from self._dispatch_core(state)
+        yield from program.core()(self, state)
 
     def resume(self, state: ScalarState):
-        """Run the dispatch core from an arbitrary materialized ``state``.
+        """Run the program's core from a materialized ``state``.
 
         Used by the lockstep tier to drain a diverged lane: the fused VM
         extracts the lane's registers/stack/pc into a :class:`ScalarState`
         and this rank's clock/PMU/RNG (shared with the fused batch the
-        whole time) carry on exactly where the vectors left off.
+        whole time) carry on exactly where the vectors left off.  The
+        core refuses (``InterpError``) a ``state.pc`` or saved return pc
+        that is not a block leader of its function.
         """
-        return self._dispatch_core(state)
+        return self.program.core()(self, state)
 
     # -- cold paths ---------------------------------------------------------
 

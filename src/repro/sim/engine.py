@@ -50,12 +50,13 @@ from repro.sim.network import NetworkModel
 _P2P_OPS = ("send", "recv", "sendrecv")
 
 #: rank count at and above which ``engine="auto"`` picks the lockstep
-#: tier.  BENCH_interp.json (uninstrumented, lockstep over bytecode): at
-#: 8 ranks the answer depends on the program (CG 1.22x, FT 2.75x, LULESH
-#: 0.60x — batch setup and divergence draining still dominate LULESH's
-#: narrow lanes); from 32 ranks up every measured workload is >1x (CG
-#: 3.66x, FT 7.87x, LULESH 1.60x) and the gap widens with width.  The
-#: crossover is pinned between those measured points.
+#: tier.  Lockstep over the per-program rendered bytecode tier,
+#: instrumented (BENCH_interp.json): at 8 ranks CG 0.49x, FT 1.02x, LULESH
+#: 0.40x; at 32 ranks CG 1.62x, FT 2.43x, LULESH 0.91x; at 128 every
+#: workload wins (2.1-4.2x).  At 16 ranks, measured when the scalar tier
+#: was last sped up: FT 1.6x, LULESH 0.6x, CG a tie (1.02x / 0.94x in two
+#: sets) — the three programs' summed wall time is equal on both tiers, so
+#: the crossover stays here.
 AUTO_LOCKSTEP_MIN_RANKS = 16
 
 

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.api import run_uninstrumented
 from repro.errors import ParseError
 from repro.frontend import ast_nodes as A
 from repro.frontend.parser import parse_source
+from repro.sim.machine import MachineConfig
 
 
 def first_stmt(source_body):
@@ -228,6 +230,25 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse_source("int main() {\n  x = ;\n}")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "global float x[0];\nint main() { x[1] = 2.0; return 0; }",
+            "int main() {\n  int x[0];\n  x[3] = 1;\n  return x[0];\n}",
+        ],
+        ids=["global", "local"],
+    )
+    def test_empty_array_is_refused_on_every_tier(self, source):
+        """Every tier indexes ``i % len(arr)``: an empty array used to die
+        with a bare ZeroDivisionError at its first index, in all three."""
+        machine = MachineConfig(n_ranks=2, ranks_per_node=2)
+        for engine in ("ast", "bytecode", "lockstep"):
+            with pytest.raises(ParseError, match="array 'x' must have at least one") as exc:
+                run_uninstrumented(source, machine, engine=engine)
+            assert (exc.value.line, exc.value.col) == (
+                (1, 16) if source.startswith("global") else (2, 9)
+            )
 
 
 class TestNodeIdentity:

@@ -1,12 +1,18 @@
 """The seven-pass static pipeline: caching, determinism, bit-identical output."""
 
+import copy
+
+import pytest
+
 from repro.api import compile_and_instrument
 from repro.diagnostics import ReasonCode
 from repro.frontend.parser import parse_source
 from repro.frontend import ast_nodes as A
+from repro.frontend.pretty import format_module
 from repro.instrument.annotations import Annotations, SnippetRef
+from repro.instrument.rewrite import instrument_module
 from repro.pipeline import ArtifactStore, CompilerContext, static_pass_manager
-from repro.workloads import get_workload
+from repro.workloads import all_workloads, get_workload
 
 SOURCE = get_workload("CG").source(scale=1)
 
@@ -15,6 +21,22 @@ def compile_with(store, source=SOURCE, **config):
     ctx = CompilerContext(source=source, filename="CG", config=config, store=store)
     static_pass_manager().run(ctx)
     return ctx
+
+
+def all_nodes(module):
+    nodes = [module]
+    for fn in module.functions:
+        nodes.append(fn)
+        nodes.extend(fn.params)
+        if fn.body is not None:
+            for stmt in A.walk_stmts(fn.body):
+                nodes.append(stmt)
+                nodes.extend(A.walk_exprs(stmt))
+    for g in module.globals:
+        nodes.append(g)
+        if g.init is not None:
+            nodes.extend(A.walk_exprs(g.init))
+    return nodes
 
 
 def all_node_ids(module):
@@ -103,6 +125,22 @@ class TestDeterminism:
 
         assert "vs_tick" in format_module(instrumented)
         assert "vs_tick" not in format_module(parsed)
+
+    @pytest.mark.parametrize("name", sorted(all_workloads()))
+    def test_structural_clone_instruments_like_a_deep_copy(self, name):
+        ctx = compile_with(None, source=all_workloads()[name].source())
+        parsed = ctx.artifact("parse")
+        got = ctx.artifact("instrument")
+        with A.fresh_node_ids(start=max(n.node_id for n in all_nodes(parsed)) + 1):
+            want = instrument_module(
+                copy.deepcopy(parsed), ctx.artifact("select").plan.selected
+            )
+        assert format_module(got.module) == format_module(want.module)
+        assert [n.node_id for n in all_nodes(got.module)] == [
+            n.node_id for n in all_nodes(want.module)
+        ]
+        assert got.sensors == want.sensors
+        assert not {id(n) for n in all_nodes(parsed)} & {id(n) for n in all_nodes(got.module)}
 
 
 class TestApiIntegration:

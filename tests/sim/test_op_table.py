@@ -3,8 +3,9 @@
 Two contracts over :data:`repro.sim.bytecode.dispatch.OP_TABLE`:
 
 * **completeness** — every opcode constant of ``bytecode/ops.py`` has exactly
-  one table entry and a branch in all three rendered dispatch chains (the
-  scalar core, the lockstep tier's full-width loop and its masked loop);
+  one table entry, renders into the per-program scalar core from that
+  entry's body, and has a branch in both of the lockstep tier's rendered
+  dispatch chains (the full-width loop and the masked loop);
 * **fuse classes are behaviour** — an op reached under a partial lane mask
   drains the batch at that op if and only if its fuse class says it needs
   the full batch (plus the documented per-op drains: a divergent return),
@@ -13,6 +14,7 @@ Two contracts over :data:`repro.sim.bytecode.dispatch.OP_TABLE`:
 
 from __future__ import annotations
 
+import ast
 import re
 
 import pytest
@@ -24,9 +26,9 @@ from repro.sim.bytecode.dispatch import (
     NEEDS_FULL_BATCH,
     OP_SPECS,
     OP_TABLE,
-    _render_core_source,
     fuse_class,
 )
+from repro.sim.bytecode.render import _TEMPLATES, _Renderer
 from repro.sim.engine import Simulator
 from repro.sim.lockstep.vm import FusedVM, render_loop
 from repro.sim.machine import MachineConfig
@@ -44,16 +46,43 @@ def test_every_opcode_has_exactly_one_table_entry():
     assert set(OP_SPECS) == set(ops.NAMES)
 
 
-@pytest.mark.parametrize(
-    "source",
-    [_render_core_source(), render_loop(False), render_loop(True)],
-    ids=["scalar-core", "full-width", "masked"],
-)
-def test_every_opcode_is_dispatched_by_every_loop(source):
+def _chain_tests_every_opcode(source: str) -> None:
     tests = re.findall(r"^ +(?:el)?if (op == \d+(?: or op == \d+)*):  # \w+$", source, re.M)
     assert len(tests) == len(OP_TABLE)
     dispatched = [int(n) for test in tests for n in re.findall(r"\d+", test)]
     assert sorted(dispatched) == sorted(ops.NAMES)
+
+
+def _every_opcode_renders_from_its_body() -> None:
+    """The scalar core has no chain: an instruction *is* its ``OpSpec.body``.
+    Undoing the placeholders (and the ``continue`` that closes a suite which
+    sets ``pc``) gives the body back, and a rendered instruction is code."""
+    assert set(_TEMPLATES) == set(ops.NAMES)
+    for op in ops.NAMES:
+        template = _TEMPLATES[op][0]
+        lines = [ln for ln in template.split("\n") if ln.strip() != "continue"]
+        restored = re.sub(r"__(a|b|c|op)__", r"\1", "\n".join(lines))
+        restored = restored.replace("__here__", "pc - 1").replace("__next__", "pc")
+        body = OP_SPECS[op].body.replace("__RET__", str(ops.RET))
+        assert restored == ast.unparse(ast.parse(body)), ops.NAMES[op]
+        renderer = _Renderer()
+        renderer.instruction(op, 1, abs, (2, 3), 7, "        ")
+        rendered = "\n".join(renderer.lines)
+        assert "__" not in rendered and "abs" not in rendered, ops.NAMES[op]
+        compile(f"def f():\n    while True:\n{rendered}\n    yield", "<op>", "exec")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        _every_opcode_renders_from_its_body,
+        lambda: _chain_tests_every_opcode(render_loop(False)),
+        lambda: _chain_tests_every_opcode(render_loop(True)),
+    ],
+    ids=["scalar-core", "full-width", "masked"],
+)
+def test_every_opcode_is_dispatched_by_every_loop(check):
+    check()
 
 
 def test_handlers_exist_and_full_batch_ops_name_one():

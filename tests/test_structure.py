@@ -11,12 +11,16 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import re
+import weakref
 from pathlib import Path
+
+import pytest
 
 import repro
 import repro.service
 import repro.sim.lockstep
 from repro.api import run_multi_job
+from repro.frontend import parse_source
 from repro.runtime import columnar
 from repro.runtime.channel import Envelope, LossyChannel
 from repro.runtime.columnar import ColumnarStore
@@ -24,7 +28,10 @@ from repro.runtime.reference import ReferenceStore
 from repro.runtime.server import AnalysisServer
 from repro.runtime.transport import ReliableTransport, _Pending
 from repro.runtime.vsensor_hooks import VSensorRuntime
+from repro.sensors.extern import default_extern_registry
 from repro.service import AnalysisService
+from repro.sim import MachineConfig, Simulator
+from repro.sim.bytecode import BytecodeInterp, compile_module, dispatch, render
 from repro.sim.lockstep import clocks
 
 
@@ -119,3 +126,48 @@ def test_one_analysis_store_per_tenant():
     hop = re.compile(r"export_rows|export_summaries|_sub_seqs")
     for name, source in _package_sources(repro).items():
         assert not hop.search(source), name
+
+
+# -- one scalar path, rendered per program -------------------------------------
+
+
+def test_the_generic_scalar_chain_is_gone():
+    """``engine="bytecode"`` runs the program's rendered core; the chain
+    over opcodes is not kept beside it."""
+    for name in ("DISPATCH_CORE", "_render_core_source", "_build_core"):
+        assert not hasattr(dispatch, name)
+    assert not hasattr(BytecodeInterp, "_dispatch_core")
+
+
+def test_rendering_added_no_engine_name_or_parameter():
+    module = parse_source("int main() { return 0; }")
+    machine = MachineConfig(n_ranks=2, ranks_per_node=2)
+    for engine in ("bytecode", "ast", "lockstep", "auto"):
+        Simulator(module, machine, engine=engine)
+    with pytest.raises(ValueError, match=r"\(bytecode\|ast\|lockstep\|auto\)"):
+        Simulator(module, machine, engine="rendered")
+    assert list(inspect.signature(Simulator.__init__).parameters) == [
+        "self", "module", "machine", "faults", "sensors", "entry", "externs",
+        "engine", "obs", "probe_control",
+    ]
+
+
+def test_a_rendered_core_lives_and_dies_with_its_program():
+    """No module-level container in the renderer holds rendered functions:
+    the 16 cold programs of a ``tenants_*`` operation must not accumulate."""
+    program = compile_module(
+        parse_source("int main() { MPI_Barrier(); return 0; }"),
+        default_extern_registry(),
+    )
+    core = program.core()
+    for name, value in vars(render).items():
+        if isinstance(value, dict):
+            held = [*value, *value.values()]
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            held = list(value)
+        else:
+            continue
+        assert core not in held and program not in held, name
+    alive = weakref.ref(core)
+    del core, program
+    assert alive() is None  # by reference count: the function is in no cycle
