@@ -92,6 +92,45 @@ def _compile_kwargs(args) -> dict:
     return kwargs
 
 
+def _machine(args, job: int = 0) -> MachineConfig:
+    """The ``--ranks/--ranks-per-node/--seed`` machine; tenant ``job`` of a
+    sharded run gets a distinct noise seed."""
+    return MachineConfig(
+        n_ranks=args.ranks, ranks_per_node=args.ranks_per_node, seed=args.seed + job
+    )
+
+
+def _faults(args) -> list[Fault]:
+    return [parse_fault(spec) for spec in args.fault or []]
+
+
+def _run_from_args(args, **kwargs):
+    """The one ``run_vsensor`` call behind ``run`` and ``history append``:
+    everything :func:`add_run_args` and the program arguments decide."""
+    return run_vsensor(
+        _load_source(args),
+        _machine(args),
+        faults=_faults(args),
+        window_us=args.window_ms * 1000.0,
+        engine=args.engine,
+        history_workload=args.workload or "",
+        **kwargs,
+        **_compile_kwargs(args),
+    )
+
+
+def _write_obs_outputs(args, obs, trace_note: str = "") -> None:
+    """``--trace-out`` / ``--metrics-out`` files of an observed run."""
+    from repro.obs import write_chrome_trace, write_metrics
+
+    if args.trace_out:
+        write_chrome_trace(obs.tracer, args.trace_out)
+        print(f"trace written to {args.trace_out}{trace_note}")
+    if args.metrics_out:
+        write_metrics(obs.metrics, args.metrics_out)
+        print(f"metrics written to {args.metrics_out}")
+
+
 def _print_pass_profile(static) -> None:
     print("\nper-pass profile:")
     print(static.profile.format_table())
@@ -161,20 +200,13 @@ def cmd_instrument(args) -> int:
 def cmd_run(args) -> int:
     import time
 
-    source = _load_source(args)
-    machine = MachineConfig(
-        n_ranks=args.ranks,
-        ranks_per_node=args.ranks_per_node,
-        seed=args.seed,
-    )
-    faults = [parse_fault(spec) for spec in args.fault or []]
     obs = None
     if args.trace_out or args.metrics_out or args.obs_summary:
         from repro.obs import Obs
 
         obs = Obs.create()
     if args.shards:
-        return _run_sharded(args, source, faults, obs)
+        return _run_sharded(args, obs)
     profiler = None
     if args.profile:
         import cProfile
@@ -182,12 +214,8 @@ def cmd_run(args) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     wall_t0 = time.perf_counter()
-    run = run_vsensor(
-        source,
-        machine,
-        faults=faults,
-        window_us=args.window_ms * 1000.0,
-        engine=args.engine,
+    run = _run_from_args(
+        args,
         analysis_engine=args.analysis_engine,
         channel=args.channel,
         obs=obs,
@@ -195,8 +223,6 @@ def cmd_run(args) -> int:
         governor_policy=args.governor_policy,
         history_store=args.history_store,
         history_label=args.history_label or "",
-        history_workload=args.workload or "",
-        **_compile_kwargs(args),
     )
     wall_s = time.perf_counter() - wall_t0
     if profiler is not None:
@@ -222,15 +248,10 @@ def cmd_run(args) -> int:
     if args.profile_passes:
         _print_pass_profile(run.static)
     if obs is not None:
-        from repro.obs import flame_summary, write_chrome_trace, write_metrics
-
-        if args.trace_out:
-            write_chrome_trace(obs.tracer, args.trace_out)
-            print(f"trace written to {args.trace_out} (chrome://tracing / Perfetto)")
-        if args.metrics_out:
-            write_metrics(obs.metrics, args.metrics_out)
-            print(f"metrics written to {args.metrics_out}")
+        _write_obs_outputs(args, obs, trace_note=" (chrome://tracing / Perfetto)")
         if args.obs_summary:
+            from repro.obs import flame_summary
+
             report = obs.overhead_report(wall_s)
             print()
             print(flame_summary(obs.tracer))
@@ -261,7 +282,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_sharded(args, source: str, faults, obs) -> int:
+def _run_sharded(args, obs) -> int:
     """``run --shards N [--jobs J]``: the multi-tenant sharded service.
 
     Each job replays the same program as its own tenant on a machine with
@@ -270,15 +291,11 @@ def _run_sharded(args, source: str, faults, obs) -> int:
     """
     from repro.api import JobSpec, run_multi_job
 
-    kwargs = _compile_kwargs(args)
+    source, faults, kwargs = _load_source(args), _faults(args), _compile_kwargs(args)
     jobs = [
         JobSpec(
             source=source,
-            machine=MachineConfig(
-                n_ranks=args.ranks,
-                ranks_per_node=args.ranks_per_node,
-                seed=args.seed + job,
-            ),
+            machine=_machine(args, job),
             job_id=job,
             faults=faults,
             channel=args.channel,
@@ -306,14 +323,7 @@ def _run_sharded(args, source: str, faults, obs) -> int:
             f"degraded={list(report.degraded_ranks)}"
         )
     if obs is not None:
-        from repro.obs import write_chrome_trace, write_metrics
-
-        if args.trace_out:
-            write_chrome_trace(obs.tracer, args.trace_out)
-            print(f"trace written to {args.trace_out}")
-        if args.metrics_out:
-            write_metrics(obs.metrics, args.metrics_out)
-            print(f"metrics written to {args.metrics_out}")
+        _write_obs_outputs(args, obs)
     first = min(run.jobs)
     print(f"\njob {first} report:")
     print(run.jobs[first].report.summary())
@@ -334,21 +344,8 @@ def _history_hunter(args):
 
 def cmd_history_append(args) -> int:
     """Run one configuration and append its baselines to a store."""
-    source = _load_source(args)
-    machine = MachineConfig(
-        n_ranks=args.ranks, ranks_per_node=args.ranks_per_node, seed=args.seed
-    )
-    faults = [parse_fault(spec) for spec in args.fault or []]
-    run = run_vsensor(
-        source,
-        machine,
-        faults=faults,
-        window_us=args.window_ms * 1000.0,
-        engine=args.engine,
-        history_store=args.store,
-        history_label=args.label or "",
-        history_workload=args.workload or "",
-        **_compile_kwargs(args),
+    run = _run_from_args(
+        args, history_store=args.store, history_label=args.label or ""
     )
     entry = run.history_entry
     print(
@@ -450,6 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable the compilation artifact cache for this invocation",
         )
 
+    def add_run_args(p):
+        p.add_argument("--ranks", type=int, default=32)
+        p.add_argument("--ranks-per-node", type=int, default=8)
+        p.add_argument("--seed", type=int, default=20180224)
+        p.add_argument("--window-ms", type=float, default=20.0, help="matrix window (ms)")
+        p.add_argument("--fault", action="append", help="inject a fault (see --help epilog)")
+        p.add_argument(
+            "--engine",
+            choices=("bytecode", "ast", "lockstep", "auto"),
+            default="bytecode",
+            help="interpreter tier: compiled register VM (default), the AST "
+            "reference, the SIMD-over-ranks lockstep VM, or 'auto' (bytecode "
+            "below 16 ranks, lockstep at or above — the measured crossover)",
+        )
+
     p_identify = sub.add_parser("identify", help="list identified v-sensors")
     add_program_args(p_identify)
     p_identify.add_argument(
@@ -464,11 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a run with online detection")
     add_program_args(p_run)
-    p_run.add_argument("--ranks", type=int, default=32)
-    p_run.add_argument("--ranks-per-node", type=int, default=8)
-    p_run.add_argument("--seed", type=int, default=20180224)
-    p_run.add_argument("--window-ms", type=float, default=20.0, help="matrix window (ms)")
-    p_run.add_argument("--fault", action="append", help="inject a fault (see --help epilog)")
+    add_run_args(p_run)
     p_run.add_argument("--export", help="path stem for PGM/CSV matrix export")
     p_run.add_argument("--matrix-rows", type=int, default=32)
     p_run.add_argument("--matrix-cols", type=int, default=70)
@@ -492,14 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="governor policy: 'adaptive' (budget loop with demote/promote "
         "hysteresis) or 'paper-shutoff' (only the paper's §5.3 one-way "
         "shutoff, behavior-identical to no governor)",
-    )
-    p_run.add_argument(
-        "--engine",
-        choices=("bytecode", "ast", "lockstep", "auto"),
-        default="bytecode",
-        help="interpreter tier: compiled register VM (default), the AST "
-        "reference, the SIMD-over-ranks lockstep VM, or 'auto' (bytecode "
-        "below 16 ranks, lockstep at or above — the measured crossover)",
     )
     p_run.add_argument(
         "--analysis-engine",
@@ -577,18 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
         "append", help="run one configuration and append its baselines"
     )
     add_program_args(p_happend)
+    add_run_args(p_happend)
     p_happend.add_argument("--store", required=True, help="history store directory")
     p_happend.add_argument("--label", default=None, help="label for this record")
-    p_happend.add_argument("--ranks", type=int, default=32)
-    p_happend.add_argument("--ranks-per-node", type=int, default=8)
-    p_happend.add_argument("--seed", type=int, default=20180224)
-    p_happend.add_argument("--window-ms", type=float, default=20.0)
-    p_happend.add_argument("--fault", action="append", help="inject a fault")
-    p_happend.add_argument(
-        "--engine",
-        choices=("bytecode", "ast", "lockstep", "auto"),
-        default="bytecode",
-    )
     p_happend.set_defaults(func=cmd_history_append)
 
     p_hshow = hist_sub.add_parser(

@@ -2,8 +2,8 @@
 
 :func:`~repro.api.run_multi_job` ``workers=N`` fans independent job
 simulations (:func:`simulate_job`, one :class:`JobTask` each) onto a
-deterministic :class:`WorkerPool` of OS processes speaking the framed
-wire protocol of :mod:`repro.parallel.wire`; the parent feeds the
+deterministic :class:`WorkerPool` of OS processes, one
+:mod:`multiprocessing.connection` pipe each; the parent feeds the
 results through the same phases 2–4, bit-identical to the in-process
 run.
 
@@ -15,24 +15,14 @@ bundle (children run null-obs; enabling obs never changes results).
 
 from repro.parallel.pool import WorkerPool
 from repro.parallel.runner import JobTask, simulate_job, simulate_jobs_parallel
-from repro.parallel.wire import (
-    FrameConn,
-    PeerDied,
-    WireError,
-    decode_rows,
-    encode_rows,
-    socket_pair,
-)
+from repro.parallel.wire import WireError, decode_rows, encode_rows
 
 __all__ = [
     "WorkerPool",
     "JobTask",
     "simulate_job",
     "simulate_jobs_parallel",
-    "FrameConn",
-    "PeerDied",
     "WireError",
     "encode_rows",
     "decode_rows",
-    "socket_pair",
 ]

@@ -16,75 +16,81 @@ and the effect is exactly-once per task index.  ``parallel.worker_restart``
 counts every such respawn; a worker that keeps dying exhausts
 ``max_restarts`` and fails the run loudly.
 
-The parent↔worker hop speaks the :mod:`repro.parallel.wire` framed
-protocol over an ``AF_UNIX`` socket pair; task payloads and results are
-pickled frames, and the callable itself must be a module-level function
-(pickled by reference) so a respawned worker can always re-import it.
+The parent↔worker hop is one :mod:`multiprocessing.connection` pipe per
+worker: every message is one pickled ``(kind, generation, index,
+payload)`` tuple sent with ``send_bytes``, and the callable itself must
+be a module-level function (pickled by reference) so a respawned worker
+can always re-import it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import selectors
-import sys
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from typing import Callable
 
 from repro.errors import ReproError
 from repro.obs import NULL_OBS, Obs
-from repro.parallel.wire import (
-    FrameConn,
-    PeerDied,
-    T_ERROR,
-    T_RESULT,
-    T_SHUTDOWN,
-    T_TASK,
-    pack_obj,
-    socket_pair,
-    unpack_obj,
-)
+from repro.parallel.wire import MAX_MESSAGE_BYTES, WireError, pack_obj, unpack_obj
+
+# -- message kinds ------------------------------------------------------------
+#: pool parent -> worker: one task payload
+_TASK = "task"
+#: pool worker -> parent: the task's return value
+_RESULT = "result"
+#: pool worker -> parent: the task raised; payload is the traceback text
+_ERROR = "error"
+#: pool parent -> worker: orderly shutdown request
+_SHUTDOWN = "shutdown"
 
 
-def _pool_child_main(conn: FrameConn, fn: Callable) -> None:  # pragma: no cover
-    """Worker loop: execute TASK frames until SHUTDOWN or parent death.
+def _message(kind: str, generation: int, index: int, payload) -> bytes:
+    """One pool message; over the cap is a loud error, never a send."""
+    data = pack_obj((kind, generation, index, payload))
+    if len(data) > MAX_MESSAGE_BYTES:
+        raise WireError(
+            f"pool {kind} message for task {index} is {len(data)} bytes, "
+            f"over the cap of {MAX_MESSAGE_BYTES}"
+        )
+    return data
+
+
+def _pool_child_main(conn: Connection, fn: Callable) -> None:  # pragma: no cover
+    """Worker loop: execute task messages until shutdown or parent death.
 
     Runs only in forked children, so parent-side coverage cannot see it;
     every branch is exercised through the pool tests' real subprocesses.
     """
     while True:
         try:
-            ftype, payload = conn.recv()
-        except PeerDied:
+            kind, generation, index, task = unpack_obj(conn.recv_bytes())
+        except EOFError:
             os._exit(0)
-        if ftype == T_SHUTDOWN:
+        if kind != _TASK:
             conn.close()
             os._exit(0)
-        if ftype != T_TASK:
-            os._exit(1)
-        generation, index, task = unpack_obj(payload)
         try:
-            result = fn(task)
+            reply = _message(_RESULT, generation, index, fn(task))
         except BaseException:
-            conn.send(T_ERROR, pack_obj((generation, index, traceback.format_exc())))
-            continue
-        conn.send(T_RESULT, pack_obj((generation, index, result)))
+            # An over-cap result lands here too: the parent gets one
+            # error naming the cap, not a dead worker to restart.
+            reply = _message(_ERROR, generation, index, traceback.format_exc())
+        conn.send_bytes(reply)
 
 
 @dataclass(slots=True)
 class _Worker:
     slot: int
-    process: multiprocessing.process.BaseProcess
-    conn: FrameConn
-    #: dispatched-but-unfinished (index, payload-bytes), in dispatch order —
+    process: BaseProcess
+    conn: Connection
+    #: dispatched-but-unfinished (index, message-bytes), in dispatch order —
     #: the replay spool a restart re-sends
     outstanding: list = field(default_factory=list)
     restarts: int = 0
-
-    @property
-    def pid(self) -> int:
-        return self.process.pid
 
 
 class WorkerPool:
@@ -109,30 +115,40 @@ class WorkerPool:
         self.fn = fn
         self.obs = obs or NULL_OBS
         self.max_restarts = max_restarts
-        self._metrics = self.obs.metrics if self.obs.enabled else None
-        self._frames = (
-            self._metrics.counter("parallel.frames") if self._metrics is not None else None
-        )
         self._ctx = multiprocessing.get_context(
             "fork" if hasattr(os, "fork") else "spawn"
         )
-        self._workers: list[_Worker] = [self._spawn(slot) for slot in range(n_workers)]
+        self._workers = [_Worker(slot, *self._spawn()) for slot in range(n_workers)]
         self._closed = False
-        #: run generation — results are tagged with it so frames from an
+        #: run generation — results are tagged with it so messages from an
         #: aborted run (a task error raises mid-collection) are dropped
         #: instead of polluting the next run's result table
         self._generation = 0
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _spawn(self, slot: int) -> _Worker:
-        parent, child = socket_pair(frames=self._frames)
+    def _spawn(self) -> tuple[BaseProcess, Connection]:
+        parent, child = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_pool_child_main, args=(child, self.fn), daemon=True
         )
         process.start()
         child.close()
-        return _Worker(slot=slot, process=process, conn=parent)
+        return process, parent
+
+    def _send(self, worker: _Worker, message: bytes) -> None:
+        """Send one message; a dead worker is not this call's problem.
+
+        Everything that must survive a death is already in
+        ``worker.outstanding``, and the collection loop meets the dead
+        worker's EOF, restarts it and replays — one recovery site.
+        ``parallel.frames`` ticks once per message sent or received.
+        """
+        try:
+            worker.conn.send_bytes(message)
+        except ConnectionError:
+            return
+        self.obs.metrics.counter("parallel.frames").inc()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -145,10 +161,7 @@ class WorkerPool:
             return
         self._closed = True
         for worker in self._workers:
-            try:
-                worker.conn.send(T_SHUTDOWN)
-            except PeerDied:
-                pass
+            self._send(worker, _message(_SHUTDOWN, 0, 0, None))
             worker.conn.close()
         for worker in self._workers:
             worker.process.join(timeout=5.0)
@@ -158,11 +171,11 @@ class WorkerPool:
 
     def worker_pids(self) -> list[int]:
         """Live worker PIDs by slot (test/diagnostic surface)."""
-        return [w.pid for w in self._workers]
+        return [w.process.pid for w in self._workers]
 
     # -- crash recovery ----------------------------------------------------
 
-    def _restart(self, worker: _Worker) -> _Worker:
+    def _restart(self, worker: _Worker) -> None:
         """Respawn one dead worker and replay its unfinished tasks."""
         if worker.restarts >= self.max_restarts:
             raise ReproError(
@@ -171,15 +184,11 @@ class WorkerPool:
             )
         worker.conn.close()
         worker.process.join(timeout=5.0)
-        fresh = self._spawn(worker.slot)
-        fresh.restarts = worker.restarts + 1
-        fresh.outstanding = worker.outstanding
-        self._workers[worker.slot] = fresh
-        if self._metrics is not None:
-            self._metrics.counter("parallel.worker_restart").inc()
-        for index, payload in fresh.outstanding:
-            fresh.conn.send(T_TASK, payload)
-        return fresh
+        worker.process, worker.conn = self._spawn()
+        worker.restarts += 1
+        self.obs.metrics.counter("parallel.worker_restart").inc()
+        for _index, message in worker.outstanding:
+            self._send(worker, message)
 
     # -- execution ---------------------------------------------------------
 
@@ -187,8 +196,9 @@ class WorkerPool:
         """Run every payload; results in task order.
 
         Dispatch is eager (every worker gets its whole round-robin share
-        up front) and collection is a ``selectors`` loop over the worker
-        connections, so slow and fast workers drain independently.
+        up front) and collection is :func:`multiprocessing.connection.wait`
+        over the workers that still owe results, so slow and fast workers
+        drain independently.
         """
         if self._closed:
             raise ReproError("pool is closed")
@@ -205,59 +215,37 @@ class WorkerPool:
         ):
             for index, payload in enumerate(payloads):
                 worker = self._workers[index % self.n_workers]
-                frame = pack_obj((generation, index, payload))
-                worker.outstanding.append((index, frame))
-                try:
-                    worker.conn.send(T_TASK, frame)
-                except PeerDied:
-                    self._restart(worker)
-                if self._metrics is not None:
-                    self._metrics.counter("parallel.dispatch").inc()
+                message = _message(_TASK, generation, index, payload)
+                worker.outstanding.append((index, message))
+                self._send(worker, message)
+                self.obs.metrics.counter("parallel.dispatch").inc()
         while len(results) < n_tasks:
-            selector = selectors.DefaultSelector()
-            for worker in self._workers:
-                if worker.outstanding:
-                    selector.register(worker.conn.fileno(), selectors.EVENT_READ, worker)
-            try:
-                events = selector.select()
-            finally:
-                selector.close()
-            for key, _mask in events:
-                worker = key.data
-                # One socket read can buffer several coalesced frames,
-                # and the selector only sees the *socket* — drain every
-                # whole frame the read buffered, or the next select()
-                # would block on data that is already in userspace.
+            owing = {w.conn: w for w in self._workers if w.outstanding}
+            for conn in wait(owing):
+                worker = owing[conn]
                 try:
-                    frames = [worker.conn.recv()]
-                    while worker.conn.has_buffered_frame():
-                        frames.append(worker.conn.recv())
-                except PeerDied:
+                    reply = conn.recv_bytes(MAX_MESSAGE_BYTES)
+                except (EOFError, ConnectionError):
                     self._restart(worker)
                     continue
-                for ftype, payload in frames:
-                    if ftype == T_ERROR:
-                        gen, index, text = unpack_obj(payload)
-                        if gen != generation:
-                            continue  # stale frame from an aborted run
-                        raise ReproError(
-                            f"pool task {index} failed in worker {worker.slot}:\n{text}"
-                        )
-                    if ftype != T_RESULT:
-                        raise ReproError(
-                            f"unexpected frame type {ftype} from pool worker"
-                        )
-                    gen, index, value = unpack_obj(payload)
-                    if gen != generation:
-                        continue  # stale frame from an aborted run
-                    results[index] = value
-                    worker.outstanding = [
-                        item for item in worker.outstanding if item[0] != index
-                    ]
-                    if self._metrics is not None:
-                        self._metrics.counter("parallel.results").inc()
+                except OSError as exc:
+                    # recv_bytes refused a length prefix over the cap and
+                    # the stream is unreadable from here on: not a restart.
+                    raise WireError(
+                        f"cannot read from pool worker {worker.slot} ({exc}); "
+                        f"the cap is {MAX_MESSAGE_BYTES} bytes per message"
+                    ) from exc
+                self.obs.metrics.counter("parallel.frames").inc()
+                kind, gen, index, value = unpack_obj(reply)
+                if gen != generation:
+                    continue  # stale message from an aborted run
+                if kind == _ERROR:
+                    raise ReproError(
+                        f"pool task {index} failed in worker {worker.slot}:\n{value}"
+                    )
+                results[index] = value
+                worker.outstanding = [
+                    item for item in worker.outstanding if item[0] != index
+                ]
+                self.obs.metrics.counter("parallel.results").inc()
         return [results[i] for i in range(n_tasks)]
-
-
-if sys.platform == "win32":  # pragma: no cover - POSIX-only fabric
-    raise ImportError("repro.parallel requires a POSIX platform (AF_UNIX sockets)")

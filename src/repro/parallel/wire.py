@@ -1,17 +1,16 @@
-"""Length-prefixed framed wire protocol for the process fabric.
+"""What is specific to this repo on the process fabric's wire.
 
-The pool parent ↔ pool worker hop of :mod:`repro.parallel` speaks a
-byte-stream protocol over a connected ``AF_UNIX`` socket pair: a fixed
-frame header (payload length, frame type, flags) followed by the
-payload.  Frames are the *only* unit
-of exchange; a reader either gets a whole frame or, on a dead peer, a
-clean EOF it can turn into a restart.
+The pool parent ↔ pool worker hop of :mod:`repro.parallel` rides
+:mod:`multiprocessing.connection`, which already delivers whole
+length-prefixed messages or a clean EOF on a dead peer; this module
+adds only the message cap, the pickled-payload helpers and the exact
+batch row codec.
 
 Batch payloads reuse the zero-copy structured-dtype technique of the
 :mod:`repro.runtime.transport` spool codec: rows travel as one
 ``numpy`` structured array preceded by an interned group-string table,
 and the decoder reconstructs them with a single ``np.frombuffer`` view
-over the frame body.  Unlike the spool codec (whose ``f32`` durations
+over the payload.  Unlike the spool codec (whose ``f32`` durations
 are fine for §6.4 volume accounting), the fabric carries every float at
 full ``f64`` fidelity: the process boundary must be *bit-invisible* —
 ``decode_rows(encode_rows(rows))`` reproduces each
@@ -23,35 +22,16 @@ bit-identical matrices.
 from __future__ import annotations
 
 import pickle
-import socket
 import struct
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.runtime.records import (
-    CODE_SENSOR_TYPE,
-    SENSOR_TYPE_CODE,
-    SliceSummary,
-    SummaryColumns,
-)
+from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
 
-#: frame header: payload length (u32), frame type (u16), flags (u16)
-FRAME_HEADER = struct.Struct("<IHH")
-
-#: hard ceiling on one frame's payload — a corrupt length prefix must
+#: hard ceiling on one pool message — an oversized task or result must
 #: fail loudly instead of attempting a multi-GiB allocation
-MAX_FRAME_BYTES = 256 * 1024 * 1024
-
-# -- frame types ------------------------------------------------------------
-#: pool parent -> worker: one pickled task (index, payload)
-T_TASK = 1
-#: pool worker -> parent: one pickled result (index, value)
-T_RESULT = 2
-#: pool worker -> parent: a task raised; payload is (index, traceback text)
-T_ERROR = 3
-#: either direction: orderly shutdown request
-T_SHUTDOWN = 4
+MAX_MESSAGE_BYTES = 256 * 1024 * 1024
 
 _GROUP_COUNT = struct.Struct("<H")
 _GROUP_ENTRY = struct.Struct("<HH")      # code, utf-8 byte length
@@ -75,99 +55,7 @@ ROW_DTYPE = np.dtype(
 
 
 class WireError(ReproError):
-    """A malformed frame or oversized payload on a fabric connection."""
-
-
-class PeerDied(ReproError):
-    """The other end of a fabric connection is gone (EOF / broken pipe)."""
-
-
-# ---------------------------------------------------------------------------
-# framing over a connected socket
-# ---------------------------------------------------------------------------
-
-
-class FrameConn:
-    """One end of a framed fabric connection.
-
-    Thin wrapper over a connected stream socket: :meth:`send` writes one
-    length-prefixed frame, :meth:`recv` blocks for the next whole frame.
-    Both raise :class:`PeerDied` when the other process is gone, which
-    is the signal the fabric turns into a worker restart.  The optional
-    ``frames`` counter (an :class:`~repro.obs.metrics.Counter`) ticks
-    once per frame in either direction — the ``parallel.frames`` metric.
-    """
-
-    def __init__(self, sock: socket.socket, frames=None) -> None:
-        self.sock = sock
-        self.frames = frames
-        self._recv_buf = bytearray()
-
-    def fileno(self) -> int:
-        return self.sock.fileno()
-
-    def send(self, ftype: int, payload: bytes = b"") -> None:
-        if len(payload) > MAX_FRAME_BYTES:
-            raise WireError(f"frame payload too large ({len(payload)} bytes)")
-        try:
-            self.sock.sendall(FRAME_HEADER.pack(len(payload), ftype, 0) + payload)
-        except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-            raise PeerDied(f"fabric peer died during send: {exc}") from exc
-        if self.frames is not None:
-            self.frames.inc()
-
-    def _read_exact(self, n: int) -> bytes:
-        buf = self._recv_buf
-        while len(buf) < n:
-            try:
-                chunk = self.sock.recv(65536)
-            except (ConnectionResetError, OSError) as exc:
-                raise PeerDied(f"fabric peer died during recv: {exc}") from exc
-            if not chunk:
-                raise PeerDied("fabric peer closed the connection")
-            buf.extend(chunk)
-        out = bytes(buf[:n])
-        del buf[:n]
-        return out
-
-    def has_buffered_frame(self) -> bool:
-        """True if a whole frame is already in the userspace read buffer.
-
-        ``_read_exact`` slurps up to 64 KiB per socket read, so one
-        ``recv`` may buffer the *next* frames too.  A readiness poll
-        (``select``/``epoll``) only sees the socket — callers multiplexing
-        over many connections must drain buffered frames after every
-        ``recv`` or they will block on a socket whose data has already
-        been read (see :meth:`WorkerPool.run`'s collection loop).
-        """
-        buf = self._recv_buf
-        if len(buf) < FRAME_HEADER.size:
-            return False
-        length, _ftype, _flags = FRAME_HEADER.unpack_from(buf, 0)
-        return len(buf) >= FRAME_HEADER.size + length
-
-    def recv(self) -> tuple[int, bytes]:
-        """Block for the next whole frame; ``(type, payload)``."""
-        header = self._read_exact(FRAME_HEADER.size)
-        length, ftype, _flags = FRAME_HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise WireError(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
-        payload = self._read_exact(length) if length else b""
-        if self.frames is not None:
-            self.frames.inc()
-        return ftype, payload
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-def socket_pair(frames=None) -> tuple[FrameConn, FrameConn]:
-    """A connected (parent, child) pair of framed connections."""
-    a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
-    return FrameConn(a, frames=frames), FrameConn(b)
+    """A malformed row payload or an oversized message on the fabric."""
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +79,8 @@ def unpack_obj(payload: bytes):
 def encode_rows(rows: list[SliceSummary]) -> bytes:
     """Encode summaries as [group table][row count][structured rows].
 
-    The group table interns each distinct group string once per frame
-    (frames are self-describing, so a replay into a freshly restarted
+    The group table interns each distinct group string once per payload
+    (payloads are self-describing, so a replay into a freshly restarted
     worker needs no codec state).  Row order is preserved exactly.
     """
     codes: dict[str, int] = {}
@@ -225,24 +113,30 @@ def encode_rows(rows: list[SliceSummary]) -> bytes:
     return b"".join(chunks)
 
 
-def decode_rows(data: bytes, job: int = 0) -> list[SliceSummary]:
+def decode_rows(data: bytes) -> list[SliceSummary]:
     """Decode one :func:`encode_rows` payload back into summaries.
 
     The row block is read with a single zero-copy ``np.frombuffer``
     view; per-rank runs are materialized through the same
     :class:`~repro.runtime.records.SummaryColumns` path the spool drain
     uses, so every field round-trips bit-exactly (all floats are f64 on
-    the wire).
+    the wire).  A payload cut at any byte is a :class:`WireError`.
     """
-    (n_groups,) = _GROUP_COUNT.unpack_from(data, 0)
-    pos = _GROUP_COUNT.size
-    groups: dict[int, str] = {}
-    for _ in range(n_groups):
-        code, length = _GROUP_ENTRY.unpack_from(data, pos)
-        pos += _GROUP_ENTRY.size
-        groups[code] = data[pos : pos + length].decode("utf-8")
-        pos += length
-    (n_rows,) = _ROW_COUNT.unpack_from(data, pos)
+    try:
+        (n_groups,) = _GROUP_COUNT.unpack_from(data, 0)
+        pos = _GROUP_COUNT.size
+        groups: dict[int, str] = {}
+        for _ in range(n_groups):
+            code, length = _GROUP_ENTRY.unpack_from(data, pos)
+            pos += _GROUP_ENTRY.size
+            groups[code] = data[pos : pos + length].decode("utf-8")
+            pos += length
+        (n_rows,) = _ROW_COUNT.unpack_from(data, pos)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise WireError(
+            f"truncated row payload: {len(data)} bytes end inside the group "
+            "table or a count word"
+        ) from exc
     pos += _ROW_COUNT.size
     expected = pos + n_rows * ROW_DTYPE.itemsize
     if len(data) < expected:
@@ -269,7 +163,6 @@ def decode_rows(data: bytes, job: int = 0) -> list[SliceSummary]:
             mean_duration=run["dur"],
             count=run["count"],
             mean_cache_miss=run["miss"],
-            job=job,
         )
         out.extend(columns.to_summaries())
         start = end

@@ -52,10 +52,6 @@ class SliceSummary:
     mean_duration: float
     count: int
     mean_cache_miss: float
-    #: tenant dimension — which concurrently running job produced this
-    #: summary.  0 is the single-job default; the sharded analysis service
-    #: keys its routing, spool files and sequence streams by it.
-    job_id: int = 0
 
     #: serialized size in bytes when sent to the analysis server: sensor id
     #: (4) + slice (4) + duration (4) + count (2) + miss rate (2)
@@ -65,9 +61,9 @@ class SliceSummary:
     def identity(self) -> tuple[int, int, str, int]:
         """Dedup key for idempotent server ingest: a rank emits at most one
         summary per (sensor, group, slice), so redelivery is detectable
-        without any transport metadata.  The job dimension is deliberately
-        absent: one analysis store holds one tenant's records, and the
-        service layer routes by ``job_id`` before ingest."""
+        without any transport metadata.  There is no job dimension: one
+        analysis store, transport or spool holds one tenant's records, and
+        the service layer routes by its port's job before ingest."""
         return (self.rank, self.sensor_id, self.group, self.slice_index)
 
 
@@ -93,8 +89,6 @@ class SummaryColumns:
     mean_duration: np.ndarray
     count: np.ndarray
     mean_cache_miss: np.ndarray
-    #: tenant dimension of the whole batch (spool files are per (job, rank))
-    job: int = 0
 
     def __len__(self) -> int:
         return len(self.sensor_id)
@@ -113,7 +107,6 @@ class SummaryColumns:
                 mean_duration=duration,
                 count=count,
                 mean_cache_miss=miss,
-                job_id=self.job,
             )
             for sensor_id, type_code, group_code, slice_index, t_start, duration, count, miss in zip(
                 self.sensor_id.tolist(),

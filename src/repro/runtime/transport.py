@@ -84,33 +84,17 @@ class FileSpool:
     metrics: object | None = None
     #: writer-side intern table (dynamic-rule group strings); code 0 is ""
     _groups: list[str] = field(default_factory=lambda: [""])
-    #: writer-side: group codes already defined in each (job, rank) file
-    _written_codes: dict[tuple[int, int], set[int]] = field(default_factory=dict)
-    #: reader-side: group tables decoded per (job, rank) file
-    _reader_groups: dict[tuple[int, int], dict[int, str]] = field(default_factory=dict)
-    _offsets: dict[tuple[int, int], int] = field(default_factory=dict)
+    #: writer-side: group codes already defined in each rank's file
+    _written_codes: dict[int, set[int]] = field(default_factory=dict)
+    #: reader-side: group tables decoded per rank file
+    _reader_groups: dict[int, dict[int, str]] = field(default_factory=dict)
+    _offsets: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         os.makedirs(self.directory, exist_ok=True)
 
-    def _path(self, rank: int, job: int = 0) -> str:
-        # Job 0 keeps the legacy single-tenant file name so existing spool
-        # directories (and their byte accounting) decode unchanged; other
-        # tenants get their own per-(job, rank) stream.
-        if job == 0:
-            return os.path.join(self.directory, f"rank{rank:05d}.spool")
-        return os.path.join(self.directory, f"job{job:05d}_rank{rank:05d}.spool")
-
-    @staticmethod
-    def _parse_name(name: str) -> tuple[int, int] | None:
-        """(job, rank) from a spool file name, or None if not a spool."""
-        if not name.endswith(".spool"):
-            return None
-        stem = name[: -len(".spool")]
-        if stem.startswith("job"):
-            job_part, _, rank_part = stem.partition("_")
-            return int(job_part[3:]), int(rank_part[4:])
-        return 0, int(stem[4:])
+    def _path(self, rank: int) -> str:
+        return os.path.join(self.directory, f"rank{rank:05d}.spool")
 
     def _group_code(self, group: str) -> int:
         try:
@@ -125,17 +109,15 @@ class FileSpool:
     # -- rank side ---------------------------------------------------------
 
     def append_batch(self, rank: int, summaries: list[SliceSummary]) -> None:
-        """Append one batch to the rank's per-job spool file(s).
+        """Append one batch to the rank's spool file in one write.
 
-        The batch is split by ``job_id`` (single-job batches stay one
-        write); each (job, rank) stream carries its own group-definition
-        frames, so a reader can drain any one tenant independently.
+        A spool directory carries one tenant (a second tenant is a second
+        directory); each rank's stream carries its own group-definition
+        frames, so a reader can drain it without the writer's memory.
         """
-        by_job: dict[int, list[bytes]] = {}
+        written = self._written_codes.setdefault(rank, {0})
+        chunks: list[bytes] = []
         for s in summaries:
-            job = s.job_id
-            written = self._written_codes.setdefault((job, rank), {0})
-            chunks = by_job.setdefault(job, [])
             code = self._group_code(s.group)
             if code not in written:
                 written.add(code)
@@ -154,8 +136,8 @@ class FileSpool:
                     int(min(max(s.mean_cache_miss, 0.0), 1.0) * 0xFFFF),
                 )
             )
-        for job, chunks in by_job.items():
-            with open(self._path(rank, job), "ab") as fh:
+        if chunks:
+            with open(self._path(rank), "ab") as fh:
                 fh.write(b"".join(chunks))
         if self.metrics is not None:
             self.metrics.counter("spool.records_written").inc(len(summaries))
@@ -167,33 +149,29 @@ class FileSpool:
         server: AnalysisServer,
         slice_us: float = 1000.0,
         expected_ranks: int | None = None,
-        job: int = 0,
     ) -> int:
-        """Read all new spool data for one job into the server.
+        """Read all new spool data into the server.
 
-        Only ``job``'s per-(job, rank) files are touched, so concurrent
-        tenants sharing a spool directory drain independently.  With
-        ``expected_ranks`` set, ranks that never produced a spool file
+        With ``expected_ranks`` set, ranks that never produced a spool file
         are marked degraded on the server — a quiet spool must not crash
         (or silently skew) matrix rendering.  Returns summaries read.
         """
         total = 0
         present: set[int] = set()
         for name in sorted(os.listdir(self.directory)):
-            parsed = self._parse_name(name)
-            if parsed is None or parsed[0] != job:
+            if not (name.startswith("rank") and name.endswith(".spool")):
                 continue
-            rank = parsed[1]
+            rank = int(name[len("rank") : -len(".spool")])
             path = os.path.join(self.directory, name)
             present.add(rank)
-            offset = self._offsets.get((job, rank), 0)
+            offset = self._offsets.get(rank, 0)
             with open(path, "rb") as fh:
                 fh.seek(offset)
                 data = fh.read()
-            count, consumed = self._decode_into(server, rank, data, slice_us, job)
+            count, consumed = self._decode_into(server, rank, data, slice_us)
             # Only complete frames advance the offset: a truncated tail is
             # re-read (and by then completed) on the next drain.
-            self._offsets[(job, rank)] = offset + consumed
+            self._offsets[rank] = offset + consumed
             total += count
         if expected_ranks is not None:
             for rank in range(expected_ranks):
@@ -204,7 +182,7 @@ class FileSpool:
         return total
 
     def _decode_into(
-        self, server: AnalysisServer, rank: int, data: bytes, slice_us: float, job: int = 0
+        self, server: AnalysisServer, rank: int, data: bytes, slice_us: float
     ) -> tuple[int, int]:
         """Decode complete frames; return (records decoded, bytes consumed).
 
@@ -216,7 +194,7 @@ class FileSpool:
         boundaries and error behaviour are unchanged: a truncated tail is
         left for the next drain, an unknown frame kind raises.
         """
-        groups = self._reader_groups.setdefault((job, rank), {0: ""})
+        groups = self._reader_groups.setdefault(rank, {0: ""})
         n = len(data)
         pos = 0
         count = 0
@@ -237,7 +215,7 @@ class FileSpool:
             if kind != 1:
                 raise ReproError(
                     f"corrupt spool for rank {rank}: unknown frame kind {kind:#x} "
-                    f"at offset {self._offsets.get((job, rank), 0) + pos}"
+                    f"at offset {self._offsets.get(rank, 0) + pos}"
                 )
             whole_frames = (n - pos) // _FRAME_DTYPE.itemsize
             if whole_frames == 0:
@@ -264,7 +242,6 @@ class FileSpool:
                 mean_duration=frames["dur"],
                 count=frames["count"].astype(np.int64),
                 mean_cache_miss=frames["miss"].astype(np.float64) / 0xFFFF,
-                job=job,
             )
             server.receive_batch_columns(rank, columns, encoded_bytes=pos)
         return count, pos

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.obs import NULL_OBS
 from repro.runtime.records import SliceSummary
 
 
@@ -113,14 +114,14 @@ class ShardWorker:
 
     def _apply(self, batch: _QueuedBatch) -> float:
         """Ingest one sub-batch into its tenant's store; return its cost."""
-        batch.port.store.receive_batch(batch.rank, batch.rows)
+        tracer = (self.obs or NULL_OBS).tracer
+        with tracer.span(f"service.shard.{self.shard_id}.apply") as span:
+            span.set("job", batch.port.job_id)
+            span.set("rank", batch.rank)
+            span.set("rows", len(batch.rows))
+            batch.port.store.receive_batch(batch.rank, batch.rows)
         self.applied_batches += 1
         self.applied_rows += len(batch.rows)
-        if self.obs is not None:
-            with self.obs.tracer.span(f"service.shard.{self.shard_id}.apply") as span:
-                span.set("job", batch.port.job_id)
-                span.set("rank", batch.rank)
-                span.set("rows", len(batch.rows))
         if self.metrics is not None:
             self.metrics.counter(f"service.shard.{self.shard_id}.batches").inc()
             self.metrics.counter(f"service.shard.{self.shard_id}.rows").inc(len(batch.rows))

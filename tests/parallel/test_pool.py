@@ -102,6 +102,22 @@ def test_crashed_worker_replays_outstanding_exactly_once(tmp_path):
     assert pid_by_tag["crash"] != pid_by_tag["a"]
 
 
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("crash_index", range(5))
+def test_crash_at_any_task_index_is_invisible(tmp_path, crash_index, n_workers):
+    """Whichever task kills its worker, on however many workers: the
+    results are the crash-free run's, exactly one respawn is counted and
+    (``conftest.no_leaked_children``) no child outlives the pool."""
+    obs = Obs.create()
+    marker = str(tmp_path / "crashed")
+    payloads = [("crash" if i == crash_index else f"t{i}", marker) for i in range(5)]
+    with WorkerPool(n_workers, _crash_once, obs=obs) as pool:
+        results = pool.run(payloads)
+    assert os.path.exists(marker)
+    assert [tag for tag, _pid in results] == [tag for tag, _marker in payloads]
+    assert obs.metrics.counter("parallel.worker_restart").value == 1
+
+
 def _always_crash(_payload):
     os._exit(1)
 

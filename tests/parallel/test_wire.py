@@ -1,11 +1,11 @@
-"""Fabric wire protocol: framing and the exact row codec.
+"""Fabric wire: the exact row codec and the message cap.
 
 The codec contract is *bit-exactness*: ``decode_rows(encode_rows(rows))``
 must reproduce every :class:`~repro.runtime.records.SliceSummary` field
 including the last float bit — that is what makes the process boundary
-invisible to the merged matrices.  Framing must deliver whole frames or
-fail loudly (truncation, oversize, dead peer), never hand back a torn
-payload.
+invisible to the merged matrices — and a payload cut at any byte is a
+typed error.  The pool hop itself is :mod:`multiprocessing.connection`;
+what is checked of it here is that the cap stays loud on both sides.
 """
 
 from __future__ import annotations
@@ -14,21 +14,17 @@ import math
 
 import pytest
 
-from repro.parallel.wire import (
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
-    PeerDied,
-    WireError,
-    decode_rows,
-    encode_rows,
-    socket_pair,
-)
+from repro.errors import ReproError
+from repro.obs import Obs
+from repro.parallel import pool as pool_module
+from repro.parallel.pool import WorkerPool
+from repro.parallel.wire import WireError, decode_rows, encode_rows
 from repro.runtime.records import SliceSummary
 from repro.sensors.model import SensorType
 from tests.service.util import make_summary
 
 
-def _awkward_rows(job: int = 7) -> list[SliceSummary]:
+def _awkward_rows() -> list[SliceSummary]:
     """Rows exercising every field with bit-pattern-hostile floats."""
     rows = []
     durations = [0.1, 1.0 / 3.0, math.pi * 1e3, 5e-324, 1.7e308 / 1e300]
@@ -44,7 +40,6 @@ def _awkward_rows(job: int = 7) -> list[SliceSummary]:
                 mean_duration=duration,
                 count=i + 1,
                 mean_cache_miss=duration / 9.0,
-                job_id=job,
             )
         )
     return rows
@@ -52,13 +47,12 @@ def _awkward_rows(job: int = 7) -> list[SliceSummary]:
 
 def test_row_codec_roundtrip_is_bit_exact():
     rows = _awkward_rows()
-    back = decode_rows(encode_rows(rows), job=7)
+    back = decode_rows(encode_rows(rows))
     assert back == rows
     for a, b in zip(rows, back):
         assert a.mean_duration == b.mean_duration  # exact, not approx
         assert a.t_slice_start == b.t_slice_start
         assert a.mean_cache_miss == b.mean_cache_miss
-        assert a.job_id == b.job_id
 
 
 def test_row_codec_preserves_order_and_empty():
@@ -77,59 +71,36 @@ def test_decode_rejects_truncated_row_block():
         decode_rows(payload[:-4])
 
 
-def test_frame_roundtrip_and_peer_death():
-    a, b = socket_pair()
-    a.send(5, b"hello")
-    a.send(6)  # empty payload
-    assert b.recv() == (5, b"hello")
-    assert b.recv() == (6, b"")
-    a.close()
-    with pytest.raises(PeerDied):
-        b.recv()
-    b.close()
+def test_payload_cut_at_every_offset_is_a_wire_error():
+    """Group table, count words or row block: no cut escapes untyped."""
+    rows = [
+        make_summary(0, 1, SensorType.COMPUTATION, "grp-é", 3, 1.5),
+        make_summary(1, 2, SensorType.NETWORK, "", 4, 2.5),
+    ]
+    payload = encode_rows(rows)
+    assert decode_rows(payload) == rows
+    for cut in range(len(payload)):
+        with pytest.raises(WireError):
+            decode_rows(payload[:cut])
 
 
-def test_frame_reassembles_across_partial_reads():
-    import threading
-
-    a, b = socket_pair()
-    big = bytes(range(256)) * 2048  # 512 KiB: several socket reads
-    # Send from a thread: one frame larger than the kernel socket buffer
-    # needs a concurrent reader to drain it.
-    sender = threading.Thread(target=a.send, args=(9, big))
-    sender.start()
-    ftype, payload = b.recv()
-    sender.join()
-    assert (ftype, payload) == (9, big)
-    a.close()
-    b.close()
+def _blob(n: int) -> bytes:
+    return b"x" * n
 
 
-def test_oversized_frames_fail_loudly():
-    a, b = socket_pair()
-    with pytest.raises(WireError):
-        a.send(1, b"x" * (MAX_FRAME_BYTES + 1))
-    # A corrupt length prefix on the read side must also refuse.
-    a.sock.sendall(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1, 1, 0))
-    with pytest.raises(WireError):
-        b.recv()
-    a.close()
-    b.close()
-
-
-def test_frames_counter_ticks_both_directions():
-    class Tally:
-        value = 0
-
-        def inc(self, n: int = 1) -> None:
-            self.value += n
-
-    tally = Tally()
-    a, b = socket_pair(frames=tally)
-    a.send(1, b"x")
-    b.send(2, b"y")
-    assert a.recv() == (2, b"y")
-    # a sent one and received one; b's side has no counter attached.
-    assert tally.value == 2
-    a.close()
-    b.close()
+def test_oversized_frames_fail_loudly(monkeypatch):
+    """Over the cap is one typed error naming the cap — for a task, for a
+    result (reported by the worker, which stays up: no restart-and-replay
+    loop) and for a length prefix the parent's own cap refuses."""
+    obs = Obs.create()
+    monkeypatch.setattr(pool_module, "MAX_MESSAGE_BYTES", 4096)
+    with WorkerPool(1, _blob, obs=obs) as pool:  # forked with the cap at 4096
+        with pytest.raises(WireError, match="over the cap of 4096"):
+            pool.run([_blob(5000)])
+        with pytest.raises(ReproError, match="WireError.*over the cap of 4096"):
+            pool.run([5000])
+        assert pool.run([10]) == [_blob(10)]
+        assert obs.metrics.counter("parallel.worker_restart").value == 0
+        monkeypatch.setattr(pool_module, "MAX_MESSAGE_BYTES", 1024)  # parent only
+        with pytest.raises(WireError, match="cap is 1024 bytes"):
+            pool.run([2000])

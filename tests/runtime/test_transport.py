@@ -362,77 +362,3 @@ def test_reliable_transport_infers_time_from_batches():
     transport.finish()
     assert server.summaries_received == 2
     assert transport.clock >= 5000.0
-
-
-# -- multi-tenant (job-keyed) wire formats -----------------------------------
-
-
-def test_spool_splits_mixed_job_batch_into_per_job_files(tmp_path):
-    """A batch carrying several tenants lands in per-(job, rank) files,
-    with job 0 keeping the legacy single-tenant file name."""
-    import os
-    from dataclasses import replace
-
-    spool = FileSpool(directory=str(tmp_path))
-    rows = [
-        summary(0, 0, 10.0),
-        replace(summary(0, 1, 11.0), job_id=3),
-        summary(0, 2, 12.0),
-    ]
-    spool.append_batch(0, rows)
-    assert sorted(os.listdir(tmp_path)) == [
-        "job00003_rank00000.spool",
-        "rank00000.spool",
-    ]
-
-
-def test_spool_drains_one_tenant_independently(tmp_path):
-    """drain_into(job=...) reads only that tenant's streams and keeps an
-    independent incremental offset per (job, rank)."""
-    from dataclasses import replace
-
-    spool = FileSpool(directory=str(tmp_path))
-    spool.append_batch(0, [summary(0, s, 10.0) for s in range(2)])
-    spool.append_batch(
-        0, [replace(summary(0, s, 20.0), job_id=3) for s in range(3)]
-    )
-    spool.append_batch(1, [replace(summary(1, 0, 21.0), job_id=3)])
-
-    server3 = AnalysisServer(n_ranks=2, window_us=1000.0)
-    assert spool.drain_into(server3, job=3) == 4
-    assert server3.stored_summaries == 4
-
-    server0 = AnalysisServer(n_ranks=2, window_us=1000.0)
-    assert spool.drain_into(server0, job=0) == 2
-    assert server0.stored_summaries == 2
-
-    # Incremental per-tenant offsets: new job-3 data only.
-    spool.append_batch(0, [replace(summary(0, 9, 22.0), job_id=3)])
-    assert spool.drain_into(server3, job=3) == 1
-    assert spool.drain_into(server0, job=0) == 0
-
-
-def test_spool_job_round_trip_preserves_job_id_and_groups(tmp_path):
-    """Decoded rows carry the tenant id and the per-(job, rank) interned
-    group strings."""
-    from dataclasses import replace
-
-    spool = FileSpool(directory=str(tmp_path))
-    row = replace(summary(0, 4, 17.5, group="phase-a"), job_id=6)
-    spool.append_batch(0, [row, summary(0, 5, 9.0, group="phase-b")])
-
-    _CapturingServer.captured = []
-    server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
-    assert spool.drain_into(server, job=6) == 1
-    (decoded,) = _CapturingServer.captured
-    assert decoded.job_id == 6
-    assert decoded.group == "phase-a"
-    assert decoded.slice_index == 4
-    assert decoded.mean_duration == pytest.approx(17.5)
-
-    _CapturingServer.captured = []
-    server0 = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
-    assert spool.drain_into(server0, job=0) == 1
-    (legacy,) = _CapturingServer.captured
-    assert legacy.job_id == 0
-    assert legacy.group == "phase-b"

@@ -52,3 +52,29 @@ def test_busy_until_never_regresses_across_zero_row_applies():
     worker.enqueue(_NullPort, 0, [], now=0.0)  # stale enqueue time
     worker.drain()
     assert worker.busy_until >= first  # clock is monotone regardless
+
+
+def test_apply_span_encloses_the_ingest():
+    """The shard's apply span is open while the store ingests, so the
+    ingest time books to the shard and not to the span's parent."""
+    from repro.obs import Obs
+
+    obs = Obs.create()
+    open_during_ingest = []
+
+    class _Store:
+        def receive_batch(self, rank, rows):
+            open_during_ingest.append(obs.tracer.open_depth)
+            return True
+
+    class _Port:
+        job_id = 4
+        store = _Store()
+
+    worker = ShardWorker(shard_id=2, obs=obs)
+    worker.enqueue(_Port, 1, [], now=0.0)
+    worker.drain()
+    assert open_during_ingest == [1]
+    (record,) = obs.tracer.records()
+    assert record.name == "service.shard.2.apply"
+    assert record.attrs == {"job": 4, "rank": 1, "rows": 0}

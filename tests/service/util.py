@@ -14,7 +14,6 @@ def make_summary(
     slice_index: int,
     duration: float,
     miss: float = 0.1,
-    job_id: int = 0,
 ) -> SliceSummary:
     return SliceSummary(
         rank=rank,
@@ -26,5 +25,4 @@ def make_summary(
         mean_duration=duration,
         count=3,
         mean_cache_miss=miss,
-        job_id=job_id,
     )

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.parallel
 import repro.service
 import repro.sim.lockstep
 from repro.api import run_multi_job
@@ -24,9 +25,10 @@ from repro.frontend import parse_source
 from repro.runtime import columnar
 from repro.runtime.channel import Envelope, LossyChannel
 from repro.runtime.columnar import ColumnarStore
+from repro.runtime.records import SliceSummary, SummaryColumns
 from repro.runtime.reference import ReferenceStore
 from repro.runtime.server import AnalysisServer
-from repro.runtime.transport import ReliableTransport, _Pending
+from repro.runtime.transport import FileSpool, ReliableTransport, _Pending
 from repro.runtime.vsensor_hooks import VSensorRuntime
 from repro.sensors.extern import default_extern_registry
 from repro.service import AnalysisService
@@ -171,3 +173,28 @@ def test_a_rendered_core_lives_and_dies_with_its_program():
     alive = weakref.ref(core)
     del core, program
     assert alive() is None  # by reference count: the function is in no cycle
+
+
+# -- the pool hop speaks the standard library ----------------------------------
+
+
+def test_the_pool_has_no_framing_of_its_own():
+    """``WorkerPool`` rides ``multiprocessing.connection``; the hand-rolled
+    frame protocol is not kept beside it."""
+    imports = re.compile(r"^\s*(import|from)\s+(socket|selectors|struct)\b", re.M)
+    assert not imports.search(inspect.getsource(repro.parallel.pool))
+    for name in ("FrameConn", "socket_pair", "PeerDied"):
+        assert not hasattr(repro.parallel, name)
+        assert not hasattr(repro.parallel.wire, name)
+    # (the spool codec's private ``_FRAME_HEADER`` is its own file format)
+    framing = re.compile(r"\bFRAME_HEADER\b|has_buffered_frame|selectors")
+    for name, source in _package_sources(repro).items():
+        assert not framing.search(source), name
+
+
+def test_a_summary_row_carries_no_job():
+    """A spool, like a transport, holds one tenant."""
+    assert "job_id" not in _field_names(SliceSummary)
+    assert "job" not in _field_names(SummaryColumns)
+    assert "job" not in inspect.signature(FileSpool.drain_into).parameters
+    assert "job" not in inspect.signature(repro.parallel.decode_rows).parameters
