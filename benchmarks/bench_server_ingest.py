@@ -12,14 +12,16 @@ amortized.  Results land in ``BENCH_server.json`` at the repo root.
 
 The shape this pins: the engines agree bit-for-bit on every matrix (a
 bench that measures a wrong answer measures nothing), the columnar tier
-wins every interleaved configuration, and by ≥5× on the 128-rank
-interleaved workload — the CI gate.
+wins every interleaved configuration, by ≥5× on the 128-rank
+interleaved workload, and does not lose pure ingest at 32 ranks (the
+small-batch case) — the CI gates.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import statistics
 import time
 
 import numpy as np
@@ -36,6 +38,7 @@ ENGINES = ["reference", "columnar"]
 N_SLICES = 48
 SLICE_BLOCK = 8          # slices per batch
 QUERY_EVERY = 16         # interleaved mode: query cadence in batches
+REPEATS = 3              # measured runs per configuration; the median is compared
 WINDOW_US = 4000.0
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_server.json")
 
@@ -80,6 +83,9 @@ def _run(engine: str, n_ranks: int, stream, interleaved: bool) -> AnalysisServer
             server.performance_matrix(SensorType.COMPUTATION)
             server.performance_matrix(SensorType.NETWORK)
             server.detect_inter_process()
+    # Ingest is not over until the store says what it holds: a staging
+    # store must fold its batches in inside the timer.
+    assert server.stored_summaries == server.summaries_received
     server.detect_inter_process()
     for stype in SensorType:
         server.performance_matrix(stype)
@@ -94,14 +100,16 @@ def test_server_ingest_trajectory():
         stream = _batch_stream(n_ranks)
         for mode, interleaved in (("ingest", False), ("interleaved", True)):
             for engine in ENGINES:
-                t0 = time.perf_counter()
-                server = _run(engine, n_ranks, stream, interleaved)
-                seconds = time.perf_counter() - t0
+                runs = []
+                for _ in range(REPEATS):
+                    t0 = time.perf_counter()
+                    server = _run(engine, n_ranks, stream, interleaved)
+                    runs.append(round(time.perf_counter() - t0, 4))
                 finals[(n_ranks, mode, engine)] = server
                 rows.append(
                     {"ranks": n_ranks, "mode": mode, "engine": engine,
                      "batches": len(stream), "summaries": server.summaries_received,
-                     "seconds": round(seconds, 4)}
+                     "seconds": statistics.median(runs), "runs": runs}
                 )
             # A bench over diverging engines measures nothing: require
             # bit-identical matrices and events before trusting the times.
@@ -131,7 +139,8 @@ def test_server_ingest_trajectory():
 
     payload = {
         "benchmark": "analysis server: reference vs columnar data path",
-        "unit": "wall-clock seconds per batch stream (ingest + queries)",
+        "unit": "measured wall-clock seconds per batch stream (ingest + queries), "
+                f"median of {REPEATS} runs",
         "results": rows,
         "speedups": speedups,
     }
@@ -144,8 +153,10 @@ def test_server_ingest_trajectory():
         col_s = seconds_of(int(ranks), mode, "columnar")
         print(f"{key:<20s} {ref_s:>10.3f} {col_s:>9.3f} {speedup:>7.2f}x")
 
-    # The acceptance gate: ≥5× on the 128-rank interleaved workload.
+    # The acceptance gates: ≥5× on the 128-rank interleaved workload, and
+    # no small-batch penalty — pure ingest at 32 ranks is not slower.
     assert speedups["128/interleaved"] >= 5.0
+    assert speedups["32/ingest"] >= 1.0
     # And the columnar tier must win interleaved mode at every scale.
     assert all(
         speedups[f"{n}/interleaved"] > 1.0 for n in RANK_COUNTS

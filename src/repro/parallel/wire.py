@@ -27,7 +27,7 @@ import struct
 import numpy as np
 
 from repro.errors import ReproError
-from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
+from repro.runtime.records import SliceSummary, SummaryColumns
 
 #: hard ceiling on one pool message — an oversized task or result must
 #: fail loudly instead of attempting a multi-GiB allocation
@@ -42,14 +42,14 @@ _ROW_COUNT = struct.Struct("<I")
 ROW_DTYPE = np.dtype(
     [
         ("rank", "<u4"),
-        ("sensor", "<u4"),
-        ("type_code", "<u2"),
+        ("sensor_id", "<u4"),
+        ("sensor_type_code", "<u2"),
         ("group_code", "<u2"),
-        ("slice", "<u8"),
-        ("t_start", "<f8"),
-        ("dur", "<f8"),
+        ("slice_index", "<u8"),
+        ("t_slice_start", "<f8"),
+        ("mean_duration", "<f8"),
         ("count", "<u8"),
-        ("miss", "<f8"),
+        ("mean_cache_miss", "<f8"),
     ]
 )
 
@@ -83,32 +83,19 @@ def encode_rows(rows: list[SliceSummary]) -> bytes:
     (payloads are self-describing, so a replay into a freshly restarted
     worker needs no codec state).  Row order is preserved exactly.
     """
-    codes: dict[str, int] = {}
-    chunks: list[bytes] = []
-    array = np.empty(len(rows), dtype=ROW_DTYPE)
-    for i, s in enumerate(rows):
-        code = codes.get(s.group)
-        if code is None:
-            code = codes[s.group] = len(codes)
-            if code > 0xFFFF:
-                raise WireError("row batch uses more than 65536 distinct groups")
-        array[i] = (
-            s.rank,
-            s.sensor_id,
-            SENSOR_TYPE_CODE[s.sensor_type],
-            code,
-            s.slice_index,
-            s.t_slice_start,
-            s.mean_duration,
-            s.count,
-            s.mean_cache_miss,
-        )
-    chunks.append(_GROUP_COUNT.pack(len(codes)))
-    for group, code in codes.items():
+    cols = SummaryColumns.from_rows(rows)
+    groups = cols.group_table
+    if len(groups) > 0x10000:
+        raise WireError("row batch uses more than 65536 distinct groups")
+    array = np.empty(len(cols), dtype=ROW_DTYPE)
+    for name in ROW_DTYPE.names:  # the record's column names
+        array[name] = getattr(cols, name)
+    chunks = [_GROUP_COUNT.pack(len(groups))]
+    for code, group in groups.items():
         encoded = group.encode("utf-8")
         chunks.append(_GROUP_ENTRY.pack(code, len(encoded)))
         chunks.append(encoded)
-    chunks.append(_ROW_COUNT.pack(len(rows)))
+    chunks.append(_ROW_COUNT.pack(len(cols)))
     chunks.append(array.tobytes())
     return b"".join(chunks)
 
@@ -117,7 +104,7 @@ def decode_rows(data: bytes) -> list[SliceSummary]:
     """Decode one :func:`encode_rows` payload back into summaries.
 
     The row block is read with a single zero-copy ``np.frombuffer``
-    view; per-rank runs are materialized through the same
+    view and materialized through the same
     :class:`~repro.runtime.records.SummaryColumns` path the spool drain
     uses, so every field round-trips bit-exactly (all floats are f64 on
     the wire).  A payload cut at any byte is a :class:`WireError`.
@@ -144,26 +131,5 @@ def decode_rows(data: bytes) -> list[SliceSummary]:
             f"truncated row block: need {expected} bytes, have {len(data)}"
         )
     array = np.frombuffer(data, dtype=ROW_DTYPE, count=n_rows, offset=pos)
-    out: list[SliceSummary] = []
-    start = 0
-    while start < n_rows:
-        rank = int(array["rank"][start])
-        end = start + 1
-        while end < n_rows and array["rank"][end] == rank:
-            end += 1
-        run = array[start:end]
-        columns = SummaryColumns(
-            rank=rank,
-            sensor_id=run["sensor"],
-            sensor_type_code=run["type_code"],
-            group_code=run["group_code"],
-            group_table=groups,
-            slice_index=run["slice"],
-            t_slice_start=run["t_start"],
-            mean_duration=run["dur"],
-            count=run["count"],
-            mean_cache_miss=run["miss"],
-        )
-        out.extend(columns.to_summaries())
-        start = end
-    return out
+    columns = {name: array[name] for name in ROW_DTYPE.names}
+    return SummaryColumns(group_table=groups, **columns).to_summaries()

@@ -22,8 +22,84 @@ import numpy as np
 
 from repro.runtime.detector import DetectorConfig, RankDetector, VarianceEvent
 from repro.runtime.dynrules import DynamicRule, NoGrouping
-from repro.runtime.records import SensorRecord, SliceSummary
+from repro.runtime.records import SENSOR_TYPE_CODE, SensorRecord, SummaryColumns, SummaryView
 from repro.sensors.model import SensorType
+
+#: one logged slice: the fields its place does not imply (the rank is the
+#: array row, the slice start is ``slice * slice_us``)
+_LOG_DTYPE = np.dtype(
+    [("sensor", "i8"), ("stype", "i1"), ("group", "i8"), ("slice", "i8"),
+     ("mean", "f8"), ("count", "i8"), ("miss", "f8")]
+)
+
+
+class SummaryLog:
+    """Every slice a run has closed, as columns: the record of the batch path.
+
+    One ``(n_ranks, capacity)`` array whose row ``r`` holds rank ``r``'s
+    summaries in emission order, so a rank's rows ``a..b`` are a
+    :class:`~repro.runtime.records.SummaryView` with no index to keep.
+    """
+
+    def __init__(self, n_ranks: int, slice_us: float) -> None:
+        self.slice_us = slice_us
+        #: summaries logged so far, per rank
+        self.rows = np.zeros(n_ranks, dtype=np.int64)
+        #: interned dynamic-rule group strings; code 0 is ""
+        self.group_table: dict[int, str] = {0: ""}
+        self._codes: dict[str, int] = {"": 0}
+        self._log = np.empty((n_ranks, 64), _LOG_DTYPE)
+
+    def intern(self, group: str) -> int:
+        code = self._codes.get(group)
+        if code is None:
+            code = self._codes[group] = len(self._codes)
+            self.group_table[code] = group
+        return code
+
+    def append(self, ranks: np.ndarray, *values) -> None:
+        """Log one summary on each of the distinct ``ranks``; ``values`` are
+        scalars or per-rank vectors in ``_LOG_DTYPE`` order."""
+        self._write(ranks, self.rows[ranks], values)
+        self.rows[ranks] += 1
+
+    def extend(self, rank: int, cols: SummaryColumns) -> None:
+        """Log one rank's object-era summaries (adoption)."""
+        k = len(cols)
+        groups = [self.intern(cols.group_table.get(c, "")) for c in cols.group_code.tolist()]
+        values = (cols.sensor_id, cols.sensor_type_code, groups, cols.slice_index,
+                  cols.mean_duration, cols.count, cols.mean_cache_miss)
+        self._write(np.full(k, rank), self.rows[rank] + np.arange(k), values)
+        self.rows[rank] += k
+
+    def _write(self, ranks: np.ndarray, ordinal: np.ndarray, values) -> None:
+        n_ranks, cap = self._log.shape
+        if ordinal.max() >= cap:
+            grown = np.empty((n_ranks, 2 * max(cap, int(ordinal.max()))), _LOG_DTYPE)
+            grown[:, :cap] = self._log
+            self._log = grown
+        for name, value in zip(_LOG_DTYPE.names, values):
+            self._log[name][ranks, ordinal] = value
+
+    def take(self, ranks, ordinal) -> SummaryColumns:
+        """Rows ``(ranks[i], ordinal[i])`` as columns, in one gather — or,
+        given one rank and a slice of its ordinals, that stretch as views."""
+        rows = self._log[ranks, ordinal]
+        if not isinstance(ranks, np.ndarray):
+            ranks = np.full(len(rows), ranks)
+        return SummaryColumns(
+            ranks, rows["sensor"], rows["stype"], rows["group"], self.group_table,
+            rows["slice"], rows["slice"] * self.slice_us, rows["mean"], rows["count"],
+            rows["miss"],
+        )
+
+    def view(self, rank: int) -> SummaryView:
+        """Everything ``rank`` has logged so far."""
+        return SummaryView(self, rank, 0, int(self.rows[rank]))
+
+    def groups(self, rank: int, start: int, stop: int) -> set[str]:
+        codes = set(self._log["group"][rank, start:stop].tolist())
+        return {self.group_table[code] for code in codes}
 
 
 class _Lifecycle:
@@ -72,7 +148,7 @@ class BatchDetector:
         self.rule = rule or NoGrouping()
         self.metrics = metrics
         self.records = np.zeros(n_ranks, dtype=np.int64)
-        self.summaries: list[list[SliceSummary]] = [[] for _ in range(n_ranks)]
+        self.log = SummaryLog(n_ranks, self.config.slice_us)
         self.events: list[list[VarianceEvent]] = [[] for _ in range(n_ranks)]
         self.shutoff: list[set[int]] = [set() for _ in range(n_ranks)]
         self._life: dict[int, _Lifecycle] = {}
@@ -85,14 +161,16 @@ class BatchDetector:
     def adopt(cls, detectors: dict[int, RankDetector]) -> "BatchDetector":
         """Gather ranks ``0..n-1``'s scalar detectors into one vector state.
 
-        The detectors' ``summaries`` / ``events`` / ``shutoff`` containers
-        are taken over, not copied; the detectors must not be fed again.
+        The detectors' summaries are loaded into the log; their ``events``
+        / ``shutoff`` containers are taken over, not copied.  The detectors
+        must not be fed again.
         """
         first = detectors[0]
         vec = cls(len(detectors), first.config, first.rule, first.metrics)
         for rank, det in detectors.items():
             vec.records[rank] = det.records_processed
-            vec.summaries[rank] = det.summaries
+            if det.summaries:
+                vec.log.extend(rank, SummaryColumns.from_rows(det.summaries))
             vec.events[rank] = det.events
             vec.shutoff[rank] = det.shutoff
             for sid, seen in det.lifecycle._seen.items():
@@ -139,12 +217,13 @@ class BatchDetector:
         t_end: np.ndarray,
         instructions: np.ndarray,
         cache_miss_rate: np.ndarray,
-    ) -> list[tuple[int, SliceSummary, VarianceEvent | None]]:
+    ) -> list[tuple[int, VarianceEvent]]:
         """Feed one Tick..Tock record of ``sensor_id`` on each of ``ranks``.
 
         ``ranks`` are distinct; entry ``i`` of every vector is rank
-        ``ranks[i]``'s record.  Returns ``(i, summary, event or None)`` for
-        each record that closed a slice (a record closes at most one).
+        ``ranks[i]``'s record.  Closed slices go to :attr:`log`; returns
+        ``(i, event)`` for each record whose closed slice (a record closes
+        at most one) fell below the variance threshold.
         """
         cfg = self.config
         metrics = self.metrics
@@ -182,7 +261,7 @@ class BatchDetector:
                 t_end, duration, miss = t_end[keep], duration[keep], miss[keep]
                 if not len(lanes):
                     return []
-        out: list[tuple[int, SliceSummary, VarianceEvent | None]] = []
+        out: list[tuple[int, VarianceEvent]] = []
         if type(self.rule) is NoGrouping:
             self._advance(sensor_id, "", lanes, ranks, t_end, duration, miss, out)
             return out
@@ -246,36 +325,28 @@ class BatchDetector:
         sl.standard[improved] = mean[best]
         sl.known[improved] = True
         sensor_type = self._types[sensor_id]
-        slice_us = self.config.slice_us
-        threshold = self.config.threshold
-        n_events = 0
-        means = mean.tolist()
-        for lane, rank, idx, mean_duration, n, mean_cache_miss, performance in zip(
-            lanes.tolist(), ranks.tolist(), sl.idx[ranks].tolist(), means,
-            count.tolist(), mean_miss.tolist(), perf.tolist(),
-        ):
-            summary = SliceSummary(
-                rank, sensor_id, sensor_type, group, idx, idx * slice_us,
-                mean_duration, n, mean_cache_miss,
+        idx = sl.idx[ranks]
+        self.log.append(
+            ranks, sensor_id, SENSOR_TYPE_CODE[sensor_type], self.log.intern(group),
+            idx, mean, count, mean_miss,
+        )
+        slow = np.flatnonzero(perf < self.config.threshold).tolist()
+        for i in slow:
+            rank = int(ranks[i])
+            event = VarianceEvent(
+                rank, sensor_id, sensor_type, group,
+                int(idx[i]) * self.config.slice_us, float(perf[i]),
             )
-            self.summaries[rank].append(summary)
-            event = None
-            if performance < threshold:
-                event = VarianceEvent(
-                    rank, sensor_id, sensor_type, group,
-                    summary.t_slice_start, performance,
-                )
-                self.events[rank].append(event)
-                n_events += 1
-            out.append((lane, summary, event))
+            self.events[rank].append(event)
+            out.append((int(lanes[i]), event))
         metrics = self.metrics
         if metrics is not None:
             metrics.counter("detector.summaries").inc(len(ranks))
             observe = metrics.histogram("detector.slice_duration_us").observe
-            for mean_duration in means:
+            for mean_duration in mean.tolist():
                 observe(mean_duration)
-            if n_events:
-                metrics.counter("detector.variance_events").inc(n_events)
+            if slow:
+                metrics.counter("detector.variance_events").inc(len(slow))
 
     def finish(self, rank: int) -> list[VarianceEvent]:
         """Flush ``rank``'s open slices at the end of its run."""
@@ -286,12 +357,12 @@ class BatchDetector:
         )
         lane = np.zeros(1, dtype=np.int64)
         one = np.array([rank])
-        out: list[tuple[int, SliceSummary, VarianceEvent | None]] = []
+        out: list[tuple[int, VarianceEvent]] = []
         for _, key in open_slices:
             sl = self._slices[key]
             self._close(*key, sl, lane, one, out)
             sl.count[rank] = 0
-        return [event for _, _, event in out if event is not None]
+        return [event for _, event in out]
 
 
 class _RankHistory:
@@ -330,7 +401,7 @@ class RankView:
     config = property(lambda self: self._vec.config)
     rule = property(lambda self: self._vec.rule)
     metrics = property(lambda self: self._vec.metrics)
-    summaries = property(lambda self: self._vec.summaries[self.rank])
+    summaries = property(lambda self: self._vec.log.view(self.rank))
     events = property(lambda self: self._vec.events[self.rank])
     shutoff = property(lambda self: self._vec.shutoff[self.rank])
     records_processed = property(lambda self: int(self._vec.records[self.rank]))
@@ -345,7 +416,7 @@ class RankView:
             np.array([record.instructions]),
             np.array([record.cache_miss_rate]),
         )
-        return [event for _, _, event in out if event is not None]
+        return [event for _, event in out]
 
     def finish(self) -> list[VarianceEvent]:
         return self._vec.finish(self.rank)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ReproError
@@ -125,7 +126,7 @@ class Envelope:
 
     rank: int
     seq: int
-    payload: tuple
+    payload: Sequence
     sent_at: float
     deliver_at: float
     #: True for channel-created duplicate copies
@@ -153,7 +154,7 @@ class LossyChannel:
 
     # -- sending -----------------------------------------------------------
 
-    def send(self, rank: int, seq: int, payload: tuple, now: float) -> None:
+    def send(self, rank: int, seq: int, payload: Sequence, now: float) -> None:
         """Submit one batch copy; the channel decides its fate."""
         self.stats.sent += 1
         if self._rng.random() < self.config.drop_rate:
@@ -164,7 +165,7 @@ class LossyChannel:
             self.stats.duplicated += 1
             self._enqueue(rank, seq, payload, now, is_copy=True)
 
-    def _enqueue(self, rank: int, seq: int, payload: tuple, now: float, is_copy: bool) -> None:
+    def _enqueue(self, rank: int, seq: int, payload: Sequence, now: float, is_copy: bool) -> None:
         delay = self.config.delay_us
         if self.config.jitter_us:
             delay += self._rng.random() * self.config.jitter_us

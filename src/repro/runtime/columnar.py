@@ -9,29 +9,33 @@ ingest; interleaved ingest/query (the
 :class:`~repro.runtime.live.LiveReporter` pattern) then degrades
 quadratically in run length.
 
-This module is the production store behind the same interface: summaries
-live in append-only NumPy columns (amortized-doubling growth, interned
-group strings) holding exactly what a query reads, the canonical order is
-maintained as a sorted base plus an unsorted tail, and the replay rolls
-forward instead of restarting whenever an epoch's new rows all sort after
-everything already replayed — the common case for an in-order run.  Every kernel reproduces the reference semantics
-bit-for-bit: the cumulative-min history normalization uses
-:func:`repro.runtime.history.observe_block`, cell means are taken with
-``np.mean`` over the same values in the same canonical order, and the
-inter-process math is the identical NumPy expression the reference
-evaluates per (sensor, window).  The differential hypothesis suite in
-``tests/runtime/test_server_columnar.py`` pins the bit-identity under
-arbitrary permutation, redelivery and interleaved queries.
+This module is the production store behind the same interface.  Ingest
+only *stages* a batch, in whatever form it came; the first read of an
+epoch settles the store: one gather per column appends the staged rows to
+exact-size NumPy columns (interned group strings, exactly what a query
+reads), a stable canonical sort of the unreplayed tail exposes identity
+duplicates as rows equal to their predecessor, and the replay rolls
+forward instead of restarting whenever the epoch's new rows all sort after
+everything already replayed — the common case for an in-order run.  Every
+kernel reproduces the reference semantics bit-for-bit: the cumulative-min
+history normalization uses :func:`repro.runtime.history.observe_block`,
+cell means are taken with ``np.mean`` over the same values in the same
+canonical order, and the inter-process math is the identical NumPy
+expression the reference evaluates per (sensor, window).  The differential
+hypothesis suite in ``tests/runtime/test_server_columnar.py`` pins the
+bit-identity under arbitrary permutation, arrival form, redelivery and
+interleaved queries.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator, Sequence
+from itertools import chain, groupby
 
 import numpy as np
 
 from repro.runtime.history import observe_block
-from repro.runtime.records import CODE_SENSOR_TYPE, SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
+from repro.runtime.records import CODE_SENSOR_TYPE, SliceSummary, SummaryColumns, SummaryView
 from repro.sensors.model import SensorType
 
 #: store column names and dtypes; ``window`` is precomputed at ingest so
@@ -46,8 +50,6 @@ _COLUMNS = (
     ("stype", np.int8),
     ("window", np.int64),
 )
-
-_INITIAL_CAPACITY = 1024
 
 
 def _segment_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -75,27 +77,27 @@ class ColumnarStore:
     """Append-only columnar store of slice summaries plus replay state.
 
     The owner (:class:`~repro.runtime.server.AnalysisServer`) drives the
-    lifecycle: ``ingest_*`` appends a batch's new rows and returns how
-    many were identity duplicates, :meth:`replay` brings the canonical
-    order and per-row normalized performance up to date (returning what
-    kind of epoch it was, for observability), and the query kernels
-    (:meth:`matrix`, :meth:`inter_blocks`) assume :meth:`replay` ran
-    first.  :meth:`max_window`, :meth:`last_seen` and :meth:`sensor_types`
-    are computed from the columns when asked; ingest keeps no table
-    beside them.
+    lifecycle: ``ingest_*`` stages a batch, :meth:`settle` folds the
+    staged batches in and says how many rows were identity duplicates,
+    :meth:`replay` brings the canonical order and per-row normalized
+    performance up to date (returning what kind of epoch it was, for
+    observability).  Everything else answers about the settled rows —
+    :meth:`max_window`, :meth:`last_seen` and :meth:`sensor_types` from
+    the columns, with no table beside them — and the query kernels
+    (:meth:`matrix`, :meth:`inter_blocks`) assume :meth:`replay` ran.
     """
 
     def __init__(self, window_us: float) -> None:
         self.window_us = window_us
-        self.n = 0
-        self._cap = 0
+        #: exact-size columns: rows are appended once per epoch, by ``settle``
         self._cols: dict[str, np.ndarray] = {
             name: np.empty(0, dtype) for name, dtype in _COLUMNS
         }
         #: normalized performance per row, filled by replay
         self._perf = np.empty(0, np.float64)
-        #: identity dedup: (rank, sensor, group code, slice)
-        self._keys: set[tuple[int, int, int, int]] = set()
+        #: batches admitted since the last read, in arrival order and in
+        #: whatever form they came (row sequences, views, columns)
+        self._staged: list = []
         #: interned dynamic-rule group strings; code 0 is ""
         self._group_codes: dict[str, int] = {"": 0}
         self._group_strs: list[str] = [""]
@@ -103,13 +105,15 @@ class ColumnarStore:
         #: canonical order (row indices) of replayed rows
         self._order = np.empty(0, np.int64)
         self._replayed = 0
+        #: what ``settle`` sorted for the next replay: (kind, row indices)
+        self._epoch: tuple[str, np.ndarray] | None = None
         #: running standard times keyed by (sensor id, group code)
         self._standards: dict[tuple[int, int], float] = {}
         #: canonical sort key of the last replayed row
         self._last_key: tuple[int, int, int, str] | None = None
 
     def __len__(self) -> int:
-        return self.n
+        return len(self._perf)
 
     # -- interning ---------------------------------------------------------
 
@@ -140,151 +144,111 @@ class ColumnarStore:
 
     # -- ingest ------------------------------------------------------------
 
-    def _grow(self, need: int) -> None:
-        if need <= self._cap:
-            return
-        cap = max(_INITIAL_CAPACITY, self._cap)
-        while cap < need:
-            cap *= 2
-        for name, dtype in _COLUMNS:
-            grown = np.empty(cap, dtype)
-            grown[: self.n] = self._cols[name][: self.n]
-            self._cols[name] = grown
-        perf = np.empty(cap, np.float64)
-        perf[: self.n] = self._perf[: self.n]
-        self._perf = perf
-        self._cap = cap
+    def ingest_summaries(self, batch: Sequence[SliceSummary] | SummaryColumns) -> None:
+        """Stage a batch — a row list, a detector's
+        :class:`~repro.runtime.records.SummaryView` or decoded columns —
+        held by reference until :meth:`settle`."""
+        self._staged.append(batch)
 
-    def _append(self, staged: dict[str, np.ndarray]) -> None:
-        k = len(staged["rank"])
-        need = self.n + k
-        self._grow(need)
-        for name, _ in _COLUMNS:
-            self._cols[name][self.n : need] = staged[name]
-        self.n = need
+    ingest_columns = ingest_summaries
 
-    def ingest_summaries(self, summaries: list[SliceSummary]) -> int:
-        """Append deduplicated object-form summaries; returns the number
-        of rows dropped as identity duplicates."""
-        keys = self._keys
-        ranks: list[int] = []
-        sensors: list[int] = []
-        groups: list[int] = []
-        slices: list[int] = []
-        t_starts: list[float] = []
-        durations: list[float] = []
-        stypes: list[int] = []
-        duplicates = 0
-        for s in summaries:
-            code = self._intern(s.group)
-            key = (s.rank, s.sensor_id, code, s.slice_index)
-            if key in keys:
-                duplicates += 1
-                continue
-            keys.add(key)
-            ranks.append(s.rank)
-            sensors.append(s.sensor_id)
-            groups.append(code)
-            slices.append(s.slice_index)
-            t_starts.append(s.t_slice_start)
-            durations.append(s.mean_duration)
-            stypes.append(SENSOR_TYPE_CODE[s.sensor_type])
-        if not ranks:
-            return duplicates
-        t_arr = np.asarray(t_starts, np.float64)
-        window = np.floor_divide(t_arr, self.window_us).astype(np.int64)
-        self._append(
-            {
-                "rank": np.asarray(ranks, np.int64),
-                "sensor": np.asarray(sensors, np.int64),
-                "group": np.asarray(groups, np.int64),
-                "slice": np.asarray(slices, np.int64),
-                "t_start": t_arr,
-                "duration": np.asarray(durations, np.float64),
-                "stype": np.asarray(stypes, np.int8),
-                "window": window,
-            }
-        )
-        return duplicates
-
-    def ingest_columns(self, cols: SummaryColumns) -> int:
-        """Append a zero-copy decoded batch (column arrays, one rank);
-        returns the number of rows dropped as identity duplicates."""
-        n = len(cols)
-        if n == 0:
-            return 0
-        local_codes, inverse = np.unique(cols.group_code, return_inverse=True)
-        remap = np.empty(len(local_codes), np.int64)
-        for i, local in enumerate(local_codes.tolist()):
-            remap[i] = self._intern(cols.group_table.get(local, ""))
-        store_codes = remap[inverse]
-        sensors = cols.sensor_id.astype(np.int64)
-        slices = cols.slice_index.astype(np.int64)
-        rank = cols.rank
-        keys = self._keys
-        keep = np.ones(n, bool)
-        duplicates = 0
-        for i, (sid, code, sl) in enumerate(
-            zip(sensors.tolist(), store_codes.tolist(), slices.tolist())
+    def _staged_columns(self) -> Iterator[SummaryColumns]:
+        """The staged batches as columns, in arrival order: consecutive
+        views of one log share a gather, consecutive row sequences one
+        conversion."""
+        staged, self._staged = self._staged, []
+        for form, run in groupby(
+            staged, key=lambda b: b.log if isinstance(b, SummaryView) else type(b)
         ):
-            key = (rank, sid, code, sl)
-            if key in keys:
-                keep[i] = False
-                duplicates += 1
+            if form is SummaryColumns:
+                yield from run
+            elif isinstance(form, type):
+                yield SummaryColumns.from_rows(chain.from_iterable(run))
             else:
-                keys.add(key)
-        if not keep.any():
-            return duplicates
-        if duplicates:
-            sensors = sensors[keep]
-            slices = slices[keep]
-            store_codes = store_codes[keep]
-        t_arr = cols.t_slice_start[keep] if duplicates else cols.t_slice_start
-        stype_codes = cols.sensor_type_code[keep] if duplicates else cols.sensor_type_code
-        window = np.floor_divide(np.asarray(t_arr, np.float64), self.window_us).astype(np.int64)
-        k = len(sensors)
-        self._append(
-            {
-                "rank": np.full(k, rank, np.int64),
-                "sensor": sensors,
-                "group": store_codes,
-                "slice": slices,
-                "t_start": np.asarray(t_arr, np.float64),
-                "duration": (cols.mean_duration[keep] if duplicates else cols.mean_duration).astype(np.float64),
-                "stype": np.asarray(stype_codes, np.int8),
-                "window": window,
-            }
-        )
-        return duplicates
+                yield SummaryView.gather(list(run))
+
+    def _append_staged(self) -> None:
+        """Append every staged row, store-coded, in arrival order."""
+        blocks = []  # per batch of columns: its arrays in ``_COLUMNS`` order
+        for cols in self._staged_columns():
+            if not len(cols):
+                continue
+            local_codes, inverse = np.unique(cols.group_code, return_inverse=True)
+            remap = np.array(
+                [self._intern(cols.group_table.get(c, "")) for c in local_codes.tolist()]
+            )
+            t_start = np.asarray(cols.t_slice_start, np.float64)
+            window = np.floor_divide(t_start, self.window_us)
+            blocks.append(
+                (cols.rank, cols.sensor_id, remap[inverse], cols.slice_index, t_start,
+                 cols.mean_duration, cols.sensor_type_code, window)
+            )
+        for (name, dtype), parts in zip(_COLUMNS, zip(*blocks)):
+            self._cols[name] = np.concatenate(
+                (self._cols[name], *parts), dtype=dtype, casting="unsafe"
+            )
+        added = len(self._cols["rank"]) - len(self._perf)
+        self._perf = np.concatenate((self._perf, np.empty(added)))
+
+    def settle(self) -> int:
+        """Fold the staged batches into the columns and drop identity
+        duplicates; returns how many this call dropped.
+
+        Every other method reads the settled store, so the owner calls
+        this first.  The identity key (rank, sensor, group, slice) is the
+        canonical sort key and the sort is stable over arrival order, so a
+        row equal to its predecessor in canonical order is a later arrival
+        of the same identity (first arrival wins).  Such rows are always
+        in the unreplayed tail; they are compacted away here, and
+        :meth:`replay` gets the epoch's rows already in order.
+        """
+        if not self._staged:
+            return 0
+        self._append_staged()
+        start, n = self._replayed, len(self)
+        if start == n:
+            return 0
+        order = self._canonical_order(np.arange(start, n, dtype=np.int64))
+        # A tail that sorts after everything replayed cannot repeat a
+        # replayed row; otherwise the whole store is put in order.
+        ahead = start and self._key_of(int(order[0])) > self._last_key
+        if not ahead:
+            order = self._canonical_order(np.arange(n, dtype=np.int64))
+        cols = self._cols
+        repeat = np.ones(len(order) - 1, bool)
+        for name in ("slice", "rank", "sensor", "group"):
+            key = cols[name][order]
+            repeat &= key[1:] == key[:-1]
+        if repeat.any():
+            keep = np.ones(n, bool)
+            keep[order[1:][repeat]] = False
+            for name in cols:
+                cols[name] = cols[name][keep]
+            self._perf = self._perf[keep]
+            order = (np.cumsum(keep) - 1)[order[np.concatenate(([True], ~repeat))]]
+        fresh = order[order >= start]
+        if start and len(fresh) and self._key_of(int(fresh[0])) > self._last_key:
+            self._epoch = ("incremental", fresh)
+        else:
+            self._epoch = ("full", order)
+        return n - len(self)
 
     # -- canonical replay --------------------------------------------------
 
     def pending(self) -> bool:
-        return self._replayed < self.n
+        return self._replayed < len(self)
 
     def _canonical_order(self, idx: np.ndarray) -> np.ndarray:
-        """Sort row indices by (slice, rank, sensor, group string)."""
-        grank = self._group_sort_ranks()
+        """Stable sort of row indices by (slice, rank, sensor, group string)."""
         cols = self._cols
-        return idx[
-            np.lexsort(
-                (
-                    grank[cols["group"][idx]],
-                    cols["sensor"][idx],
-                    cols["rank"][idx],
-                    cols["slice"][idx],
-                )
-            )
-        ]
+        group = self._group_sort_ranks()[cols["group"][idx]]
+        return idx[np.lexsort((group, cols["sensor"][idx], cols["rank"][idx], cols["slice"][idx]))]
 
     def _key_of(self, row: int) -> tuple[int, int, int, str]:
-        cols = self._cols
-        return (
-            int(cols["slice"][row]),
-            int(cols["rank"][row]),
-            int(cols["sensor"][row]),
-            self._group_strs[int(cols["group"][row])],
+        index, rank, sensor, group = (
+            int(self._cols[name][row]) for name in ("slice", "rank", "sensor", "group")
         )
+        return (index, rank, sensor, self._group_strs[group])
 
     def replay(self) -> tuple[str, int] | None:
         """Bring the canonical order and per-row perf up to date.
@@ -293,29 +257,22 @@ class ColumnarStore:
         done, ``None`` when already current.  An epoch is incremental iff
         every new row sorts canonically after the last replayed row —
         then the sorted base is extended and the history state rolls
-        forward; otherwise the whole store is re-sorted and re-observed.
+        forward; otherwise the whole store is re-observed in the order
+        :meth:`settle` sorted.
         """
-        n = self.n
+        n = len(self)
         if self._replayed == n:
             return None
-        tail = np.arange(self._replayed, n, dtype=np.int64)
-        tail_order = self._canonical_order(tail)
-        if (
-            self._replayed
-            and self._last_key is not None
-            and self._key_of(int(tail_order[0])) > self._last_key
-        ):
-            self._observe_rows(tail_order)
-            self._order = np.concatenate((self._order, tail_order))
-            kind, rows = "incremental", n - self._replayed
+        kind, order = self._epoch
+        if kind == "incremental":
+            self._order = np.concatenate((self._order, order))
         else:
             self._standards = {}
-            self._order = self._canonical_order(np.arange(n, dtype=np.int64))
-            self._observe_rows(self._order)
-            kind, rows = "full", n
+            self._order = order
+        self._observe_rows(order)
         self._last_key = self._key_of(int(self._order[-1]))
         self._replayed = n
-        return kind, rows
+        return kind, len(order)
 
     def _observe_rows(self, order: np.ndarray) -> None:
         """Vectorized history normalization of ``order``'s rows in place.
@@ -357,23 +314,20 @@ class ColumnarStore:
 
     def max_window(self) -> int:
         """Highest matrix window any stored row falls in (0 when empty)."""
-        if not self.n:
-            return 0
-        return max(0, int(self._cols["window"][: self.n].max()))
+        return max(0, int(self._cols["window"].max())) if len(self) else 0
 
     def last_seen(self) -> dict[int, float]:
         """rank -> virtual start time of the freshest slice it reported."""
-        ranks, inverse = np.unique(self._cols["rank"][: self.n], return_inverse=True)
+        ranks, inverse = np.unique(self._cols["rank"], return_inverse=True)
         latest = np.full(len(ranks), -np.inf)
-        np.maximum.at(latest, inverse, self._cols["t_start"][: self.n])
+        np.maximum.at(latest, inverse, self._cols["t_start"])
         return dict(zip(ranks.tolist(), latest.tolist()))
 
     def sensor_types(self) -> dict[int, SensorType]:
         """sensor id -> type; the last stored row wins, as sequential
         ingest would have left it."""
-        n = self.n
-        sensors, first = np.unique(self._cols["sensor"][:n][::-1], return_index=True)
-        codes = self._cols["stype"][:n][(n - 1) - first]
+        sensors, first = np.unique(self._cols["sensor"][::-1], return_index=True)
+        codes = self._cols["stype"][(len(self) - 1) - first]
         return {s: CODE_SENSOR_TYPE[c] for s, c in zip(sensors.tolist(), codes.tolist())}
 
     # -- query kernels (assume replay() ran) -------------------------------

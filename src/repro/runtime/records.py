@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -67,19 +69,24 @@ class SliceSummary:
         return (self.rank, self.sensor_id, self.group, self.slice_index)
 
 
+_ROW_FIELDS = attrgetter(
+    "rank", "sensor_id", "sensor_type", "group", "slice_index",
+    "t_slice_start", "mean_duration", "count", "mean_cache_miss",
+)
+
+
 @dataclass(slots=True)
 class SummaryColumns:
-    """One decoded batch as parallel column arrays (no per-row objects).
+    """Slice summaries as parallel column arrays (no per-row objects).
 
-    This is what the zero-copy spool decode hands the analysis server:
-    every field of :class:`SliceSummary` as one NumPy array, with group
-    strings carried as per-row codes plus a ``code -> string`` table.  The
-    columnar server ingests the arrays directly; the reference engine
-    materializes :class:`SliceSummary` objects via :meth:`to_summaries`
-    (bit-identical to the historical per-record ``struct`` decode).
+    The one columnar form of the record — what the zero-copy spool decode
+    produces, what a :class:`SummaryView` gathers from its detector's log,
+    what the columnar store takes in: every field of :class:`SliceSummary`
+    as one NumPy array, group strings as per-row codes plus a ``code ->
+    string`` table.  Iterating yields :class:`SliceSummary` rows.
     """
 
-    rank: int
+    rank: np.ndarray
     sensor_id: np.ndarray
     sensor_type_code: np.ndarray
     group_code: np.ndarray
@@ -93,29 +100,87 @@ class SummaryColumns:
     def __len__(self) -> int:
         return len(self.sensor_id)
 
+    def __iter__(self) -> Iterator[SliceSummary]:
+        return iter(self.to_summaries())
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[SliceSummary]) -> "SummaryColumns":
+        """Columns of object-form rows, in order; groups are coded in
+        first-seen order."""
+        fields = list(zip(*map(_ROW_FIELDS, rows))) or [()] * 9
+        rank, sensor_id, stype, group, slice_index, t_start, duration, count, miss = fields
+        codes: dict[str, int] = {}
+        group_code = [codes.setdefault(g, len(codes)) for g in group]
+        i8, f8 = np.int64, np.float64
+        return cls(
+            np.array(rank, i8), np.array(sensor_id, i8),
+            np.array([SENSOR_TYPE_CODE[t] for t in stype], np.int8),
+            np.array(group_code, i8), {code: g for g, code in codes.items()},
+            np.array(slice_index, i8), np.array(t_start, f8), np.array(duration, f8),
+            np.array(count, i8), np.array(miss, f8),
+        )
+
     def to_summaries(self) -> list[SliceSummary]:
-        """Materialize per-row objects (reference-engine fallback)."""
+        """Materialize per-row objects."""
         groups = self.group_table
         return [
-            SliceSummary(
-                rank=self.rank,
-                sensor_id=sensor_id,
-                sensor_type=CODE_SENSOR_TYPE[type_code],
-                group=groups.get(group_code, ""),
-                slice_index=slice_index,
-                t_slice_start=t_start,
-                mean_duration=duration,
-                count=count,
-                mean_cache_miss=miss,
-            )
-            for sensor_id, type_code, group_code, slice_index, t_start, duration, count, miss in zip(
-                self.sensor_id.tolist(),
-                self.sensor_type_code.tolist(),
-                self.group_code.tolist(),
-                self.slice_index.tolist(),
-                self.t_slice_start.tolist(),
-                self.mean_duration.astype(np.float64).tolist(),
-                self.count.tolist(),
-                self.mean_cache_miss.tolist(),
+            SliceSummary(rank, sensor, CODE_SENSOR_TYPE[stype], groups.get(group, ""),
+                         index, t_start, duration, count, miss)
+            for rank, sensor, stype, group, index, t_start, duration, count, miss in zip(
+                self.rank.tolist(), self.sensor_id.tolist(), self.sensor_type_code.tolist(),
+                self.group_code.tolist(), self.slice_index.tolist(), self.t_slice_start.tolist(),
+                self.mean_duration.tolist(), self.count.tolist(), self.mean_cache_miss.tolist(),
             )
         ]
+
+
+@dataclass(slots=True, eq=False)
+class SummaryView(Sequence):
+    """Rows ``start..stop`` of one rank in a detector's columnar log: what
+    a lockstep run ships and what ``detector.summaries`` reads as.  The
+    rows stay in the log's arrays; the view has an O(1) ``len``, slices to
+    narrower views, and materializes :class:`SliceSummary` rows only for a
+    consumer that indexes or iterates it."""
+
+    #: the :class:`~repro.runtime.batch_detector.SummaryLog` holding the rows
+    log: object
+    rank: int
+    start: int
+    stop: int
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, index):
+        if isinstance(index, slice) and index.step is None:
+            start, stop, _ = index.indices(len(self))
+            return SummaryView(
+                self.log, self.rank, self.start + start, self.start + max(start, stop)
+            )
+        return self.columns().to_summaries()[index]
+
+    def __iter__(self) -> Iterator[SliceSummary]:
+        return iter(self.columns())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def columns(self) -> SummaryColumns:
+        return self.log.take(self.rank, slice(self.start, self.stop))
+
+    def groups(self) -> set[str]:
+        """The distinct group strings among the view's rows."""
+        return self.log.groups(self.rank, self.start, self.stop)
+
+    @staticmethod
+    def gather(views: "Sequence[SummaryView]") -> SummaryColumns:
+        """The rows of ``views`` (all on one log), concatenated in order,
+        with one gather per column."""
+        rank = np.array([v.rank for v in views])
+        start = np.array([v.start for v in views])
+        lens = np.array([v.stop for v in views]) - start
+        ends = np.cumsum(lens)
+        ordinal = np.arange(ends[-1]) + np.repeat(start - (ends - lens), lens)
+        return views[0].log.take(np.repeat(rank, lens), ordinal)

@@ -14,7 +14,8 @@ span and counters describe the production store only.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,18 +45,19 @@ class ReferenceStore:
         self._max_window = 0
         self._sensor_types: dict[int, SensorType] = {}
         self._last_seen: dict[int, float] = {}
+        #: identity duplicates seen and not yet reported by ``settle``
+        self._duplicates = 0
 
     def __len__(self) -> int:
         return len(self._store)
 
     # -- ingest ------------------------------------------------------------
 
-    def ingest_summaries(self, summaries: list[SliceSummary]) -> int:
-        duplicates = 0
+    def ingest_summaries(self, summaries: Sequence[SliceSummary] | SummaryColumns) -> None:
         for summary in summaries:
             key = summary.identity
             if key in self._store:
-                duplicates += 1
+                self._duplicates += 1
                 continue
             self._store[key] = summary
             self._analysis = None
@@ -65,10 +67,12 @@ class ReferenceStore:
             last = self._last_seen.get(summary.rank)
             if last is None or summary.t_slice_start > last:
                 self._last_seen[summary.rank] = summary.t_slice_start
-        return duplicates
 
-    def ingest_columns(self, cols: SummaryColumns) -> int:
-        return self.ingest_summaries(cols.to_summaries())
+    ingest_columns = ingest_summaries  # decoded columns iterate as rows
+
+    def settle(self) -> int:
+        duplicates, self._duplicates = self._duplicates, 0
+        return duplicates
 
     # -- canonical replay --------------------------------------------------
 

@@ -36,6 +36,7 @@ under any delivery schedule (``tests/runtime/test_server_columnar.py``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +86,6 @@ class AnalysisServer:
     summaries_received: int = 0
     #: redelivered batches rejected by the sequence watermark
     duplicate_batches: int = 0
-    #: summaries whose identity key was already in the store
-    duplicate_summaries: int = 0
     inter_events: list[InterProcessEvent] = field(default_factory=list)
     #: ranks whose transport gave up on them (quiet spool, exhausted
     #: retries); matrices still render, reports carry the marker
@@ -101,6 +100,7 @@ class AnalysisServer:
     _seqs: dict[int, SequenceTracker] = field(default_factory=dict)
     #: the identity-keyed summary store ``engine`` selected
     _rows: ColumnarStore | ReferenceStore = None  # type: ignore[assignment]
+    _duplicate_summaries: int = 0
 
     def __post_init__(self) -> None:
         store_class = _STORES.get(self.engine)
@@ -115,11 +115,13 @@ class AnalysisServer:
     def receive_batch(
         self,
         rank: int,
-        summaries: list[SliceSummary],
+        summaries: Sequence[SliceSummary] | SummaryColumns,
         seq: int | None = None,
         encoded_bytes: int | None = None,
     ) -> bool:
-        """One batched transfer from a rank's local buffer.
+        """One batched transfer from a rank's local buffer — a row list, a
+        detector's :class:`~repro.runtime.records.SummaryView` or decoded
+        columns — which the store may hold by reference until the next read.
 
         ``seq`` is the rank's batch sequence number when the batch came over
         a sequenced transport; redelivered sequence numbers are counted and
@@ -132,23 +134,11 @@ class AnalysisServer:
         """
         if not self._admit(rank, len(summaries), seq, encoded_bytes):
             return False
-        self._count_duplicates(self._rows.ingest_summaries(summaries))
+        self._rows.ingest_summaries(summaries)
         return True
 
-    def receive_batch_columns(
-        self,
-        rank: int,
-        columns: SummaryColumns,
-        seq: int | None = None,
-        encoded_bytes: int | None = None,
-    ) -> bool:
-        """Like :meth:`receive_batch`, for a zero-copy decoded batch (the
-        columnar store ingests the arrays directly; the reference store
-        materializes :class:`SliceSummary` objects first)."""
-        if not self._admit(rank, len(columns), seq, encoded_bytes):
-            return False
-        self._count_duplicates(self._rows.ingest_columns(columns))
-        return True
+    #: the name the spool drain calls with its zero-copy decoded batches
+    receive_batch_columns = receive_batch
 
     def _admit(
         self, rank: int, n_rows: int, seq: int | None, encoded_bytes: int | None
@@ -169,12 +159,6 @@ class AnalysisServer:
             self.metrics.counter("server.summaries").inc(n_rows)
         return True
 
-    def _count_duplicates(self, duplicates: int) -> None:
-        if duplicates:
-            self.duplicate_summaries += duplicates
-            if self.metrics is not None:
-                self.metrics.counter("server.duplicate_summaries").inc(duplicates)
-
     def _advance_watermark(self, rank: int, seq: int) -> bool:
         """Record one received sequence number; False if already seen."""
         tracker = self._seqs.get(rank)
@@ -191,10 +175,27 @@ class AnalysisServer:
         tracker = self._seqs.get(rank)
         return tracker is not None and tracker.is_acked(seq)
 
+    def _settled(self) -> ColumnarStore | ReferenceStore:
+        """The store with every admitted batch folded in and its identity
+        duplicates counted — what each answer about the rows reads."""
+        store = self._rows
+        duplicates = store.settle()
+        if duplicates:
+            self._duplicate_summaries += duplicates
+            if self.metrics is not None:
+                self.metrics.counter("server.duplicate_summaries").inc(duplicates)
+        return store
+
     @property
     def stored_summaries(self) -> int:
         """Deduplicated summaries currently in the store (either engine)."""
-        return len(self._rows)
+        return len(self._settled())
+
+    @property
+    def duplicate_summaries(self) -> int:
+        """Summaries whose identity key was already in the store."""
+        self._settled()
+        return self._duplicate_summaries
 
     # -- degradation / coverage --------------------------------------------
 
@@ -206,7 +207,7 @@ class AnalysisServer:
         candidates for degraded marking when their spool goes quiet."""
         if staleness_us is None:
             staleness_us = 4.0 * self.batch_period_us
-        last_seen = self._rows.last_seen()
+        last_seen = self._settled().last_seen()
         out = []
         for rank in range(self.n_ranks):
             last = last_seen.get(rank)
@@ -223,7 +224,7 @@ class AnalysisServer:
         ``server.replay.{full,incremental}`` counter — only when the store
         reports pending rows, so pure queries stay silent.
         """
-        store = self._rows
+        store = self._settled()
         if not store.pending():
             return store
         if self.obs is not None:

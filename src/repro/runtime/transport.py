@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.runtime.channel import LossyChannel
-from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns
+from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns, SummaryView
 from repro.runtime.server import AnalysisServer
 
 #: one record: sensor id (u32), slice index (u32), mean duration (f32),
@@ -82,8 +83,8 @@ class FileSpool:
     #: optional :class:`~repro.obs.metrics.MetricsRegistry` for spool I/O
     #: counters
     metrics: object | None = None
-    #: writer-side intern table (dynamic-rule group strings); code 0 is ""
-    _groups: list[str] = field(default_factory=lambda: [""])
+    #: writer-side intern table (dynamic-rule group string -> code); "" is 0
+    _groups: dict[str, int] = field(default_factory=lambda: {"": 0})
     #: writer-side: group codes already defined in each rank's file
     _written_codes: dict[int, set[int]] = field(default_factory=dict)
     #: reader-side: group tables decoded per rank file
@@ -97,14 +98,13 @@ class FileSpool:
         return os.path.join(self.directory, f"rank{rank:05d}.spool")
 
     def _group_code(self, group: str) -> int:
-        try:
-            return self._groups.index(group)
-        except ValueError:
-            self._groups.append(group)
-            code = len(self._groups) - 1
+        code = self._groups.get(group)
+        if code is None:
+            code = len(self._groups)
             if code > 0x0FFF:
                 raise ReproError("spool group table overflow (max 4096 groups)")
-            return code
+            self._groups[group] = code
+        return code
 
     # -- rank side ---------------------------------------------------------
 
@@ -116,11 +116,13 @@ class FileSpool:
         frames, so a reader can drain it without the writer's memory.
         """
         written = self._written_codes.setdefault(rank, {0})
+        #: codes this batch defines; joined to ``written`` once they are on disk
+        defined: set[int] = set()
         chunks: list[bytes] = []
         for s in summaries:
             code = self._group_code(s.group)
-            if code not in written:
-                written.add(code)
+            if code not in written and code not in defined:
+                defined.add(code)
                 encoded = s.group.encode("utf-8")
                 chunks.append(_FRAME_HEADER.pack(rank, _GROUP_FRAME, code))
                 chunks.append(_GROUP_LEN.pack(len(encoded)))
@@ -139,6 +141,7 @@ class FileSpool:
         if chunks:
             with open(self._path(rank), "ab") as fh:
                 fh.write(b"".join(chunks))
+            written |= defined
         if self.metrics is not None:
             self.metrics.counter("spool.records_written").inc(len(summaries))
 
@@ -232,7 +235,7 @@ class FileSpool:
             frames = runs[0] if len(runs) == 1 else np.concatenate(runs)
             tags = frames["tag"]
             columns = SummaryColumns(
-                rank=rank,
+                rank=np.full(count, rank),
                 sensor_id=frames["sensor"].astype(np.int64),
                 sensor_type_code=(tags >> 12).astype(np.int64),
                 group_code=(tags & 0x0FFF).astype(np.int64),
@@ -304,7 +307,9 @@ class RetryPolicy:
 class _Pending:
     rank: int
     seq: int
-    payload: tuple
+    #: the batch as handed to :meth:`ReliableTransport.send_batch` (a row
+    #: list or a detector's :class:`SummaryView`), never copied
+    payload: Sequence
     attempts: int
     next_retry_at: float
 
@@ -348,30 +353,32 @@ class ReliableTransport:
     def batch_period_us(self) -> float:
         return self.server.batch_period_us
 
-    def _encoded_size(self, rank: int, summaries: tuple | list) -> int:
+    def _encoded_size(self, rank: int, summaries: Sequence) -> int:
         """Wire size of the batch under the spool codec (headers + group
         definition frames included) — what ``bytes_received`` accounts."""
         sent = self._sent_groups.setdefault(rank, {""})
-        size = 0
-        for s in summaries:
-            if s.group not in sent:
-                sent.add(s.group)
-                size += _FRAME_HEADER.size + _GROUP_LEN.size + len(s.group.encode("utf-8"))
-            size += _FRAME_HEADER.size + _RECORD.size
+        if isinstance(summaries, SummaryView):
+            groups = summaries.groups()
+        else:
+            groups = {s.group for s in summaries}
+        size = (_FRAME_HEADER.size + _RECORD.size) * len(summaries)
+        for group in groups - sent:
+            sent.add(group)
+            size += _FRAME_HEADER.size + _GROUP_LEN.size + len(group.encode("utf-8"))
         return size
 
     # -- rank side ---------------------------------------------------------
 
-    def send_batch(self, rank: int, summaries: list[SliceSummary], now: float) -> int:
-        """Assign the next sequence number and launch the batch."""
+    def send_batch(self, rank: int, summaries: Sequence, now: float) -> int:
+        """Assign the next sequence number and launch the batch, which the
+        caller must not mutate afterwards (it is held, not copied)."""
         self.clock = max(self.clock, now)
         seq = self._next_seq.get(rank, 0)
         self._next_seq[rank] = seq + 1
-        payload = tuple(summaries)
-        self._encoded[(rank, seq)] = self._encoded_size(rank, payload)
-        self.channel.send(rank, seq, payload, self.clock)
+        self._encoded[(rank, seq)] = self._encoded_size(rank, summaries)
+        self.channel.send(rank, seq, summaries, self.clock)
         self._pending[(rank, seq)] = _Pending(
-            rank=rank, seq=seq, payload=payload, attempts=1,
+            rank=rank, seq=seq, payload=summaries, attempts=1,
             next_retry_at=self.clock + self.policy.retry_delay(1),
         )
         if self.metrics is not None:
@@ -394,7 +401,7 @@ class ReliableTransport:
             key = (envelope.rank, envelope.seq)
             accepted = self.server.receive_batch(
                 envelope.rank,
-                list(envelope.payload),
+                envelope.payload,
                 seq=envelope.seq,
                 encoded_bytes=self._encoded.get(key),
             )

@@ -39,8 +39,10 @@ class VSensorRuntime(RuntimeHooks):
     #: the detectors' state as arrays over ranks once a lockstep run has
     #: delivered a fused Tock; ``None`` on the scalar tiers
     _vector: BatchDetector | None = None
-    #: per-rank outbound buffer and the virtual time of the last batch send
-    _buffers: dict[int, list] = field(default_factory=dict)
+    #: per rank: how many of its detector's summaries have been handed to
+    #: the server (the rest are its outbound buffer) and the virtual time
+    #: of the last batch send
+    _shipped: np.ndarray = None  # type: ignore[assignment]
     _last_batch: np.ndarray = None  # type: ignore[assignment]
     events: list[VarianceEvent] = field(default_factory=list)
     #: optional periodic reporter (workflow step 8's live updates)
@@ -75,6 +77,7 @@ class VSensorRuntime(RuntimeHooks):
         metrics = self.obs.metrics if self.obs.enabled else None
         gov = self.governor
         self._vector = None
+        self._shipped = np.zeros(n_ranks, dtype=np.int64)
         self._last_batch = np.zeros(n_ranks)
         for rank in range(n_ranks):
             self.detectors[rank] = RankDetector(
@@ -84,7 +87,6 @@ class VSensorRuntime(RuntimeHooks):
                 metrics=metrics,
                 lifecycle=gov.lifecycle(rank) if gov is not None else None,
             )
-            self._buffers[rank] = []
 
     def on_sensor_record(
         self, rank: int, sensor_id: int, t_start: float, t_end: float, pmu: PmuSample
@@ -102,7 +104,6 @@ class VSensorRuntime(RuntimeHooks):
             instructions=pmu.instructions,
             cache_miss_rate=pmu.cache_miss_rate,
         )
-        before = len(detector.summaries)
         new_events = detector.add(record)
         self.events.extend(new_events)
         gov = self.governor
@@ -111,7 +112,7 @@ class VSensorRuntime(RuntimeHooks):
             if new_events:
                 worst = min(new_events, key=lambda e: e.performance)
                 gov.on_variance(rank, t_end, worst.performance, worst.sensor_type)
-        self._enqueue_new_summaries(rank, detector, before, t_end)
+        self._ship_if_due(rank, detector, t_end)
 
     def on_sensor_batch(self, batch: SensorBatch, defer) -> None:
         info = self.sensors.get(batch.sensor_id)
@@ -122,31 +123,29 @@ class VSensorRuntime(RuntimeHooks):
             vec = self._vector = BatchDetector.adopt(self.detectors)
             self.detectors = {rank: vec.view(rank) for rank in self.detectors}
         # Per-rank state advances now, in each rank's own record order ...
-        new = vec.step(
+        new_events = vec.step(
             batch.sensor_id, info.sensor_type, batch.ranks, batch.t_start,
             batch.t_end, batch.instructions, batch.cache_miss_rate,
         )
         # ... what other ranks can see waits for the lane's flush point,
         # where the scalar engine's on_sensor_record would have run.
-        buffers = self._buffers
-        for lane, summary, event in new:
-            buffers[summary.rank].append(summary)
-            if event is not None:
-                defer(lane, self.events.append, (event,))
-        due = batch.t_end - self._last_batch[batch.ranks] >= self.server.batch_period_us
+        for lane, event in new_events:
+            defer(lane, self.events.append, (event,))
+        ranks = batch.ranks
+        due = (batch.t_end - self._last_batch[ranks] >= self.server.batch_period_us) & (
+            vec.log.rows[ranks] > self._shipped[ranks]
+        )
         for lane in np.flatnonzero(due).tolist():
-            rank = int(batch.ranks[lane])
-            if buffers[rank]:
-                now = float(batch.t_end[lane])
-                defer(lane, self._ship, (rank, self._take_buffer(rank, now), now))
+            rank = int(ranks[lane])
+            now = float(batch.t_end[lane])
+            defer(lane, self._ship, (rank, self._take(rank, self.detectors[rank], now), now))
 
     def on_program_end(self, rank: int, t: float) -> None:
         detector = self.detectors.get(rank)
         if detector is None:
             return
-        before = len(detector.summaries)
         self.events.extend(detector.finish())
-        self._enqueue_new_summaries(rank, detector, before, t, force=True)
+        self._ship_if_due(rank, detector, t, force=True)
         if self.obs.enabled:
             # One virtual-time leaf span per rank's detection lifetime.
             # Governor attrs appear only when a governor is installed so
@@ -171,24 +170,21 @@ class VSensorRuntime(RuntimeHooks):
 
     # -- batching to the analysis server (§5.4) ------------------------------
 
-    def _enqueue_new_summaries(
-        self, rank: int, detector: RankDetector, before: int, now: float, force: bool = False
-    ) -> None:
-        new = detector.summaries[before:]
-        if new:
-            self._buffers[rank].extend(new)
+    def _ship_if_due(self, rank: int, detector, now: float, force: bool = False) -> None:
         due = now - self._last_batch[rank] >= self.server.batch_period_us
-        if (due or force) and self._buffers[rank]:
-            self._ship(rank, self._take_buffer(rank, now), now)
+        if (due or force) and len(detector.summaries) > self._shipped[rank]:
+            self._ship(rank, self._take(rank, detector, now), now)
 
-    def _take_buffer(self, rank: int, now: float) -> list:
-        """Hand over ``rank``'s buffered summaries; the batch period restarts."""
-        summaries = self._buffers[rank]
-        self._buffers[rank] = []
+    def _take(self, rank: int, detector, now: float):
+        """``rank``'s summaries not yet handed over — a list slice of a
+        :class:`RankDetector`'s, a view of the vector log; the batch period
+        restarts."""
+        summaries = detector.summaries[int(self._shipped[rank]) :]
+        self._shipped[rank] += len(summaries)
         self._last_batch[rank] = now
         return summaries
 
-    def _ship(self, rank: int, summaries: list, now: float) -> None:
+    def _ship(self, rank: int, summaries, now: float) -> None:
         """Send one batch: everything other ranks and the server can see."""
         # Time-aware transports (ReliableTransport) take the virtual
         # send time; the plain server keeps the two-argument form.

@@ -41,6 +41,7 @@ from repro.errors import SimulationError
 from repro.frontend import ast_nodes as A
 from repro.instrument.rewrite import SensorInfo
 from repro.obs import NULL_OBS, Obs
+from repro.sensors.extern import default_extern_registry
 from repro.sim.faults import Fault
 from repro.sim.hooks import NullHooks, RuntimeHooks
 from repro.sim.interp import MpiRequest, RankInterp
@@ -125,7 +126,8 @@ class Simulator:
         self.faults = tuple(faults)
         self.sensors = sensors or {}
         self.entry = entry
-        self.externs = externs
+        #: one registry for the compiled program and every rank's interpreter
+        self.externs = externs if externs is not None else default_extern_registry()
         self.engine = engine
         self.obs = obs or NULL_OBS
         self.network = NetworkModel(machine=machine, faults=self.faults)
@@ -138,13 +140,8 @@ class Simulator:
         if self._program_code is None:
             from repro.sim.bytecode import compile_module
 
-            externs = self.externs
-            if externs is None:
-                from repro.sensors.extern import default_extern_registry
-
-                externs = default_extern_registry()
             with self.obs.tracer.span("sim.compile_bytecode"):
-                self._program_code = compile_module(self.module, externs)
+                self._program_code = compile_module(self.module, self.externs)
         return self._program_code
 
     def _build_interps(self, hooks: RuntimeHooks) -> list:

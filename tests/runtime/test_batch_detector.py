@@ -11,6 +11,8 @@ deferred to each lane's scalar delivery point.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,10 +30,13 @@ from repro.runtime.dynrules import (
     ThresholdMiss,
 )
 from repro.runtime.live import LiveReporter
-from repro.runtime.records import SensorRecord
+from repro.runtime.records import SensorRecord, SummaryColumns
+from repro.runtime.vsensor_hooks import VSensorRuntime
 from repro.sensors.model import SensorType
 from repro.sim import CpuContention, MachineConfig
 from repro.sim.faults import BadNode
+from repro.sim.hooks import SensorBatch
+from repro.sim.pmu import PmuSample
 from repro.workloads import all_workloads
 from tests.conftest import SIMPLE_MPI_PROGRAM, runtime_state
 
@@ -134,7 +139,7 @@ def test_record_streams_match_rank_detectors(steps, rule, split):
             np.array([r.instructions for r in records]),
             np.array([r.cache_miss_rate for r in records]),
         )
-        by_lane = {lane: event for lane, _, event in new}
+        by_lane = dict(new)
         vec_returned.append(
             [[by_lane[i]] if by_lane.get(i) else [] for i in range(len(records))]
         )
@@ -170,6 +175,89 @@ def test_shutoff_decision_boundary_per_lane():
     assert [v.shutoff for v in views] == [{7}, set(), set()]
     assert [v.records_processed for v in views] == [CONFIG.shutoff_after, 5, 5]
     assert _state(views, [(7, "")]) == _state(reference, [(7, "")])
+
+
+# -- (a') the log behind ``summaries`` and the runtime's outbound batches ------
+
+
+def test_view_summaries_have_constant_time_len_and_list_to_the_scalar_rows(monkeypatch):
+    records = _records([(7, {r: (0.0, 5.0, 1.0, 0.1) for r in range(N)})] * 12)
+    vec = BatchDetector(N, CONFIG)
+    reference = [RankDetector(r, CONFIG) for r in range(N)]
+    for batch in records:
+        vec.step(
+            7, SensorType.COMPUTATION, np.arange(N),
+            np.array([r.t_start for r in batch]), np.array([r.t_end for r in batch]),
+            np.ones(N), np.full(N, 0.1),
+        )
+        for r in batch:
+            reference[r.rank].add(r)
+    views = [vec.view(r) for r in range(N)]
+    with monkeypatch.context() as patch:
+        # no row object is built to answer len(): it is the log's counter
+        patch.setattr(SummaryColumns, "to_summaries", None)
+        assert [len(v.summaries) for v in views] == [len(d.summaries) for d in reference]
+        assert len(views[0].summaries[2:]) == len(reference[0].summaries) - 2
+    assert len(views[0].summaries) > 2
+    assert [list(v.summaries) for v in views] == [d.summaries for d in reference]
+    assert views[1].summaries[1:3] == reference[1].summaries[1:3]
+    assert views[1].summaries[-1] == reference[1].summaries[-1]
+
+
+class _BatchLog:
+    """Duck-typed server: every shipped batch, as rows, with its send time."""
+
+    batch_period_us = 25.0
+
+    def __init__(self) -> None:
+        self.sent: dict[int, list] = {}
+
+    def send_batch(self, rank, summaries, now) -> None:
+        self.sent.setdefault(rank, []).append((list(summaries), now))
+
+
+def test_adoption_with_unshipped_rows_ships_each_row_once_in_scalar_order():
+    """A drain before the first fused Tock leaves closed slices waiting in
+    the scalar detectors; the vector state adopts them and the next due
+    batch carries them ahead of the rows the fused Tocks close."""
+    sensors = {7: SimpleNamespace(sensor_type=SensorType.COMPUTATION)}
+    # per rank: records every 6 us (slices of 10 us close every other one);
+    # the first 3 arrive one by one, the rest as fused Tocks
+    times = [6.0 * k for k in range(14)]
+
+    def runtime():
+        rt = VSensorRuntime(sensors=sensors, n_ranks=N, config=CONFIG, server=_BatchLog())
+        rt.on_program_start(N)
+        return rt
+
+    scalar, fused = runtime(), runtime()
+    for t in times:
+        for rank in range(N):
+            scalar.on_sensor_record(rank, 7, t, t + 5.0 + rank, PmuSample(1.0, 0.1))
+    for t in times[:3]:
+        for rank in range(N):
+            fused.on_sensor_record(rank, 7, t, t + 5.0 + rank, PmuSample(1.0, 0.1))
+    assert any(len(d.summaries) for d in fused.detectors.values())
+    assert not fused.server.sent, "nothing was due yet: the rows wait in the detectors"
+    for t in times[3:]:
+        deferred = []
+        fused.on_sensor_batch(
+            SensorBatch(7, np.arange(N), np.full(N, t), t + 5.0 + np.arange(N),
+                        np.ones(N), np.full(N, 0.1)),
+            lambda lane, fn, args: deferred.append((fn, args)),
+        )
+        for fn, args in deferred:
+            fn(*args)
+    assert all(isinstance(d, RankView) for d in fused.detectors.values())
+    for rt in (scalar, fused):
+        for rank in range(N):
+            rt.on_program_end(rank, times[-1] + 20.0)
+    assert fused.server.sent == scalar.server.sent
+    for rank, batches in fused.server.sent.items():
+        shipped = [row for rows, _ in batches for row in rows]
+        assert shipped == list(fused.detectors[rank].summaries)
+        assert len(batches) > 1
+    assert fused.events == scalar.events
 
 
 # -- (b) whole runs: lockstep (batches) vs bytecode (scalar detectors) -------

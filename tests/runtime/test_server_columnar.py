@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import random
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import Obs
+from repro.runtime.batch_detector import SummaryLog
 from repro.runtime.history import SensorHistory, observe_block
-from repro.runtime.records import SliceSummary
+from repro.runtime.records import SliceSummary, SummaryColumns, SummaryView
 from repro.runtime.server import AnalysisServer
 from repro.sensors.model import SensorType
 
@@ -171,6 +173,55 @@ def test_engines_bit_identical_under_interleaved_queries(pool, order_seed, query
 @given(
     pool=batch_pools(),
     order_seed=st.integers(0, 2**32 - 1),
+    form_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_engines_bit_identical_under_mixed_arrival_forms(pool, order_seed, form_seed):
+    """The columnar store stages whatever arrives — row lists, decoded
+    columns, views of a detector's log — and settles at the next read.
+    Redelivered and *conflicting* copies (same identity, other values)
+    arrive in any form and any order; after every ingest the row and
+    duplicate counts equal the eager oracle's, so the first arrival won."""
+    rng = random.Random(form_seed)
+    stream = list(pool) + [b for b in pool if rng.random() < 0.3]
+    for rank, batch, _ in pool:
+        if rng.random() < 0.3:
+            stream.append((rank, batch, None))
+        if rng.random() < 0.3:
+            conflicting = [
+                replace(s, mean_duration=s.mean_duration + 1.0, sensor_type=SensorType.IO)
+                for s in batch
+            ]
+            stream.append((rank, conflicting, None))
+    random.Random(order_seed).shuffle(stream)
+    ref, col = _servers()
+    log = SummaryLog(N_RANKS, slice_us=1000.0)
+    for rank, batch, seq in stream:
+        accepted = ref.receive_batch(rank, list(batch), seq=seq)
+        form = rng.choice(("rows", "columns", "view"))
+        if form == "rows":
+            assert col.receive_batch(rank, list(batch), seq=seq) == accepted
+        elif form == "columns":
+            columns = SummaryColumns.from_rows(batch)
+            assert col.receive_batch_columns(rank, columns, seq=seq) == accepted
+        else:
+            start = int(log.rows[rank])
+            log.extend(rank, SummaryColumns.from_rows(batch))
+            view = SummaryView(log, rank, start, start + len(batch))
+            assert col.receive_batch(rank, view, seq=seq) == accepted
+        assert col.stored_summaries == ref.stored_summaries
+        assert col.duplicate_summaries == ref.duplicate_summaries
+        if rng.random() < 0.3:
+            stype = rng.choice(list(SensorType))
+            assert np.array_equal(
+                ref.performance_matrix(stype), col.performance_matrix(stype), equal_nan=True
+            )
+    _assert_equivalent(ref, col)
+
+
+@given(
+    pool=batch_pools(),
+    order_seed=st.integers(0, 2**32 - 1),
     drain_seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=20, deadline=None)
@@ -260,6 +311,34 @@ def test_append_only_epochs_replay_incrementally():
     spans = [r for r in obs.tracer.records() if r.name == "server.replay"]
     assert [s.attrs["kind"] for s in spans] == ["full", "incremental", "full"]
     assert [s.attrs["rows"] for s in spans] == [3, 3, 7]
+
+
+def test_a_redelivered_row_does_not_turn_an_epoch_full():
+    """Duplicates are dropped before the epoch is classified: new rows that
+    all sort after the replayed ones roll forward even when the batch also
+    redelivers (or contradicts) an old row — what eager dedup did."""
+    server, obs = _obs_server()
+    old = [_summary(0, 1, SensorType.COMPUTATION, "", s, 10.0) for s in range(3)]
+    server.receive_batch(0, old)
+    before = server.performance_matrix(SensorType.COMPUTATION)
+    server.receive_batch(
+        0,
+        [_summary(0, 1, SensorType.COMPUTATION, "", 0, 99.0)]
+        + [_summary(0, 1, SensorType.COMPUTATION, "", s, 9.0) for s in range(3, 6)]
+        + old[1:2],
+    )
+    after = server.performance_matrix(SensorType.COMPUTATION)
+    assert _replay_counters(obs) == {"server.replay.full": 1, "server.replay.incremental": 1}
+    spans = [r for r in obs.tracer.records() if r.name == "server.replay"]
+    assert [s.attrs["rows"] for s in spans] == [3, 3]
+    assert (server.stored_summaries, server.duplicate_summaries) == (6, 2)
+    assert obs.metrics.as_dict()["counters"]["server.duplicate_summaries"] == 2
+    assert np.array_equal(after[:, : before.shape[1]], before, equal_nan=True)
+    # A batch of nothing but duplicates is no epoch at all.
+    server.receive_batch(0, old)
+    server.performance_matrix(SensorType.COMPUTATION)
+    assert len([r for r in obs.tracer.records() if r.name == "server.replay"]) == 2
+    assert server.duplicate_summaries == 5
 
 
 def test_pure_queries_emit_no_replay_spans():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.runtime.records import SliceSummary
 from repro.runtime.server import AnalysisServer
 from repro.runtime.transport import FileSpool
@@ -104,6 +105,30 @@ def test_group_interning_round_trip(tmp_path):
     server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
     spool.drain_into(server)
     assert [s.group for s in _CapturingServer.captured] == ["H", "L"]
+
+
+def test_group_table_overflow_raises_every_time_and_writes_nothing(tmp_path):
+    """The 4,097th group is refused before it gets a code: a second append
+    with it raises again (it used to find code 4096 and write tag 0, so the
+    rows decoded as group ""), the refused batch leaves no byte and no
+    half-defined group behind, and the spool keeps working."""
+    spool = FileSpool(directory=str(tmp_path))
+    groups = [f"g{i}" for i in range(0x0FFF)]  # with "" the table is full
+    spool.append_batch(0, [summary(0, i, 10.0, group=g) for i, g in enumerate(groups)])
+    size = (tmp_path / "rank00000.spool").stat().st_size
+    overflowing = [summary(1, 0, 10.0, group="g7"), summary(1, 1, 10.0, group="one too many")]
+    for _ in range(2):
+        with pytest.raises(ReproError, match="group table overflow"):
+            spool.append_batch(1, overflowing)
+    assert (tmp_path / "rank00000.spool").stat().st_size == size
+    assert not (tmp_path / "rank00001.spool").exists()
+    # "g7" was defined only in the refused batch's buffer: rank 1's file
+    # must still get its definition frame with the first row that lands.
+    spool.append_batch(1, overflowing[:1])
+    _CapturingServer.captured = []
+    server = _CapturingServer(n_ranks=2, window_us=1000.0, engine="reference")
+    assert FileSpool(directory=str(tmp_path)).drain_into(server) == 0x0FFF + 1
+    assert [s.group for s in _CapturingServer.captured] == groups + ["g7"]
 
 
 def test_group_interning_survives_fresh_reader(tmp_path):

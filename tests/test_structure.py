@@ -8,6 +8,7 @@ pipeline (table completeness lives in ``tests/sim/test_op_table.py``).
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -22,7 +23,7 @@ import repro.service
 import repro.sim.lockstep
 from repro.api import run_multi_job
 from repro.frontend import parse_source
-from repro.runtime import columnar
+from repro.runtime import batch_detector, columnar, records
 from repro.runtime.channel import Envelope, LossyChannel
 from repro.runtime.columnar import ColumnarStore
 from repro.runtime.records import SliceSummary, SummaryColumns
@@ -92,6 +93,99 @@ def test_columnar_store_keeps_only_columns_a_query_reads():
     names = [name for name, _ in columnar._COLUMNS]
     assert "count" not in names and "miss" not in names
     assert set(ColumnarStore(1000.0)._cols) == set(names)
+
+
+# -- a closed slice is a row of columns from the detector to the store --------
+
+_ROW_FIELD_NAMES = _field_names(SliceSummary)
+#: fields a column batch carries only as codes: reading them means rows
+_ROW_ONLY_FIELD_NAMES = _ROW_FIELD_NAMES - _field_names(SummaryColumns)
+_ARRAY_MAKERS = {"array", "asarray", "empty", "fromiter", "full", "zeros"}
+
+
+def _are_row_reads(attrs: set[str]) -> bool:
+    return len(attrs & _ROW_FIELD_NAMES) >= 3 and bool(attrs & _ROW_ONLY_FIELD_NAMES)
+
+
+def _row_field_getters(tree: ast.Module) -> set[str]:
+    """Module-level names bound to an ``attrgetter`` over row fields."""
+    names = set()
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        fields = {a.value for a in node.value.args if isinstance(a, ast.Constant)}
+        if getattr(node.value.func, "id", "") == "attrgetter" and _are_row_reads(fields):
+            names.update(target.id for target in node.targets)
+    return names
+
+
+def _takes_rows_apart_into_arrays(fn: ast.FunctionDef, getters: set[str]) -> bool:
+    """True when ``fn`` builds NumPy arrays and reads three or more
+    ``SliceSummary`` fields (the enum or the group string among them) per
+    row — off a loop variable, or through an ``attrgetter`` over them."""
+    nodes = list(ast.walk(fn))
+    makes_arrays = any(
+        isinstance(n, ast.Attribute)
+        and n.attr in _ARRAY_MAKERS
+        and getattr(n.value, "id", "") == "np"
+        for n in nodes
+    )
+    if not makes_arrays:
+        return False
+    if any(isinstance(n, ast.Name) and n.id in getters for n in nodes):
+        return True
+    for loop in nodes:
+        if isinstance(loop, ast.For):
+            targets = [loop.target]
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            targets = [gen.target for gen in loop.generators]
+        else:
+            continue
+        loop_vars = {
+            n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+        }
+        for name in loop_vars:
+            read = {
+                n.attr
+                for n in ast.walk(loop)
+                if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == name
+            }
+            if _are_row_reads(read):
+                return True
+    return False
+
+
+def test_rows_become_columns_in_exactly_one_function():
+    converters = []
+    for name, source in _package_sources(repro).items():
+        tree = ast.parse(source)
+        getters = _row_field_getters(tree)
+        converters += [
+            f"{name}::{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and _takes_rows_apart_into_arrays(node, getters)
+        ]
+    assert converters == ["runtime/records.py::from_rows"]
+
+
+def test_records_define_one_columnar_record_class():
+    columnar_classes = [
+        name
+        for name, cls in inspect.getmembers(records, inspect.isclass)
+        if cls.__module__ == records.__name__
+        and "np.ndarray" in inspect.get_annotations(cls).values()
+    ]
+    assert columnar_classes == ["SummaryColumns"]
+
+
+def test_the_batch_path_makes_no_row_objects_and_the_store_keeps_no_key_set():
+    assert "SliceSummary" not in inspect.getsource(batch_detector)
+    assert "_keys" not in inspect.getsource(columnar)
+    assert not hasattr(ColumnarStore(1000.0), "_keys")
+    assert "_buffers" not in VSensorRuntime.__slots__
+    transport_source = inspect.getsource(ReliableTransport)
+    assert "tuple(summaries)" not in transport_source
+    assert "list(envelope.payload)" not in transport_source
 
 
 def test_dead_state_and_unset_knobs_stay_gone():
