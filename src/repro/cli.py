@@ -77,7 +77,7 @@ def parse_fault(spec: str) -> Fault:
             t0, t1 = float(parts[1]) * 1000.0, float(parts[2]) * 1000.0
             factor = float(parts[3]) if len(parts) > 3 else 0.3
             return IoDegradation(t0=t0, t1=t1, factor=factor)
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, ReproError) as exc:
         raise ReproError(f"bad fault spec {spec!r}: {exc}") from exc
     raise ReproError(
         f"unknown fault kind {kind!r} (slowmem|badnode|contention|netdeg|iodeg)"

@@ -1,26 +1,27 @@
 """Per-rank virtual clock: converting work units to elapsed time.
 
 Work accumulated by the interpreter is converted lazily (at probe / MPI
-boundaries) by integrating the node's effective speed over time.  The
-effective speed at instant ``t`` is::
+boundaries) by integrating the node's effective speed over time::
 
-    cpu_speed * noise_jitter(t) * fault_cpu(t)
+    cpu_speed * fault_cpu(t) * noise_jitter(t)
       blended with mem_perf * fault_mem(t) over the memory-bound fraction
 
-Integration proceeds slice by slice (noise jitter slices, fault window
-edges) so episodic faults show up exactly where they are injected, and
-periodic-interrupt loss is added per window.
-
-On a clock no fault touches, the speed of a step is a function of its
-jitter slice alone unless a daemon spike may be live in that millisecond,
-so such steps read it from a per-jitter-chunk table — the blend expression
-applied elementwise to the chunk's cached draws, hence the same float per
-slice — and every other step evaluates the blend itself.
+Speed is piecewise constant on *pieces*: the jitter-slice grid
+``k * slice_us`` cut at every fault window edge.  A piece runs at the speed
+sampled at its start, except the piece a call starts inside, which runs at
+the speed sampled at the call's start; periodic-interrupt loss is added
+per call.  :class:`CapacityTable` holds, per run and per 512-slice chunk,
+the piece starts and every node's piece speeds and running capacity
+(``cumsum`` of speed x length).  :meth:`RankClock.advance_compute` charges
+the first partial piece, finds the first piece whose capacity reaches what
+is left, and divides once; ``VectorClocks`` does the same float operations
+per lane on the same table, so the tiers agree to the bit by construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,21 +29,152 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sim.faults import Fault, cpu_factor_at, fault_boundaries, mem_factor_at
 from repro.sim.machine import MachineConfig, NodeConfig
-from repro.sim.noise import NodeNoise
+from repro.sim.noise import _JITTER_CHUNK, _SPIKE_CHUNK, NodeNoise
 
-#: Slice steps one ``advance_compute`` may take: a configuration that cannot
+#: Chunks one ``advance_compute`` may cross: a configuration that cannot
 #: charge its work within them (zero speed) is an error, not a short charge.
-STEP_CAP = 10_000_000
+CHUNK_CAP = 20_000
+#: Chunk tables a run holds at once; the earliest is dropped first.
+_HELD_CHUNKS = 8
 
 
-def blend_speeds(cpu, mem, frac: float):
-    """Work units per microsecond of a job split between a CPU-bound and a
-    memory-bound fraction: ``work * ((1 - frac)/cpu + frac/(cpu * mem))`` is
-    its time.  Elementwise over arrays; :meth:`RankClock.advance_compute`
-    inlines the same expression on floats."""
-    return 1.0 / (
-        (1.0 - frac) / np.maximum(cpu, 1e-9) + frac / np.maximum(cpu * mem, 1e-9)
-    )
+@dataclass(slots=True)
+class _Chunk:
+    """One chunk's piece ``starts`` (the last is the next chunk's first) and
+    per node row ``speed``, ``cap`` and ``spiky``: a daemon-spike candidate
+    millisecond touches the piece, so a time inside may see another speed."""
+
+    starts: np.ndarray
+    starts_list: list
+    speed: np.ndarray
+    cap: np.ndarray
+    spiky: np.ndarray
+    #: per row, what :meth:`CapacityTable.pieces` hands a scalar clock
+    lists: dict = field(default_factory=dict)
+
+
+class CapacityTable:
+    """Work capacity of one run's nodes, tabulated chunk by chunk.
+
+    Built over the run's clocks (one row per node); dropped with them.
+    """
+
+    def __init__(self, clocks) -> None:
+        first = clocks[0]
+        cfg = first.machine.noise
+        self.slice_us = max(1.0, cfg.jitter_slice_us)
+        # ``int(t / jitter_us)`` is the jitter slice noise reads at ``t``;
+        # without jitter every time reads the same (none).
+        self.jitter_us = cfg.jitter_slice_us if cfg.jitter_sigma > 0 else math.inf
+        self.spike_rate = cfg.spike_rate_per_ms
+        self.frac = first.machine.mem_fraction
+        self.edges = np.array(fault_boundaries(first.faults), dtype=np.float64)
+        by_node = {}
+        for clock in clocks:
+            by_node.setdefault(clock.node.node_id, clock)
+        self.row_of = {node_id: row for row, node_id in enumerate(by_node)}
+        owners = list(by_node.values())
+        self.cpu_speed = np.array([c.node.cpu_speed for c in owners], dtype=np.float64)
+        self.mem_perf = np.array([c.node.mem_perf for c in owners], dtype=np.float64)
+        self.noises = [c.noise for c in owners]
+        self.node_ids = list(by_node)
+        self.faults = first.faults
+        self._chunks: dict[int, _Chunk] = {}
+
+    @classmethod
+    def shared_by(cls, clocks) -> CapacityTable:
+        """The one table of ``clocks`` (a run's ranks), installed in each."""
+        table = clocks[0].table
+        if table is None or any(clock.table is not table for clock in clocks):
+            table = cls(clocks)
+            for clock in clocks:
+                clock.table = table
+                clock._row = table.row_of[clock.node.node_id]
+                clock._pieces = _NO_PIECES
+        return table
+
+    def _blend(self, rows, cpu_factor, mem_factor, mult) -> np.ndarray:
+        """Speed of node ``rows`` given its fault factors and noise
+        multiplier: the CPU/memory blend with its clamps, elementwise."""
+        cpu = self.cpu_speed[rows] * cpu_factor * mult
+        mem = self.mem_perf[rows] * mem_factor
+        frac = self.frac
+        speed = 1.0 / ((1.0 - frac) / np.maximum(cpu, 1e-9) + frac / np.maximum(cpu * mem, 1e-9))
+        return np.maximum(speed, 1e-9)
+
+    def speeds_at(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Speed of each lane's node ``rows[j]`` at ``times[j]``."""
+        nodes, at = [self.node_ids[row] for row in rows.tolist()], times.tolist()
+        return self._blend(
+            rows,
+            np.array([cpu_factor_at(self.faults, n, t) for n, t in zip(nodes, at)]),
+            np.array([mem_factor_at(self.faults, n, t) for n, t in zip(nodes, at)]),
+            np.array([self.noises[row].speed_multiplier(t) for row, t in zip(rows.tolist(), at)]),
+        )
+
+    def chunks_of(self, t: np.ndarray) -> np.ndarray:
+        """Index of the chunk holding each time: a quotient, corrected by
+        comparing with the chunk's first start as the table computes it."""
+        c = (t / (_JITTER_CHUNK * self.slice_us)).astype(np.int64)
+        c -= t < c * _JITTER_CHUNK * self.slice_us
+        c += t >= (c + 1) * _JITTER_CHUNK * self.slice_us
+        return c
+
+    def chunk(self, c: int) -> _Chunk:
+        """Chunk ``c``'s pieces and every node's speed and capacity on them."""
+        held = self._chunks.get(c)
+        if held is not None:
+            return held
+        if len(self._chunks) >= _HELD_CHUNKS:
+            del self._chunks[min(self._chunks)]
+        grid = np.arange(c * _JITTER_CHUNK, (c + 1) * _JITTER_CHUNK + 1) * self.slice_us
+        edges = self.edges[(grid[0] < self.edges) & (self.edges < grid[-1])]
+        off_grid = edges[grid[np.searchsorted(grid, edges)] != edges]
+        starts = np.sort(np.concatenate((grid, off_grid)))
+        # Fault factors change only at edges: one evaluation per node and
+        # stretch between them, spread over the stretch's pieces.
+        cuts = [float(grid[0]), *edges.tolist()]
+        stretch = np.searchsorted(edges, starts[:-1], side="right")
+        factors = [
+            np.array([[at(self.faults, n, t) for t in cuts] for n in self.node_ids])[:, stretch]
+            for at in (cpu_factor_at, mem_factor_at)
+        ]
+        mult = np.stack([noise.speed_multipliers(starts[:-1]) for noise in self.noises])
+        rows = np.arange(len(self.noises))[:, None]
+        speed = self._blend(rows, *factors, mult)
+        cap = np.zeros((rows.size, starts.size))
+        np.cumsum(speed * np.diff(starts), axis=1, out=cap[:, 1:])
+        if self.spike_rate > 0:
+            # Candidates among the milliseconds from a piece's start to its
+            # end, counted by prefix sums over the chunk's milliseconds.
+            ms = (starts / 1000.0).astype(np.int64)
+            s0, s1 = int(ms[0]) // _SPIKE_CHUNK, int(ms[-1]) // _SPIKE_CHUNK
+            p = np.stack([np.concatenate([n._spike_chunk(s)[0] for s in range(s0, s1 + 1)])
+                          for n in self.noises])
+            m0 = s0 * _SPIKE_CHUNK
+            seen = np.zeros((rows.size, p.shape[1] + 1), dtype=np.int64)
+            np.cumsum(p < self.spike_rate, axis=1, out=seen[:, 1:])
+            spiky = seen[:, ms[1:] - m0 + 1] > seen[:, ms[:-1] - m0]
+        else:
+            spiky = np.zeros(speed.shape, dtype=bool)
+        held = self._chunks[c] = _Chunk(starts, starts.tolist(), speed, cap, spiky)
+        return held
+
+    def pieces(self, row: int, t: float) -> tuple:
+        """(starts, cap, speed, spiky pieces) of ``row`` over the chunk
+        holding ``t``, as lists and a set for the scalar kernel."""
+        chunk = self.chunk(int(self.chunks_of(np.array([t]))[0]))
+        held = chunk.lists.get(row)
+        if held is None:
+            spiky = set(np.flatnonzero(chunk.spiky[row]).tolist())
+            held = chunk.lists[row] = (
+                chunk.starts_list, chunk.cap[row].tolist(), chunk.speed[row].tolist(), spiky
+            )
+        return held
+
+
+#: the pieces of no chunk: every time falls outside them
+_NO_PIECES = ((math.inf, -math.inf), (), (), frozenset())
 
 
 @dataclass(slots=True)
@@ -55,99 +187,44 @@ class RankClock:
     machine: MachineConfig
     faults: tuple[Fault, ...]
     now: float = 0.0
-    #: fault window edges, computed once (the fault set is fixed per run)
-    _edges: tuple[float, ...] | None = field(default=None, repr=False)
-    #: (jitter chunk, speed per slice) and (spike chunk, spike-candidate flag
-    #: per millisecond) of the chunks last stepped in, as plain lists
-    _speeds: tuple = field(default=(-1, ()), repr=False, compare=False)
-    _spiky: tuple = field(default=(-1, ()), repr=False, compare=False)
-
-    def _chunk_speeds(self, chunk: int) -> tuple:
-        """Fault-free, spike-free speed of each slice of a jitter chunk: the
-        loop's blend, elementwise (``cpu_speed * (1.0 * jitter)``)."""
-        cpu = self.node.cpu_speed * self.noise._jitter_chunk(chunk)
-        speeds = blend_speeds(cpu, self.node.mem_perf, self.machine.mem_fraction)
-        self._speeds = chunk, speeds.tolist()
-        return self._speeds
-
-    def _chunk_spiky(self, chunk: int) -> tuple:
-        """Which milliseconds of a spike chunk drew a daemon spike."""
-        rate = self.machine.noise.spike_rate_per_ms
-        self._spiky = chunk, (self.noise._spike_chunk(chunk)[0] < rate).tolist()
-        return self._spiky
+    #: the run's table (built for this clock alone on first use if unset)
+    table: CapacityTable | None = field(default=None, repr=False, compare=False)
+    _row: int = field(default=0, repr=False, compare=False)
+    #: this row's pieces in the chunk last charged in
+    _pieces: tuple = field(default=_NO_PIECES, repr=False, compare=False)
 
     def advance_compute(self, work_units: float) -> tuple[float, float]:
         """Advance by ``work_units`` of computation; return (start, end)."""
-        start = self.now
+        start = t = self.now
         if work_units <= 0:
             return start, start
-        t = self.now
+        table = self.table or CapacityTable.shared_by([self])
+        jitter_us = table.jitter_us
+        starts, cap, speed, spiky = self._pieces
         remaining = work_units
-        slice_us = max(1.0, self.machine.noise.jitter_slice_us)
-        edges = self._edges
-        if edges is None:
-            edges = self._edges = tuple(fault_boundaries(self.faults))
-        n_edges = len(edges)
-        edge_i = bisect_right(edges, t) if n_edges else 0
-        # Hot loop: one step per jitter slice.  Lookups are hoisted and the
-        # speed blend inlined; with no faults the factor calls are skipped
-        # (they would return exactly 1.0) and a step outside every spike
-        # candidate reads its speed from the jitter chunk's table.
-        faults = self.faults
-        node_id = self.node.node_id
-        cpu_speed = self.node.cpu_speed
-        mem_perf = self.node.mem_perf
-        frac = self.machine.mem_fraction
-        speed_multiplier = self.noise.speed_multiplier
-        cfg = self.machine.noise
-        tabled = not faults and cfg.jitter_sigma > 0 and cfg.jitter_slice_us == slice_us
-        jitter_chunk, speeds = self._speeds
-        spike_chunk, spiky = self._spiky
-        for _ in range(STEP_CAP):
-            k = int(t / slice_us)
-            speed = None
-            if tabled:
-                # chunk = k >> 9 / ms >> 8, as in NodeNoise.speed_multiplier
-                ms = int(t / 1000.0)
-                if ms >> 8 != spike_chunk:
-                    spike_chunk, spiky = self._chunk_spiky(ms >> 8)
-                if not spiky[ms & 255]:
-                    if k >> 9 != jitter_chunk:
-                        jitter_chunk, speeds = self._chunk_speeds(k >> 9)
-                    speed = speeds[k & 511]
-            if speed is None:
-                if faults:
-                    cpu = cpu_speed * cpu_factor_at(faults, node_id, t)
-                    cpu *= speed_multiplier(t)
-                    mem = mem_perf * mem_factor_at(faults, node_id, t)
-                else:
-                    cpu = cpu_speed * speed_multiplier(t)
-                    mem = mem_perf
-                denom = (1.0 - frac) / max(cpu, 1e-9) + frac / max(cpu * mem, 1e-9)
-                speed = 1.0 / denom
-            # Next boundary where speed may change.  ``(k * S) / S`` can
-            # round below ``k``, which would name ``t`` itself: a boundary
-            # that is not after ``t`` moves to the next grid point.
-            boundary = (k + 1) * slice_us
-            if boundary <= t:
-                boundary = (k + 2) * slice_us
-            while edge_i < n_edges and edges[edge_i] <= t:
-                edge_i += 1
-            if edge_i < n_edges and edges[edge_i] < boundary:
-                boundary = edges[edge_i]
-            dt_max = boundary - t
-            dt_needed = remaining / max(speed, 1e-9)
-            if dt_needed <= dt_max:
-                t += dt_needed
-                remaining = 0.0
+        for _ in range(CHUNK_CAP):
+            if not starts[0] <= t < starts[-1]:
+                starts, cap, speed, spiky = self._pieces = table.pieces(self._row, t)
+            i = bisect_right(starts, t) - 1
+            s = speed[i]
+            if i in spiky or int(t / jitter_us) != int(starts[i] / jitter_us):
+                # the piece's tabled speed may not be the speed at t
+                s = float(table.speeds_at(np.array([self._row]), np.array([t]))[0])
+            end = starts[i + 1]
+            need = remaining / s
+            if need <= end - t:
+                t += need
                 break
-            remaining -= speed * dt_max
-            t = boundary
+            target = cap[i + 1] + (remaining - s * (end - t))
+            q = bisect_left(cap, target, i + 2)
+            if q < len(cap):
+                t = starts[q - 1] + (target - cap[q - 1]) / speed[q - 1]
+                break
+            remaining = target - cap[-1]
+            t = starts[-1]
         else:
-            raise SimulationError(
-                f"virtual clock made no headway: {STEP_CAP} slice steps "
-                f"left {remaining!r} work units uncharged"
-            )
+            raise SimulationError(f"virtual clock made no headway: {CHUNK_CAP} "
+                                  f"chunks left {remaining!r} work units uncharged")
         # Periodic interrupt loss stretches the window.
         t += self.noise.interrupt_loss(start, t)
         self.now = t

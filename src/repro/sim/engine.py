@@ -42,6 +42,7 @@ from repro.frontend import ast_nodes as A
 from repro.instrument.rewrite import SensorInfo
 from repro.obs import NULL_OBS, Obs
 from repro.sensors.extern import default_extern_registry
+from repro.sim.clock import CapacityTable
 from repro.sim.faults import Fault
 from repro.sim.hooks import NullHooks, RuntimeHooks
 from repro.sim.interp import MpiRequest, RankInterp
@@ -52,12 +53,12 @@ _P2P_OPS = ("send", "recv", "sendrecv")
 
 #: rank count at and above which ``engine="auto"`` picks the lockstep
 #: tier.  Lockstep over the per-program rendered bytecode tier,
-#: instrumented (BENCH_interp.json): at 8 ranks CG 0.49x, FT 1.02x, LULESH
-#: 0.40x; at 32 ranks CG 1.62x, FT 2.43x, LULESH 0.91x; at 128 every
-#: workload wins (2.1-4.2x).  At 16 ranks, measured when the scalar tier
-#: was last sped up: FT 1.6x, LULESH 0.6x, CG a tie (1.02x / 0.94x in two
-#: sets) — the three programs' summed wall time is equal on both tiers, so
-#: the crossover stays here.
+#: instrumented (BENCH_interp.json): at 8 ranks CG 0.46x, FT 0.89x, LULESH
+#: 0.34x; at 32 ranks CG 1.29x, FT 2.17x, LULESH 0.72x; at 128 every
+#: workload wins (1.5-4.2x).  At 16 ranks, measured before both tiers
+#: shared one clock kernel: FT 1.6x, LULESH 0.6x, CG a tie (1.02x / 0.94x
+#: in two sets) — the three programs' summed wall time was equal on both
+#: tiers, so the crossover stays here.
 AUTO_LOCKSTEP_MIN_RANKS = 16
 
 
@@ -167,6 +168,7 @@ class Simulator:
                 )
                 for rank in range(n)
             ]
+            CapacityTable.shared_by([interp.clock for interp in interps])
             if self.engine == "bytecode":
                 return interps
             from repro.sim.lockstep import LockstepRunner
@@ -174,7 +176,7 @@ class Simulator:
             self._lockstep_runner = LockstepRunner(interps, hooks, self.obs)
             return self._lockstep_runner.lanes()
         shared_memo: dict[int, bool] = {}
-        return [
+        interps = [
             RankInterp(
                 module=self.module,
                 rank=rank,
@@ -190,6 +192,8 @@ class Simulator:
             )
             for rank in range(n)
         ]
+        CapacityTable.shared_by([interp.clock for interp in interps])
+        return interps
 
     # -- main loop ----------------------------------------------------------
 

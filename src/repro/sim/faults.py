@@ -15,12 +15,28 @@ directly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+from repro.errors import SimulationError
 
 
 @dataclass(frozen=True, slots=True)
 class Fault:
-    """Base class (marker) for injected faults."""
+    """Base class for injected faults: a window ``[t0, t1)`` and factors.
+
+    A window that ends before it starts, a NaN edge or a negative (or NaN)
+    factor is refused here: such a fault would inject nothing, yet its
+    edges would still split the clock's integration.
+    """
+
+    def __post_init__(self) -> None:
+        t0, t1 = self.t0, self.t1
+        if math.isnan(t0) or math.isnan(t1) or t1 < t0:
+            raise SimulationError(f"{self!r}: fault window needs t0 <= t1")
+        for f in fields(self):
+            if f.name.endswith("factor") and not getattr(self, f.name) >= 0:
+                raise SimulationError(f"{self!r}: {f.name} must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)

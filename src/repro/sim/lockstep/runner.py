@@ -247,10 +247,6 @@ class LockstepRunner:
         metrics.counter("sim.lockstep.diverge").inc(self.stats["diverge"])
         metrics.counter("sim.lockstep.drain").inc(self.stats["drain"])
         metrics.counter("sim.lockstep.diverged").inc(len(self.diverged_ranks))
-        # NumPy passes of the block integrator / lane-slice steps they
-        # covered: rounds collapse while steps stay what the scalar loop takes.
-        metrics.counter("sim.lockstep.clock_blocks").inc(self.clocks.blocks)
-        metrics.counter("sim.lockstep.clock_steps").inc(self.clocks.steps)
         # Emitted only when a governor actually forced drains, so runs
         # without a governor keep their golden counter sets unchanged.
         if self.stats["governor_drain"]:

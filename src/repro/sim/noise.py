@@ -15,11 +15,9 @@ congestion, a bad node) are *faults*, not noise — see
 
 Draws are generated **chunked**: one numpy ``Generator`` produces a whole
 chunk of slices (or spike milliseconds) at once and the resulting arrays
-are cached.  A single scalar query and a vectorized (node, time) query
-(:class:`NoiseBank`) read the *same* cached arrays, which is what makes
-the lockstep tier's vectorized clocks bit-identical to the per-rank path:
-there is exactly one draw per (node, slice) no matter how many ranks
-observe it, in which order, or how many slices one query spans.
+are cached.  A scalar query and a vectorized one read the *same* cached
+arrays: there is exactly one draw per (node, slice) no matter how many
+ranks observe it, in which order, or how many slices one query spans.
 """
 
 from __future__ import annotations
@@ -52,11 +50,8 @@ _JITTER_CHUNK = 512
 #: milliseconds drawn per spike chunk
 _SPIKE_CHUNK = 256
 
-# Noise draws are pure functions of (node seed, slice index) — there is no
-# stream state — so they can be generated a chunk at a time and served from
-# a cache instead of building a numpy Generator per slice.  Shared across
-# NodeNoise instances: ranks co-located on a node draw identical noise and
-# hit the same entries.
+# Draws by (node seed, chunk), shared across NodeNoise instances: ranks
+# co-located on a node draw identical noise and hit the same entries.
 _JITTER_CACHE: dict[tuple[int, int, float], np.ndarray] = {}
 _SPIKE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -123,12 +118,24 @@ class NodeNoise:
         return mult
 
     def speed_multipliers(self, times_us: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`speed_multiplier` over a float64 time array.
-
-        Bit-identical to calling the scalar form per element (see
-        :class:`NoiseBank`, which this is at one node).
-        """
-        return NoiseBank([self]).speed_multipliers(0, times_us)
+        """:meth:`speed_multiplier` at each time, bit for bit: a gather from
+        the cached chunks the query spans, then ``* 0.25`` inside a spike."""
+        cfg = self.config
+        mult = np.ones(np.shape(times_us))
+        if cfg.jitter_sigma > 0:
+            k = (times_us / cfg.jitter_slice_us).astype(np.int64)
+            c0, c1 = int(k.min()) >> 9, int(k.max()) >> 9
+            draws = np.concatenate([self._jitter_chunk(c) for c in range(c0, c1 + 1)])
+            mult = draws[k - c0 * _JITTER_CHUNK]  # a gather copies the cache
+        if cfg.spike_rate_per_ms > 0:
+            ms = (times_us / 1000.0).astype(np.int64)
+            c0, c1 = int(ms.min()) // _SPIKE_CHUNK, int(ms.max()) // _SPIKE_CHUNK
+            p, phase = map(np.concatenate, zip(*map(self._spike_chunk, range(c0, c1 + 1))))
+            at = ms - c0 * _SPIKE_CHUNK
+            start = ms * 1000.0 + phase[at] * 1000.0
+            active = (p[at] < cfg.spike_rate_per_ms) & (start <= times_us)
+            mult[active & (times_us < start + cfg.spike_duration_us)] *= 0.25
+        return mult
 
     def interrupt_loss(self, start_us: float, end_us: float) -> float:
         """Total compute time (µs) lost to periodic interrupts in a window."""
@@ -151,76 +158,3 @@ class NodeNoise:
         loss = n * cfg.interrupt_duration_us
         loss[end_us <= start_us] = 0.0
         return loss
-
-
-class NoiseBank:
-    """Vectorized draws for several nodes at once.
-
-    :meth:`speed_multipliers` answers ``(node, time)`` queries of any shape
-    with one gather per draw family.  The draws of chunks ``c0..c1`` —
-    whatever the query spans — are laid side by side in a
-    ``(node, slice)`` table built from the very arrays the scalar path
-    caches, so an element reads the same draw whether its query crosses a
-    chunk boundary or not.  Only the latest table is kept: simulated time
-    moves forward, and so does the chunk range.
-    """
-
-    def __init__(self, noises) -> None:
-        self.noises = list(noises)
-        self.config = self.noises[0].config
-        self._jitter: tuple | None = None  # (c0, c1, table)
-        self._spikes: tuple | None = None  # (c0, c1, probability, phase)
-
-    def _jitter_table(self, c0: int, c1: int) -> np.ndarray:
-        held = self._jitter
-        if held is None or held[:2] != (c0, c1):
-            held = self._jitter = (c0, c1, np.stack([
-                np.concatenate([n._jitter_chunk(c) for c in range(c0, c1 + 1)])
-                for n in self.noises
-            ]))
-        return held[2]
-
-    def _spike_tables(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
-        held = self._spikes
-        if held is None or held[:2] != (c0, c1):
-            probability, phase = (
-                np.stack([
-                    np.concatenate([n._spike_chunk(c)[i] for c in range(c0, c1 + 1)])
-                    for n in self.noises
-                ])
-                for i in (0, 1)
-            )
-            held = self._spikes = (c0, c1, probability, phase)
-        return held[2], held[3]
-
-    def speed_multipliers(self, node, times_us: np.ndarray) -> np.ndarray:
-        """:meth:`NodeNoise.speed_multiplier` of ``noises[node]`` at each time.
-
-        ``node`` broadcasts against ``times_us``.  Per element the float
-        operations are the scalar form's: ``1.0 * jitter``, then ``* 0.25``
-        inside a spike.
-        """
-        cfg = self.config
-        if cfg.jitter_sigma > 0:
-            k = (times_us / cfg.jitter_slice_us).astype(np.int64)
-            c0 = int(k.min()) >> 9
-            table = self._jitter_table(c0, int(k.max()) >> 9)
-            # a gather copies, so the spike pass never touches the cache
-            mult = table[node, k - c0 * _JITTER_CHUNK]
-        else:
-            mult = np.ones(np.shape(times_us))
-        if cfg.spike_rate_per_ms > 0:
-            ms = (times_us / 1000.0).astype(np.int64)
-            c0 = int(ms.min()) // _SPIKE_CHUNK
-            p, frac = self._spike_tables(c0, int(ms.max()) // _SPIKE_CHUNK)
-            at = ms - c0 * _SPIKE_CHUNK
-            candidate = p[node, at] < cfg.spike_rate_per_ms
-            if candidate.any():
-                start = ms * 1000.0 + frac[node, at] * 1000.0
-                active = (
-                    candidate
-                    & (start <= times_us)
-                    & (times_us < start + cfg.spike_duration_us)
-                )
-                mult[active] *= 0.25
-        return mult

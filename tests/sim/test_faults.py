@@ -1,8 +1,12 @@
 """Fault-injection model tests."""
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.sim.faults import (
     BadNode,
     CpuContention,
+    IoDegradation,
     NetworkDegradation,
     SlowMemoryNode,
     cpu_factor_at,
@@ -63,3 +67,25 @@ def test_fault_boundaries_sorted_unique():
 
 def test_no_faults_no_boundaries():
     assert fault_boundaries(()) == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CpuContention((1,), t0=700.0, t1=200.0),
+        lambda: NetworkDegradation(t0=5.0, t1=1.0),
+        lambda: IoDegradation(t0=float("nan"), t1=1.0),
+        lambda: BadNode(0, t1=float("nan")),
+        lambda: SlowMemoryNode(0, mem_factor=-0.5),
+        lambda: BadNode(0, cpu_factor=float("nan")),
+        lambda: CpuContention((0,), 0.0, 1.0, mem_factor=-1.0),
+        lambda: IoDegradation(0.0, 1.0, factor=-0.1),
+    ],
+    ids=["reversed", "reversed-net", "nan-t0", "nan-t1", "negative", "nan-factor",
+         "negative-mem", "negative-io"],
+)
+def test_a_window_that_injects_nothing_is_refused(build):
+    """Its factor would never apply, yet its edges would still cut the
+    clock's pieces: the caller's fault would silently vanish."""
+    with pytest.raises(SimulationError, match="fault window|must be >= 0"):
+        build()

@@ -3,15 +3,18 @@
 Each block names a duplicate path or a second copy of a fact that a PR
 removed, and fails if it grows back.  The checks import the modules and
 look at classes, signatures and source text — nothing here runs the
-pipeline (table completeness lives in ``tests/sim/test_op_table.py``).
+pipeline, and one tiny simulation shows what a run leaves behind (table
+completeness lives in ``tests/sim/test_op_table.py``).
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import inspect
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -34,6 +37,7 @@ from repro.runtime.vsensor_hooks import VSensorRuntime
 from repro.sensors.extern import default_extern_registry
 from repro.service import AnalysisService
 from repro.sim import MachineConfig, Simulator
+from repro.sim import clock
 from repro.sim.bytecode import BytecodeInterp, compile_module, dispatch, render
 from repro.sim.lockstep import clocks
 
@@ -205,10 +209,54 @@ def test_no_opcode_number_literals_in_the_lockstep_tier():
         assert not literal.search(source), name
 
 
+def _table_builders() -> list[str]:
+    """Functions of ``repro.sim`` that sum capacity or make a chunk table."""
+    builders = []
+    for name, source in _package_sources(repro.sim).items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and any(
+                getattr(n.func, "attr", getattr(n.func, "id", "")) in ("cumsum", "_Chunk")
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call)
+            ):
+                builders.append(f"{name}::{node.name}")
+    return builders
+
+
+def _module_held(value) -> list:
+    if isinstance(value, dict):
+        return [*value, *value.values()]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return list(value)
+    return [value]
+
+
 def test_no_per_slice_round_loop_in_the_lockstep_clocks():
-    """A NumPy pass integrates a block of jitter slices."""
-    loop = re.compile(r"for _ in range\((10_000_000|STEP_CAP)\)")
-    assert not loop.search(inspect.getsource(clocks))
+    """One capacity kernel serves both tiers: neither clock module steps
+    slices or lays out a block grid, one function builds capacity tables,
+    and no module of ``repro.sim`` keeps a table past its run."""
+    gone = re.compile(
+        r"range\((10_000_000|STEP_CAP)\)|_chunk_speeds|_chunk_spiky"
+        r"|_BLOCK_SLICES|_BLOCK_CELLS|subtract\.accumulate"
+    )
+    for module in (clock, clocks):
+        assert not gone.search(inspect.getsource(module)), module.__name__
+    assert _table_builders() == ["clock.py::chunk"]
+
+    module = parse_source("int main() { compute_units(90000); MPI_Barrier(); return 0; }")
+    sim = Simulator(module, MachineConfig(n_ranks=16, ranks_per_node=4), engine="lockstep")
+    sim.run()
+    table = sim._lockstep_runner.clocks.table
+    assert table._chunks and isinstance(table, clock.CapacityTable)
+    tables = {id(table), *map(id, table._chunks.values())}
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("repro.sim"):
+            for value in vars(mod).values():
+                assert not any(id(x) in tables for x in _module_held(value)), name
+    alive = weakref.ref(table)
+    del sim, table
+    gc.collect()
+    assert alive() is None
 
 
 def test_one_analysis_store_per_tenant():
