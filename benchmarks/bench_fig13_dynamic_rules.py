@@ -10,9 +10,9 @@ The paper's worked example: ten records with wall times
 """
 
 from benchmarks.conftest import once
-from repro.runtime.detector import DetectorConfig, RankDetector
+from repro.runtime.batch_detector import BatchDetector
+from repro.runtime.detector import DetectorConfig
 from repro.runtime.dynrules import NoGrouping, ThresholdMiss
-from repro.runtime.records import SensorRecord
 from repro.sensors.model import SensorType
 
 WALLS = [3.0, 3.0, 7.0, 3.0, 5.0, 3.0, 7.0, 3.0, 3.0, 3.0]
@@ -20,27 +20,17 @@ MISSES = [0.1, 0.1, 0.9, 0.1, 0.1, 0.1, 0.9, 0.1, 0.1, 0.1]
 
 
 def run_detector(rule):
-    detector = RankDetector(
-        rank=0,
+    detector = BatchDetector(
+        1,
         config=DetectorConfig(slice_us=10.0, threshold=0.7, min_duration_us=0.0),
         rule=rule,
     )
     t = 0.0
     for wall, miss in zip(WALLS, MISSES):
         t += 10.0  # one record per slice, as in the paper's example
-        detector.add(
-            SensorRecord(
-                rank=0,
-                sensor_id=1,
-                sensor_type=SensorType.COMPUTATION,
-                t_start=t - wall,
-                t_end=t,
-                instructions=30.0,
-                cache_miss_rate=miss,
-            )
-        )
-    detector.finish()
-    return detector.events
+        detector.add(0, 1, SensorType.COMPUTATION, t - wall, t, 30.0, miss)
+    detector.finish(0)
+    return detector.events[0]
 
 
 def _record_ids(events):
@@ -71,8 +61,8 @@ def test_fig13_scaled_stream(benchmark):
     rng = np.random.default_rng(42)
 
     def build_events(rule):
-        detector = RankDetector(
-            rank=0,
+        detector = BatchDetector(
+            1,
             config=DetectorConfig(slice_us=100.0, threshold=0.7, min_duration_us=0.0),
             rule=rule,
         )
@@ -83,19 +73,9 @@ def test_fig13_scaled_stream(benchmark):
             wall *= 1.0 + 0.02 * rng.random()
             miss = 0.9 if high_miss else 0.1
             t += 100.0
-            detector.add(
-                SensorRecord(
-                    rank=0,
-                    sensor_id=1,
-                    sensor_type=SensorType.COMPUTATION,
-                    t_start=t - wall,
-                    t_end=t,
-                    instructions=30.0,
-                    cache_miss_rate=miss,
-                )
-            )
-        detector.finish()
-        return detector.events
+            detector.add(0, 1, SensorType.COMPUTATION, t - wall, t, 30.0, miss)
+        detector.finish(0)
+        return detector.events[0]
 
     ungrouped = build_events(NoGrouping())
     grouped = once(benchmark, lambda: build_events(ThresholdMiss(0.5)))

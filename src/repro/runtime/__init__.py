@@ -3,13 +3,15 @@
 Record flow, mirroring the paper's pipeline:
 
 1. probe records arrive per rank (:mod:`repro.runtime.records`),
-2. records are aggregated over small time slices to filter high-frequency
-   OS noise (:mod:`repro.runtime.smoothing`, §5.1),
-3. slice averages are normalized against the sensor's fastest observation
-   — one scalar of history per sensor (:mod:`repro.runtime.history`, §5.2,
-   §5.3) — optionally split by dynamic-rule groups
-   (:mod:`repro.runtime.dynrules`),
-4. each rank batches its slice summaries to the analysis server
+2. one :class:`~repro.runtime.batch_detector.BatchDetector` per run holds
+   every rank's state: records are aggregated over small time slices to
+   filter high-frequency OS noise (§5.1), slice averages are normalized
+   against the sensor's fastest observation — one scalar of history per
+   sensor (§5.2, §5.3) — optionally split by dynamic-rule groups
+   (:mod:`repro.runtime.dynrules`), and sensors too short to time are
+   shut off (§5.3); closed slices are rows of its
+   :class:`~repro.runtime.batch_detector.SummaryLog`,
+3. each rank batches its slice summaries to the analysis server
    (:mod:`repro.runtime.server`, §5.4), which performs inter-process
    comparison and builds the per-component performance matrices the
    visualizer renders (§5.5).
@@ -24,9 +26,10 @@ reordered batches never skew the matrices.
 behind the simulator's hook interface.
 """
 
+from repro.runtime.batch_detector import BatchDetector
 from repro.runtime.channel import ChannelConfig, ChannelStats, LossyChannel
 from repro.runtime.columnar import ColumnarStore
-from repro.runtime.detector import DetectorConfig, RankDetector, VarianceEvent
+from repro.runtime.detector import DetectorConfig, VarianceEvent
 from repro.runtime.dynrules import (
     CacheMissBands,
     DynamicRule,
@@ -38,12 +41,12 @@ from repro.runtime.history import SensorHistory, observe_block
 from repro.runtime.records import SensorRecord, SliceSummary, SummaryColumns
 from repro.runtime.report import VarianceReport
 from repro.runtime.server import AnalysisServer, InterProcessEvent
-from repro.runtime.smoothing import SliceAggregator
 from repro.runtime.transport import FileSpool, ReliableTransport, RetryPolicy
 from repro.runtime.vsensor_hooks import VSensorRuntime
 
 __all__ = [
     "AnalysisServer",
+    "BatchDetector",
     "CacheMissBands",
     "ChannelConfig",
     "ChannelStats",
@@ -58,10 +61,8 @@ __all__ = [
     "InstructionBands",
     "NoGrouping",
     "ThresholdMiss",
-    "RankDetector",
     "SensorHistory",
     "SensorRecord",
-    "SliceAggregator",
     "SliceSummary",
     "SummaryColumns",
     "VSensorRuntime",

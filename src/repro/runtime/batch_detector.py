@@ -1,26 +1,26 @@
-"""Rank-vectorised detector state for fused lockstep Tocks (§5.1–§5.3).
+"""The dynamic module's per-rank state, as arrays over ranks (§5.1–§5.3).
 
-The lockstep tier executes a Tock once for every rank.  A
-:class:`BatchDetector` keeps what one :class:`RankDetector` per rank would
-keep — §5.3 shutoff counters, the open slice and the standard time of each
-(sensor, group) — as arrays over ranks, and :meth:`BatchDetector.step`
-advances all of them for one record per rank in a few NumPy operations.
-Every per-rank result (summaries, events, shutoff sets, standard times,
-record counts) is the scalar classes' to the bit: each array expression is
-lane by lane the scalar statement it replaces, evaluated in the same order.
+One :class:`BatchDetector` holds every rank's detector state for a run on
+every tier — §5.3 shutoff counters, and per (sensor, group) the open time
+slice and the standard time — plus the :class:`SummaryLog` of every slice
+the run has closed.  It takes records two ways, which act on the same
+arrays and do each floating-point operation in the same order:
 
-The scalar classes remain the production path of the bytecode and AST
-tiers.  A lockstep run starts on them too and :meth:`BatchDetector.adopt`
-gathers their state at the first fused Tock; from then on this is the only
-state, and records from drained lanes step it at width one through
-:class:`RankView`, which also keeps ``runtime.detectors[rank]`` readable.
+* :meth:`BatchDetector.add` — one record on one rank, in Python scalars:
+  the bytecode and AST tiers, every governed run, a lockstep lane before
+  the first fused Tock or after a drain, and :meth:`BatchDetector.finish`;
+* :meth:`BatchDetector.step` — one record on each of several ranks (a
+  fused lockstep Tock), in a few NumPy operations.
+
+:class:`RankView` is the read-only per-rank surface behind
+``runtime.detectors[rank]``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.detector import DetectorConfig, RankDetector, VarianceEvent
+from repro.runtime.detector import DetectorConfig, VarianceEvent
 from repro.runtime.dynrules import DynamicRule, NoGrouping
 from repro.runtime.records import SENSOR_TYPE_CODE, SensorRecord, SummaryColumns, SummaryView
 from repro.sensors.model import SensorType
@@ -34,7 +34,7 @@ _LOG_DTYPE = np.dtype(
 
 
 class SummaryLog:
-    """Every slice a run has closed, as columns: the record of the batch path.
+    """Every slice a run has closed, as columns: the record of the run.
 
     One ``(n_ranks, capacity)`` array whose row ``r`` holds rank ``r``'s
     summaries in emission order, so a rank's rows ``a..b`` are a
@@ -57,29 +57,29 @@ class SummaryLog:
             self.group_table[code] = group
         return code
 
+    def _fit(self, top: int) -> None:
+        """Make room for ordinal ``top`` on every rank."""
+        n_ranks, cap = self._log.shape
+        if top >= cap:
+            grown = np.empty((n_ranks, 2 * max(cap, top)), _LOG_DTYPE)
+            grown[:, :cap] = self._log
+            self._log = grown
+
     def append(self, ranks: np.ndarray, *values) -> None:
         """Log one summary on each of the distinct ``ranks``; ``values`` are
         scalars or per-rank vectors in ``_LOG_DTYPE`` order."""
-        self._write(ranks, self.rows[ranks], values)
-        self.rows[ranks] += 1
-
-    def extend(self, rank: int, cols: SummaryColumns) -> None:
-        """Log one rank's object-era summaries (adoption)."""
-        k = len(cols)
-        groups = [self.intern(cols.group_table.get(c, "")) for c in cols.group_code.tolist()]
-        values = (cols.sensor_id, cols.sensor_type_code, groups, cols.slice_index,
-                  cols.mean_duration, cols.count, cols.mean_cache_miss)
-        self._write(np.full(k, rank), self.rows[rank] + np.arange(k), values)
-        self.rows[rank] += k
-
-    def _write(self, ranks: np.ndarray, ordinal: np.ndarray, values) -> None:
-        n_ranks, cap = self._log.shape
-        if ordinal.max() >= cap:
-            grown = np.empty((n_ranks, 2 * max(cap, int(ordinal.max()))), _LOG_DTYPE)
-            grown[:, :cap] = self._log
-            self._log = grown
+        ordinal = self.rows[ranks]
+        self._fit(int(ordinal.max()))
         for name, value in zip(_LOG_DTYPE.names, values):
             self._log[name][ranks, ordinal] = value
+        self.rows[ranks] += 1
+
+    def append_row(self, rank: int, row: tuple) -> None:
+        """Log one summary on ``rank``: ``row`` in ``_LOG_DTYPE`` order."""
+        k = self.rows.item(rank)
+        self._fit(k)
+        self._log[rank, k] = row
+        self.rows[rank] = k + 1
 
     def take(self, ranks, ordinal) -> SummaryColumns:
         """Rows ``(ranks[i], ordinal[i])`` as columns, in one gather — or,
@@ -93,9 +93,9 @@ class SummaryLog:
             rows["miss"],
         )
 
-    def view(self, rank: int) -> SummaryView:
-        """Everything ``rank`` has logged so far."""
-        return SummaryView(self, rank, 0, int(self.rows[rank]))
+    def view(self, rank: int, start: int = 0) -> SummaryView:
+        """What ``rank`` has logged so far, from ordinal ``start`` on."""
+        return SummaryView(self, rank, start, self.rows.item(rank))
 
     def groups(self, rank: int, start: int, stop: int) -> set[str]:
         codes = set(self._log["group"][rank, start:stop].tolist())
@@ -103,7 +103,7 @@ class SummaryLog:
 
 
 class _Lifecycle:
-    """§5.3 counters of one sensor, over ranks (``PaperShutoff``)."""
+    """§5.3 counters of one sensor, over ranks."""
 
     __slots__ = ("seen", "dur_sum", "off")
 
@@ -114,8 +114,8 @@ class _Lifecycle:
 
 
 class _Slices:
-    """Open slice and standard time of one (sensor, group), over ranks
-    (``SliceAggregator`` entry + ``SensorHistory`` entry)."""
+    """Open slice (§5.1) and standard time (§5.2) of one (sensor, group),
+    over ranks."""
 
     __slots__ = ("idx", "dur", "miss", "count", "born", "standard", "known")
 
@@ -125,8 +125,8 @@ class _Slices:
         self.miss = np.zeros(n)
         #: records in the open slice; 0 = no open slice on that rank
         self.count = np.zeros(n, dtype=np.int64)
-        #: per-rank order in which the open slices were first opened (the
-        #: aggregator's dict order, which ``finish`` emits in)
+        #: per-rank order in which the open slices were first opened, which
+        #: ``finish`` closes them in
         self.born = np.zeros(n, dtype=np.int64)
         self.standard = np.full(n, np.inf)
         #: False until the rank's first observation defines the standard
@@ -134,7 +134,14 @@ class _Slices:
 
 
 class BatchDetector:
-    """The state of ``n_ranks`` :class:`RankDetector` objects, as arrays."""
+    """Online variance detection for ``n_ranks`` ranks: records are
+    smoothed into time-slice summaries (§5.1), normalised against the
+    fastest slice seen per (sensor, group) (§5.2) and checked against the
+    threshold; sensors too short to time are shut off (§5.3).
+
+    ``on_shutoff(rank, sensor_id)``, when given, is told of every §5.3
+    shutoff at the moment it happens (the overhead governor's hook).
+    """
 
     def __init__(
         self,
@@ -142,11 +149,13 @@ class BatchDetector:
         config: DetectorConfig | None = None,
         rule: DynamicRule | None = None,
         metrics: object | None = None,
+        on_shutoff=None,
     ) -> None:
         self.n_ranks = n_ranks
         self.config = config or DetectorConfig()
         self.rule = rule or NoGrouping()
         self.metrics = metrics
+        self.on_shutoff = on_shutoff
         self.records = np.zeros(n_ranks, dtype=np.int64)
         self.log = SummaryLog(n_ranks, self.config.slice_us)
         self.events: list[list[VarianceEvent]] = [[] for _ in range(n_ranks)]
@@ -156,40 +165,6 @@ class BatchDetector:
         self._types: dict[int, SensorType] = {}
         #: slices opened so far per rank (source of ``_Slices.born``)
         self._opened = np.zeros(n_ranks, dtype=np.int64)
-
-    @classmethod
-    def adopt(cls, detectors: dict[int, RankDetector]) -> "BatchDetector":
-        """Gather ranks ``0..n-1``'s scalar detectors into one vector state.
-
-        The detectors' summaries are loaded into the log; their ``events``
-        / ``shutoff`` containers are taken over, not copied.  The detectors
-        must not be fed again.
-        """
-        first = detectors[0]
-        vec = cls(len(detectors), first.config, first.rule, first.metrics)
-        for rank, det in detectors.items():
-            vec.records[rank] = det.records_processed
-            if det.summaries:
-                vec.log.extend(rank, SummaryColumns.from_rows(det.summaries))
-            vec.events[rank] = det.events
-            vec.shutoff[rank] = det.shutoff
-            for sid, seen in det.lifecycle._seen.items():
-                life = vec._lifecycle(sid)
-                life.seen[rank] = seen
-                life.dur_sum[rank] = det.lifecycle._dur_sum[sid]
-            for sid in det.shutoff:
-                vec._lifecycle(sid).off[rank] = True
-            vec._types.update(det._aggregator._types)
-            for (sid, group), entry in det._aggregator._open.items():
-                sl = vec._slice_state(sid, group)
-                sl.idx[rank], sl.dur[rank], sl.miss[rank], sl.count[rank] = entry
-                sl.born[rank] = vec._opened[rank]
-                vec._opened[rank] += 1
-            for (sid, group), standard in det.history._standard.items():
-                sl = vec._slice_state(sid, group)
-                sl.standard[rank] = standard
-                sl.known[rank] = True
-        return vec
 
     def view(self, rank: int) -> "RankView":
         return RankView(self, rank)
@@ -206,6 +181,128 @@ class BatchDetector:
             sl = self._slices[(sensor_id, group)] = _Slices(self.n_ranks)
         return sl
 
+    def _shut(self, rank: int, sensor_id: int) -> None:
+        self.shutoff[rank].add(sensor_id)
+        if self.on_shutoff is not None:
+            self.on_shutoff(rank, sensor_id)
+
+    # -- one record on one rank ----------------------------------------------
+
+    def add(
+        self,
+        rank: int,
+        sensor_id: int,
+        sensor_type: SensorType,
+        t_start: float,
+        t_end: float,
+        instructions: float,
+        cache_miss_rate: float,
+    ) -> VarianceEvent | None:
+        """Feed one Tick..Tock record of ``sensor_id`` on ``rank``.
+
+        :meth:`step` at width one, in Python scalars.  A closed slice goes
+        to :attr:`log`; returns its event if it fell below the variance
+        threshold (a record closes at most one slice).
+        """
+        cfg = self.config
+        metrics = self.metrics
+        life = self._lifecycle(sensor_id)
+        self._types[sensor_id] = sensor_type
+        # Records of shut-off sensors are ignored.
+        if life.off.item(rank):
+            return None
+        self.records[rank] += 1
+        if metrics is not None:
+            metrics.counter("detector.records").inc()
+        # The record that completes the observation window of a too-short
+        # sensor shuts it off and is itself dropped.
+        duration = t_end - t_start
+        seen = life.seen.item(rank) + 1
+        total = life.dur_sum.item(rank) + duration
+        life.seen[rank] = seen
+        life.dur_sum[rank] = total
+        if seen == cfg.shutoff_after and total / seen < cfg.min_duration_us:
+            life.off[rank] = True
+            self._shut(rank, sensor_id)
+            if metrics is not None:
+                metrics.counter("detector.shutoff_sensors").inc()
+            return None
+        if type(self.rule) is NoGrouping:
+            group = ""
+        else:
+            group = self.rule.group(SensorRecord(
+                rank, sensor_id, sensor_type, t_start, t_end, instructions, cache_miss_rate
+            ))
+        sl = self._slice_state(sensor_id, group)
+        idx = int(t_end // cfg.slice_us)
+        count = sl.count.item(rank)
+        if count and sl.idx.item(rank) == idx:
+            sl.dur[rank] = sl.dur.item(rank) + duration
+            sl.miss[rank] = sl.miss.item(rank) + cache_miss_rate
+            sl.count[rank] = count + 1
+            return None
+        if count:
+            event = self._close_one(sensor_id, group, sl, rank)
+        else:
+            event = None
+            sl.born[rank] = opened = self._opened.item(rank)
+            self._opened[rank] = opened + 1
+        sl.idx[rank] = idx
+        sl.dur[rank] = duration
+        sl.miss[rank] = cache_miss_rate
+        sl.count[rank] = 1
+        return event
+
+    def _close_one(self, sensor_id: int, group: str, sl: _Slices, rank: int) -> VarianceEvent | None:
+        """Emit the open slice of (sensor, group) on ``rank``: :meth:`_close`
+        at width one."""
+        cfg = self.config
+        count = sl.count.item(rank)
+        mean = sl.dur.item(rank) / count
+        standard = sl.standard.item(rank)
+        if not sl.known.item(rank) or mean < standard:
+            sl.standard[rank] = mean
+            sl.known[rank] = True
+            perf = 1.0
+        elif mean <= 0.0:
+            perf = 1.0
+        else:
+            perf = standard / mean
+        sensor_type = self._types[sensor_id]
+        idx = sl.idx.item(rank)
+        self.log.append_row(rank, (
+            sensor_id, SENSOR_TYPE_CODE[sensor_type], self.log.intern(group), idx,
+            mean, count, sl.miss.item(rank) / count,
+        ))
+        event = None
+        if perf < cfg.threshold:
+            event = VarianceEvent(rank, sensor_id, sensor_type, group, idx * cfg.slice_us, perf)
+            self.events[rank].append(event)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("detector.summaries").inc()
+            metrics.histogram("detector.slice_duration_us").observe(mean)
+            if event is not None:
+                metrics.counter("detector.variance_events").inc()
+        return event
+
+    def finish(self, rank: int) -> list[VarianceEvent]:
+        """Flush ``rank``'s open slices at the end of its run, in the order
+        they were first opened."""
+        open_slices = sorted(
+            (sl.born.item(rank), key)
+            for key, sl in self._slices.items()
+            if sl.count.item(rank)
+        )
+        events = []
+        for _, key in open_slices:
+            sl = self._slices[key]
+            event = self._close_one(*key, sl, rank)
+            sl.count[rank] = 0
+            if event is not None:
+                events.append(event)
+        return events
+
     # -- one record per rank -------------------------------------------------
 
     def step(
@@ -221,15 +318,15 @@ class BatchDetector:
         """Feed one Tick..Tock record of ``sensor_id`` on each of ``ranks``.
 
         ``ranks`` are distinct; entry ``i`` of every vector is rank
-        ``ranks[i]``'s record.  Closed slices go to :attr:`log`; returns
-        ``(i, event)`` for each record whose closed slice (a record closes
-        at most one) fell below the variance threshold.
+        ``ranks[i]``'s record.  Each array expression is lane by lane the
+        statement :meth:`add` runs, in the same order.  Closed slices go to
+        :attr:`log`; returns ``(i, event)`` for each record whose closed
+        slice fell below the variance threshold.
         """
         cfg = self.config
         metrics = self.metrics
         life = self._lifecycle(sensor_id)
         self._types[sensor_id] = sensor_type
-        # RankDetector.add: records of shut-off sensors are ignored.
         lanes = np.flatnonzero(~life.off[ranks])
         if not len(lanes):
             return []
@@ -240,8 +337,6 @@ class BatchDetector:
         self.records[ranks] += 1
         if metrics is not None:
             metrics.counter("detector.records").inc(len(lanes))
-        # PaperShutoff.observe: the record that completes the observation
-        # window of a too-short sensor shuts it off and is itself dropped.
         seen = life.seen[ranks] + 1
         total = life.dur_sum[ranks] + duration
         life.seen[ranks] = seen
@@ -253,7 +348,7 @@ class BatchDetector:
                 gone = ranks[short]
                 life.off[gone] = True
                 for rank in gone.tolist():
-                    self.shutoff[rank].add(sensor_id)
+                    self._shut(rank, sensor_id)
                 if metrics is not None:
                     metrics.counter("detector.shutoff_sensors").inc(len(gone))
                 keep = ~short
@@ -284,7 +379,8 @@ class BatchDetector:
         return out
 
     def _advance(self, sensor_id, group, lanes, ranks, t_end, duration, miss, out) -> None:
-        """SliceAggregator.add for one (sensor, group) on ``ranks``."""
+        """Add one record to, or roll, the open slice of (sensor, group) on
+        ``ranks``."""
         sl = self._slice_state(sensor_id, group)
         idx = (t_end // self.config.slice_us).astype(np.int64)
         count = sl.count[ranks]
@@ -310,9 +406,8 @@ class BatchDetector:
         sl.count[opened] = 1
 
     def _close(self, sensor_id, group, sl, lanes, ranks, out) -> None:
-        """Emit the open slice of (sensor, group) on ``ranks``:
-        SliceAggregator._emit, then RankDetector._analyze with
-        SensorHistory.observe."""
+        """Emit the open slice of (sensor, group) on ``ranks``, normalise
+        its mean against the standard time and lower the standard."""
         count = sl.count[ranks]
         mean = sl.dur[ranks] / count
         mean_miss = sl.miss[ranks] / count
@@ -348,25 +443,9 @@ class BatchDetector:
             if slow:
                 metrics.counter("detector.variance_events").inc(len(slow))
 
-    def finish(self, rank: int) -> list[VarianceEvent]:
-        """Flush ``rank``'s open slices at the end of its run."""
-        open_slices = sorted(
-            (int(sl.born[rank]), key)
-            for key, sl in self._slices.items()
-            if sl.count[rank] > 0
-        )
-        lane = np.zeros(1, dtype=np.int64)
-        one = np.array([rank])
-        out: list[tuple[int, VarianceEvent]] = []
-        for _, key in open_slices:
-            sl = self._slices[key]
-            self._close(*key, sl, lane, one, out)
-            sl.count[rank] = 0
-        return [event for _, event in out]
-
 
 class _RankHistory:
-    """``SensorHistory``'s read surface for one rank."""
+    """One rank's standard times (``SensorHistory``'s read surface)."""
 
     __slots__ = ("_vec", "_rank")
 
@@ -385,11 +464,8 @@ class _RankHistory:
 
 
 class RankView:
-    """One rank of a :class:`BatchDetector` behind ``RankDetector``'s surface.
-
-    ``add`` / ``finish`` step the shared vector state at width one, so a
-    drained lane's scalar records and the fused batches act on one state.
-    """
+    """One rank of a :class:`BatchDetector`, read-only: what reports, the
+    history store and benchmarks read as ``runtime.detectors[rank]``."""
 
     __slots__ = ("_vec", "rank", "history")
 
@@ -398,25 +474,8 @@ class RankView:
         self.rank = rank
         self.history = _RankHistory(vec, rank)
 
-    config = property(lambda self: self._vec.config)
-    rule = property(lambda self: self._vec.rule)
     metrics = property(lambda self: self._vec.metrics)
     summaries = property(lambda self: self._vec.log.view(self.rank))
     events = property(lambda self: self._vec.events[self.rank])
     shutoff = property(lambda self: self._vec.shutoff[self.rank])
     records_processed = property(lambda self: int(self._vec.records[self.rank]))
-
-    def add(self, record: SensorRecord) -> list[VarianceEvent]:
-        out = self._vec.step(
-            record.sensor_id,
-            record.sensor_type,
-            np.array([self.rank]),
-            np.array([record.t_start]),
-            np.array([record.t_end]),
-            np.array([record.instructions]),
-            np.array([record.cache_miss_rate]),
-        )
-        return [event for _, event in out]
-
-    def finish(self) -> list[VarianceEvent]:
-        return self._vec.finish(self.rank)

@@ -18,21 +18,21 @@ touches a probe:
   record).  The decision is **latched at tick**: the matching tock
   completes whatever the tick decided, so state changes between a
   tick and its tock can never corrupt probe pairing.
-* :class:`PaperShutoff` — §5.3 extracted from ``RankDetector.add`` as a
-  lifecycle rule object, bit-identical to the historical inline logic.
 * :class:`OverheadGovernor` — the control loop.  At slice boundaries it
   compares the rank's probe self-cost (kept/skipped record counts ×
   per-record virtual cost) against an overhead-budget fraction of
   elapsed virtual time, demotes the cheapest-information sensors first
   (ordered by the selector's exported cost/frequency estimates), and
   re-promotes demoted sensors the moment a sibling sensor on the same
-  rank reports variance.
+  rank reports variance.  The detector reports each §5.3 shutoff to it
+  through :meth:`OverheadGovernor.on_shutoff`.
 
 Policies:
 
 ``policy="paper-shutoff"``
-    Only the §5.3 rule runs.  No engine-side control is installed, so
-    timing, record streams and shutoff sets are exactly today's.
+    Only the detector's §5.3 rule runs; the governor just tallies its
+    shutoffs.  No engine-side control is installed, so timing, record
+    streams and shutoff sets are those of an ungoverned run.
 ``policy="adaptive"``
     The full budget loop; the §5.3 rule still runs and pins its
     shutoffs as permanent suspensions (a sensor too short to time is
@@ -48,7 +48,7 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: control states
 ENABLED = "enabled"
@@ -168,41 +168,6 @@ class SensorControlTable:
         return False
 
 
-@dataclass(slots=True)
-class PaperShutoff:
-    """§5.3 extracted from ``RankDetector.add``: after ``shutoff_after``
-    records, a sensor whose mean duration is below ``min_duration_us`` is
-    shut off permanently (the triggering record itself is dropped).
-
-    The arithmetic and control flow are the historical inline logic,
-    verbatim — the detector's default behavior must stay bit-identical.
-    """
-
-    min_duration_us: float = 2.0
-    shutoff_after: int = 50
-    shutoff: set[int] = field(default_factory=set)
-    #: called with the sensor id at the moment of shutoff (governor hook)
-    on_shutoff: object | None = None
-    _seen: dict[int, int] = field(default_factory=dict)
-    _dur_sum: dict[int, float] = field(default_factory=dict)
-
-    def is_off(self, sensor_id: int) -> bool:
-        return sensor_id in self.shutoff
-
-    def observe(self, sensor_id: int, duration: float) -> bool:
-        """Feed one record's duration; False = sensor just shut off."""
-        seen = self._seen.get(sensor_id, 0) + 1
-        self._seen[sensor_id] = seen
-        self._dur_sum[sensor_id] = self._dur_sum.get(sensor_id, 0.0) + duration
-        if seen == self.shutoff_after:
-            if self._dur_sum[sensor_id] / seen < self.min_duration_us:
-                self.shutoff.add(sensor_id)
-                if self.on_shutoff is not None:
-                    self.on_shutoff(sensor_id)  # type: ignore[operator]
-                return False
-        return True
-
-
 #: promote only when spend is below this fraction of the budget
 PROMOTE_HEADROOM = 0.5
 #: variance-triggered promotion fires only for events at least this severe
@@ -281,7 +246,8 @@ class OverheadGovernor:
     One instance serves every rank of a run (rank state is partitioned
     inside the table and the eval bookkeeping).  The runtime hooks call
     :meth:`on_record` per kept record and :meth:`on_variance` per
-    detector event; the engines consult :attr:`control` per probe
+    detector event, the detector calls :meth:`on_shutoff` per §5.3
+    shutoff; the engines consult :attr:`control` per probe
     execution (``None`` unless the policy is adaptive, which keeps the
     disabled/paper-shutoff paths bit-identical to the historical code).
     """
@@ -308,7 +274,6 @@ class OverheadGovernor:
         self.estimates = estimates or {}
         self.metrics = metrics
         self.obs = obs
-        self.detector_config = detector_config
         #: node topology for sibling fan-out (None = every rank its own node)
         self.ranks_per_node = ranks_per_node
         #: per-rank decision tallies (CLI / report surface)
@@ -335,19 +300,10 @@ class OverheadGovernor:
         """The engine-facing control table (None for paper-shutoff)."""
         return self.table if self.engine_active else None
 
-    def lifecycle(self, rank: int) -> PaperShutoff:
-        """The §5.3 rule for one rank's detector, governor-instrumented."""
-        dc = self.detector_config
-        rule = PaperShutoff(
-            min_duration_us=dc.min_duration_us if dc is not None else 2.0,
-            shutoff_after=dc.shutoff_after if dc is not None else 50,
-        )
-        rule.on_shutoff = lambda sid: self._paper_shutoff(rank, sid)
-        return rule
-
-    def _paper_shutoff(self, rank: int, sensor_id: int) -> None:
-        """§5.3 fired: record the decision; under the adaptive policy the
-        suspension also reaches the engine (pinned — never re-promoted)."""
+    def on_shutoff(self, rank: int, sensor_id: int) -> None:
+        """The detector's §5.3 rule shut ``sensor_id`` off on ``rank``:
+        record the decision; under the adaptive policy the suspension also
+        reaches the engine (pinned — never re-promoted)."""
         self._tally(rank, "suspend")
         self._count("governor.suspend")
         if self.engine_active:

@@ -137,7 +137,7 @@ class SummaryColumns:
 @dataclass(slots=True, eq=False)
 class SummaryView(Sequence):
     """Rows ``start..stop`` of one rank in a detector's columnar log: what
-    a lockstep run ships and what ``detector.summaries`` reads as.  The
+    a run ships and what ``detector.summaries`` reads as.  The
     rows stay in the log's arrays; the view has an O(1) ``len``, slices to
     narrower views, and materializes :class:`SliceSummary` rows only for a
     consumer that indexes or iterates it."""

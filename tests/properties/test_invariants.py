@@ -4,34 +4,47 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime.history import SensorHistory
+from repro.runtime.detector import DetectorConfig
 from repro.runtime.records import SensorRecord
-from repro.runtime.smoothing import SliceAggregator
 from repro.sensors.model import SensorType
+from tests.runtime.detector_oracle import OneRank, OneRankSlices
 
 
 # ---------------------------------------------------------------------------
-# History invariants (§5.2-§5.3)
+# History invariants (§5.2-§5.3), on the production detector
 # ---------------------------------------------------------------------------
+
+
+def _observe(durations, sensor_id=1):
+    """One record per 10 µs slice through a one-rank detector whose every
+    closed slice reports (threshold ``inf``); returns the detector, the
+    durations it observed and each slice's normalized performance."""
+    det = OneRank(DetectorConfig(slice_us=10.0, threshold=float("inf"), shutoff_after=0))
+    observed = []
+    for k, d in enumerate(durations):
+        t_end = 10.0 * k + 5.0
+        record = SensorRecord(0, sensor_id, SensorType.COMPUTATION, t_end - d, t_end, 1.0, 0.1)
+        observed.append(record.duration)
+        det.add(record)
+    det.finish()
+    return det, observed, [e.performance for e in det.events]
 
 
 @given(durations=st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=1, max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_history_normalized_performance_bounded(durations):
     """Normalized performance is always in (0, 1]."""
-    history = SensorHistory()
-    for d in durations:
-        perf = history.observe(1, "", d)
+    _, observed, perfs = _observe(durations)
+    assert len(perfs) == len(observed)
+    for perf in perfs:
         assert 0.0 < perf <= 1.0
 
 
 @given(durations=st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=1, max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_history_standard_is_running_minimum(durations):
-    history = SensorHistory()
-    for d in durations:
-        history.observe(1, "", d)
-    assert history.standard_time(1) == pytest.approx(min(durations))
+    det, observed, _ = _observe(durations)
+    assert det.history.standard_time(1) == pytest.approx(min(observed))
 
 
 @given(
@@ -39,14 +52,13 @@ def test_history_standard_is_running_minimum(durations):
 )
 @settings(max_examples=100, deadline=None)
 def test_history_fastest_scores_one(durations):
-    history = SensorHistory()
-    perfs = [history.observe(7, "", d) for d in durations]
-    best_index = int(np.argmin(durations))
+    _, observed, perfs = _observe(durations, sensor_id=7)
+    best_index = int(np.argmin(observed))
     assert perfs[best_index] == 1.0
 
 
 # ---------------------------------------------------------------------------
-# Smoothing invariants (§5.1)
+# Smoothing invariants (§5.1), on the production detector
 # ---------------------------------------------------------------------------
 
 
@@ -75,7 +87,7 @@ def _records(times_and_durations):
 def test_smoothing_conserves_count_and_mass(durations, slice_us):
     """Every record lands in exactly one summary; total duration is
     conserved by the count-weighted means."""
-    agg = SliceAggregator(rank=0, slice_us=slice_us)
+    agg = OneRankSlices(rank=0, slice_us=slice_us)
     t = 0.0
     records = []
     for d in durations:
@@ -96,7 +108,7 @@ def test_smoothing_conserves_count_and_mass(durations, slice_us):
 )
 @settings(max_examples=100, deadline=None)
 def test_smoothing_means_within_extremes(durations):
-    agg = SliceAggregator(rank=0, slice_us=100.0)
+    agg = OneRankSlices(rank=0, slice_us=100.0)
     t = 0.0
     summaries = []
     for d in durations:
@@ -111,7 +123,7 @@ def test_smoothing_means_within_extremes(durations):
 @given(durations=st.lists(st.floats(min_value=0.1, max_value=20.0), min_size=1, max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_smoothing_slice_indices_monotone(durations):
-    agg = SliceAggregator(rank=0, slice_us=50.0)
+    agg = OneRankSlices(rank=0, slice_us=50.0)
     t = 0.0
     indices = []
     for d in durations:

@@ -1,28 +1,30 @@
-"""Differential tests for the rank-batched probe -> detector path.
+"""Differential tests for the one detector state of every tier.
 
-The lockstep tier hands ``VSensorRuntime`` one record batch per fused Tock
-and a :class:`BatchDetector` advances every rank's state at once.  None of
-that may be observable: stepped record by record against one
-:class:`RankDetector` per rank, and run end to end against the bytecode
-tier (which still uses the scalar classes), every output must be equal —
-``runtime.events`` *order* included, because cross-rank effects are
-deferred to each lane's scalar delivery point.
+A run's :class:`BatchDetector` takes records one at a time through ``add``
+(scalar tiers, governed runs, drained lockstep lanes) and one fused Tock at
+a time through ``step``.  Neither may be observable: fed record by record
+against one :class:`RankOracle` per rank, with the two interleaved on the
+same ranks, and run end to end on the lockstep tier against the bytecode
+tier, every output must be equal — ``runtime.events`` *order* included,
+because cross-rank effects are deferred to each lane's scalar delivery
+point.
 """
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import run_vsensor
 from repro.obs import Obs
 from repro.obs.golden import canonical_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.batch_detector import BatchDetector, RankView
-from repro.runtime.detector import DetectorConfig, RankDetector
+from repro.runtime.detector import DetectorConfig
 from repro.runtime.dynrules import (
     CacheMissBands,
     InstructionBands,
@@ -39,8 +41,9 @@ from repro.sim.hooks import SensorBatch
 from repro.sim.pmu import PmuSample
 from repro.workloads import all_workloads
 from tests.conftest import SIMPLE_MPI_PROGRAM, runtime_state
+from tests.runtime.detector_oracle import RankOracle
 
-# -- (a) record streams: vector state vs one RankDetector per rank -----------
+# -- (a) record streams: add, step and both vs one RankOracle per rank -------
 
 N = 4
 #: short slices and a 3-record shutoff window, so a few dozen records roll
@@ -91,9 +94,9 @@ def _records(steps):
 def _state(detectors, keys):
     return [
         (
-            d.summaries,
-            d.events,
-            d.shutoff,
+            list(d.summaries),
+            list(d.events),
+            set(d.shutoff),
             d.records_processed,
             d.history.entries(),
             [d.history.standard_time(*key) for key in keys],
@@ -102,57 +105,95 @@ def _state(detectors, keys):
     ]
 
 
+def _feed(vec, records, drained):
+    """One step's records: the lanes in ``drained`` one by one through
+    ``add``, the others as one fused ``step``; each record's new events."""
+    out = {}
+    for r in records:
+        if r.rank in drained:
+            event = vec.add(
+                r.rank, r.sensor_id, r.sensor_type, r.t_start, r.t_end,
+                r.instructions, r.cache_miss_rate,
+            )
+            out[r.rank] = [] if event is None else [event]
+    fused = [r for r in records if r.rank not in drained]
+    if fused:
+        new = dict(vec.step(
+            fused[0].sensor_id,
+            fused[0].sensor_type,
+            np.array([r.rank for r in fused]),
+            np.array([r.t_start for r in fused]),
+            np.array([r.t_end for r in fused]),
+            np.array([r.instructions for r in fused]),
+            np.array([r.cache_miss_rate for r in fused]),
+        ))
+        for i, r in enumerate(fused):
+            out[r.rank] = [new[i]] if i in new else []
+    return [out[r.rank] for r in records]
+
+
+def _python_fields(event) -> bool:
+    """No NumPy scalar rides in an event."""
+    return all(type(v) in (int, float, str, SensorType) for v in astuple(event))
+
+
 @given(
     steps=st.lists(_step, min_size=1, max_size=40),
     rule=st.sampled_from(sorted(RULES)),
-    split=st.integers(min_value=0, max_value=40),
+    drains=st.lists(st.frozensets(st.integers(0, N - 1)), max_size=40),
+)
+@example(
+    # the §5.3 window completes with means just under, exactly on and just
+    # over ``min_duration_us``, on lanes that drain and re-fuse around it
+    steps=[(7, {r: (0.0, d, 1.0, 0.1 + 0.3 * r) for r, d in enumerate(
+        [1.9999, 2.0, 2.0001, 2.0]
+    )})] * 5,
+    rule="threshold-miss",
+    drains=[frozenset({1}), frozenset(), frozenset({2, 3}), frozenset({0, 1})],
 )
 @settings(max_examples=150, deadline=None)
-def test_record_streams_match_rank_detectors(steps, rule, split):
-    ref_metrics, vec_metrics = MetricsRegistry(), MetricsRegistry()
-    reference = [RankDetector(r, CONFIG, RULES[rule](), metrics=ref_metrics) for r in range(N)]
+def test_record_streams_match_rank_detectors(steps, rule, drains):
+    """Per-record ``add``, fused ``step``, and random interleavings of the
+    two on the same ranks (lanes that drain mid-stream and re-fuse) each
+    equal the oracle: returned events, summaries, shutoff sets and
+    notices, standard times, record counts and metrics, before and after
+    ``finish``."""
     batches = _records(steps)
+    ref_metrics, ref_notices = MetricsRegistry(), []
+    reference = [
+        RankOracle(r, CONFIG, RULES[rule](), ref_metrics, lambda *n: ref_notices.append(n))
+        for r in range(N)
+    ]
     ref_returned = [[reference[r.rank].add(r) for r in records] for records in batches]
-
-    # The first ``split`` steps run on scalar detectors that are then
-    # adopted (a lockstep run whose first fused Tock follows a drain).
-    vec_returned = []
-    if split:
-        scalar = {r: RankDetector(r, CONFIG, RULES[rule](), metrics=vec_metrics) for r in range(N)}
-        for records in batches[:split]:
-            vec_returned.append([scalar[r.rank].add(r) for r in records])
-        vec = BatchDetector.adopt(scalar)
-    else:
-        vec = BatchDetector(N, CONFIG, RULES[rule](), metrics=vec_metrics)
-    views = [vec.view(r) for r in range(N)]
-    for records in batches[split:]:
-        if len(records) == 1:
-            # a drained lane's scalar record steps the same state
-            vec_returned.append([views[records[0].rank].add(records[0])])
-            continue
-        new = vec.step(
-            records[0].sensor_id,
-            records[0].sensor_type,
-            np.array([r.rank for r in records]),
-            np.array([r.t_start for r in records]),
-            np.array([r.t_end for r in records]),
-            np.array([r.instructions for r in records]),
-            np.array([r.cache_miss_rate for r in records]),
-        )
-        by_lane = dict(new)
-        vec_returned.append(
-            [[by_lane[i]] if by_lane.get(i) else [] for i in range(len(records))]
-        )
-    assert vec_returned == ref_returned
-
     keys = sorted({key for d in reference for key in d.history._standard})
-    assert _state(views, keys) == _state(reference, keys)
-    assert [v.finish() for v in views] == [d.finish() for d in reference]
-    assert _state(views, keys) == _state(reference, keys)
-    assert canonical_metrics(vec_metrics) == canonical_metrics(ref_metrics)
-    assert vec_metrics.histogram("detector.slice_duration_us").sum == pytest.approx(
-        ref_metrics.histogram("detector.slice_duration_us").sum
-    )
+    ref_state = _state(reference, keys)
+    ref_finished = [d.finish() for d in reference]
+    ref_final = _state(reference, keys)
+
+    for path in ("add", "step", "interleaved"):
+        metrics, notices = MetricsRegistry(), []
+        vec = BatchDetector(
+            N, CONFIG, RULES[rule](), metrics, on_shutoff=lambda *n: notices.append(n)
+        )
+        returned = []
+        for k, records in enumerate(batches):
+            drained = {
+                "add": range(N),
+                "step": (),
+                "interleaved": drains[k] if k < len(drains) else (),
+            }[path]
+            returned.append(_feed(vec, records, drained))
+        views = [vec.view(r) for r in range(N)]
+        assert returned == ref_returned, path
+        assert _state(views, keys) == ref_state, path
+        assert [vec.finish(r) for r in range(N)] == ref_finished, path
+        assert _state(views, keys) == ref_final, path
+        assert all(_python_fields(e) for v in views for e in v.events)
+        assert sorted(notices) == sorted(ref_notices), path
+        assert canonical_metrics(metrics) == canonical_metrics(ref_metrics), path
+        assert metrics.histogram("detector.slice_duration_us").sum == pytest.approx(
+            ref_metrics.histogram("detector.slice_duration_us").sum
+        )
 
 
 def test_shutoff_decision_boundary_per_lane():
@@ -162,7 +203,7 @@ def test_shutoff_decision_boundary_per_lane():
     durations = np.array([1.9999, 2.0, 2.0001])
     ranks = np.arange(3)
     vec = BatchDetector(3, CONFIG)
-    reference = [RankDetector(r, CONFIG) for r in range(3)]
+    reference = [RankOracle(r, CONFIG) for r in range(3)]
     for k in range(CONFIG.shutoff_after + 2):
         t_start = np.full(3, 100.0 * k)
         vec.step(7, SensorType.COMPUTATION, ranks, t_start, t_start + durations,
@@ -183,7 +224,7 @@ def test_shutoff_decision_boundary_per_lane():
 def test_view_summaries_have_constant_time_len_and_list_to_the_scalar_rows(monkeypatch):
     records = _records([(7, {r: (0.0, 5.0, 1.0, 0.1) for r in range(N)})] * 12)
     vec = BatchDetector(N, CONFIG)
-    reference = [RankDetector(r, CONFIG) for r in range(N)]
+    reference = [RankOracle(r, CONFIG) for r in range(N)]
     for batch in records:
         vec.step(
             7, SensorType.COMPUTATION, np.arange(N),
@@ -216,48 +257,57 @@ class _BatchLog:
         self.sent.setdefault(rank, []).append((list(summaries), now))
 
 
-def test_adoption_with_unshipped_rows_ships_each_row_once_in_scalar_order():
-    """A drain before the first fused Tock leaves closed slices waiting in
-    the scalar detectors; the vector state adopts them and the next due
-    batch carries them ahead of the rows the fused Tocks close."""
+def test_mixed_record_and_fused_rows_ship_once_in_scalar_order():
+    """Rows closed by per-record feeding (before the first fused Tock, and
+    while a lane is drained) wait in the log beside the rows fused Tocks
+    close; every row ships once, in the order a scalar run ships it."""
     sensors = {7: SimpleNamespace(sensor_type=SensorType.COMPUTATION)}
     # per rank: records every 6 us (slices of 10 us close every other one);
-    # the first 3 arrive one by one, the rest as fused Tocks
+    # the first 3 arrive one by one, then fused Tocks, during which rank 0
+    # drains for 4 records and re-fuses
     times = [6.0 * k for k in range(14)]
+    drained = {0: set(range(N)), 1: set(range(N)), 2: set(range(N))}
+    drained.update({k: {0} for k in range(6, 10)})
 
     def runtime():
         rt = VSensorRuntime(sensors=sensors, n_ranks=N, config=CONFIG, server=_BatchLog())
         rt.on_program_start(N)
         return rt
 
-    scalar, fused = runtime(), runtime()
+    def record(rt, rank, t):
+        rt.on_sensor_record(rank, 7, t, t + 5.0 + rank, PmuSample(1.0, 0.1))
+
+    scalar, mixed = runtime(), runtime()
     for t in times:
         for rank in range(N):
-            scalar.on_sensor_record(rank, 7, t, t + 5.0 + rank, PmuSample(1.0, 0.1))
-    for t in times[:3]:
-        for rank in range(N):
-            fused.on_sensor_record(rank, 7, t, t + 5.0 + rank, PmuSample(1.0, 0.1))
-    assert any(len(d.summaries) for d in fused.detectors.values())
-    assert not fused.server.sent, "nothing was due yet: the rows wait in the detectors"
-    for t in times[3:]:
+            record(scalar, rank, t)
+    for k, t in enumerate(times):
+        lanes = drained.get(k, set())
+        for rank in sorted(lanes):
+            record(mixed, rank, t)
+        if k == 2:
+            assert any(len(d.summaries) for d in mixed.detectors.values())
+            assert not mixed.server.sent, "nothing was due yet: the rows wait in the log"
+        fused = np.array([r for r in range(N) if r not in lanes])
+        if not len(fused):
+            continue
         deferred = []
-        fused.on_sensor_batch(
-            SensorBatch(7, np.arange(N), np.full(N, t), t + 5.0 + np.arange(N),
-                        np.ones(N), np.full(N, 0.1)),
+        mixed.on_sensor_batch(
+            SensorBatch(7, fused, np.full(len(fused), t), t + 5.0 + fused,
+                        np.ones(len(fused)), np.full(len(fused), 0.1)),
             lambda lane, fn, args: deferred.append((fn, args)),
         )
         for fn, args in deferred:
             fn(*args)
-    assert all(isinstance(d, RankView) for d in fused.detectors.values())
-    for rt in (scalar, fused):
+    for rt in (scalar, mixed):
         for rank in range(N):
             rt.on_program_end(rank, times[-1] + 20.0)
-    assert fused.server.sent == scalar.server.sent
-    for rank, batches in fused.server.sent.items():
+    assert mixed.server.sent == scalar.server.sent
+    for rank, batches in mixed.server.sent.items():
         shipped = [row for rows, _ in batches for row in rows]
-        assert shipped == list(fused.detectors[rank].summaries)
+        assert shipped == list(mixed.detectors[rank].summaries)
         assert len(batches) > 1
-    assert fused.events == scalar.events
+    assert mixed.events == scalar.events
 
 
 # -- (b) whole runs: lockstep (batches) vs bytecode (scalar detectors) -------
@@ -288,7 +338,7 @@ def test_lockstep_run_matches_bytecode(name, n_ranks, channel, rule):
     assert runtime_state(runs["lockstep"]) == runtime_state(runs["bytecode"])
     # ... and not vacuously: the lockstep run did take the batch path.
     assert all(isinstance(d, RankView) for d in runs["lockstep"].runtime.detectors.values())
-    assert all(isinstance(d, RankDetector) for d in runs["bytecode"].runtime.detectors.values())
+    assert all(isinstance(d, RankView) for d in runs["bytecode"].runtime.detectors.values())
     assert runs["bytecode"].runtime.detectors[0].summaries
 
 
@@ -352,11 +402,63 @@ def test_governed_lockstep_run_takes_scalar_path(policy):
     run = _run(wl.source(), machine, "lockstep", faults=_FAULT, governor=policy)
     runtime = run.runtime
     assert not runtime.accepts_sensor_batches
-    assert runtime._vector is None
-    assert all(isinstance(d, RankDetector) for d in runtime.detectors.values())
+    assert all(isinstance(d, RankView) for d in runtime.detectors.values())
     if policy == "paper-shutoff":
         # the §5.3-only policy is bit-identical to no governor at all —
         # scalar detectors on one side, batches on the other
         ungoverned = _run(wl.source(), machine, "lockstep", faults=_FAULT)
         assert runtime_state(run) == runtime_state(ungoverned)
         assert ungoverned.runtime.accepts_sensor_batches
+
+
+# -- (g) unhappy paths: silent ranks and sensors shut off everywhere ---------
+
+_ONE_RANK_SILENT = """
+void kernel() { int i; for (i = 0; i < 10; i = i + 1) compute_units(20); }
+int main() {
+    int n; int r;
+    r = MPI_Comm_rank();
+    if (r != 2) {
+        for (n = 0; n < 40; n = n + 1) kernel();
+    }
+    MPI_Barrier();
+    return 0;
+}
+"""
+
+
+def _runs_on_every_tier(source, **kwargs):
+    machine = MachineConfig(n_ranks=16, ranks_per_node=4)
+    return {
+        engine: run_vsensor(source, machine, engine=engine, store=None, **kwargs)
+        for engine in ("bytecode", "ast", "lockstep")
+    }
+
+
+def test_a_rank_that_records_nothing_ships_nothing_and_the_report_renders():
+    runs = _runs_on_every_tier(_ONE_RANK_SILENT)
+    for engine, run in runs.items():
+        views = run.runtime.detectors
+        assert views[2].records_processed == 0 and len(views[2].summaries) == 0, engine
+        assert all(len(v.summaries) for r, v in views.items() if r != 2), engine
+        # one batch per rank that has rows, none for the silent one
+        assert run.report.batches_to_server == 15, engine
+        assert run.report.summary().startswith("vSensor variance report — 16 ranks")
+        assert runtime_state(run) == runtime_state(runs["bytecode"]), engine
+
+
+def test_a_sensor_shut_off_on_every_rank_leaves_no_rows_and_the_report_renders():
+    """``shutoff_after=1``: each sensor's first record decides, is dropped,
+    and shuts the sensor off — zero summaries, so no batch (not even an
+    empty one) reaches the server."""
+    source = _ONE_RANK_SILENT.replace("if (r != 2)", "if (r >= 0)")
+    detector = DetectorConfig(shutoff_after=1, min_duration_us=1e9)
+    runs = _runs_on_every_tier(source, detector=detector)
+    for engine, run in runs.items():
+        views = run.runtime.detectors.values()
+        assert all(v.shutoff and len(v.summaries) == 0 for v in views), engine
+        assert run.report.shutoff_sensors == sum(len(v.shutoff) for v in views)
+        assert run.report.batches_to_server == 0 and run.report.bytes_to_server == 0
+        assert not run.report.matrices and not run.runtime.events
+        assert "intra-process variance events: 0" in run.report.summary()
+        assert runtime_state(run) == runtime_state(runs["bytecode"]), engine

@@ -1,10 +1,12 @@
-"""Per-rank detector tests (§5.1-§5.3)."""
+"""Per-rank detector tests (§5.1-§5.3), run on the production detector:
+a one-rank ``BatchDetector`` fed through ``add``."""
 
 import pytest
 
-from repro.runtime.detector import DetectorConfig, RankDetector
+from repro.runtime.detector import DetectorConfig
 from repro.runtime.records import SensorRecord
 from repro.sensors.model import SensorType
+from tests.runtime.detector_oracle import OneRank
 
 
 def rec(t_end, duration, sensor_id=1, miss=0.1):
@@ -20,8 +22,7 @@ def rec(t_end, duration, sensor_id=1, miss=0.1):
 
 
 def make(threshold=0.7, slice_us=100.0, min_duration_us=0.0, shutoff_after=50):
-    return RankDetector(
-        rank=0,
+    return OneRank(
         config=DetectorConfig(
             slice_us=slice_us,
             threshold=threshold,
@@ -166,8 +167,7 @@ def test_multiple_sensors_tracked_separately():
 def test_grouped_detection_uses_group_history():
     from repro.runtime.dynrules import ThresholdMiss
 
-    det = RankDetector(
-        rank=0,
+    det = OneRank(
         config=DetectorConfig(slice_us=100.0, threshold=0.7, min_duration_us=0.0),
         rule=ThresholdMiss(0.5),
     )

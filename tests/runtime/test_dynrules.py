@@ -124,14 +124,14 @@ def test_fig13_scenario():
     Case 2 (grouped): only record 4 is a variance in the L group; the H
     group (both 7s) shows none.
     """
-    from repro.runtime.detector import DetectorConfig, RankDetector
+    from repro.runtime.detector import DetectorConfig
+    from tests.runtime.detector_oracle import OneRank
 
     walls = [3.0, 3.0, 7.0, 3.0, 5.0, 3.0, 7.0, 3.0, 3.0, 3.0]
     misses = [0.1, 0.1, 0.9, 0.1, 0.1, 0.1, 0.9, 0.1, 0.1, 0.1]
 
     def feed(rule):
-        det = RankDetector(
-            rank=0,
+        det = OneRank(
             config=DetectorConfig(slice_us=10.0, threshold=0.7, min_duration_us=0.0),
             rule=rule,
         )

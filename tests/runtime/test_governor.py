@@ -34,13 +34,14 @@ from repro.runtime.governor import (
     SUSPENDED,
     GovernorConfig,
     OverheadGovernor,
-    PaperShutoff,
     SensorControl,
     SensorControlTable,
 )
+from repro.runtime.records import SensorRecord
 from repro.sensors.model import SensorType
 from repro.sim import MachineConfig
 from repro.sim.hooks import RawRecorder
+from tests.runtime.detector_oracle import OneRank
 
 SOURCE = """
 global int NITER = 8;
@@ -148,15 +149,37 @@ def test_config_validation():
 
 
 def test_paper_shutoff_rule_matches_inline_semantics():
-    rule = PaperShutoff(min_duration_us=2.0, shutoff_after=3)
-    assert rule.observe(1, 10.0)
-    assert rule.observe(1, 10.0)
-    assert rule.observe(1, 10.0)          # mean 10 >= 2: stays on
-    assert not rule.is_off(1)
-    assert rule.observe(2, 1.0)
-    assert rule.observe(2, 1.0)
-    assert not rule.observe(2, 1.0)       # mean 1 < 2 at record #3: off
-    assert rule.is_off(2)
+    """The detector's §5.3 rule, with a governor attached: the deciding
+    record of a too-short sensor is dropped, and the governor hears of the
+    shutoff once, at that record."""
+    for policy in ("paper-shutoff", "adaptive"):
+        gov = OverheadGovernor(GovernorConfig(policy=policy))
+        det = OneRank(
+            DetectorConfig(min_duration_us=2.0, shutoff_after=3), on_shutoff=gov.on_shutoff
+        )
+        clock = iter(range(10, 1000, 10))
+
+        def observe(sensor_id, duration):
+            """Feed one record; False once the sensor is off."""
+            t = float(next(clock))
+            det.add(SensorRecord(0, sensor_id, SensorType.COMPUTATION, t - duration, t, 1.0, 0.1))
+            return sensor_id not in det.shutoff
+
+        assert observe(1, 10.0)
+        assert observe(1, 10.0)
+        assert observe(1, 10.0)           # mean 10 >= 2: stays on
+        assert 1 not in det.shutoff
+        assert observe(2, 1.0)
+        assert observe(2, 1.0)
+        assert gov.totals()["suspend"] == 0
+        assert not observe(2, 1.0)        # mean 1 < 2 at record #3: off
+        assert det.shutoff == {2}
+        assert det.records_processed == 6
+        assert not observe(2, 1.0)        # ignored from now on
+        assert det.records_processed == 6
+        assert gov.decisions[0]["suspend"] == 1 and gov.totals()["suspend"] == 1
+        ctl = gov.table.get(0, 2)
+        assert (ctl.state == SUSPENDED and ctl.pinned) == (policy == "adaptive")
 
 
 # -- the budget loop --------------------------------------------------------

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs import Obs
 from repro.runtime.batch_detector import SummaryLog
 from repro.runtime.history import SensorHistory, observe_block
-from repro.runtime.records import SliceSummary, SummaryColumns, SummaryView
+from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns, SummaryView
 from repro.runtime.server import AnalysisServer
 from repro.sensors.model import SensorType
 
@@ -206,7 +206,11 @@ def test_engines_bit_identical_under_mixed_arrival_forms(pool, order_seed, form_
             assert col.receive_batch_columns(rank, columns, seq=seq) == accepted
         else:
             start = int(log.rows[rank])
-            log.extend(rank, SummaryColumns.from_rows(batch))
+            for row in batch:
+                log.append_row(rank, (
+                    row.sensor_id, SENSOR_TYPE_CODE[row.sensor_type], log.intern(row.group),
+                    row.slice_index, row.mean_duration, row.count, row.mean_cache_miss,
+                ))
             view = SummaryView(log, rank, start, start + len(batch))
             assert col.receive_batch(rank, view, seq=seq) == accepted
         assert col.stored_summaries == ref.stored_summaries

@@ -1,13 +1,15 @@
-"""Slice-aggregation tests (§5.1)."""
+"""Slice-aggregation tests (§5.1), run on the production detector: a
+one-rank ``BatchDetector`` fed through ``add``."""
 
 import pytest
 
 from repro.runtime.records import SensorRecord
-from repro.runtime.smoothing import SliceAggregator
+from repro.runtime.dynrules import ThresholdMiss
 from repro.sensors.model import SensorType
+from tests.runtime.detector_oracle import OneRankSlices
 
 
-def rec(t_end, duration=5.0, sensor_id=1, group="", miss=0.1, rank=0):
+def rec(t_end, duration=5.0, sensor_id=1, miss=0.1, rank=0):
     return SensorRecord(
         rank=rank,
         sensor_id=sensor_id,
@@ -16,12 +18,11 @@ def rec(t_end, duration=5.0, sensor_id=1, group="", miss=0.1, rank=0):
         t_end=t_end,
         instructions=100.0,
         cache_miss_rate=miss,
-        group=group,
     )
 
 
 def test_records_within_slice_accumulate():
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
+    agg = OneRankSlices(rank=0, slice_us=1000.0)
     assert list(agg.add(rec(100.0))) == []
     assert list(agg.add(rec(500.0))) == []
     assert list(agg.add(rec(900.0))) == []
@@ -31,7 +32,7 @@ def test_records_within_slice_accumulate():
 
 
 def test_slice_boundary_emits():
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
+    agg = OneRankSlices(rank=0, slice_us=1000.0)
     agg.add(rec(500.0, duration=4.0))
     emitted = agg.add(rec(1500.0, duration=8.0))
     assert len(emitted) == 1
@@ -43,7 +44,7 @@ def test_slice_boundary_emits():
 
 
 def test_mean_duration_averages():
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
+    agg = OneRankSlices(rank=0, slice_us=1000.0)
     agg.add(rec(100.0, duration=2.0))
     agg.add(rec(200.0, duration=4.0))
     out = agg.flush()
@@ -51,14 +52,14 @@ def test_mean_duration_averages():
 
 
 def test_mean_cache_miss_averages():
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
+    agg = OneRankSlices(rank=0, slice_us=1000.0)
     agg.add(rec(100.0, miss=0.2))
     agg.add(rec(200.0, miss=0.4))
     assert agg.flush()[0].mean_cache_miss == pytest.approx(0.3)
 
 
 def test_sensors_aggregate_independently():
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
+    agg = OneRankSlices(rank=0, slice_us=1000.0)
     agg.add(rec(100.0, sensor_id=1))
     agg.add(rec(200.0, sensor_id=2))
     out = agg.flush()
@@ -66,15 +67,15 @@ def test_sensors_aggregate_independently():
 
 
 def test_groups_aggregate_independently():
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
-    agg.add(rec(100.0, group="L"))
-    agg.add(rec(200.0, group="H"))
+    agg = OneRankSlices(rank=0, slice_us=1000.0, rule=ThresholdMiss(0.5))
+    agg.add(rec(100.0, miss=0.1))
+    agg.add(rec(200.0, miss=0.9))
     out = agg.flush()
     assert {s.group for s in out} == {"L", "H"}
 
 
 def test_gap_slices_skipped():
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
+    agg = OneRankSlices(rank=0, slice_us=1000.0)
     agg.add(rec(500.0))
     emitted = agg.add(rec(5500.0))
     assert emitted[0].slice_index == 0
@@ -82,14 +83,14 @@ def test_gap_slices_skipped():
 
 
 def test_slice_start_time():
-    agg = SliceAggregator(rank=0, slice_us=250.0)
+    agg = OneRankSlices(rank=0, slice_us=250.0)
     agg.add(rec(600.0))
     out = agg.flush()
     assert out[0].t_slice_start == pytest.approx(500.0)
 
 
 def test_flush_clears_state():
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
+    agg = OneRankSlices(rank=0, slice_us=1000.0)
     agg.add(rec(100.0))
     agg.flush()
     assert agg.flush() == []
@@ -102,7 +103,7 @@ def test_summaries_pinned_across_rollovers():
     one-accumulator-per-record implementation: same slice indices, counts
     and exact means, with the no-rollover path returning an empty result.
     """
-    agg = SliceAggregator(rank=3, slice_us=1000.0)
+    agg = OneRankSlices(rank=3, slice_us=1000.0)
     out = []
     stream = [
         (100.0, 2.0, 0.1),
@@ -131,7 +132,7 @@ def test_smoothing_reduces_variance():
     import numpy as np
 
     rng = np.random.default_rng(1)
-    agg = SliceAggregator(rank=0, slice_us=1000.0)
+    agg = OneRankSlices(rank=0, slice_us=1000.0)
     raw = []
     out = []
     t = 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import gc
+import importlib.util
 import inspect
 import re
 import sys
@@ -22,11 +23,13 @@ import pytest
 
 import repro
 import repro.parallel
+import repro.runtime
 import repro.service
 import repro.sim.lockstep
 from repro.api import run_multi_job
 from repro.frontend import parse_source
-from repro.runtime import batch_detector, columnar, records
+from repro.runtime import batch_detector, columnar, governor, records
+from repro.runtime.batch_detector import BatchDetector, RankView, SummaryLog
 from repro.runtime.channel import Envelope, LossyChannel
 from repro.runtime.columnar import ColumnarStore
 from repro.runtime.records import SliceSummary, SummaryColumns
@@ -190,6 +193,47 @@ def test_the_batch_path_makes_no_row_objects_and_the_store_keeps_no_key_set():
     transport_source = inspect.getsource(ReliableTransport)
     assert "tuple(summaries)" not in transport_source
     assert "list(envelope.payload)" not in transport_source
+
+
+# -- one detector state on every tier ------------------------------------------
+
+
+def test_the_per_rank_detector_objects_stay_gone():
+    """§5.1–§5.3 state lives in ``BatchDetector`` only: no per-rank
+    detector, aggregator or shutoff rule is kept beside it, and nothing
+    converts one form of the state into the other."""
+    for name in ("RankDetector", "SliceAggregator"):
+        assert not hasattr(repro.runtime, name)
+        assert name not in repro.runtime.__all__
+    assert importlib.util.find_spec("repro.runtime.smoothing") is None
+    assert not hasattr(governor, "PaperShutoff")
+    assert not hasattr(governor.OverheadGovernor, "lifecycle")
+    assert callable(governor.OverheadGovernor.on_shutoff)
+    assert not hasattr(BatchDetector, "adopt")
+    assert not hasattr(SummaryLog, "extend")
+    assert not {"add", "finish"} & set(dir(RankView)), "a view is read-only"
+
+
+def test_every_rank_reads_one_shared_detector():
+    runtime = VSensorRuntime(sensors={}, n_ranks=4)
+    runtime.on_program_start(4)
+    assert type(runtime.detector) is BatchDetector
+    assert list(runtime.detectors) == [0, 1, 2, 3]
+    for rank, view in runtime.detectors.items():
+        assert type(view) is RankView and view.rank == rank
+        assert view._vec is runtime.detector
+
+
+def test_slice_summaries_are_built_only_in_records():
+    """Closed slices are log rows; ``SliceSummary`` objects exist only
+    where :mod:`repro.runtime.records` materialises them for a consumer."""
+    builders = sorted(
+        name
+        for name, source in _package_sources(repro).items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "SliceSummary"
+    )
+    assert builders == ["runtime/records.py"]
 
 
 def test_dead_state_and_unset_knobs_stay_gone():
