@@ -6,7 +6,9 @@ package is direct in-memory delivery (the message analogue).  This module
 adds the two hardened alternatives:
 
 * :class:`FileSpool` — the shared-file path.  Each rank appends binary
-  frames to its own spool file; the server drains the spools, either
+  frames to its own spool file through one descriptor the spool holds
+  for its lifetime, one ``os.write`` per batch, so a reader in another
+  process sees whole batches; the server drains the spools, either
   periodically during the run or once at the end.  The spool persists the
   dynamic-rule group string table inline (a fresh reader process decodes
   groups without the writer's memory) and a drain only ever consumes
@@ -16,10 +18,12 @@ adds the two hardened alternatives:
   channel (:mod:`repro.runtime.channel`).  Batches carry per-rank
   sequence numbers; the endpoint accepting one is its ack, batches not
   yet accepted are retransmitted on timeout with exponential backoff,
-  and the endpoint's watermark deduplicates the redeliveries.  Delivery
-  guarantee: at-least-once on the wire, exactly-once effect in the
-  matrices.  Ranks whose batches exhaust their retry budget are marked
-  *degraded* on the server instead of crashing the run.
+  and the endpoint's watermark deduplicates the redeliveries.  Timers
+  live in a min-heap; the retransmits due in one pump go out in send
+  order, which fixes every channel RNG draw.  Delivery guarantee:
+  at-least-once on the wire, exactly-once effect in the matrices.  Ranks
+  whose batches exhaust their retry budget are marked *degraded* on the
+  server instead of crashing the run.
 
 The record wire format matches ``SliceSummary``'s accounted size, so the
 §6.4 volume numbers are transport-independent.
@@ -27,8 +31,11 @@ The record wire format matches ``SliceSummary``'s accounted size, so the
 
 from __future__ import annotations
 
+import heapq
+import math
 import os
 import struct
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -39,16 +46,21 @@ from repro.runtime.channel import LossyChannel
 from repro.runtime.records import SENSOR_TYPE_CODE, SliceSummary, SummaryColumns, SummaryView
 from repro.runtime.server import AnalysisServer
 
-#: one record: sensor id (u32), slice index (u32), mean duration (f32),
-#: count (u16), mean cache miss scaled to u16 — 16 bytes with padding,
-#: matching SliceSummary.WIRE_BYTES.
-_RECORD = struct.Struct("<IIfHHxx")
+#: one record frame: the header — rank (u32), kind (u16, 1), tag (u16:
+#: sensor type << 12 | group code) — then the record — sensor id (u32),
+#: slice index (u32), mean duration (f32), count (u16), mean cache miss
+#: scaled to u16, two pad bytes: 16 bytes, matching SliceSummary.WIRE_BYTES
+_FRAME = struct.Struct("<IHHIIfHHxx")
 _FRAME_HEADER = struct.Struct("<IHH")  # rank (u32), kind (u16), tag (u16)
 _GROUP_LEN = struct.Struct("<H")
 
 #: ``kind`` value marking a group-definition frame; record frames carry
 #: their (historical) record count of 1 there.
 _GROUP_FRAME = 0xFFFF
+
+#: a record frame's tag bits per sensor type, keyed by the enum's value
+#: (hashing the enum member itself runs Python code per row)
+_TYPE_TAG = {stype._value_: code << 12 for stype, code in SENSOR_TYPE_CODE.items()}
 
 #: one complete record frame (header + packed record) as a structured
 #: dtype — lets a drain decode a run of record frames with a single
@@ -66,10 +78,15 @@ _FRAME_DTYPE = np.dtype(
         ("pad", "V2"),
     ]
 )
-assert _FRAME_DTYPE.itemsize == _FRAME_HEADER.size + _RECORD.size
+assert _FRAME_DTYPE.itemsize == _FRAME.size
 
 
-@dataclass(slots=True)
+def _close_all(fds: dict[int, int]) -> None:
+    while fds:
+        os.close(fds.popitem()[1])
+
+
+@dataclass
 class FileSpool:
     """Rank-side writer plus server-side drainer over a spool directory.
 
@@ -77,6 +94,11 @@ class FileSpool:
     different processes: the group string table travels inside the spool
     files as definition frames, emitted into each rank's file before the
     first record that uses the group.
+
+    The writer holds one ``O_APPEND`` descriptor per rank file from the
+    rank's first non-empty batch until :meth:`close` (or the end of a
+    ``with`` block); a spool dropped unclosed releases them when it is
+    collected.
     """
 
     directory: str
@@ -85,14 +107,28 @@ class FileSpool:
     metrics: object | None = None
     #: writer-side intern table (dynamic-rule group string -> code); "" is 0
     _groups: dict[str, int] = field(default_factory=lambda: {"": 0})
-    #: writer-side: group codes already defined in each rank's file
-    _written_codes: dict[int, set[int]] = field(default_factory=dict)
+    #: writer-side: group string -> code for the groups already defined in
+    #: each rank's file
+    _defined: dict[int, dict[str, int]] = field(default_factory=dict)
+    #: writer-side: the open descriptor of each rank's file
+    _fds: dict[int, int] = field(default_factory=dict)
     #: reader-side: group tables decoded per rank file
     _reader_groups: dict[int, dict[int, str]] = field(default_factory=dict)
     _offsets: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         os.makedirs(self.directory, exist_ok=True)
+        weakref.finalize(self, _close_all, self._fds)
+
+    def close(self) -> None:
+        """Close the rank files' descriptors (a later append reopens)."""
+        _close_all(self._fds)
+
+    def __enter__(self) -> "FileSpool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _path(self, rank: int) -> str:
         return os.path.join(self.directory, f"rank{rank:05d}.spool")
@@ -108,42 +144,72 @@ class FileSpool:
 
     # -- rank side ---------------------------------------------------------
 
-    def append_batch(self, rank: int, summaries: list[SliceSummary]) -> None:
+    def append_batch(self, rank: int, summaries: Sequence[SliceSummary]) -> None:
         """Append one batch to the rank's spool file in one write.
+
+        Each row is one packed record frame; a group's definition frame
+        goes just before its first row in the rank's file.  The batch is
+        encoded whole before the one ``os.write`` on the rank's held
+        descriptor, so a refused batch (group table overflow, NaN miss
+        rate) leaves no byte and no half-defined group, and a zero-row
+        batch opens nothing.
 
         A spool directory carries one tenant (a second tenant is a second
         directory); each rank's stream carries its own group-definition
         frames, so a reader can drain it without the writer's memory.
         """
-        written = self._written_codes.setdefault(rank, {0})
-        #: codes this batch defines; joined to ``written`` once they are on disk
-        defined: set[int] = set()
+        defined = self._defined.get(rank)
+        if defined is None:
+            defined = self._defined[rank] = {"": 0}
+        #: groups this batch defines; joined to ``defined`` once on disk
+        fresh: dict[str, int] = {}
         chunks: list[bytes] = []
-        for s in summaries:
-            code = self._group_code(s.group)
-            if code not in written and code not in defined:
-                defined.add(code)
-                encoded = s.group.encode("utf-8")
-                chunks.append(_FRAME_HEADER.pack(rank, _GROUP_FRAME, code))
-                chunks.append(_GROUP_LEN.pack(len(encoded)))
-                chunks.append(encoded)
-            tag = (SENSOR_TYPE_CODE[s.sensor_type] << 12) | (code & 0x0FFF)
-            chunks.append(_FRAME_HEADER.pack(rank, 1, tag))
-            chunks.append(
-                _RECORD.pack(
-                    s.sensor_id & 0xFFFFFFFF,
-                    s.slice_index & 0xFFFFFFFF,
-                    float(s.mean_duration),
-                    min(s.count, 0xFFFF),
-                    int(min(max(s.mean_cache_miss, 0.0), 1.0) * 0xFFFF),
-                )
-            )
+        append, pack, type_tag = chunks.append, _FRAME.pack, _TYPE_TAG
+        s = None
+        try:
+            for s in summaries:
+                group = s.group
+                code = defined.get(group)
+                if code is None:
+                    code = fresh.get(group)
+                    if code is None:
+                        code = fresh[group] = self._group_code(group)
+                        encoded = group.encode("utf-8")
+                        append(_FRAME_HEADER.pack(rank, _GROUP_FRAME, code))
+                        append(_GROUP_LEN.pack(len(encoded)))
+                        append(encoded)
+                count, miss = s.count, s.mean_cache_miss
+                append(pack(
+                    rank, 1, type_tag[s.sensor_type._value_] | code,
+                    s.sensor_id & 0xFFFFFFFF, s.slice_index & 0xFFFFFFFF, s.mean_duration,
+                    count if count < 0xFFFF else 0xFFFF,
+                    # clamped to [0, 1]; NaN falls through to int() and raises
+                    0 if miss <= 0.0 else 0xFFFF if miss >= 1.0 else int(miss * 0xFFFF),
+                ))
+        except ValueError:
+            if s is None or not math.isnan(s.mean_cache_miss):
+                raise
+            raise ReproError(
+                f"spool: NaN mean cache miss rate for rank {rank}, sensor {s.sensor_id}, "
+                f"slice {s.slice_index}; nothing of the batch was written"
+            ) from None
         if chunks:
-            with open(self._path(rank), "ab") as fh:
-                fh.write(b"".join(chunks))
-            written |= defined
+            self._write(rank, b"".join(chunks))
+            defined.update(fresh)
         if self.metrics is not None:
             self.metrics.counter("spool.records_written").inc(len(summaries))
+
+    def _write(self, rank: int, data: bytes) -> None:
+        fd = self._fds.get(rank)
+        if fd is None:
+            fd = self._fds[rank] = os.open(
+                self._path(rank), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666
+            )
+        # One write per batch; a short one (full disk, signal) is finished
+        # so the file never holds a torn frame followed by a later batch.
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
 
     # -- server side ----------------------------------------------------------
 
@@ -274,8 +340,10 @@ class SpoolingRuntimeMixin:
         self._direct_server = direct_server
 
     def finish(self, runtime, slice_us: float = 1000.0) -> AnalysisServer:
-        """Drain everything and restore the real server on the runtime."""
+        """Close the writer, drain everything and restore the real server
+        on the runtime."""
         server = self._direct_server
+        self.spool.close()
         self.spool.drain_into(server, slice_us=slice_us, expected_ranks=runtime.n_ranks)
         runtime.server = server
         return server
@@ -312,6 +380,9 @@ class _Pending:
     payload: Sequence
     attempts: int
     next_retry_at: float
+    #: send ordinal across the transport's ranks: retransmits due in one
+    #: pump go out in this order
+    order: int
 
 
 @dataclass(slots=True)
@@ -340,8 +411,14 @@ class ReliableTransport:
     #: counters; ``None`` keeps the send/pump paths at one branch each
     metrics: object | None = None
     _next_seq: dict[int, int] = field(default_factory=dict)
-    #: sent batches neither accepted nor abandoned, (rank, seq) in send order
+    #: sent batches neither accepted nor abandoned, by (rank, seq)
     _pending: dict[tuple[int, int], _Pending] = field(default_factory=dict)
+    #: retransmit timers: a min-heap of ``(next_retry_at, order, (rank,
+    #: seq))``; an entry whose batch is gone or was re-timed is stale and
+    #: skipped when it surfaces
+    _schedule: list[tuple[float, int, tuple[int, int]]] = field(default_factory=list)
+    #: batches sent so far (the next send ordinal)
+    _sends: int = 0
     #: group strings already encoded once per rank stream (codec state: a
     #: group definition frame goes on the wire only before its first use)
     _sent_groups: dict[int, set[str]] = field(default_factory=dict)
@@ -361,7 +438,7 @@ class ReliableTransport:
             groups = summaries.groups()
         else:
             groups = {s.group for s in summaries}
-        size = (_FRAME_HEADER.size + _RECORD.size) * len(summaries)
+        size = _FRAME.size * len(summaries)
         for group in groups - sent:
             sent.add(group)
             size += _FRAME_HEADER.size + _GROUP_LEN.size + len(group.encode("utf-8"))
@@ -377,10 +454,13 @@ class ReliableTransport:
         self._next_seq[rank] = seq + 1
         self._encoded[(rank, seq)] = self._encoded_size(rank, summaries)
         self.channel.send(rank, seq, summaries, self.clock)
+        retry_at = self.clock + self.policy.retry_delay(1)
         self._pending[(rank, seq)] = _Pending(
             rank=rank, seq=seq, payload=summaries, attempts=1,
-            next_retry_at=self.clock + self.policy.retry_delay(1),
+            next_retry_at=retry_at, order=self._sends,
         )
+        heapq.heappush(self._schedule, (retry_at, self._sends, (rank, seq)))
+        self._sends += 1
         if self.metrics is not None:
             self.metrics.counter("transport.batches_sent").inc()
         self.pump(self.clock)
@@ -395,7 +475,8 @@ class ReliableTransport:
 
     def pump(self, now: float) -> None:
         """Deliver due envelopes (an accepted one retires its pending
-        batch), then retransmit or abandon batches whose timer ran out."""
+        batch), then retransmit or abandon batches whose timer ran out, in
+        send order."""
         self.clock = max(self.clock, now)
         for envelope in self.channel.deliver_due(self.clock):
             key = (envelope.rank, envelope.seq)
@@ -420,27 +501,43 @@ class ReliableTransport:
                     retry_at = hint(envelope.rank, envelope.seq)
                 if retry_at is not None:
                     pending = self._pending.get(key)
-                    if pending is not None:
-                        pending.next_retry_at = max(pending.next_retry_at, retry_at)
+                    if pending is not None and retry_at > pending.next_retry_at:
+                        pending.next_retry_at = retry_at
+                        heapq.heappush(self._schedule, (retry_at, pending.order, key))
                     if self.metrics is not None:
                         self.metrics.counter("transport.backpressure_deferred").inc()
                 else:
                     self.channel.stats.late += 1
-        for key, pending in list(self._pending.items()):
-            if pending.next_retry_at <= self.clock:
-                if pending.attempts >= self.policy.max_attempts:
-                    del self._pending[key]
-                    self.gave_up[pending.rank] = self.gave_up.get(pending.rank, 0) + 1
-                    self.server.mark_degraded(pending.rank)
-                    if self.metrics is not None:
-                        self.metrics.counter("transport.batches_abandoned").inc()
-                    continue
-                self.channel.stats.retried += 1
+        schedule = self._schedule
+        due: list[tuple[int, tuple[int, int], _Pending]] = []
+        while schedule and schedule[0][0] <= self.clock:
+            retry_at, order, key = heapq.heappop(schedule)
+            if (pending := self._timed(retry_at, key)) is not None:
+                due.append((order, key, pending))
+        # Heap order is (time, order); the channel's draws follow send order.
+        due.sort()
+        for order, key, pending in due:
+            if pending.attempts >= self.policy.max_attempts:
+                del self._pending[key]
+                self.gave_up[pending.rank] = self.gave_up.get(pending.rank, 0) + 1
+                self.server.mark_degraded(pending.rank)
                 if self.metrics is not None:
-                    self.metrics.counter("transport.retries").inc()
-                pending.attempts += 1
-                self.channel.send(pending.rank, pending.seq, pending.payload, self.clock)
-                pending.next_retry_at = self.clock + self.policy.retry_delay(pending.attempts)
+                    self.metrics.counter("transport.batches_abandoned").inc()
+                continue
+            self.channel.stats.retried += 1
+            if self.metrics is not None:
+                self.metrics.counter("transport.retries").inc()
+            pending.attempts += 1
+            self.channel.send(pending.rank, pending.seq, pending.payload, self.clock)
+            pending.next_retry_at = self.clock + self.policy.retry_delay(pending.attempts)
+            heapq.heappush(schedule, (pending.next_retry_at, order, key))
+
+    def _timed(self, retry_at: float, key: tuple[int, int]) -> _Pending | None:
+        """The pending batch a schedule entry still times, else ``None``."""
+        pending = self._pending.get(key)
+        if pending is not None and pending.next_retry_at == retry_at:
+            return pending
+        return None
 
     def unacked(self) -> int:
         return len(self._pending)
@@ -448,11 +545,13 @@ class ReliableTransport:
     def next_wakeup(self) -> float | None:
         """Earliest virtual time at which :meth:`pump` has work: the next
         in-flight arrival or pending retransmit; ``None`` once quiescent."""
-        targets = [p.next_retry_at for p in self._pending.values()]
+        schedule = self._schedule
+        while schedule and self._timed(schedule[0][0], schedule[0][2]) is None:
+            heapq.heappop(schedule)
         due = self.channel.next_due()
-        if due is not None:
-            targets.append(due)
-        return min(targets) if targets else None
+        if not schedule:
+            return due
+        return schedule[0][0] if due is None else min(schedule[0][0], due)
 
     def finish(self) -> AnalysisServer:
         """Drive virtual time forward until every batch is acked or abandoned."""

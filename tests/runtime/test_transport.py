@@ -1,5 +1,7 @@
 """Shared-file transport tests (§5.4's alternative delivery path)."""
 
+import os
+
 import pytest
 
 from repro.errors import ReproError
@@ -200,29 +202,111 @@ def test_cache_miss_u16_quantization_bound(tmp_path):
 
 
 def test_truncated_tail_does_not_corrupt_next_drain(tmp_path):
-    """A partial record at EOF (writer caught mid-append) is skipped and
-    decoded intact once the rest of the bytes land."""
-    import os
-
-    writer = FileSpool(directory=str(tmp_path))
-    writer.append_batch(0, [summary(0, 0, 10.0), summary(0, 1, 11.0, group="tail")])
+    """A partial frame at EOF (writer caught mid-append) is skipped and
+    decoded intact once the rest of the bytes land — at every cut through
+    several batches, with the writer keeping its descriptor and appending
+    another batch after the partial drain."""
     path = os.path.join(str(tmp_path), "rank00000.spool")
+    batches = [
+        [summary(0, 0, 10.0), summary(0, 1, 11.0, group="tail")],
+        [summary(0, 2, 12.0, group="tail")],
+        [summary(0, 3, 13.0, group="é")],
+    ]
+    with FileSpool(directory=str(tmp_path)) as writer:
+        for batch in batches:
+            writer.append_batch(0, batch)
     with open(path, "rb") as fh:
         full = fh.read()
+    expected = [(0, "", 10.0), (1, "tail", 11.0), (2, "tail", 12.0), (3, "é", 13.0)]
 
     for cut in range(1, len(full)):
-        reader = FileSpool(directory=str(tmp_path))
-        _CapturingServer.captured = []
-        server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
-        with open(path, "wb") as fh:
-            fh.write(full[:cut])
-        reader.drain_into(server)
-        with open(path, "wb") as fh:
-            fh.write(full)
-        reader.drain_into(server)
-        got = sorted((s.slice_index, s.group, round(s.mean_duration, 3))
-                     for s in _CapturingServer.captured)
-        assert got == [(0, "", 10.0), (1, "tail", 11.0)], f"cut at byte {cut}"
+        os.remove(path)
+        with FileSpool(directory=str(tmp_path)) as writer:
+            for batch in batches:
+                writer.append_batch(0, batch)
+            os.truncate(path, cut)
+            reader = FileSpool(directory=str(tmp_path))
+            _CapturingServer.captured = []
+            server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+            reader.drain_into(server)
+            with open(path, "ab") as fh:
+                fh.write(full[cut:])
+            reader.drain_into(server)
+            # the held O_APPEND descriptor writes past the restored tail
+            writer.append_batch(0, [summary(0, 4, 14.0, group="é")])
+            reader.drain_into(server)
+        got = [(s.slice_index, s.group, round(s.mean_duration, 3))
+               for s in _CapturingServer.captured]
+        assert got == expected + [(4, "é", 14.0)], f"cut at byte {cut}"
+
+
+def test_nan_miss_rate_is_a_typed_error_and_writes_nothing(tmp_path):
+    import math
+
+    spool = FileSpool(directory=str(tmp_path))
+    bad = [summary(0, 0, 10.0, group="fresh"), summary(0, 7, 10.0, sensor_id=9, miss=math.nan)]
+    with pytest.raises(ReproError, match=r"NaN .*rank 0, sensor 9, slice 7"):
+        spool.append_batch(0, bad)
+    assert not (tmp_path / "rank00000.spool").exists()
+    # "fresh" is not half-defined: the next batch using it defines it
+    spool.append_batch(0, bad[:1])
+    _CapturingServer.captured = []
+    server = _CapturingServer(n_ranks=1, window_us=1000.0, engine="reference")
+    assert FileSpool(directory=str(tmp_path)).drain_into(server) == 1
+    assert [s.group for s in _CapturingServer.captured] == ["fresh"]
+
+
+def _open_fds() -> int:
+    """Descriptors this process holds (Linux)."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_unclosed_writers_leak_no_descriptor(tmp_path):
+    """300 writers dropped without ``close`` each held two rank files; the
+    collected spool releases them, with no ResourceWarning."""
+    import gc
+    import warnings
+
+    before = _open_fds()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        for i in range(300):
+            spool = FileSpool(directory=str(tmp_path / f"w{i}"))
+            spool.append_batch(0, [summary(0, 0, 10.0)])
+            spool.append_batch(1, [summary(1, 0, 10.0)])
+            del spool
+        gc.collect()
+    assert _open_fds() == before
+
+
+def test_close_releases_descriptors_and_a_later_append_reopens(tmp_path):
+    before = _open_fds()
+    with FileSpool(directory=str(tmp_path)) as spool:
+        for rank in range(3):
+            spool.append_batch(rank, [summary(rank, 0, 10.0)])
+        assert _open_fds() == before + 3
+    assert _open_fds() == before
+    spool.append_batch(0, [summary(0, 1, 10.0)])
+    spool.close()
+    assert _open_fds() == before
+    server = AnalysisServer(n_ranks=3, window_us=1000.0)
+    assert FileSpool(directory=str(tmp_path)).drain_into(server) == 4
+
+
+def test_zero_row_batches_create_no_file_and_quiet_ranks_degrade(tmp_path):
+    """A rank that only ever shipped empty batches has no spool file, so a
+    drain with ``expected_ranks`` marks it degraded like a silent rank."""
+    before = _open_fds()
+    spool = FileSpool(directory=str(tmp_path))
+    spool.append_batch(0, [summary(0, 0, 10.0)])
+    spool.append_batch(1, [])
+    spool.append_batch(1, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rank00000.spool"]
+    assert _open_fds() == before + 1
+    server = AnalysisServer(n_ranks=3, window_us=1000.0)
+    assert spool.drain_into(server, expected_ranks=3) == 1
+    assert server.degraded == {1, 2}
+    spool.close()
 
 
 def test_end_to_end_spooled_run(tmp_path):
@@ -251,7 +335,9 @@ def test_end_to_end_spooled_run(tmp_path):
     mixin = SpoolingRuntimeMixin(spool=FileSpool(directory=str(tmp_path)))
     mixin.attach(runtime)
     Simulator(static.program.module, machine, sensors=static.program.sensors).run(runtime)
+    assert mixin.spool._fds, "the writer holds its rank files open"
     server = mixin.finish(runtime)
+    assert mixin.spool._fds == {}, "finish closes the writer before it drains"
 
     d = direct.report.matrices[SensorType.COMPUTATION]
     s = server.performance_matrix(SensorType.COMPUTATION)
