@@ -93,8 +93,8 @@ def compile_and_instrument(
 
     ``store`` selects the artifact cache: by default the process-wide
     store (so recompiling unchanged text is nearly free), an explicit
-    :class:`~repro.pipeline.ArtifactStore` for scoped/on-disk caching, or
-    ``None`` to disable caching for this call.
+    :class:`~repro.pipeline.ArtifactStore` for scoped caching, or ``None``
+    to disable caching for this call.
 
     ``obs`` attaches an observability bundle (:mod:`repro.obs`): per-pass
     spans and cache counters are emitted into it.  The default is the
@@ -137,30 +137,29 @@ def compile_and_instrument(
 
 
 def _resolve_governor(
-    governor, overhead_budget, governor_policy, machine, static,
-    detector_config, metrics, obs,
+    governor, overhead_budget, machine, static, detector_config, metrics, obs
 ):
     """Build an :class:`~repro.runtime.governor.OverheadGovernor` from the
-    user-facing knobs; ``None`` (all knobs unset) means no governor."""
+    user-facing knobs; ``None`` (both unset) means no governor."""
     from repro.runtime.governor import GovernorConfig, OverheadGovernor
 
-    if governor is None and overhead_budget is None and governor_policy is None:
-        return None
+    if governor is None:
+        if overhead_budget is None:
+            return None
+        governor = GovernorConfig(overhead_budget=overhead_budget)
+    elif overhead_budget is not None:
+        raise ReproError(
+            "pass overhead_budget= or governor=, not both (a GovernorConfig "
+            "carries its own overhead_budget)"
+        )
     if isinstance(governor, OverheadGovernor):
         return governor
-    if isinstance(governor, GovernorConfig):
-        config = governor
-    else:
-        if isinstance(governor, str) and governor_policy is None:
-            governor_policy = governor
-        kwargs = {"eval_period_us": detector_config.slice_us}
-        if overhead_budget is not None:
-            kwargs["overhead_budget"] = overhead_budget
-        if governor_policy is not None:
-            kwargs["policy"] = governor_policy
-        config = GovernorConfig(**kwargs)
+    if not isinstance(governor, GovernorConfig):
+        raise ReproError(
+            f"governor= takes a GovernorConfig or an OverheadGovernor, not {governor!r}"
+        )
     return OverheadGovernor(
-        config,
+        governor,
         estimates=static.plan.estimates,
         probe_cost=machine.probe_cost,
         detector_config=detector_config,
@@ -186,7 +185,6 @@ def simulate_instrumented(
     static_rules: Sequence | Iterable = (),
     governor=None,
     overhead_budget: float | None = None,
-    governor_policy: str | None = None,
     live=None,
     extra_hooks: Sequence = (),
     job: int | None = None,
@@ -200,13 +198,6 @@ def simulate_instrumented(
     (:func:`run_vsensor`), or a multi-job batch recorder
     (:func:`~repro.parallel.runner.simulate_job`); it stays at
     ``runtime.server``.  ``job`` tags the span for multi-job runs.
-
-    Artifact store, per caller: :func:`run_vsensor` and the in-process
-    loop of :func:`run_multi_job` compile against the caller's ``store``
-    (``None`` = no caching).  A pool worker never sees that object: it
-    opens ``ArtifactStore(disk_dir=task.cache_dir)`` when the caller's
-    store has a disk layer and otherwise uses its own process-wide
-    default store — also when the caller passed ``store=None``.
     """
     from repro.sim.hooks import TeeHooks
 
@@ -221,8 +212,8 @@ def simulate_instrumented(
     )
     detector_config = detector or DetectorConfig()
     gov = _resolve_governor(
-        governor, overhead_budget, governor_policy, machine, static,
-        detector_config, obs.metrics if obs.enabled else None, obs,
+        governor, overhead_budget, machine, static, detector_config,
+        obs.metrics if obs.enabled else None, obs,
     )
     runtime = VSensorRuntime(
         sensors=static.program.sensors,
@@ -245,7 +236,7 @@ def simulate_instrumented(
             externs=externs,
             engine=engine,
             obs=obs,
-            probe_control=gov.control if gov is not None else None,
+            probe_control=gov.table if gov is not None else None,
         ).run(hooks)
     return static, sim, runtime
 
@@ -271,7 +262,6 @@ def run_vsensor(
     obs: Obs | None = None,
     governor=None,
     overhead_budget: float | None = None,
-    governor_policy: str | None = None,
     history_store=None,
     history_label: str = "",
     history_workload: str = "",
@@ -320,11 +310,11 @@ def run_vsensor(
 
     ``governor`` installs the runtime overhead governor
     (:mod:`repro.runtime.governor`): pass a
-    :class:`~repro.runtime.governor.GovernorConfig`, a policy name
-    (``"adaptive"`` / ``"paper-shutoff"``), or leave ``None`` and set
-    ``overhead_budget`` and/or ``governor_policy`` instead.  All three
-    ``None`` (the default) installs no governor — every engine tier is
-    bit-identical to the ungoverned historical behavior.
+    :class:`~repro.runtime.governor.GovernorConfig` (or a built
+    :class:`~repro.runtime.governor.OverheadGovernor`), or leave it
+    ``None`` and set ``overhead_budget`` instead — not both.  Both
+    ``None`` (the default) installs no governor.  A config whose
+    ``eval_period_us`` is ``None`` evaluates once per detector slice.
 
     ``history_store`` appends this run's sensor baselines to a cross-run
     regression history (:mod:`repro.history`): pass a
@@ -373,7 +363,6 @@ def run_vsensor(
         static_rules=static_rules,
         governor=governor,
         overhead_budget=overhead_budget,
-        governor_policy=governor_policy,
         live=live,
         extra_hooks=extra_hooks,
     )
@@ -501,9 +490,9 @@ def run_multi_job(
     (:mod:`repro.parallel`); only phase 1 is parallel — the time-ordered
     replay, back-pressure drive and per-job reports are a deterministic
     function of its outputs, so ``workers=N`` is bit-identical to
-    ``workers=1``.  When the run's artifact ``store`` has an on-disk
-    layer, workers share it as a warm compile cache.  ``max_restarts``
-    bounds crash/replay respawns per worker.
+    ``workers=1``.  A pool worker compiles against its own process-default
+    artifact store.  ``max_restarts`` bounds crash/replay respawns per
+    worker.
 
     ``shard_processes`` is accepted for callers that pin it to ``False``;
     process-backed shards were removed (no measured benefit — see
@@ -535,13 +524,6 @@ def run_multi_job(
 
     # Phase 1: compile + simulate every job, capturing timed batch sends
     # in a _BatchRecorder at ``runtime.server``.
-    if store is _DEFAULT_STORE:
-        store = default_store()
-    cache_dir = (
-        str(store.disk_dir)
-        if isinstance(store, ArtifactStore) and store.disk_dir is not None
-        else None
-    )
     tasks: list[JobTask] = []
     specs: dict[int, JobSpec] = {}
     channels: dict[int, object] = {}
@@ -571,7 +553,6 @@ def run_multi_job(
                 engine=spec.engine,
                 max_depth=spec.max_depth,
                 batch_period_us=batch_period_us,
-                cache_dir=cache_dir,
             )
         )
     if workers > 1:

@@ -220,7 +220,6 @@ def cmd_run(args) -> int:
         channel=args.channel,
         obs=obs,
         overhead_budget=args.overhead_budget,
-        governor_policy=args.governor_policy,
         history_store=args.history_store,
         history_label=args.history_label or "",
     )
@@ -491,15 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="enable the runtime overhead governor with this probe "
-        "self-cost budget (fraction of elapsed time, e.g. 0.02)",
-    )
-    p_run.add_argument(
-        "--governor-policy",
-        choices=("adaptive", "paper-shutoff"),
-        default=None,
-        help="governor policy: 'adaptive' (budget loop with demote/promote "
-        "hysteresis) or 'paper-shutoff' (only the paper's §5.3 one-way "
-        "shutoff, behavior-identical to no governor)",
+        "self-cost budget (fraction of elapsed time, e.g. 0.02); it samples "
+        "or suspends sensors to stay under it, evaluating once per detector "
+        "slice, and the paper's §5.3 shutoff runs with or without it",
     )
     p_run.add_argument(
         "--analysis-engine",
@@ -556,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="append this run's sensor baselines to the cross-run regression "
         "history store at this directory (see 'repro history'); trajectories "
         "are keyed by program, machine, detector, depth and governor config, "
-        "not by --engine (stores written before that re-key start new ones)",
+        "not by --engine (stores written before that re-key start new ones, "
+        "and so do governed runs appended while the governor config still "
+        "had its policy and fixed-constant fields)",
     )
     p_run.add_argument(
         "--history-label",

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.cfa.cfg import reverse_postorder
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import IRFunction
 from repro.ir.instructions import CallInstr, Instr, Store, StoreElem
@@ -45,6 +44,35 @@ class Definition:
         return self.instr is None
 
 
+def postorder(fn: IRFunction) -> list[BasicBlock]:
+    """Depth-first postorder of the CFG starting at the entry block."""
+    visited: set[BasicBlock] = set()
+    order: list[BasicBlock] = []
+
+    # Iterative DFS with an explicit stack of (block, successor-iterator).
+    entry = fn.entry
+    stack: list[tuple[BasicBlock, list[BasicBlock], int]] = [(entry, entry.successors(), 0)]
+    visited.add(entry)
+    while stack:
+        block, succs, idx = stack.pop()
+        while idx < len(succs):
+            succ = succs[idx]
+            idx += 1
+            if succ not in visited:
+                visited.add(succ)
+                stack.append((block, succs, idx))
+                stack.append((succ, succ.successors(), 0))
+                break
+        else:
+            order.append(block)
+    return order
+
+
+def reverse_postorder(fn: IRFunction) -> list[BasicBlock]:
+    """Reverse postorder — the canonical forward-dataflow iteration order."""
+    return list(reversed(postorder(fn)))
+
+
 class ReachingDefinitions:
     """Solved reaching-definition facts for one function."""
 
@@ -54,18 +82,12 @@ class ReachingDefinitions:
         block_in: dict[BasicBlock, frozenset[Definition]],
         defs_of_instr: Callable[[Instr], list[Definition]],
     ) -> None:
-        self._fn = fn
-        self._block_in = block_in
         # Per-instruction IN sets, materialized up front.  The transfer
-        # function is only needed during materialization and is often a
-        # closure — holding on to it would make solved facts unpicklable
-        # (and the artifact cache's disk layer silently useless).
+        # function is only needed here and is often a closure — holding on
+        # to it would make solved facts unpicklable.
         self._instr_in: dict[int, frozenset[Definition]] = {}
-        self._materialize(defs_of_instr)
-
-    def _materialize(self, defs_of_instr: Callable[[Instr], list[Definition]]) -> None:
-        for block in self._fn.blocks:
-            current = set(self._block_in.get(block, frozenset()))
+        for block in fn.blocks:
+            current = set(block_in.get(block, frozenset()))
             for instr in block.instrs:
                 self._instr_in[instr.instr_id] = frozenset(current)
                 _apply_transfer(current, defs_of_instr(instr))
@@ -76,9 +98,6 @@ class ReachingDefinitions:
         if facts is None:
             raise KeyError(f"instruction {instr.instr_id} not in analyzed function")
         return [d for d in facts if d.var == var]
-
-    def reaching_at_block_entry(self, block: BasicBlock, var: str) -> list[Definition]:
-        return [d for d in self._block_in.get(block, frozenset()) if d.var == var]
 
 
 def _apply_transfer(current: set[Definition], new_defs: list[Definition]) -> None:

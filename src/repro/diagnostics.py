@@ -163,18 +163,6 @@ class Diagnostic:
     def __str__(self) -> str:
         return self.format()
 
-    def with_origin(self, origin: str) -> "Diagnostic":
-        """Copy with pass provenance filled in (no-op when already set)."""
-        if self.origin:
-            return self
-        return Diagnostic(
-            severity=self.severity,
-            code=self.code,
-            message=self.message,
-            span=self.span,
-            origin=origin,
-        )
-
 
 def note(
     code: ReasonCode,

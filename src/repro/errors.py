@@ -34,20 +34,12 @@ class LoweringError(ReproError):
     """Raised when an AST construct cannot be lowered to IR."""
 
 
-class AnalysisError(ReproError):
-    """Raised when a static analysis is asked something ill-formed."""
-
-
 class InstrumentError(ReproError):
     """Raised when instrumentation selection or rewriting fails."""
 
 
 class SimulationError(ReproError):
     """Raised by the cluster simulator (deadlock, bad config, ...)."""
-
-
-class RuntimeDetectionError(ReproError):
-    """Raised by the online detection module."""
 
 
 class InterpError(SimulationError):

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.frontend.ast_nodes import FunctionDef
 from repro.ir.basicblock import BasicBlock
-from repro.ir.instructions import Instr
 
 
 @dataclass(eq=False, slots=True)
@@ -62,12 +61,3 @@ class IRFunction:
         """Yield every instruction, block by block."""
         for block in self.blocks:
             yield from block.instrs
-
-    def instr_count(self) -> int:
-        return sum(len(b.instrs) for b in self.blocks)
-
-    def find_instr(self, instr_id: int) -> Instr:
-        for instr in self.instructions():
-            if instr.instr_id == instr_id:
-                return instr
-        raise KeyError(instr_id)

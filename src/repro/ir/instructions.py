@@ -70,10 +70,6 @@ class ConstStr(Value):
         return repr(self.value)
 
 
-def is_const(value: Value) -> bool:
-    return isinstance(value, (ConstInt, ConstFloat, ConstStr))
-
-
 # ---------------------------------------------------------------------------
 # Instructions
 # ---------------------------------------------------------------------------

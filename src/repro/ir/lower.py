@@ -63,8 +63,6 @@ class _FunctionLowering:
         self._reg_counter = itertools.count(0)
         self._current: BasicBlock = self.fn.new_block("entry")
         self._loops: list[_LoopCtx] = []
-        #: names visible as scalars/arrays in this function (params + locals)
-        self._local_arrays: set[str] = set()
         self._funcptr_vars: set[str] = set()
 
     # -- small helpers -------------------------------------------------------
@@ -82,13 +80,6 @@ class _FunctionLowering:
         """Terminate the current block with a jump if it is still open."""
         if not self._current.is_terminated:
             self._emit(Jump(ast_node=node, target=target))
-
-    def _is_array(self, name: str) -> bool:
-        if name in self.fn.locals:
-            return self.fn.locals[name] is not None
-        if name in self._local_arrays:
-            return True
-        return self.module.globals.get(name, None) is not None
 
     # -- driver ---------------------------------------------------------------
 
@@ -144,8 +135,6 @@ class _FunctionLowering:
         if stmt.name in self.fn.locals or stmt.name in self.fn.params:
             raise LoweringError(f"{stmt.loc}: redeclaration of {stmt.name!r}")
         self.fn.locals[stmt.name] = stmt.array_size
-        if stmt.array_size is not None:
-            self._local_arrays.add(stmt.name)
         if stmt.var_type == "funcptr":
             self._funcptr_vars.add(stmt.name)
         if stmt.init is not None:

@@ -10,7 +10,6 @@ schema can never silently drift.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from repro.errors import ReproError
 from repro.obs.tracer import SpanRecord, Tracer
@@ -161,10 +160,3 @@ def metrics_document(registry) -> dict:
 def write_metrics(registry, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(metrics_document(registry), fh, indent=1, sort_keys=True)
-
-
-def iter_roots(records: Iterable[SpanRecord]) -> list[SpanRecord]:
-    """Spans whose parent is absent from ``records`` (tree roots)."""
-    records = list(records)
-    present = {r.seq for r in records}
-    return [r for r in records if r.parent not in present]

@@ -13,11 +13,8 @@ in-process run) and ships back ``(static, sim, runtime)`` — the
 recorder with its timed batch events rides inside ``runtime.server``.
 Phases 2–4 run in the parent exactly as for ``workers=1``, over rows
 that crossed the pool unchanged, which is what makes ``workers=N``
-bit-identical to ``workers=1`` by construction.
-
-Workers optionally share a warm compile cache through an
-:class:`~repro.pipeline.ArtifactStore` disk directory — safe under
-concurrent writers since the store's atomic temp-file publication.
+bit-identical to ``workers=1`` by construction.  A worker compiles
+against its own process-default artifact store.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from typing import Sequence
 from repro.api import _BatchRecorder, _DEFAULT_STORE, simulate_instrumented
 from repro.obs import NULL_OBS, Obs
 from repro.parallel.pool import WorkerPool
-from repro.pipeline import ArtifactStore
 from repro.runtime.detector import DetectorConfig
 
 
@@ -45,24 +41,20 @@ class JobTask:
     engine: str
     max_depth: int
     batch_period_us: float
-    #: optional shared on-disk compile-cache directory
-    cache_dir: str | None = None
 
 
 def simulate_job(task: JobTask, store=_DEFAULT_STORE, obs: Obs | None = None):
     """Run one job's compile + simulate phase.
 
     One :func:`~repro.api.simulate_instrumented` call recording timed
-    batch sends.  The pool calls it with the task alone (a worker's store
-    follows the rule documented there; children run null-obs);
+    batch sends.  The pool calls it with the task alone (a worker compiles
+    against its process-default store and runs null-obs);
     :func:`~repro.api.run_multi_job`'s in-process loop passes its own
     ``store`` and ``obs``.  Returns ``(static, sim, runtime)`` — pickled
     as one payload on the pool hop, so the ``static.program.sensors``
     identity shared with the runtime survives the trip back — with the
     recorder at ``runtime.server``.
     """
-    if store is _DEFAULT_STORE and task.cache_dir is not None:
-        store = ArtifactStore(disk_dir=task.cache_dir)
     return simulate_instrumented(
         task.source,
         task.machine,

@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`CompilerContext` — one compilation's source, config, and results.
 * :class:`PassManager` / :class:`Pass` — registration, ordering, execution.
-* :class:`ArtifactStore` — content-addressed LRU (+ optional disk) cache.
+* :class:`ArtifactStore` — content-addressed in-memory LRU cache.
 * :func:`static_pass_manager` / :func:`build_static_pass_manager` — the
   seven named passes (parse, lower, cfa, dataflow, identify, select,
   instrument) wired together.

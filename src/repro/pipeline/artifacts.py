@@ -2,16 +2,16 @@
 
 Every pass output is keyed by a content hash of *(source text, pass config,
 upstream artifact keys)* — see :meth:`~repro.pipeline.manager.PassManager`.
-The store is a bounded in-memory LRU with an optional write-through on-disk
-layer, so repeated ``compile_and_instrument`` calls across benchmark sweeps
-(and, with a disk directory, across processes) reuse every unchanged stage.
+The store is a bounded in-memory LRU, so repeated ``compile_and_instrument``
+calls in one process (benchmark sweeps, a pool worker's jobs) reuse every
+unchanged stage.
 
-Keys are ``"<pass>:<sha256 hex>"``; the pass-name prefix gives the disk
-layout and lets callers invalidate one stage (`invalidate_pass`) to force a
-mid-pipeline recompute.  Because downstream keys are derived from upstream
-*keys* (not object identity), a recompute that produces the same content
-leaves every downstream entry valid — that is what makes targeted
-invalidation cheap.
+Keys are ``"<pass>:<sha256 hex>"``; the pass-name prefix lets callers
+invalidate one stage (`invalidate_pass`) to force a mid-pipeline
+recompute.  Because downstream keys are derived from upstream *keys*
+(not object identity), a recompute that produces the same content leaves
+every downstream entry valid — that is what makes targeted invalidation
+cheap.
 """
 
 from __future__ import annotations
@@ -19,15 +19,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import itertools
-import os
-import pickle
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any
-
-#: per-process uniquifier for temp-file names (see _disk_write)
-_tmp_serial = itertools.count()
 
 
 class FingerprintError(TypeError):
@@ -118,76 +111,35 @@ class StoreStats:
         }
 
 
-def _unlink_quiet(path: Path) -> bool:
-    """Remove ``path``, tolerating a concurrent remover; True if we won."""
-    try:
-        path.unlink()
-        return True
-    except FileNotFoundError:
-        return False
-    except OSError:
-        return False
-
-
 class ArtifactStore:
-    """Bounded LRU of pass artifacts with an optional on-disk layer.
+    """Bounded in-memory LRU of pass artifacts.
 
-    ``capacity`` bounds the number of in-memory entries (artifacts are
-    whole ASTs / IR modules, so the bound is a count, not bytes).  With
-    ``disk_dir`` set, every put is written through as a pickle and misses
-    fall back to disk; unpicklable artifacts and corrupt files degrade to
-    cache misses, never to errors.
-
-    The disk layer is safe under concurrent writers — every writer
-    publishes through its own uniquely-named temp file and an atomic
-    rename, so parallel pool workers can share one warm compile cache;
-    stale temp files from crashed writers are never read and are swept
-    on :meth:`clear` / :meth:`invalidate_pass`.
+    ``capacity`` bounds the number of entries (artifacts are whole ASTs /
+    IR modules, so the bound is a count, not bytes).
     """
 
-    def __init__(self, capacity: int = 128, disk_dir: str | Path | None = None) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.stats = StoreStats()
         self._entries: OrderedDict[str, Any] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- lookup / insert -----------------------------------------------------
-
     def get(self, key: str) -> tuple[Any, bool]:
-        """``(artifact, hit)``; a disk hit is promoted into memory."""
+        """``(artifact, hit)``."""
         if key in self._entries:
             self._entries.move_to_end(key)
             return self._entries[key], True
-        value = self._disk_read(key)
-        if value is not None:
-            self._remember(key, value)
-            return value, True
         return None, False
 
     def put(self, key: str, value: Any) -> None:
-        self._remember(key, value)
-        self._disk_write(key, value)
-
-    def _remember(self, key: str, value: Any) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-    # -- invalidation --------------------------------------------------------
-
-    def invalidate_key(self, key: str) -> bool:
-        """Drop one entry (memory and disk); True if anything was removed."""
-        removed = self._entries.pop(key, None) is not None
-        path = self._disk_path(key)
-        if path is not None and path.exists():
-            removed = _unlink_quiet(path) or removed
-        return removed
 
     def invalidate_pass(self, pass_name: str) -> int:
         """Drop every artifact of one pass; returns the number removed."""
@@ -195,64 +147,7 @@ class ArtifactStore:
         doomed = [k for k in self._entries if k.startswith(prefix)]
         for key in doomed:
             del self._entries[key]
-        removed = len(doomed)
-        if self.disk_dir is not None:
-            pass_dir = self.disk_dir / pass_name
-            if pass_dir.is_dir():
-                for path in pass_dir.glob("*.pkl"):
-                    if _unlink_quiet(path):
-                        removed += 1
-                for path in pass_dir.glob("*.tmp"):
-                    _unlink_quiet(path)  # stale temp from a crashed writer
-        return removed
+        return len(doomed)
 
     def clear(self) -> None:
         self._entries.clear()
-        if self.disk_dir is not None and self.disk_dir.is_dir():
-            for path in self.disk_dir.glob("*/*.pkl"):
-                _unlink_quiet(path)
-            for path in self.disk_dir.glob("*/*.tmp"):
-                _unlink_quiet(path)  # stale temp from a crashed writer
-
-    # -- disk layer ----------------------------------------------------------
-
-    def _disk_path(self, key: str) -> Path | None:
-        if self.disk_dir is None:
-            return None
-        pass_name, _, hexdigest = key.partition(":")
-        return self.disk_dir / pass_name / f"{hexdigest}.pkl"
-
-    def _disk_read(self, key: str) -> Any | None:
-        path = self._disk_path(key)
-        if path is None or not path.exists():
-            return None
-        try:
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
-        except Exception:
-            return None  # corrupt / version-skewed entry: treat as a miss
-
-    def _disk_write(self, key: str, value: Any) -> None:
-        path = self._disk_path(key)
-        if path is None:
-            return
-        # The temp name is unique per writer (pid + per-process serial):
-        # concurrent processes publishing the same key — parallel pool
-        # workers warming a shared compile cache — must never interleave
-        # writes into one temp file.  Each writes its own temp and the
-        # rename is atomic, so the last replace wins with whole content
-        # and readers never see a torn file.  Stale ``*.tmp`` leftovers
-        # from a crashed writer are inert (never read) and swept by
-        # :meth:`clear` / :meth:`invalidate_pass`.
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_tmp_serial)}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp.replace(path)  # atomic publish: readers never see a torn file
-        except Exception:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return  # unpicklable artifact / full disk: stay memory-only

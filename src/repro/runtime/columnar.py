@@ -150,7 +150,6 @@ class ColumnarStore:
         held by reference until :meth:`settle`."""
         self._staged.append(batch)
 
-    ingest_columns = ingest_summaries
 
     def _staged_columns(self) -> Iterator[SummaryColumns]:
         """The staged batches as columns, in arrival order: consecutive

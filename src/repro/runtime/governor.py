@@ -14,8 +14,8 @@ touches a probe:
 * :class:`SensorControlTable` — the engine-facing consult surface.  All
   three interpreter tiers ask it, per probe execution, whether to pay
   the full probe (``machine.probe_cost`` each side, PMU read, record
-  emission) or only a cheap table check (``check_cost`` each side, no
-  record).  The decision is **latched at tick**: the matching tock
+  emission) or only a cheap table check (:data:`CHECK_COST` each side,
+  no record).  The decision is **latched at tick**: the matching tock
   completes whatever the tick decided, so state changes between a
   tick and its tock can never corrupt probe pairing.
 * :class:`OverheadGovernor` — the control loop.  At slice boundaries it
@@ -24,19 +24,10 @@ touches a probe:
   elapsed virtual time, demotes the cheapest-information sensors first
   (ordered by the selector's exported cost/frequency estimates), and
   re-promotes demoted sensors the moment a sibling sensor on the same
-  rank reports variance.  The detector reports each §5.3 shutoff to it
-  through :meth:`OverheadGovernor.on_shutoff`.
-
-Policies:
-
-``policy="paper-shutoff"``
-    Only the detector's §5.3 rule runs; the governor just tallies its
-    shutoffs.  No engine-side control is installed, so timing, record
-    streams and shutoff sets are those of an ungoverned run.
-``policy="adaptive"``
-    The full budget loop; the §5.3 rule still runs and pins its
-    shutoffs as permanent suspensions (a sensor too short to time is
-    never worth re-promoting).
+  rank reports variance.  The detector's §5.3 rule still runs and
+  reports each shutoff through :meth:`OverheadGovernor.on_shutoff`,
+  which pins it as a permanent suspension (a sensor too short to time
+  is never worth re-promoting).
 
 Decisions are **deterministic**: they depend only on virtual-time
 record accounting, never on host wall time.  The obs layer's measured
@@ -50,6 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.runtime.detector import DetectorConfig
+
 #: control states
 ENABLED = "enabled"
 SAMPLED = "sampled"
@@ -57,6 +50,39 @@ SUSPENDED = "suspended"
 
 #: decision kinds tallied per rank (CLI / report surface)
 DECISIONS = ("demote", "promote", "suspend", "resample")
+
+#: promote only when spend is below this fraction of the budget
+PROMOTE_HEADROOM = 0.5
+#: variance-triggered promotion fires only for events at least this severe
+#: (normalized performance below this).  Ordinary machine jitter produces a
+#: steady trickle of events just under the 0.7 detection threshold; if every
+#: one of them re-promoted, the budget loop could never hold a demotion.
+#: Genuine faults land far lower.
+PROMOTE_SEVERITY = 0.5
+#: ...but not *too* far: a systemic slowdown (contention, thermal
+#: throttling, a bad node) scales durations by a bounded factor, while an
+#: isolated extreme outlier — an OS interrupt or SMI landing inside one
+#: snippet execution — craters performance to near zero.  Events below this
+#: floor are treated as measurement artifacts and do not trigger promotion.
+#: ``performance == 0.0`` (programmatic signal) is exempt.
+PROMOTE_FLOOR = 0.2
+#: a *sustained* episode, not an isolated noise spike, is what deserves
+#: full telemetry: permanent promotion needs this many severe events
+#: within ``PROMOTE_CONFIRM_WINDOW_US`` on the rank.  An event with
+#: ``performance == 0.0`` (a programmatic maximal-severity signal)
+#: bypasses confirmation and promotes immediately.
+PROMOTE_CONFIRM = 3
+#: the window ``PROMOTE_CONFIRM`` severe events must fall in
+PROMOTE_CONFIRM_WINDOW_US = 3000.0
+#: an *unconfirmed* severe event starts a probation: demoted sensors run
+#: at full rate for this long, so a genuine episode (one severe event per
+#: slice at full rate) confirms within the window, while an isolated
+#: spike costs only this much full-rate telemetry before the saved
+#: sampling states are restored
+PROBATION_US = 3000.0
+#: work units charged per *side* (tick or tock) of a skipped probe: the
+#: table check
+CHECK_COST = 0.1
 
 
 @dataclass(slots=True)
@@ -68,7 +94,7 @@ class SensorControl:
     sample_period: int = 1
     #: rolling position within the sampling period
     phase: int = 0
-    #: paper-shutoff suspensions are pinned: never re-promoted
+    #: §5.3 shutoff suspensions are pinned: never re-promoted
     pinned: bool = False
     executions: int = 0
     kept: int = 0
@@ -99,11 +125,12 @@ class SensorControlTable:
     double-counting.
     """
 
-    __slots__ = ("check_cost", "_ranks")
+    __slots__ = ("_ranks",)
 
-    def __init__(self, check_cost: float = 0.1) -> None:
-        #: work units charged per *side* (tick or tock) of a skipped probe
-        self.check_cost = check_cost
+    #: what the engines charge per side of a skipped probe
+    check_cost = CHECK_COST
+
+    def __init__(self) -> None:
         self._ranks: dict[int, dict[int, SensorControl]] = {}
 
     def controls(self, rank: int) -> dict[int, SensorControl]:
@@ -168,72 +195,22 @@ class SensorControlTable:
         return False
 
 
-#: promote only when spend is below this fraction of the budget
-PROMOTE_HEADROOM = 0.5
-#: variance-triggered promotion fires only for events at least this severe
-#: (normalized performance below this).  Ordinary machine jitter produces a
-#: steady trickle of events just under the 0.7 detection threshold; if every
-#: one of them re-promoted, the budget loop could never hold a demotion.
-#: Genuine faults land far lower.
-PROMOTE_SEVERITY = 0.5
-#: ...but not *too* far: a systemic slowdown (contention, thermal
-#: throttling, a bad node) scales durations by a bounded factor, while an
-#: isolated extreme outlier — an OS interrupt or SMI landing inside one
-#: snippet execution — craters performance to near zero.  Events below this
-#: floor are treated as measurement artifacts and do not trigger promotion.
-#: ``performance == 0.0`` (programmatic signal) is exempt.
-PROMOTE_FLOOR = 0.2
-#: the window ``GovernorConfig.promote_confirm`` severe events must fall in
-PROMOTE_CONFIRM_WINDOW_US = 3000.0
-
-
 @dataclass(slots=True)
 class GovernorConfig:
     """Tuning knobs of the overhead governor."""
 
     #: probe self-cost may use at most this fraction of elapsed virtual time
     overhead_budget: float = 0.02
-    #: ``"adaptive"`` or ``"paper-shutoff"``
-    policy: str = "adaptive"
-    #: budget evaluation cadence (defaults to the detector slice length)
-    eval_period_us: float = 1000.0
+    #: budget evaluation cadence; ``None`` means the detector's slice length
+    eval_period_us: float | None = None
     #: keep 1-in-this-many executions in the ``sampled`` state
     sample_period: int = 8
     #: consecutive over-budget evaluations before a demotion round
     demote_patience: int = 2
     #: consecutive comfortably-under-budget evaluations before a promotion
     promote_patience: int = 3
-    #: a *sustained* episode, not an isolated noise spike, is what
-    #: deserves full telemetry: permanent promotion needs this many
-    #: severe events within ``PROMOTE_CONFIRM_WINDOW_US`` on the rank.
-    #: An event with ``performance == 0.0`` (a programmatic
-    #: maximal-severity signal) bypasses confirmation and promotes
-    #: immediately.
-    promote_confirm: int = 3
-    #: an *unconfirmed* severe event starts a probation: demoted sensors
-    #: run at full rate for this long, so a genuine episode (one severe
-    #: event per slice at full rate) confirms within the window, while an
-    #: isolated spike costs only this much full-rate telemetry before
-    #: the saved sampling states are restored
-    probation_us: float = 3000.0
-    #: sensor types whose variance events drive probation / promotion.
-    #: ``None`` (the default) means every type *except* network sensors:
-    #: communication snippets measure wait time, and wait time absorbs
-    #: *other* ranks' noise (the Fig. 18/19 phenomenon — the profile
-    #: misleads toward MPI).  A rank whose neighbour runs a data-dependent
-    #: loop sees huge wait variance on a perfectly quiet machine; letting
-    #: those events re-promote would keep the whole node at full rate
-    #: forever.  Pass an explicit tuple (including
-    #: ``SensorType.NETWORK``) to override.
-    promote_sensor_types: tuple | None = None
-    #: work units charged per side of a skipped probe (the table check)
-    check_cost: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.policy not in ("adaptive", "paper-shutoff"):
-            raise ValueError(
-                f"unknown governor policy {self.policy!r} (adaptive|paper-shutoff)"
-            )
         if not (0.0 < self.overhead_budget < 1.0):
             raise ValueError("overhead_budget must be in (0, 1)")
         if self.sample_period < 2:
@@ -247,9 +224,7 @@ class OverheadGovernor:
     inside the table and the eval bookkeeping).  The runtime hooks call
     :meth:`on_record` per kept record and :meth:`on_variance` per
     detector event, the detector calls :meth:`on_shutoff` per §5.3
-    shutoff; the engines consult :attr:`control` per probe
-    execution (``None`` unless the policy is adaptive, which keeps the
-    disabled/paper-shutoff paths bit-identical to the historical code).
+    shutoff; the engines consult :attr:`table` per probe execution.
     """
 
     def __init__(
@@ -264,13 +239,15 @@ class OverheadGovernor:
         obs=None,
     ) -> None:
         self.config = config or GovernorConfig()
-        if detector_config is not None and config is None:
-            self.config.eval_period_us = detector_config.slice_us
-        self.table = SensorControlTable(check_cost=self.config.check_cost)
+        #: budget evaluation cadence: the config's, else the detector's slice
+        self.eval_period_us = self.config.eval_period_us
+        if self.eval_period_us is None:
+            self.eval_period_us = (detector_config or DetectorConfig()).slice_us
+        self.table = SensorControlTable()
         #: virtual µs per kept record (tick + tock, work units ≈ µs)
         self.record_cost_us = 2.0 * probe_cost
         #: virtual µs per skipped execution (two table checks)
-        self.skip_cost_us = 2.0 * self.config.check_cost
+        self.skip_cost_us = 2.0 * CHECK_COST
         self.estimates = estimates or {}
         self.metrics = metrics
         self.obs = obs
@@ -291,32 +268,20 @@ class OverheadGovernor:
 
     # -- wiring --------------------------------------------------------------
 
-    @property
-    def engine_active(self) -> bool:
-        return self.config.policy == "adaptive"
-
-    @property
-    def control(self) -> SensorControlTable | None:
-        """The engine-facing control table (None for paper-shutoff)."""
-        return self.table if self.engine_active else None
-
     def on_shutoff(self, rank: int, sensor_id: int) -> None:
         """The detector's §5.3 rule shut ``sensor_id`` off on ``rank``:
-        record the decision; under the adaptive policy the suspension also
-        reaches the engine (pinned — never re-promoted)."""
+        record the decision and suspend it in the engine (pinned — never
+        re-promoted)."""
         self._tally(rank, "suspend")
         self._count("governor.suspend")
-        if self.engine_active:
-            ctl = self.table.get(rank, sensor_id)
-            ctl.state = SUSPENDED
-            ctl.pinned = True
+        ctl = self.table.get(rank, sensor_id)
+        ctl.state = SUSPENDED
+        ctl.pinned = True
 
     # -- runtime signals -----------------------------------------------------
 
     def on_record(self, rank: int, now: float) -> None:
         """One kept record on ``rank`` at virtual time ``now``."""
-        if not self.engine_active:
-            return
         probation = self._probation.get(rank)
         if probation is not None:
             if now <= probation[0]:
@@ -329,7 +294,7 @@ class OverheadGovernor:
         if last is None:
             self._last_eval[rank] = now
             return
-        if now - last >= self.config.eval_period_us:
+        if now - last >= self.eval_period_us:
             self.evaluate(rank, now)
 
     def on_variance(
@@ -354,39 +319,32 @@ class OverheadGovernor:
         ``performance=0.0`` is a programmatic maximal-severity signal
         that bypasses every gate, including the sensor-type filter.
         ``sensor_type`` is the reporting sensor's type; network-sensor
-        events are ignored unless ``config.promote_sensor_types`` admits
-        them (wait time absorbs other ranks' noise — Fig. 18/19).
+        events are ignored: communication snippets measure wait time, and
+        wait time absorbs *other* ranks' noise (the Fig. 18/19 phenomenon —
+        the profile misleads toward MPI).  A rank whose neighbour runs a
+        data-dependent loop sees huge wait variance on a perfectly quiet
+        machine; letting those events re-promote would keep the whole
+        node at full rate forever.
         """
-        if not self.engine_active:
-            return
-        if performance > 0.0 and not self._drives_promotion(sensor_type):
+        if performance > 0.0 and getattr(sensor_type, "name", "") == "NETWORK":
             return
         if performance >= PROMOTE_SEVERITY:
             return
         if 0.0 < performance < PROMOTE_FLOOR:
             return  # isolated-outlier artifact, not a systemic slowdown
-        if performance > 0.0 and self.config.promote_confirm > 1:
+        if performance > 0.0:
             recent = [
                 t for t in self._severe.get(rank, [])
                 if now - t <= PROMOTE_CONFIRM_WINDOW_US
             ]
             recent.append(now)
             self._severe[rank] = recent
-            if len(recent) < self.config.promote_confirm:
+            if len(recent) < PROMOTE_CONFIRM:
                 for sibling in self._siblings(rank):
                     self._begin_probation(sibling, now)
                 return
         for sibling in self._siblings(rank):
             self._promote_all(sibling)
-
-    def _drives_promotion(self, sensor_type) -> bool:
-        """Whether events from this sensor type may re-promote."""
-        if sensor_type is None:
-            return True
-        allowed = self.config.promote_sensor_types
-        if allowed is not None:
-            return sensor_type in allowed
-        return getattr(sensor_type, "name", "") != "NETWORK"
 
     def _siblings(self, rank: int) -> list[int]:
         """Ranks sharing ``rank``'s node (always includes ``rank``)."""
@@ -421,7 +379,7 @@ class OverheadGovernor:
 
     def _begin_probation(self, rank: int, now: float) -> None:
         """Full-rate probe window after an unconfirmed severe event."""
-        deadline = now + self.config.probation_us
+        deadline = now + PROBATION_US
         entry = self._probation.get(rank)
         if entry is not None:
             self._probation[rank] = (deadline, entry[1])
@@ -647,7 +605,7 @@ class OverheadGovernor:
         totals = self.totals()
         parts = " ".join(f"{kind}={totals[kind]}" for kind in DECISIONS)
         line = (
-            f"governor[{self.config.policy}] budget={self.config.overhead_budget:.1%} "
+            f"governor budget={self.config.overhead_budget:.1%} "
             f"evals={self.evaluations} {parts} coverage={self.coverage():.3f}"
         )
         if self.obs is not None and getattr(self.obs, "enabled", False):

@@ -68,7 +68,6 @@ class ReferenceStore:
             if last is None or summary.t_slice_start > last:
                 self._last_seen[summary.rank] = summary.t_slice_start
 
-    ingest_columns = ingest_summaries  # decoded columns iterate as rows
 
     def settle(self) -> int:
         duplicates, self._duplicates = self._duplicates, 0

@@ -82,18 +82,6 @@ class IdentificationResult:
     def sensor_count(self) -> int:
         return len(self.sensors)
 
-    def global_sensors(self) -> list[VSensor]:
-        return [s for s in self.sensors if s.is_global]
-
-    def sensors_in(self, function: str) -> list[VSensor]:
-        return [s for s in self.sensors if s.function == function]
-
-    def sensor_by_id(self, sensor_id: int) -> VSensor:
-        for s in self.sensors:
-            if s.sensor_id == sensor_id:
-                return s
-        raise KeyError(sensor_id)
-
     def diagnostics(self) -> list[Diagnostic]:
         """All rejection diagnostics, in snippet-discovery order."""
         return [r.diagnostic for r in self.rejections]

@@ -16,12 +16,7 @@ registered job.  A port duck-types the
   is rejected *without consuming its sequence number*, and a retry-after
   hint (the head-of-queue projected completion) is parked for the
   transport's ``pop_retry_hint`` probe, so its exponential backoff is
-  re-timed instead of burning the wire.
-  When the service is built with ``rate_limit_rows_per_ms`` each tenant
-  also gets a token bucket (rows per virtual millisecond, burst capacity
-  ``rate_burst_rows``); a batch that would overdraw the bucket is
-  rejected through the same retry-after machinery, with the hint timed
-  to when the bucket will have refilled enough.  An accepted batch's
+  re-timed instead of burning the wire.  An accepted batch's
   sub-batches wait in the shard queues and are applied, each at its
   shard's virtual completion time, into the job's store.
 
@@ -59,23 +54,12 @@ class AnalysisService:
         engine: str = "columnar",
         queue_limit: int = 64,
         cost: ShardCostModel | None = None,
-        rate_limit_rows_per_ms: float | None = None,
-        rate_burst_rows: float | None = None,
         obs: object | None = None,
     ) -> None:
-        if rate_limit_rows_per_ms is not None and rate_limit_rows_per_ms <= 0:
-            raise ReproError("rate_limit_rows_per_ms must be positive")
         self.window_us = window_us
         self.batch_period_us = batch_period_us
         self.threshold = threshold
         self.engine = engine
-        self.rate_limit_rows_per_ms = rate_limit_rows_per_ms
-        #: default burst: 4x the per-ms rate, never below one batch row
-        self.rate_burst_rows = (
-            rate_burst_rows
-            if rate_burst_rows is not None
-            else (4.0 * rate_limit_rows_per_ms if rate_limit_rows_per_ms else None)
-        )
         self.obs = obs
         self.metrics = obs.metrics if obs is not None else None
         self.router = ShardRouter(n_shards)
@@ -143,14 +127,7 @@ class TenantPort:
         self.duplicate_batches = 0
         #: admission rejections issued to this tenant
         self.rejected_batches = 0
-        #: of which: rejections from the per-tenant token bucket
-        self.ratelimited_batches = 0
         self.degraded: set[int] = set()
-        #: token bucket (rows per virtual ms); starts full at burst
-        self._rate = service.rate_limit_rows_per_ms
-        self._burst = service.rate_burst_rows if self._rate is not None else None
-        self._tokens = self._burst if self._burst is not None else 0.0
-        self._refilled_at = 0.0
         self._seqs: dict[int, SequenceTracker] = {}
         #: retry-after hints parked for the transport, keyed (rank, seq)
         self._retry_hints: dict[tuple[int, int], float] = {}
@@ -167,14 +144,11 @@ class TenantPort:
         seq: int | None = None,
         encoded_bytes: int | None = None,
     ) -> bool:
-        """Admit one rank batch; False on duplicate, rate, or back-pressure.
+        """Admit one rank batch; False on duplicate or back-pressure.
 
-        A rate-limit or back-pressure rejection leaves the sequence
-        number unconsumed (the transport's redelivery will be brand-new
-        to the watermark) and parks a retry-after hint for
-        :meth:`pop_retry_hint`.  The token bucket is checked before
-        shard capacity and debited only once both admit the batch, so a
-        rejection never burns tokens.
+        A back-pressure rejection leaves the sequence number unconsumed
+        (the transport's redelivery will be brand-new to the watermark)
+        and parks a retry-after hint for :meth:`pop_retry_hint`.
         """
         service = self.service
         metrics = service.metrics
@@ -195,23 +169,6 @@ class TenantPort:
         )
         service.clock = now
         n_rows = len(summaries)
-        if tracker is not None and self._rate is not None:
-            rate_per_us = self._rate / 1000.0
-            self._tokens = min(
-                self._burst,
-                self._tokens + (now - self._refilled_at) * rate_per_us,
-            )
-            self._refilled_at = now
-            # Tolerance so a retry at exactly the hinted refill time is
-            # admitted despite float rounding in rate conversions.
-            if n_rows > self._tokens + 1e-9:
-                retry_at = now + (n_rows - self._tokens) / rate_per_us
-                self._retry_hints[(rank, seq)] = retry_at
-                self.rejected_batches += 1
-                self.ratelimited_batches += 1
-                if metrics is not None:
-                    metrics.counter("service.ratelimit.rejected").inc()
-                return False
         split = service.router.split(self.job_id, rank, summaries)
         targets = [service.shards[i] for i in split]
         for shard in targets:
@@ -226,8 +183,6 @@ class TenantPort:
                     metrics.counter("service.backpressure.rejected").inc()
                 return False
             tracker.accept(seq)
-            if self._rate is not None:
-                self._tokens -= n_rows
         self.summaries_received += n_rows
         for shard_id, sub_rows in split.items():
             service.shards[shard_id].enqueue(self, rank, sub_rows, now)

@@ -193,10 +193,6 @@ class RankInterp:
     # ------------------------------------------------------------------
 
     @property
-    def pending_work(self) -> float:
-        return self._pending_half * 0.5 + self._pending_frac
-
-    @property
     def total_work(self) -> float:
         return self._total_half * 0.5 + self._total_frac
 

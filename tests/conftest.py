@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.frontend import parse_source
+from repro.runtime.detector import DetectorConfig
 from repro.sim import MachineConfig
 
 
@@ -153,3 +154,76 @@ def runtime_state(run) -> dict:
         "channel_stats": run.channel_stats,
         "bytes_to_server": run.report.bytes_to_server,
     }
+
+
+class NeutralGovernor:
+    """Engine-neutral governor double: it hears every runtime signal and
+    has no control table, so the engine runs exactly as ungoverned and only
+    the runtime's record path changes (an installed governor means the
+    scalar, one-record-at-a-time path)."""
+
+    def __init__(self) -> None:
+        self.decisions: dict[int, dict[str, int]] = {}
+        self.shutoffs: list[tuple[int, int]] = []
+
+    def on_shutoff(self, rank: int, sensor_id: int) -> None:
+        self.shutoffs.append((rank, sensor_id))
+
+    def on_record(self, rank: int, now: float) -> None:
+        pass
+
+    def on_variance(self, rank, now, performance=0.0, sensor_type=None) -> None:
+        pass
+
+    # -- what the report reads off a governor
+    def coverage(self) -> float:
+        return 1.0
+
+    def totals(self) -> dict[str, int]:
+        return {"suspend": len(self.shutoffs)}
+
+    def suspended_sensors(self) -> int:
+        return len(self.shutoffs)
+
+
+def run_with_governor(
+    governor,
+    source: str,
+    machine: MachineConfig,
+    *,
+    engine: str = "bytecode",
+    faults=(),
+    detector: DetectorConfig | None = None,
+    window_us: float = 200_000.0,
+    batch_period_us: float = 100_000.0,
+    extra_hooks=(),
+):
+    """``run_vsensor``'s unsharded path with ``governor`` handed straight to
+    ``VSensorRuntime(governor=...)`` and no probe control in the engine."""
+    from repro.api import VSensorRun, compile_and_instrument
+    from repro.runtime.server import AnalysisServer
+    from repro.runtime.vsensor_hooks import VSensorRuntime
+    from repro.sim import Simulator
+    from repro.sim.hooks import TeeHooks
+
+    static = compile_and_instrument(source, store=None)
+    runtime = VSensorRuntime(
+        sensors=static.program.sensors,
+        n_ranks=machine.n_ranks,
+        config=detector or DetectorConfig(),
+        server=AnalysisServer(
+            n_ranks=machine.n_ranks, window_us=window_us, batch_period_us=batch_period_us
+        ),
+        governor=governor,
+    )
+    hooks = TeeHooks(runtime, *extra_hooks) if extra_hooks else runtime
+    sim = Simulator(
+        static.program.module,
+        machine,
+        faults=tuple(faults),
+        sensors=static.program.sensors,
+        engine=engine,
+    ).run(hooks)
+    return VSensorRun(
+        static=static, sim=sim, runtime=runtime, report=runtime.report(sim.total_time)
+    )

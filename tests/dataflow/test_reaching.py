@@ -1,6 +1,7 @@
-"""Reaching-definition tests."""
+"""Reaching-definition tests, and the CFG orders the solver iterates in."""
 
 from repro.dataflow import compute_reaching_definitions
+from repro.dataflow.reaching import postorder, reverse_postorder
 from repro.frontend.parser import parse_source
 from repro.ir import CallInstr, Load, Store, lower_module
 
@@ -117,3 +118,26 @@ def test_locals_have_entry_defs_for_uninitialized_reads():
     load = load_of(fn, "x")
     defs = reaching.reaching_before(load, "x")
     assert len(defs) == 1 and defs[0].is_entry
+
+
+def test_postorder_visits_all_blocks(paper_module):
+    for fn in lower_module(paper_module).functions.values():
+        po = postorder(fn)
+        assert set(po) == set(fn.blocks)
+
+
+def test_reverse_postorder_starts_at_entry(paper_module):
+    for fn in lower_module(paper_module).functions.values():
+        rpo = reverse_postorder(fn)
+        assert rpo[0] is fn.entry
+
+
+def test_rpo_predecessor_property():
+    """In an acyclic region, all preds appear before a block in RPO."""
+    _, fn, _ = setup("int main() { int x; if (x) x = 1; else x = 2; return 0; }")
+    rpo = reverse_postorder(fn)
+    index = {b: i for i, b in enumerate(rpo)}
+    for block in fn.blocks:
+        for pred in block.preds:
+            # No back edges in this CFG, so property must hold strictly.
+            assert index[pred] < index[block]

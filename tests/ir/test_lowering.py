@@ -9,6 +9,7 @@ from repro.ir import (
     Branch,
     CallInstr,
     ConstInt,
+    IRFunction,
     Jump,
     Load,
     LoadElem,
@@ -179,3 +180,15 @@ class TestStructuralInvariants:
         module = lower("void f() { } int main() { f(); return 0; }")
         calls = [i for i in module.function("main").instructions() if isinstance(i, CallInstr)]
         assert not any(c.is_indirect for c in calls)
+
+
+def test_unreachable_block_dropped_by_seal():
+    fn = IRFunction(name="synthetic", params=[], ret_type="void")
+    entry, reachable, orphan = (fn.new_block(f"b{i}") for i in range(3))
+    entry.append(Jump(ast_node=None, target=reachable))
+    reachable.append(Ret(ast_node=None, value=None))
+    orphan.append(Ret(ast_node=None, value=None))
+    fn.seal()
+    assert fn.blocks == [entry, reachable]
+    assert reachable.preds == [entry]
+    assert entry.preds == []

@@ -1,4 +1,4 @@
-"""Fingerprinting, digests, and the LRU + disk artifact store."""
+"""Fingerprinting, digests, and the in-memory LRU artifact store."""
 
 import enum
 from dataclasses import dataclass
@@ -89,13 +89,6 @@ class TestStoreMemory:
         assert store.get("p:1") == (1, True)
         assert store.get("p:3") == (3, True)
 
-    def test_invalidate_key(self):
-        store = ArtifactStore()
-        store.put("p:1", 1)
-        assert store.invalidate_key("p:1")
-        assert not store.invalidate_key("p:1")
-        assert store.get("p:1") == (None, False)
-
     def test_invalidate_pass_by_prefix(self):
         store = ArtifactStore()
         store.put("parse:1", 1)
@@ -108,35 +101,9 @@ class TestStoreMemory:
         with pytest.raises(ValueError):
             ArtifactStore(capacity=0)
 
-
-class TestStoreDisk:
-    def test_write_through_survives_new_store(self, tmp_path):
-        ArtifactStore(disk_dir=tmp_path).put("parse:aa", [1, 2, 3])
-        fresh = ArtifactStore(disk_dir=tmp_path)
-        assert fresh.get("parse:aa") == ([1, 2, 3], True)
-        assert len(fresh) == 1  # disk hit was promoted into memory
-
-    def test_corrupt_file_degrades_to_miss(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
-        store.put("parse:aa", 1)
-        (tmp_path / "parse" / "aa.pkl").write_bytes(b"not a pickle")
-        assert ArtifactStore(disk_dir=tmp_path).get("parse:aa") == (None, False)
-
-    def test_unpicklable_value_stays_memory_only(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
-        store.put("parse:aa", lambda: None)  # pickling fails silently
-        assert store.get("parse:aa")[1]
-        assert not (tmp_path / "parse" / "aa.pkl").exists()
-
-    def test_invalidate_pass_clears_disk(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
-        store.put("parse:aa", 1)
-        store.invalidate_pass("parse")
-        assert ArtifactStore(disk_dir=tmp_path).get("parse:aa") == (None, False)
-
-    def test_clear_clears_disk(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
+    def test_clear_empties_the_store(self):
+        store = ArtifactStore()
         store.put("parse:aa", 1)
         store.clear()
         assert len(store) == 0
-        assert ArtifactStore(disk_dir=tmp_path).get("parse:aa") == (None, False)
+        assert store.get("parse:aa") == (None, False)

@@ -31,6 +31,7 @@ from repro.runtime.dynrules import (
     NoGrouping,
     ThresholdMiss,
 )
+from repro.runtime.governor import GovernorConfig
 from repro.runtime.live import LiveReporter
 from repro.runtime.records import SensorRecord, SummaryColumns
 from repro.runtime.vsensor_hooks import VSensorRuntime
@@ -40,7 +41,12 @@ from repro.sim.faults import BadNode
 from repro.sim.hooks import SensorBatch
 from repro.sim.pmu import PmuSample
 from repro.workloads import all_workloads
-from tests.conftest import SIMPLE_MPI_PROGRAM, runtime_state
+from tests.conftest import (
+    SIMPLE_MPI_PROGRAM,
+    NeutralGovernor,
+    run_with_governor,
+    runtime_state,
+)
 from tests.runtime.detector_oracle import RankOracle
 
 # -- (a) record streams: add, step and both vs one RankOracle per rank -------
@@ -395,17 +401,23 @@ def test_live_snapshots_match_bytecode():
 # -- (f) a governor means scalar ---------------------------------------------
 
 
-@pytest.mark.parametrize("policy", ["paper-shutoff", "adaptive"])
-def test_governed_lockstep_run_takes_scalar_path(policy):
+@pytest.mark.parametrize("governor", ["neutral", "adaptive"])
+def test_governed_lockstep_run_takes_scalar_path(governor):
     wl = all_workloads()["CG"]
     machine = wl.machine(n_ranks=16, ranks_per_node=4)
-    run = _run(wl.source(), machine, "lockstep", faults=_FAULT, governor=policy)
+    if governor == "neutral":
+        run = run_with_governor(
+            NeutralGovernor(), wl.source(), machine, engine="lockstep", faults=_FAULT,
+            window_us=10_000.0, batch_period_us=5_000.0,
+        )
+    else:
+        run = _run(wl.source(), machine, "lockstep", faults=_FAULT, governor=GovernorConfig())
     runtime = run.runtime
     assert not runtime.accepts_sensor_batches
     assert all(isinstance(d, RankView) for d in runtime.detectors.values())
-    if policy == "paper-shutoff":
-        # the §5.3-only policy is bit-identical to no governor at all —
-        # scalar detectors on one side, batches on the other
+    if governor == "neutral":
+        # a governor that changes nothing in the engine is bit-identical to
+        # no governor at all — scalar records on one side, batches on the other
         ungoverned = _run(wl.source(), machine, "lockstep", faults=_FAULT)
         assert runtime_state(run) == runtime_state(ungoverned)
         assert ungoverned.runtime.accepts_sensor_batches

@@ -8,9 +8,11 @@ Three layers of coverage:
 * the control loop — hysteresis, cheapest-information demotion order,
   probation/confirmation on variance events, sibling fan-out, sampling
   stagger,
-* end-to-end — ``policy="paper-shutoff"`` is bit-identical to an
-  ungoverned run, and the adaptive policy behaves identically under all
-  three interpreter tiers.
+* end-to-end — a governor that installs nothing in the engine is
+  bit-identical to an ungoverned run, the governor behaves identically
+  under all three interpreter tiers, and both spellings of a governed run
+  (``overhead_budget=`` and ``governor=GovernorConfig(...)``) evaluate at
+  the detector's slice.
 
 The Hypothesis block pins the two properties the bench's coverage
 correction rests on: accounting never drifts under arbitrary
@@ -26,10 +28,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import run_vsensor
+from repro.errors import ReproError
 from repro.runtime.detector import DetectorConfig
 from repro.runtime.governor import (
     DECISIONS,
     ENABLED,
+    PROBATION_US,
+    PROMOTE_CONFIRM,
     SAMPLED,
     SUSPENDED,
     GovernorConfig,
@@ -41,6 +46,7 @@ from repro.runtime.records import SensorRecord
 from repro.sensors.model import SensorType
 from repro.sim import MachineConfig
 from repro.sim.hooks import RawRecorder
+from tests.conftest import NeutralGovernor, run_with_governor
 from tests.runtime.detector_oracle import OneRank
 
 SOURCE = """
@@ -139,8 +145,6 @@ def test_pending_skips_pair_ticks_with_tocks():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GovernorConfig(policy="turbo")
-    with pytest.raises(ValueError):
         GovernorConfig(overhead_budget=0.0)
     with pytest.raises(ValueError):
         GovernorConfig(overhead_budget=1.5)
@@ -150,36 +154,35 @@ def test_config_validation():
 
 def test_paper_shutoff_rule_matches_inline_semantics():
     """The detector's §5.3 rule, with a governor attached: the deciding
-    record of a too-short sensor is dropped, and the governor hears of the
-    shutoff once, at that record."""
-    for policy in ("paper-shutoff", "adaptive"):
-        gov = OverheadGovernor(GovernorConfig(policy=policy))
-        det = OneRank(
-            DetectorConfig(min_duration_us=2.0, shutoff_after=3), on_shutoff=gov.on_shutoff
-        )
-        clock = iter(range(10, 1000, 10))
+    record of a too-short sensor is dropped, the governor hears of the
+    shutoff once, at that record, and pins it in the engine's table."""
+    gov = OverheadGovernor(GovernorConfig())
+    det = OneRank(
+        DetectorConfig(min_duration_us=2.0, shutoff_after=3), on_shutoff=gov.on_shutoff
+    )
+    clock = iter(range(10, 1000, 10))
 
-        def observe(sensor_id, duration):
-            """Feed one record; False once the sensor is off."""
-            t = float(next(clock))
-            det.add(SensorRecord(0, sensor_id, SensorType.COMPUTATION, t - duration, t, 1.0, 0.1))
-            return sensor_id not in det.shutoff
+    def observe(sensor_id, duration):
+        """Feed one record; False once the sensor is off."""
+        t = float(next(clock))
+        det.add(SensorRecord(0, sensor_id, SensorType.COMPUTATION, t - duration, t, 1.0, 0.1))
+        return sensor_id not in det.shutoff
 
-        assert observe(1, 10.0)
-        assert observe(1, 10.0)
-        assert observe(1, 10.0)           # mean 10 >= 2: stays on
-        assert 1 not in det.shutoff
-        assert observe(2, 1.0)
-        assert observe(2, 1.0)
-        assert gov.totals()["suspend"] == 0
-        assert not observe(2, 1.0)        # mean 1 < 2 at record #3: off
-        assert det.shutoff == {2}
-        assert det.records_processed == 6
-        assert not observe(2, 1.0)        # ignored from now on
-        assert det.records_processed == 6
-        assert gov.decisions[0]["suspend"] == 1 and gov.totals()["suspend"] == 1
-        ctl = gov.table.get(0, 2)
-        assert (ctl.state == SUSPENDED and ctl.pinned) == (policy == "adaptive")
+    assert observe(1, 10.0)
+    assert observe(1, 10.0)
+    assert observe(1, 10.0)           # mean 10 >= 2: stays on
+    assert 1 not in det.shutoff
+    assert observe(2, 1.0)
+    assert observe(2, 1.0)
+    assert gov.totals()["suspend"] == 0
+    assert not observe(2, 1.0)        # mean 1 < 2 at record #3: off
+    assert det.shutoff == {2}
+    assert det.records_processed == 6
+    assert not observe(2, 1.0)        # ignored from now on
+    assert det.records_processed == 6
+    assert gov.decisions[0]["suspend"] == 1 and gov.totals()["suspend"] == 1
+    ctl = gov.table.get(0, 2)
+    assert ctl.state == SUSPENDED and ctl.pinned
 
 
 # -- the budget loop --------------------------------------------------------
@@ -325,12 +328,6 @@ def test_network_events_do_not_promote_by_default():
     assert not gov._probation
 
 
-def test_network_events_promote_when_explicitly_admitted():
-    gov = _demoted_governor(promote_sensor_types=(SensorType.NETWORK,))
-    gov.on_variance(0, 2000.0, performance=0.3, sensor_type=SensorType.NETWORK)
-    assert gov._probation  # first severe event: probation, not yet promotion
-
-
 def test_unconfirmed_severe_event_probes_then_restores():
     gov = _demoted_governor()
     gov.on_variance(0, 2000.0, performance=0.3, sensor_type=SensorType.COMPUTATION)
@@ -343,7 +340,7 @@ def test_unconfirmed_severe_event_probes_then_restores():
     gov.on_record(0, 2500.0)
     assert 0 in gov._probation
     # first record past the deadline restores the saved sampling state
-    gov.on_record(0, 2000.0 + gov.config.probation_us + 1.0)
+    gov.on_record(0, 2000.0 + PROBATION_US + 1.0)
     assert 0 not in gov._probation
     ctl = gov.table.get(0, 1)
     assert ctl.state == SAMPLED
@@ -353,7 +350,7 @@ def test_unconfirmed_severe_event_probes_then_restores():
 
 def test_repeated_severe_events_confirm_and_promote():
     gov = _demoted_governor()
-    for i in range(gov.config.promote_confirm):
+    for i in range(PROMOTE_CONFIRM):
         gov.on_variance(
             0, 2000.0 + i * 500.0, performance=0.3,
             sensor_type=SensorType.COMPUTATION,
@@ -373,22 +370,13 @@ def test_pinned_suspensions_never_repromote():
     assert ctl.state == SUSPENDED
 
 
-def test_paper_shutoff_policy_installs_no_engine_control():
-    gov = OverheadGovernor(GovernorConfig(policy="paper-shutoff"))
-    assert gov.control is None
-    assert not gov.engine_active
-    gov.on_record(0, 100.0)
-    gov.on_variance(0, 100.0)
-    assert gov.evaluations == 0
-
-
 def test_tallies_and_summary_surface():
     gov = _demoted_governor()
     totals = gov.totals()
     assert set(totals) == set(DECISIONS)
     assert totals["demote"] == 9  # 3 sensors x 3 ranks
     assert 0.0 < gov.coverage() <= 1.0
-    assert "governor[adaptive]" in gov.summary()
+    assert gov.summary().startswith("governor budget=2.0% evals=")
     assert "rank    0" in gov.format_tally()
 
 
@@ -481,25 +469,25 @@ def _record_stream(raw: RawRecorder):
     return [tuple(r) for r in raw.records]
 
 
-def test_paper_shutoff_policy_is_bit_identical_to_ungoverned(machine):
+def test_engine_neutral_governor_is_bit_identical_to_ungoverned(machine):
+    """A governor that hears every signal but installs nothing in the
+    engine changes no record, no time and no shutoff: the §5.3 rule runs
+    the same with or without one."""
     detector = DetectorConfig(shutoff_after=3, min_duration_us=1e9)
-    runs = {}
-    for key, gov in (("off", None), ("paper", "paper-shutoff")):
-        raw = RawRecorder()
-        run = run_vsensor(
-            SOURCE, machine, detector=detector, governor=gov, extra_hooks=(raw,)
-        )
-        runs[key] = (run, _record_stream(raw))
-    off_run, off_records = runs["off"]
-    paper_run, paper_records = runs["paper"]
-    assert off_records == paper_records, "record stream must not change"
-    assert off_run.report.total_time_us == paper_run.report.total_time_us
+    off_raw, neutral_raw = RawRecorder(), RawRecorder()
+    off_run = run_vsensor(SOURCE, machine, detector=detector, extra_hooks=(off_raw,))
+    neutral = NeutralGovernor()
+    neutral_run = run_with_governor(
+        neutral, SOURCE, machine, detector=detector, extra_hooks=(neutral_raw,)
+    )
+    assert _record_stream(off_raw) == _record_stream(neutral_raw), "record stream must not change"
+    assert off_run.report.total_time_us == neutral_run.report.total_time_us
     for rank in range(machine.n_ranks):
         assert (
             off_run.runtime.detectors[rank].shutoff
-            == paper_run.runtime.detectors[rank].shutoff
+            == neutral_run.runtime.detectors[rank].shutoff
         )
-    assert paper_run.runtime.governor.totals()["suspend"] > 0
+    assert neutral.shutoffs
     assert off_run.runtime.governor is None
 
 
@@ -531,7 +519,7 @@ def test_adaptive_policy_across_engines(machine):
             extra_hooks=(raw,),
         )
         gov = run.runtime.governor
-        assert gov is not None and gov.engine_active
+        assert gov is not None
         assert gov.totals()["demote"] > 0
         assert_accounting(gov.table)
         runs[engine] = (run, _record_stream(raw), gov.totals())
@@ -539,3 +527,47 @@ def test_adaptive_policy_across_engines(machine):
     assert runs["bytecode"][0].report.total_time_us == runs["ast"][0].report.total_time_us
     assert runs["bytecode"][2] == runs["ast"][2]
     assert runs["lockstep"][2] == runs["bytecode"][2]
+
+
+def test_both_spellings_evaluate_at_the_detector_slice(machine):
+    """``overhead_budget=`` and ``governor=GovernorConfig(...)`` ask for the
+    same governor: both evaluate once per detector slice, and the caller's
+    config is left as it was passed."""
+    detector = DetectorConfig(slice_us=500.0)
+    config = GovernorConfig(overhead_budget=0.02)
+    runs = {}
+    for key, kwargs in (
+        ("budget", {"overhead_budget": 0.02}),
+        ("config", {"governor": config}),
+    ):
+        raw = RawRecorder()
+        run = run_vsensor(SOURCE, machine, detector=detector, extra_hooks=(raw,), **kwargs)
+        gov = run.runtime.governor
+        assert gov.eval_period_us == 500.0
+        runs[key] = (gov.config, gov.evaluations, gov.totals(), _record_stream(raw))
+    assert config.eval_period_us is None
+    assert runs["budget"] == runs["config"]
+    assert runs["budget"][1] > 0
+
+
+def test_explicit_eval_period_wins_over_the_slice():
+    explicit = OverheadGovernor(
+        GovernorConfig(eval_period_us=200.0),
+        detector_config=DetectorConfig(slice_us=500.0),
+    )
+    assert explicit.eval_period_us == 200.0
+    assert OverheadGovernor(GovernorConfig()).eval_period_us == DetectorConfig().slice_us
+    assert OverheadGovernor(detector_config=DetectorConfig(slice_us=250.0)).eval_period_us == 250.0
+
+
+@pytest.mark.parametrize(
+    "governor", [GovernorConfig(), OverheadGovernor(GovernorConfig())], ids=["config", "built"]
+)
+def test_governor_and_overhead_budget_together_raise(machine, governor):
+    with pytest.raises(ReproError, match="not both"):
+        run_vsensor(SOURCE, machine, governor=governor, overhead_budget=0.05)
+
+
+def test_a_governor_name_is_not_a_governor(machine):
+    with pytest.raises(ReproError, match="GovernorConfig"):
+        run_vsensor(SOURCE, machine, governor="adaptive")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import gc
+import importlib
 import importlib.util
 import inspect
 import re
@@ -26,11 +27,14 @@ import repro.parallel
 import repro.runtime
 import repro.service
 import repro.sim.lockstep
-from repro.api import run_multi_job
+from repro.api import run_multi_job, run_vsensor, simulate_instrumented
 from repro.frontend import parse_source
+from repro.parallel import JobTask
+from repro.pipeline import ArtifactStore
 from repro.runtime import batch_detector, columnar, governor, records
 from repro.runtime.batch_detector import BatchDetector, RankView, SummaryLog
 from repro.runtime.channel import Envelope, LossyChannel
+from repro.runtime.governor import GovernorConfig
 from repro.runtime.columnar import ColumnarStore
 from repro.runtime.records import SliceSummary, SummaryColumns
 from repro.runtime.reference import ReferenceStore
@@ -91,8 +95,9 @@ def test_server_is_endpoint_accounting_over_one_store():
 def test_both_stores_answer_the_same_questions():
     assert _public_methods(ColumnarStore) == _public_methods(ReferenceStore)
     for cls in (ColumnarStore, ReferenceStore):
-        for ingest in (cls.ingest_summaries, cls.ingest_columns):
-            assert len(inspect.signature(ingest).parameters) == 2  # self + the batch
+        # self + the batch: rows, a log view or decoded columns alike
+        assert len(inspect.signature(cls.ingest_summaries).parameters) == 2
+        assert not hasattr(cls, "ingest_columns")
     assert not hasattr(ColumnarStore, "export_summaries")
 
 
@@ -240,6 +245,23 @@ def test_dead_state_and_unset_knobs_stay_gone():
     assert "_summaries_seen" not in VSensorRuntime.__slots__
     assert "vnodes" not in inspect.signature(run_multi_job).parameters
     assert "vnodes" not in inspect.signature(AnalysisService.__init__).parameters
+
+
+def test_surfaces_only_tests_selected_stay_gone():
+    """One governor policy with its fixed constants as module constants,
+    an in-memory compile cache, no tenant rate limiter, and no dominator
+    or natural-loop analysis (identification finds loops on the AST)."""
+    assert not _field_names(GovernorConfig) & {
+        "policy", "promote_confirm", "probation_us", "check_cost", "promote_sensor_types",
+    }
+    knobs = {"governor_policy", "disk_dir", "rate_limit_rows_per_ms"}
+    for fn in (
+        run_vsensor, simulate_instrumented, ArtifactStore.__init__, AnalysisService.__init__
+    ):
+        assert not knobs & set(inspect.signature(fn).parameters), fn.__qualname__
+    assert "cache_dir" not in _field_names(JobTask)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.cfa")
 
 
 # -- gates that used to be grep steps in ci.yml -------------------------------
