@@ -1,7 +1,7 @@
 """High-level pipeline: the eight workflow steps in one call.
 
-:func:`compile_and_instrument` covers the static module (steps 1–5), now
-executed through the :mod:`repro.pipeline` pass manager: parse → lower →
+:func:`compile_and_instrument` covers the static module (steps 1–5) as the
+seven :mod:`repro.pipeline` passes in one fixed order: parse → lower →
 cfa → dataflow → identify → select → instrument, with per-pass timing and
 content-addressed artifact caching (repeat compiles of unchanged text and
 config reuse every stage).  :func:`run_vsensor` adds the dynamic module
@@ -20,13 +20,7 @@ from repro.errors import ReproError
 from repro.frontend import Module, parse_source
 from repro.instrument import InstrumentationPlan, InstrumentedProgram
 from repro.obs import NULL_OBS, Obs
-from repro.pipeline import (
-    ArtifactStore,
-    CompilerContext,
-    PipelineProfile,
-    default_store,
-    static_pass_manager,
-)
+from repro.pipeline import ArtifactStore, PipelineProfile, default_store, run_passes
 from repro.runtime.detector import DetectorConfig
 from repro.runtime.dynrules import DynamicRule, NoGrouping
 from repro.runtime.report import VarianceReport
@@ -103,23 +97,19 @@ def compile_and_instrument(
     if store is _DEFAULT_STORE:
         store = default_store()
     obs = obs or NULL_OBS
-    ctx = CompilerContext(
-        source=source,
-        filename=filename,
-        config={
-            "max_depth": max_depth,
-            "externs": externs,
-            "static_rules": tuple(static_rules),
-            "min_estimated_work": min_estimated_work,
-            "annotations": annotations,
-        },
-        store=store,  # type: ignore[arg-type]
-        obs=obs,
-    )
+    config = {
+        "source": source,
+        "filename": filename,
+        "max_depth": max_depth,
+        "externs": externs,
+        "static_rules": tuple(static_rules),
+        "min_estimated_work": min_estimated_work,
+        "annotations": annotations,
+    }
     with obs.tracer.span("vsensor.compile"):
-        static_pass_manager().run(ctx)
-    selection = ctx.artifact("select")
-    program: InstrumentedProgram = ctx.artifact("instrument")
+        artifacts, profile = run_passes(config, store, obs)  # type: ignore[arg-type]
+    selection = artifacts["select"]
+    program: InstrumentedProgram = artifacts["instrument"]
     identification: IdentificationResult = selection.identification
     diagnostics = (
         identification.diagnostics()
@@ -132,7 +122,7 @@ def compile_and_instrument(
         plan=selection.plan,
         program=program,
         diagnostics=diagnostics,
-        profile=ctx.profile,
+        profile=profile,
     )
 
 

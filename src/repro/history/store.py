@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -222,12 +223,18 @@ def record_from_run(run, fingerprint_key: str, label: str = "", workload: str = 
 
 
 class RunStore:
-    """Append-only store of run records, one JSONL trajectory per key."""
+    """Append-only store of run records, one JSONL trajectory per key.
+
+    A final line without its newline is an append that never finished (the
+    writer died mid-record): reads ignore it and the next append cuts it
+    off first, so the file reads as if that append never started.
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._counts: dict[str, int] = {}
+        #: key -> (file size, record count) at the last count or append
+        self._counts: dict[str, tuple[int, int]] = {}
 
     def path_for(self, fingerprint_key: str) -> Path:
         if not fingerprint_key or any(c in fingerprint_key for c in "/\\"):
@@ -238,17 +245,20 @@ class RunStore:
         """Every trajectory key present on disk, sorted."""
         return sorted(path.stem for path in self.root.glob("*.jsonl"))
 
+    def _lines(self, path: Path) -> list[str]:
+        """The file's complete, non-blank lines."""
+        if not path.exists():
+            return []
+        with open(path, encoding="utf-8") as fh:
+            return [line for line in fh if line.endswith("\n") and line.strip()]
+
     def count(self, fingerprint_key: str) -> int:
-        cached = self._counts.get(fingerprint_key)
-        if cached is not None:
-            return cached
         path = self.path_for(fingerprint_key)
-        count = 0
-        if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                count = sum(1 for line in fh if line.strip())
-        self._counts[fingerprint_key] = count
-        return count
+        size = path.stat().st_size if path.exists() else 0
+        cached = self._counts.get(fingerprint_key)
+        if cached is None or cached[0] != size:
+            cached = self._counts[fingerprint_key] = (size, len(self._lines(path)))
+        return cached[1]
 
     def append(self, record: RunRecord) -> RunRecord:
         """Append one record; returns it with its assigned ``seq``."""
@@ -268,23 +278,22 @@ class RunStore:
             f_score=record.f_score,
             sensors=record.sensors,
         )
-        line = encode_record(stamped)
-        with open(self.path_for(record.fingerprint), "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-        self._counts[record.fingerprint] = seq + 1
+        line = (encode_record(stamped) + "\n").encode("utf-8")
+        with open(self.path_for(record.fingerprint), "a+b") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":  # a torn tail: cut it off
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write(line)
+            self._counts[record.fingerprint] = (fh.tell(), seq + 1)
         return stamped
 
     def runs(self, fingerprint_key: str) -> list[RunRecord]:
         """The full trajectory of one fingerprint, in append order."""
         path = self.path_for(fingerprint_key)
-        if not path.exists():
-            return []
-        out: list[RunRecord] = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(decode_record(line))
+        out = [decode_record(line.strip()) for line in self._lines(path)]
         for position, record in enumerate(out):
             if record.seq != position:
                 raise HistoryStoreError(

@@ -1,48 +1,42 @@
-"""Pass-manager pipeline for the static (compile-time) side of vSensor.
+"""The static (compile-time) side of vSensor as seven passes in one order.
 
 Public surface:
 
-* :class:`CompilerContext` — one compilation's source, config, and results.
-* :class:`PassManager` / :class:`Pass` — registration, ordering, execution.
+* :data:`PASSES` / :class:`Pass` — parse, lower, cfa, dataflow, identify,
+  select, instrument, each with its inputs and cache-relevant config keys.
+* :func:`run_passes` — runs the tuple for one compile and returns the
+  artifacts plus its :class:`PipelineProfile` (per-pass time, cache hits).
 * :class:`ArtifactStore` — content-addressed in-memory LRU cache.
-* :func:`static_pass_manager` / :func:`build_static_pass_manager` — the
-  seven named passes (parse, lower, cfa, dataflow, identify, select,
-  instrument) wired together.
 * :func:`default_store` — the process-wide store ``repro.api`` defaults to.
 """
 
 from repro.pipeline.artifacts import (
     ArtifactStore,
     FingerprintError,
-    StoreStats,
     digest,
     fingerprint,
 )
-from repro.pipeline.context import CompilerContext, PassTiming, PipelineProfile
-from repro.pipeline.manager import Pass, PassManager, PipelineError
 from repro.pipeline.passes import (
+    PASSES,
     CfaArtifact,
+    Pass,
     SelectionArtifact,
-    build_static_pass_manager,
     default_store,
-    static_pass_manager,
+    run_passes,
 )
+from repro.pipeline.profile import PassTiming, PipelineProfile
 
 __all__ = [
+    "PASSES",
     "ArtifactStore",
     "CfaArtifact",
-    "CompilerContext",
     "FingerprintError",
     "Pass",
-    "PassManager",
     "PassTiming",
-    "PipelineError",
     "PipelineProfile",
     "SelectionArtifact",
-    "StoreStats",
-    "build_static_pass_manager",
     "default_store",
     "digest",
     "fingerprint",
-    "static_pass_manager",
+    "run_passes",
 ]

@@ -1,7 +1,7 @@
 """Content-addressed artifact storage for the compilation pipeline.
 
 Every pass output is keyed by a content hash of *(source text, pass config,
-upstream artifact keys)* — see :meth:`~repro.pipeline.manager.PassManager`.
+upstream artifact keys)* — see :func:`~repro.pipeline.passes.run_passes`.
 The store is a bounded in-memory LRU, so repeated ``compile_and_instrument``
 calls in one process (benchmark sweeps, a pool worker's jobs) reuse every
 unchanged stage.
@@ -88,29 +88,6 @@ def digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-@dataclasses.dataclass(slots=True)
-class StoreStats:
-    """Hit/miss counters, overall and per pass name."""
-
-    hits: int = 0
-    misses: int = 0
-    by_pass: dict[str, list] = dataclasses.field(default_factory=dict)
-
-    def record(self, pass_name: str, hit: bool) -> None:
-        entry = self.by_pass.setdefault(pass_name, [0, 0])
-        if hit:
-            self.hits += 1
-            entry[0] += 1
-        else:
-            self.misses += 1
-            entry[1] += 1
-
-    def as_dict(self) -> dict[str, dict[str, int]]:
-        return {
-            name: {"hits": h, "misses": m} for name, (h, m) in self.by_pass.items()
-        }
-
-
 class ArtifactStore:
     """Bounded in-memory LRU of pass artifacts.
 
@@ -122,7 +99,6 @@ class ArtifactStore:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.stats = StoreStats()
         self._entries: OrderedDict[str, Any] = OrderedDict()
 
     def __len__(self) -> int:

@@ -12,9 +12,10 @@ select      scope / granularity / nesting rules + annotations    4 (selection)
 instrument  Tick/Tock splicing into a copy of the parse tree     4, 5 (modify)
 =========== ==================================================== ==============
 
-Each pass declares its inputs and the config keys that change its output,
-so the :class:`~repro.pipeline.manager.PassManager` can cache artifacts
-content-addressed and re-run exactly the stages a change invalidates.
+:data:`PASSES` lists the seven in this order, each with its inputs (earlier
+passes only) and the config keys that change its output; :func:`run_passes`
+walks the tuple once per compile, caching artifacts content-addressed, so a
+change re-runs exactly the stages it invalidates.
 
 The ``instrument`` pass never mutates the shared ``parse`` artifact: it
 splices probes into a structural copy (``ast_nodes.clone_tree`` keeps node ids; the
@@ -26,6 +27,8 @@ shareable across cached compilations.
 from __future__ import annotations
 
 import dataclasses
+import time
+from typing import Any, Callable, Mapping
 
 from repro.callgraph.graph import CallGraph, build_call_graph
 from repro.callgraph.preprocess import PreprocessResult, preprocess_call_graph
@@ -35,9 +38,9 @@ from repro.frontend.parser import parse_source
 from repro.instrument.rewrite import InstrumentedProgram, instrument_module
 from repro.instrument.select import InstrumentationPlan, select_sensors
 from repro.ir.lower import lower_module
-from repro.pipeline.artifacts import ArtifactStore
-from repro.pipeline.context import CompilerContext
-from repro.pipeline.manager import Pass, PassManager
+from repro.obs import NULL_OBS, Obs
+from repro.pipeline.artifacts import ArtifactStore, FingerprintError, digest, fingerprint
+from repro.pipeline.profile import PassTiming, PipelineProfile
 from repro.sensors.asttools import FunctionShape
 from repro.sensors.extern import default_extern_registry
 from repro.sensors.identify import (
@@ -71,20 +74,19 @@ class SelectionArtifact:
     plan: InstrumentationPlan
 
 
-def _externs(ctx: CompilerContext):
-    return ctx.config.get("externs") or default_extern_registry()
+def _externs(config: Mapping[str, Any]):
+    return config.get("externs") or default_extern_registry()
 
 
-def _parse_pass(ctx: CompilerContext, _ins) -> A.Module:
-    return parse_source(ctx.source, filename=ctx.filename)
+def _parse_pass(config) -> A.Module:
+    return parse_source(config["source"], filename=config["filename"])
 
 
-def _lower_pass(_ctx: CompilerContext, ins):
-    return lower_module(ins["parse"])
+def _lower_pass(_config, module: A.Module):
+    return lower_module(module)
 
 
-def _cfa_pass(_ctx: CompilerContext, ins) -> CfaArtifact:
-    ir = ins["lower"]
+def _cfa_pass(_config, ir) -> CfaArtifact:
     callgraph = build_call_graph(ir)
     return CfaArtifact(
         callgraph=callgraph,
@@ -93,33 +95,32 @@ def _cfa_pass(_ctx: CompilerContext, ins) -> CfaArtifact:
     )
 
 
-def _dataflow_pass(ctx: CompilerContext, ins):
-    cfa = ins["cfa"]
-    return compute_summaries(ins["lower"], cfa.callgraph, cfa.preprocess, _externs(ctx))
+def _dataflow_pass(config, ir, cfa: CfaArtifact):
+    return compute_summaries(ir, cfa.callgraph, cfa.preprocess, _externs(config))
 
 
-def _identify_pass(ctx: CompilerContext, ins) -> IdentificationResult:
-    cfa = ins["cfa"]
+def _identify_pass(
+    config, module: A.Module, ir, cfa: CfaArtifact, summaries
+) -> IdentificationResult:
     identifier = _Identifier(
-        ins["parse"],
-        _externs(ctx),
-        entry=ctx.config.get("entry", "main"),
-        ir=ins["lower"],
+        module,
+        _externs(config),
+        entry=config.get("entry", "main"),
+        ir=ir,
         callgraph=cfa.callgraph,
         preprocess=cfa.preprocess,
-        summaries=ins["dataflow"],
+        summaries=summaries,
         shapes=cfa.shapes,
     )
     result = identifier.run()
-    static_rules = tuple(ctx.config.get("static_rules") or ())
+    static_rules = tuple(config.get("static_rules") or ())
     if static_rules:
         apply_static_rules(result, static_rules)
     return result
 
 
-def _select_pass(ctx: CompilerContext, ins) -> SelectionArtifact:
-    ident: IdentificationResult = ins["identify"]
-    annotations = ctx.config.get("annotations")
+def _select_pass(config, ident: IdentificationResult) -> SelectionArtifact:
+    annotations = config.get("annotations")
     exclusion_notes: list[Diagnostic] = []
     view = ident
     if annotations is not None:
@@ -138,8 +139,8 @@ def _select_pass(ctx: CompilerContext, ins) -> SelectionArtifact:
         view = dataclasses.replace(ident, sensors=kept)
     plan = select_sensors(
         view,
-        max_depth=ctx.config.get("max_depth", 3),
-        min_estimated_work=ctx.config.get("min_estimated_work", 0.0),
+        max_depth=config.get("max_depth", 3),
+        min_estimated_work=config.get("min_estimated_work", 0.0),
     )
     plan.diagnostics[:0] = exclusion_notes
     return SelectionArtifact(identification=view, plan=plan)
@@ -163,61 +164,114 @@ def _max_node_id(module: A.Module) -> int:
     return highest
 
 
-def _instrument_pass(_ctx: CompilerContext, ins) -> InstrumentedProgram:
-    selection: SelectionArtifact = ins["select"]
-    module = A.clone_tree(ins["parse"])
+def _instrument_pass(
+    _config, parsed: A.Module, selection: SelectionArtifact
+) -> InstrumentedProgram:
+    module = A.clone_tree(parsed)
     # Probe nodes get deterministic ids just past the tree's own, keeping the
     # instrumented tree reproducible and its ids collision-free.
     with A.fresh_node_ids(start=_max_node_id(module) + 1):
         return instrument_module(module, selection.plan.selected)
 
 
-def build_static_pass_manager() -> PassManager:
-    """A fresh PassManager wired with the seven static passes."""
-    manager = PassManager()
-    manager.register(Pass(name="parse", inputs=(), run=_parse_pass))
-    manager.register(Pass(name="lower", inputs=("parse",), run=_lower_pass))
-    manager.register(Pass(name="cfa", inputs=("lower",), run=_cfa_pass))
-    manager.register(
-        Pass(
-            name="dataflow",
-            inputs=("lower", "cfa"),
-            run=_dataflow_pass,
-            config_keys=("externs",),
-        )
-    )
-    manager.register(
-        Pass(
-            name="identify",
-            inputs=("parse", "lower", "cfa", "dataflow"),
-            run=_identify_pass,
-            config_keys=("externs", "static_rules", "entry"),
-        )
-    )
-    manager.register(
-        Pass(
-            name="select",
-            inputs=("identify",),
-            run=_select_pass,
-            config_keys=("max_depth", "min_estimated_work", "annotations"),
-        )
-    )
-    manager.register(
-        Pass(name="instrument", inputs=("parse", "select"), run=_instrument_pass)
-    )
-    return manager
+@dataclasses.dataclass(frozen=True, slots=True)
+class Pass:
+    """One named compilation stage."""
+
+    name: str
+    #: earlier passes whose artifacts ``run`` takes, in this order
+    inputs: tuple[str, ...]
+    #: ``run(config, *input_artifacts) -> artifact``
+    run: Callable[..., Any]
+    #: config keys whose fingerprints feed this pass's cache key
+    config_keys: tuple[str, ...] = ()
 
 
-_STATIC_MANAGER: PassManager | None = None
+PASSES: tuple[Pass, ...] = (
+    Pass("parse", (), _parse_pass),
+    Pass("lower", ("parse",), _lower_pass),
+    Pass("cfa", ("lower",), _cfa_pass),
+    Pass("dataflow", ("lower", "cfa"), _dataflow_pass, ("externs",)),
+    Pass(
+        "identify",
+        ("parse", "lower", "cfa", "dataflow"),
+        _identify_pass,
+        ("externs", "static_rules", "entry"),
+    ),
+    Pass(
+        "select",
+        ("identify",),
+        _select_pass,
+        ("max_depth", "min_estimated_work", "annotations"),
+    ),
+    Pass("instrument", ("parse", "select"), _instrument_pass),
+)
+
+
+def _cache_keys(config: Mapping[str, Any]) -> dict[str, str]:
+    """Each pass's store key: a digest of the source, the fingerprints of
+    its ``config_keys`` and its inputs' keys.  Raises
+    :class:`FingerprintError` when a config value has no fingerprint."""
+    source_digest = digest(config["source"], config["filename"])
+    keys: dict[str, str] = {}
+    for pass_ in PASSES:
+        config_fp = ";".join(
+            f"{k}={fingerprint(config.get(k))}" for k in pass_.config_keys
+        )
+        upstream = [keys[name] for name in pass_.inputs]
+        keys[pass_.name] = f"{pass_.name}:" + digest(
+            pass_.name, source_digest, config_fp, *upstream
+        )
+    return keys
+
+
+def run_passes(
+    config: Mapping[str, Any], store: ArtifactStore | None, obs: Obs = NULL_OBS
+) -> tuple[dict[str, Any], PipelineProfile]:
+    """Run :data:`PASSES` over one compile; returns ``(artifacts, profile)``.
+
+    ``config`` holds the program (``source``, ``filename``) and the knobs.
+    With a store, a pass whose key is stored is skipped.  A config value
+    that cannot be fingerprinted disables caching for the whole compile
+    (the reason is recorded on the profile) rather than risking a stale
+    hit, so such a compile neither reads nor fills the store.  Each pass
+    emits a ``pass.<name>`` span and a ``pipeline.cache_hits`` /
+    ``pipeline.cache_misses`` count into ``obs``.
+    """
+    artifacts: dict[str, Any] = {}
+    profile = PipelineProfile()
+    keys: dict[str, str] = {}
+    if store is not None:
+        try:
+            keys = _cache_keys(config)
+        except FingerprintError as exc:
+            store = None
+            profile.cache_disabled_reason = str(exc)
+    for pass_ in PASSES:
+        key = keys.get(pass_.name)
+        hit = False
+        with obs.tracer.span(f"pass.{pass_.name}") as span:
+            t0 = time.perf_counter()
+            if key is not None:
+                artifact, hit = store.get(key)
+            if not hit:
+                artifact = pass_.run(config, *(artifacts[name] for name in pass_.inputs))
+                if key is not None:
+                    store.put(key, artifact)
+            elapsed = time.perf_counter() - t0
+            span.set("cache_hit", hit)
+        obs.metrics.counter(
+            "pipeline.cache_hits" if hit else "pipeline.cache_misses"
+        ).inc()
+        artifacts[pass_.name] = artifact
+        profile.timings.append(PassTiming(pass_.name, elapsed, hit))
+    if store is None:
+        profile.cache_enabled = False
+        profile.cache_disabled_reason = profile.cache_disabled_reason or "no artifact store"
+    return artifacts, profile
+
+
 _DEFAULT_STORE: ArtifactStore | None = None
-
-
-def static_pass_manager() -> PassManager:
-    """The shared, stateless manager instance for the static pipeline."""
-    global _STATIC_MANAGER
-    if _STATIC_MANAGER is None:
-        _STATIC_MANAGER = build_static_pass_manager()
-    return _STATIC_MANAGER
 
 
 def default_store() -> ArtifactStore:

@@ -466,11 +466,6 @@ class ReliableTransport:
         self.pump(self.clock)
         return seq
 
-    def receive_batch(self, rank: int, summaries: list[SliceSummary]) -> None:
-        """Server-duck-type entry; infers 'now' from the batch content."""
-        now = max((s.t_slice_start for s in summaries), default=self.clock)
-        self.send_batch(rank, summaries, max(now, self.clock))
-
     # -- pump --------------------------------------------------------------
 
     def pump(self, now: float) -> None:

@@ -66,12 +66,3 @@ class ShardRouter:
                 shard = cache[s.sensor_id] = self.shard_of(job, rank, s.sensor_id)
             out.setdefault(shard, []).append(s)
         return out
-
-    def placement(self, job: int, n_ranks: int, sensor_ids: list[int]) -> dict[int, int]:
-        """shard -> stream count for one job (balance introspection)."""
-        counts: dict[int, int] = {}
-        for rank in range(n_ranks):
-            for sensor_id in sensor_ids:
-                shard = self.shard_of(job, rank, sensor_id)
-                counts[shard] = counts.get(shard, 0) + 1
-        return counts

@@ -61,6 +61,31 @@ def test_corrupt_line_raises(tmp_path):
         RunStore(tmp_path).runs(FP)
 
 
+@pytest.mark.parametrize("reopen", [False, True], ids=["same-store", "reopened"])
+@pytest.mark.parametrize("kept", [0, 1], ids=["torn-first", "torn-second"])
+def test_torn_tail_reads_and_appends_as_if_never_started(tmp_path, kept, reopen):
+    """An append cut mid-record leaves a final line without its newline;
+    the store ignores it and the next append replaces it."""
+    torn = RunStore(tmp_path / "torn")
+    torn.append(_record(label="a"))
+    torn.append(_record(label="b"))
+    path = torn.path_for(FP)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:kept]) + lines[kept][: len(lines[kept]) // 2])
+    if reopen:
+        torn = RunStore(tmp_path / "torn")
+    assert torn.count(FP) == kept
+    assert [r.label for r in torn.runs(FP)] == ["a"][:kept]
+    assert torn.append(_record(label="c")).seq == kept
+
+    clean = RunStore(tmp_path / "clean")
+    for label in ["a"][:kept] + ["c"]:
+        clean.append(_record(label=label))
+    assert path.read_bytes() == clean.path_for(FP).read_bytes()
+    assert torn.runs(FP) == clean.runs(FP)
+    assert RunStore(tmp_path / "torn").count(FP) == kept + 1
+
+
 def test_reordered_trajectory_is_detected(tmp_path):
     store = RunStore(tmp_path)
     store.append(_record())

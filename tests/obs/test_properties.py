@@ -183,7 +183,5 @@ def test_cached_artifacts_identical_with_and_without_obs():
     keys_on = sorted(store_on._entries)
     assert keys_off == keys_on  # obs is never part of a cache fingerprint
     # a second observed run over the obs-off store hits every pass
-    before = store_off.stats.hits
     run = _run(Obs.create(), "bytecode", None, store=store_off)
-    assert store_off.stats.hits > before
-    assert run.static.profile.misses == 0
+    assert run.static.profile.hits == 7 and run.static.profile.misses == 0

@@ -1,161 +1,146 @@
-"""PassManager scheduling, timing, and content-keyed caching."""
+"""``run_passes`` over ``PASSES``: the schedule, per-pass timing, and
+content-keyed caching."""
+
+import dataclasses
 
 import pytest
 
-from repro.pipeline import (
-    ArtifactStore,
-    CompilerContext,
-    Pass,
-    PassManager,
-    PipelineError,
-)
+import repro.pipeline.passes as passes_mod
+from repro.pipeline import PASSES, ArtifactStore, run_passes
+from repro.sensors.rules import MaxLoopDepthRule
+from repro.workloads import get_workload
+
+SOURCE = get_workload("CG").source(scale=1)
+PASS_NAMES = ["parse", "lower", "cfa", "dataflow", "identify", "select", "instrument"]
 
 
-def ctx(source="src", **kw):
-    return CompilerContext(source=source, **kw)
+def run(store, source=SOURCE, **config):
+    """``(artifacts, profile)`` of one run of the seven passes."""
+    return run_passes({"source": source, "filename": "CG", **config}, store)
 
 
-def counting(value=None):
-    """A pass body that counts invocations (for cache-hit assertions)."""
-    calls = []
+@pytest.fixture
+def calls(monkeypatch):
+    """Wrap every pass body to record the input artifacts of each call."""
+    seen = {p.name: [] for p in PASSES}
 
-    def run(ctx_, inputs):
-        calls.append(dict(inputs))
-        return value if value is not None else f"ran{len(calls)}"
+    def recording(pass_):
+        def body(config, *inputs):
+            seen[pass_.name].append(inputs)
+            return pass_.run(config, *inputs)
 
-    run.calls = calls
-    return run
+        return body
 
-
-def diamond_manager(bodies=None):
-    bodies = bodies or {}
-    mgr = PassManager()
-    mgr.register(Pass(name="a", inputs=(), run=bodies.get("a", counting("A"))))
-    mgr.register(Pass(name="b", inputs=("a",), run=bodies.get("b", counting("B"))))
-    mgr.register(Pass(name="c", inputs=("a",), run=bodies.get("c", counting("C"))))
-    mgr.register(
-        Pass(name="d", inputs=("b", "c"), run=bodies.get("d", counting("D")))
+    monkeypatch.setattr(
+        passes_mod,
+        "PASSES",
+        tuple(dataclasses.replace(p, run=recording(p)) for p in PASSES),
     )
-    return mgr
+    return seen
 
 
 class TestOrdering:
     def test_linear_order(self):
-        mgr = PassManager()
-        mgr.register(Pass(name="one", inputs=(), run=counting()))
-        mgr.register(Pass(name="two", inputs=("one",), run=counting()))
-        assert [p.name for p in mgr.order()] == ["one", "two"]
+        _, profile = run(None)
+        assert [t.name for t in profile.timings] == [p.name for p in PASSES]
 
     def test_diamond_order_respects_registration_tiebreak(self):
-        assert [p.name for p in diamond_manager().order()] == ["a", "b", "c", "d"]
-
-    def test_target_runs_only_ancestors(self):
-        assert [p.name for p in diamond_manager().order("b")] == ["a", "b"]
+        # identify reads parse, lower, cfa and dataflow: it runs after all four,
+        # and the rest keep the order they are written in
+        assert [p.name for p in PASSES] == PASS_NAMES
 
     def test_unknown_input_rejected(self):
-        mgr = PassManager()
-        mgr.register(Pass(name="p", inputs=("ghost",), run=counting()))
-        with pytest.raises(PipelineError, match="unknown input"):
-            mgr.order()
-
-    def test_unknown_target_rejected(self):
-        with pytest.raises(PipelineError, match="unknown pass"):
-            diamond_manager().order("ghost")
+        names = {p.name for p in PASSES}
+        for pass_ in PASSES:
+            assert set(pass_.inputs) <= names, pass_.name
 
     def test_duplicate_registration_rejected(self):
-        mgr = PassManager()
-        mgr.register(Pass(name="p", inputs=(), run=counting()))
-        with pytest.raises(PipelineError, match="duplicate"):
-            mgr.register(Pass(name="p", inputs=(), run=counting()))
+        names = [p.name for p in PASSES]
+        assert len(set(names)) == len(names)
 
     def test_cycle_detected(self):
-        mgr = PassManager()
-        mgr.register(Pass(name="x", inputs=("y",), run=counting()))
-        mgr.register(Pass(name="y", inputs=("x",), run=counting()))
-        with pytest.raises(PipelineError, match="cycle"):
-            mgr.order()
+        earlier: set[str] = set()
+        for pass_ in PASSES:
+            assert set(pass_.inputs) <= earlier, pass_.name
+            earlier.add(pass_.name)
 
 
 class TestExecution:
-    def test_artifacts_and_inputs_flow(self):
-        mgr = diamond_manager()
-        c = ctx()
-        mgr.run(c)
-        assert c.artifact("d") == "D"
-        d_inputs = mgr.get("d").run.calls[0]
-        assert d_inputs == {"b": "B", "c": "C"}
+    def test_artifacts_and_inputs_flow(self, calls):
+        artifacts, _ = run(None)
+        for pass_ in PASSES:
+            (inputs,) = calls[pass_.name]
+            assert len(inputs) == len(pass_.inputs)
+            for name, got in zip(pass_.inputs, inputs):
+                assert got is artifacts[name], (pass_.name, name)
 
     def test_every_pass_timed(self):
-        c = ctx()
-        diamond_manager().run(c)
-        assert [t.name for t in c.profile.timings] == ["a", "b", "c", "d"]
-        assert all(t.seconds >= 0 for t in c.profile.timings)
+        _, profile = run(ArtifactStore())
+        assert [t.name for t in profile.timings] == PASS_NAMES
+        assert all(t.seconds >= 0 for t in profile.timings)
 
     def test_no_store_marks_cache_disabled(self):
-        c = ctx()
-        diamond_manager().run(c)
-        assert not c.profile.cache_enabled
-        assert c.profile.cache_disabled_reason == "no artifact store"
+        _, profile = run(None)
+        assert not profile.cache_enabled
+        assert profile.cache_disabled_reason == "no artifact store"
+        assert profile.misses == 7
 
 
 class TestCaching:
-    def test_second_run_hits_without_reexecuting(self):
-        mgr = diamond_manager()
+    def test_second_run_hits_without_reexecuting(self, calls):
         store = ArtifactStore()
-        mgr.run(ctx(store=store))
-        warm = ctx(store=store)
-        mgr.run(warm)
-        assert warm.profile.hits == 4 and warm.profile.misses == 0
-        for name in "abcd":
-            assert len(mgr.get(name).run.calls) == 1
+        run(store)
+        _, warm = run(store)
+        assert warm.hits == 7 and warm.misses == 0
+        assert all(len(seen) == 1 for seen in calls.values())
 
     def test_source_change_misses_everything(self):
-        mgr = diamond_manager()
         store = ArtifactStore()
-        mgr.run(ctx(store=store))
-        other = ctx(source="other", store=store)
-        mgr.run(other)
-        assert other.profile.misses == 4
+        run(store)
+        _, other = run(store, source=get_workload("FT").source(scale=1))
+        assert other.misses == 7 and other.hits == 0
 
     def test_config_key_change_invalidates_pass_and_descendants_only(self):
-        mgr = PassManager()
-        mgr.register(Pass(name="a", inputs=(), run=counting("A")))
-        mgr.register(
-            Pass(name="b", inputs=("a",), run=counting("B"), config_keys=("knob",))
-        )
-        mgr.register(Pass(name="c", inputs=("b",), run=counting("C")))
         store = ArtifactStore()
-        mgr.run(ctx(store=store, config={"knob": 1}))
-        turned = ctx(store=store, config={"knob": 2})
-        mgr.run(turned)
-        outcome = {t.name: t.cache_hit for t in turned.profile.timings}
-        assert outcome == {"a": True, "b": False, "c": False}
+        run(store, static_rules=[MaxLoopDepthRule(2)])
+        _, turned = run(store, static_rules=[MaxLoopDepthRule(1)])
+        outcome = {t.name: t.cache_hit for t in turned.timings}
+        assert outcome == {
+            "parse": True,
+            "lower": True,
+            "cfa": True,
+            "dataflow": True,
+            "identify": False,
+            "select": False,
+            "instrument": False,
+        }
 
     def test_unfingerprintable_config_disables_cache(self):
         class Opaque:
+            """A static rule whose slotted state has no fingerprint."""
+
             __slots__ = ("x",)
 
             def __init__(self):
                 self.x = 1
 
-        mgr = PassManager()
-        mgr.register(
-            Pass(name="p", inputs=(), run=counting(), config_keys=("opaque",))
-        )
+            def accepts(self, sensor, table):
+                return True
+
         store = ArtifactStore()
-        c = ctx(store=store, config={"opaque": Opaque()})
-        mgr.run(c)
-        assert not c.profile.cache_enabled
-        assert "fingerprint" in c.profile.cache_disabled_reason
+        _, profile = run(store, static_rules=[Opaque()])
+        assert not profile.cache_enabled
+        assert "fingerprint" in profile.cache_disabled_reason
         assert len(store) == 0  # nothing was cached under a guessed key
 
-    def test_targeted_invalidation_recomputes_only_that_pass(self):
-        mgr = diamond_manager()
+    def test_targeted_invalidation_recomputes_only_that_pass(self, calls):
         store = ArtifactStore()
-        mgr.run(ctx(store=store))
-        store.invalidate_pass("b")
-        third = ctx(store=store)
-        mgr.run(third)
-        outcome = {t.name: t.cache_hit for t in third.profile.timings}
-        # b recomputes, but its key (hence d's key) is unchanged: d still hits.
-        assert outcome == {"a": True, "b": False, "c": True, "d": True}
+        run(store)
+        store.invalidate_pass("cfa")
+        _, third = run(store)
+        outcome = {t.name: t.cache_hit for t in third.timings}
+        # cfa recomputes, but its key (hence every later key) is unchanged
+        assert outcome == {name: name != "cfa" for name in PASS_NAMES}
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            name: 2 if name == "cfa" else 1 for name in PASS_NAMES
+        }

@@ -11,16 +11,27 @@ from repro.frontend import ast_nodes as A
 from repro.frontend.pretty import format_module
 from repro.instrument.annotations import Annotations, SnippetRef
 from repro.instrument.rewrite import instrument_module
-from repro.pipeline import ArtifactStore, CompilerContext, static_pass_manager
+from repro.pipeline import ArtifactStore, run_passes
 from repro.workloads import all_workloads, get_workload
 
 SOURCE = get_workload("CG").source(scale=1)
 
 
 def compile_with(store, source=SOURCE, **config):
-    ctx = CompilerContext(source=source, filename="CG", config=config, store=store)
-    static_pass_manager().run(ctx)
-    return ctx
+    """``(artifacts, profile)`` of one run of the seven passes."""
+    return run_passes({"source": source, "filename": "CG", **config}, store)
+
+
+class OpaqueDepthRule:
+    """A static rule whose slotted state has no fingerprint."""
+
+    __slots__ = ("max_depth",)
+
+    def __init__(self, max_depth):
+        self.max_depth = max_depth
+
+    def accepts(self, sensor, table):
+        return sensor.snippet.depth < self.max_depth
 
 
 def all_nodes(module):
@@ -56,26 +67,26 @@ def all_node_ids(module):
 class TestCaching:
     def test_cold_then_warm(self):
         store = ArtifactStore()
-        cold = compile_with(store)
-        warm = compile_with(store)
-        assert cold.profile.misses == 7 and cold.profile.hits == 0
-        assert warm.profile.hits == 7 and warm.profile.misses == 0
+        _, cold = compile_with(store)
+        _, warm = compile_with(store)
+        assert cold.misses == 7 and cold.hits == 0
+        assert warm.hits == 7 and warm.misses == 0
 
     def test_warm_output_bit_identical_to_uncached(self):
         store = ArtifactStore()
         compile_with(store)
-        warm = compile_with(store)
-        fresh = compile_with(None)
-        warm_prog = warm.artifact("instrument")
-        fresh_prog = fresh.artifact("instrument")
+        warm, _ = compile_with(store)
+        fresh, _ = compile_with(None)
+        warm_prog = warm["instrument"]
+        fresh_prog = fresh["instrument"]
         assert warm_prog.source == fresh_prog.source
         assert sorted(warm_prog.sensors) == sorted(fresh_prog.sensors)
 
     def test_max_depth_change_recomputes_select_and_instrument_only(self):
         store = ArtifactStore()
         compile_with(store, max_depth=3)
-        turned = compile_with(store, max_depth=1)
-        outcome = {t.name: t.cache_hit for t in turned.profile.timings}
+        _, turned = compile_with(store, max_depth=1)
+        outcome = {t.name: t.cache_hit for t in turned.timings}
         assert outcome == {
             "parse": True,
             "lower": True,
@@ -88,10 +99,10 @@ class TestCaching:
 
     def test_mid_pipeline_invalidation_keeps_downstream_hits(self):
         store = ArtifactStore()
-        before = compile_with(store)
+        before, _ = compile_with(store)
         store.invalidate_pass("dataflow")
-        after = compile_with(store)
-        outcome = {t.name: t.cache_hit for t in after.profile.timings}
+        after, profile = compile_with(store)
+        outcome = {t.name: t.cache_hit for t in profile.timings}
         # dataflow recomputes; its key is unchanged, so downstream still hits
         assert outcome == {
             "parse": True,
@@ -102,10 +113,7 @@ class TestCaching:
             "select": True,
             "instrument": True,
         }
-        assert (
-            after.artifact("instrument").source
-            == before.artifact("instrument").source
-        )
+        assert after["instrument"].source == before["instrument"].source
 
 
 class TestDeterminism:
@@ -117,9 +125,9 @@ class TestDeterminism:
 
     def test_instrumented_copy_leaves_parse_artifact_pristine(self):
         store = ArtifactStore()
-        ctx = compile_with(store)
-        parsed = ctx.artifact("parse")
-        instrumented = ctx.artifact("instrument").module
+        artifacts, _ = compile_with(store)
+        parsed = artifacts["parse"]
+        instrumented = artifacts["instrument"].module
         assert instrumented is not parsed
         from repro.frontend.pretty import format_module
 
@@ -128,12 +136,12 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", sorted(all_workloads()))
     def test_structural_clone_instruments_like_a_deep_copy(self, name):
-        ctx = compile_with(None, source=all_workloads()[name].source())
-        parsed = ctx.artifact("parse")
-        got = ctx.artifact("instrument")
+        artifacts, _ = compile_with(None, source=all_workloads()[name].source())
+        parsed = artifacts["parse"]
+        got = artifacts["instrument"]
         with A.fresh_node_ids(start=max(n.node_id for n in all_nodes(parsed)) + 1):
             want = instrument_module(
-                copy.deepcopy(parsed), ctx.artifact("select").plan.selected
+                copy.deepcopy(parsed), artifacts["select"].plan.selected
             )
         assert format_module(got.module) == format_module(want.module)
         assert [n.node_id for n in all_nodes(got.module)] == [
@@ -154,6 +162,24 @@ class TestApiIntegration:
         static = compile_and_instrument(SOURCE, store=None)
         assert not static.profile.cache_enabled
         assert static.profile.misses == 7
+
+    def test_store_none_records_its_reason(self):
+        static = compile_and_instrument(SOURCE, store=None)
+        assert static.profile.cache_disabled_reason == "no artifact store"
+        assert "(cache disabled: no artifact store)" in static.profile.format_table()
+
+    def test_unfingerprintable_static_rule_disables_caching(self):
+        store = ArtifactStore()
+        rules = [OpaqueDepthRule(1)]
+        cached = compile_and_instrument(SOURCE, store=store, static_rules=rules)
+        uncached = compile_and_instrument(SOURCE, store=None, static_rules=rules)
+        assert not cached.profile.cache_enabled and cached.profile.misses == 7
+        assert "fingerprint" in cached.profile.cache_disabled_reason
+        assert len(store) == 0  # nothing was stored under a guessed key
+        assert ReasonCode.STATIC_RULE_VETO in {d.code for d in cached.diagnostics}
+        assert cached.source == uncached.source
+        assert sorted(cached.program.sensors) == sorted(uncached.program.sensors)
+        assert [d.code for d in cached.diagnostics] == [d.code for d in uncached.diagnostics]
 
     def test_diagnostics_aggregated_with_provenance(self):
         static = compile_and_instrument(SOURCE, store=None)

@@ -459,17 +459,3 @@ def test_reliable_transport_gives_up_and_marks_degraded():
     # Degraded ranks must not crash matrix rendering.
     matrix = server.performance_matrix(SensorType.COMPUTATION)
     assert matrix.shape[0] == 2
-
-
-def test_reliable_transport_infers_time_from_batches():
-    """The duck-typed receive_batch path (no explicit now) still delivers."""
-    from repro.runtime.channel import perfect_channel
-    from repro.runtime.transport import ReliableTransport
-
-    server = AnalysisServer(n_ranks=1, window_us=1000.0)
-    transport = ReliableTransport(server=server, channel=perfect_channel())
-    transport.receive_batch(0, [summary(0, 0, 10.0)])
-    transport.receive_batch(0, [summary(0, 5, 10.0)])
-    transport.finish()
-    assert server.summaries_received == 2
-    assert transport.clock >= 5000.0

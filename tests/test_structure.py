@@ -30,7 +30,8 @@ import repro.sim.lockstep
 from repro.api import run_multi_job, run_vsensor, simulate_instrumented
 from repro.frontend import parse_source
 from repro.parallel import JobTask
-from repro.pipeline import ArtifactStore
+import repro.pipeline
+from repro.pipeline import PASSES, ArtifactStore, Pass
 from repro.runtime import batch_detector, columnar, governor, records
 from repro.runtime.batch_detector import BatchDetector, RankView, SummaryLog
 from repro.runtime.channel import Envelope, LossyChannel
@@ -262,6 +263,23 @@ def test_surfaces_only_tests_selected_stay_gone():
     assert "cache_dir" not in _field_names(JobTask)
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.cfa")
+
+
+def test_the_static_passes_run_in_one_written_order():
+    """``PASSES`` is the schedule: seven passes, each reading only passes
+    before it.  No pass manager, context record, per-pass version or store
+    statistics grows back beside it."""
+    gone = {"PassManager", "CompilerContext", "PipelineError", "StoreStats"}
+    assert not gone & set(dir(repro.pipeline))
+    for module in ("repro.pipeline.manager", "repro.pipeline.context"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    names = [p.name for p in PASSES]
+    assert names == ["parse", "lower", "cfa", "dataflow", "identify", "select", "instrument"]
+    for index, pass_ in enumerate(PASSES):
+        assert set(pass_.inputs) <= set(names[:index]), pass_.name
+    assert _field_names(Pass) == {"name", "inputs", "run", "config_keys"}
+    assert not hasattr(ArtifactStore(), "stats")
 
 
 # -- gates that used to be grep steps in ci.yml -------------------------------
