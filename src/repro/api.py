@@ -562,7 +562,7 @@ def run_multi_job(
     for job_id, job_run in run.jobs.items():
         port = service.register_job(job_id, job_run.runtime.n_ranks)
         transports[job_id] = ReliableTransport(
-            server=port,  # type: ignore[arg-type]
+            server=port,
             channel=channels[job_id],
             policy=specs[job_id].retry_policy or RetryPolicy(),
             metrics=metrics,
@@ -596,7 +596,7 @@ def run_multi_job(
     # Phase 4: per-job reports answered from each job's store.
     for job_id, job_run in run.jobs.items():
         port = service.ports[job_id]
-        job_run.runtime.server = port  # type: ignore[assignment]
+        job_run.runtime.server = port
         with obs.tracer.span("vsensor.analyze", job=job_id):
             job_run.report = job_run.runtime.report(job_run.sim.total_time)
         job_run.channel_stats = transports[job_id].channel.stats.as_dict()

@@ -35,7 +35,9 @@ from itertools import chain, groupby
 import numpy as np
 
 from repro.runtime.history import observe_block
-from repro.runtime.records import CODE_SENSOR_TYPE, SliceSummary, SummaryColumns, SummaryView
+from repro.runtime.records import (
+    CODE_SENSOR_TYPE, SliceSummary, SummaryColumns, SummaryView, rank_error,
+)
 from repro.sensors.model import SensorType
 
 #: store column names and dtypes; ``window`` is precomputed at ingest so
@@ -87,8 +89,9 @@ class ColumnarStore:
     (:meth:`matrix`, :meth:`inter_blocks`) assume :meth:`replay` ran.
     """
 
-    def __init__(self, window_us: float) -> None:
+    def __init__(self, window_us: float, n_ranks: int) -> None:
         self.window_us = window_us
+        self.n_ranks = n_ranks
         #: exact-size columns: rows are appended once per epoch, by ``settle``
         self._cols: dict[str, np.ndarray] = {
             name: np.empty(0, dtype) for name, dtype in _COLUMNS
@@ -155,9 +158,8 @@ class ColumnarStore:
         """The staged batches as columns, in arrival order: consecutive
         views of one log share a gather, consecutive row sequences one
         conversion."""
-        staged, self._staged = self._staged, []
         for form, run in groupby(
-            staged, key=lambda b: b.log if isinstance(b, SummaryView) else type(b)
+            self._staged, key=lambda b: b.log if isinstance(b, SummaryView) else type(b)
         ):
             if form is SummaryColumns:
                 yield from run
@@ -167,11 +169,16 @@ class ColumnarStore:
                 yield SummaryView.gather(list(run))
 
     def _append_staged(self) -> None:
-        """Append every staged row, store-coded, in arrival order."""
+        """Append every staged row, store-coded, in arrival order.  A row
+        naming a rank outside the job raises before anything is appended,
+        and the staged batches stay staged, so every later read raises too."""
         blocks = []  # per batch of columns: its arrays in ``_COLUMNS`` order
         for cols in self._staged_columns():
             if not len(cols):
                 continue
+            bad = cols.rank[(cols.rank < 0) | (cols.rank >= self.n_ranks)]
+            if len(bad):
+                raise rank_error(int(bad[0]), self.n_ranks)
             local_codes, inverse = np.unique(cols.group_code, return_inverse=True)
             remap = np.array(
                 [self._intern(cols.group_table.get(c, "")) for c in local_codes.tolist()]
@@ -182,6 +189,7 @@ class ColumnarStore:
                 (cols.rank, cols.sensor_id, remap[inverse], cols.slice_index, t_start,
                  cols.mean_duration, cols.sensor_type_code, window)
             )
+        self._staged = []
         for (name, dtype), parts in zip(_COLUMNS, zip(*blocks)):
             self._cols[name] = np.concatenate(
                 (self._cols[name], *parts), dtype=dtype, casting="unsafe"

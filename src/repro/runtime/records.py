@@ -8,6 +8,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.sensors.model import SensorType
 
 #: wire codes for sensor types — shared by the spool codec and the columnar
@@ -67,6 +68,13 @@ class SliceSummary:
         analysis store, transport or spool holds one tenant's records, and
         the service layer routes by its port's job before ingest."""
         return (self.rank, self.sensor_id, self.group, self.slice_index)
+
+
+def rank_error(rank: int, n_ranks: int) -> ReproError:
+    """What a store raises at its first read after ingesting a row whose
+    rank is outside its job — outside input, such as a spool file named
+    for a rank the job does not have."""
+    return ReproError(f"summary row names rank {rank}; this job has ranks 0..{n_ranks - 1}")
 
 
 _ROW_FIELDS = attrgetter(

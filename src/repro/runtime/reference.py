@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.runtime.history import SensorHistory
-from repro.runtime.records import CODE_SENSOR_TYPE, SliceSummary, SummaryColumns
+from repro.runtime.records import CODE_SENSOR_TYPE, SliceSummary, SummaryColumns, rank_error
 from repro.sensors.model import SensorType
 
 
@@ -37,8 +37,9 @@ class _Analysis(NamedTuple):
 class ReferenceStore:
     """Identity-keyed dict of summaries, replayed in full per query epoch."""
 
-    def __init__(self, window_us: float) -> None:
+    def __init__(self, window_us: float, n_ranks: int) -> None:
         self.window_us = window_us
+        self.n_ranks = n_ranks
         #: (rank, sensor, group, slice) -> summary
         self._store: dict[tuple[int, int, str, int], SliceSummary] = {}
         self._analysis: _Analysis | None = None
@@ -47,6 +48,8 @@ class ReferenceStore:
         self._last_seen: dict[int, float] = {}
         #: identity duplicates seen and not yet reported by ``settle``
         self._duplicates = 0
+        #: ranks of ingested rows outside the job; ``settle`` raises on them
+        self._bad_ranks: list[int] = []
 
     def __len__(self) -> int:
         return len(self._store)
@@ -55,6 +58,9 @@ class ReferenceStore:
 
     def ingest_summaries(self, summaries: Sequence[SliceSummary] | SummaryColumns) -> None:
         for summary in summaries:
+            if not 0 <= summary.rank < self.n_ranks:
+                self._bad_ranks.append(summary.rank)
+                continue
             key = summary.identity
             if key in self._store:
                 self._duplicates += 1
@@ -70,6 +76,8 @@ class ReferenceStore:
 
 
     def settle(self) -> int:
+        if self._bad_ranks:
+            raise rank_error(self._bad_ranks[0], self.n_ranks)
         duplicates, self._duplicates = self._duplicates, 0
         return duplicates
 

@@ -23,7 +23,9 @@ permutation or redelivery of the incoming batches.
 
 This module is the *endpoint*: byte and batch accounting, the sequence
 watermarks, degraded-rank marking, and the §5.4 / §5.5 queries phrased
-over one store interface.  ``engine=`` picks the store class:
+over one store interface.  The sharded service's
+:class:`~repro.service.front.TenantPort` is this class with the service's
+admission gate in front.  ``engine=`` picks the store class:
 
 * ``"columnar"`` (default) — :class:`~repro.runtime.columnar.ColumnarStore`,
   NumPy columns, incremental canonical replay, vectorized kernels;
@@ -108,7 +110,7 @@ class AnalysisServer:
             raise ValueError(
                 f"unknown analysis engine {self.engine!r} (expected 'columnar' or 'reference')"
             )
-        self._rows = store_class(self.window_us)
+        self._rows = store_class(self.window_us, self.n_ranks)
 
     # -- ingestion ----------------------------------------------------------
 
@@ -144,10 +146,7 @@ class AnalysisServer:
         self, rank: int, n_rows: int, seq: int | None, encoded_bytes: int | None
     ) -> bool:
         """Account one arriving batch; False for a redelivered ``seq``."""
-        self.batches_received += 1
-        if encoded_bytes is None:
-            encoded_bytes = 8 + SliceSummary.WIRE_BYTES * n_rows
-        self.bytes_received += encoded_bytes
+        self._count_arrival(n_rows, encoded_bytes)
         if seq is not None and not self._advance_watermark(rank, seq):
             self.duplicate_batches += 1
             if self.metrics is not None:
@@ -159,6 +158,13 @@ class AnalysisServer:
             self.metrics.counter("server.summaries").inc(n_rows)
         return True
 
+    def _count_arrival(self, n_rows: int, encoded_bytes: int | None) -> None:
+        """Count one arriving batch and its wire bytes, accepted or not."""
+        self.batches_received += 1
+        if encoded_bytes is None:
+            encoded_bytes = 8 + SliceSummary.WIRE_BYTES * n_rows
+        self.bytes_received += encoded_bytes
+
     def _advance_watermark(self, rank: int, seq: int) -> bool:
         """Record one received sequence number; False if already seen."""
         tracker = self._seqs.get(rank)
@@ -166,18 +172,15 @@ class AnalysisServer:
             tracker = self._seqs[rank] = SequenceTracker()
         return tracker.accept(seq)
 
-    def ack_watermark(self, rank: int) -> int:
-        """Highest sequence number below which everything arrived."""
-        tracker = self._seqs.get(rank)
-        return -1 if tracker is None else tracker.watermark
-
     def is_acked(self, rank: int, seq: int) -> bool:
         tracker = self._seqs.get(rank)
         return tracker is not None and tracker.is_acked(seq)
 
     def _settled(self) -> ColumnarStore | ReferenceStore:
         """The store with every admitted batch folded in and its identity
-        duplicates counted — what each answer about the rows reads."""
+        duplicates counted — what each answer about the rows reads.  A row
+        naming a rank outside ``0..n_ranks-1`` raises ``ReproError`` here,
+        at the first read of its epoch, on either engine."""
         store = self._rows
         duplicates = store.settle()
         if duplicates:

@@ -316,39 +316,6 @@ class FileSpool:
         return count, pos
 
 
-@dataclass(slots=True)
-class SpoolingRuntimeMixin:
-    """Helper wiring a VSensorRuntime to a FileSpool: replace the direct
-    ``server.receive_batch`` delivery with spool writes, then drain."""
-
-    spool: FileSpool
-    _direct_server: AnalysisServer | None = None
-
-    def attach(self, runtime) -> None:
-        direct_server = runtime.server
-        spool = self.spool
-
-        class _SpoolWriter:
-            """Duck-typed stand-in for the server on the rank side."""
-
-            batch_period_us = direct_server.batch_period_us
-
-            def receive_batch(self, rank: int, summaries: list[SliceSummary]) -> None:
-                spool.append_batch(rank, summaries)
-
-        runtime.server = _SpoolWriter()  # type: ignore[assignment]
-        self._direct_server = direct_server
-
-    def finish(self, runtime, slice_us: float = 1000.0) -> AnalysisServer:
-        """Close the writer, drain everything and restore the real server
-        on the runtime."""
-        server = self._direct_server
-        self.spool.close()
-        self.spool.drain_into(server, slice_us=slice_us, expected_ranks=runtime.n_ranks)
-        runtime.server = server
-        return server
-
-
 # ---------------------------------------------------------------------------
 # Reliable message transport over a lossy channel
 # ---------------------------------------------------------------------------
@@ -391,13 +358,15 @@ class ReliableTransport:
 
     Duck-types the server surface :class:`VSensorRuntime` uses (install
     with ``runtime.server = transport``): rank-side sends go through the
-    lossy channel and due envelopes are pumped into the endpoint (an
-    :class:`AnalysisServer` or a service ``TenantPort``).  Acceptance is
-    the ack: ``receive_batch`` returns True exactly when the endpoint
-    consumed the sequence number, and that return retires the pending
-    batch.  Acks are never lost (the server's durable watermark being
-    visible to ranks, the shared-file analogue); the simulated faults
-    apply to the data path.
+    lossy channel and due envelopes are pumped into the endpoint, an
+    :class:`AnalysisServer` (a service ``TenantPort`` is one, with
+    admission control in front).  Acceptance is the ack:
+    ``receive_batch`` returns True exactly when the endpoint consumed the
+    sequence number, and that return retires the pending batch; a port
+    may instead refuse a new batch under back-pressure and park a
+    retry-after hint for ``pop_retry_hint``.  Acks are never lost (the
+    server's durable watermark being visible to ranks, the shared-file
+    analogue); the simulated faults apply to the data path.
     """
 
     server: AnalysisServer
@@ -486,7 +455,7 @@ class ReliableTransport:
                 if self._pending.pop(key, None) is not None and self.metrics is not None:
                     self.metrics.counter("transport.batches_acked").inc()
             else:
-                # An admission-controlled server (the sharded front) can
+                # An admission-controlled server (a service port) can
                 # attach a retry-after hint to a rejection; honoring it
                 # re-times the pending retransmit instead of counting the
                 # copy as late (the batch was on time — the queue was full).

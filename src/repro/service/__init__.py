@@ -1,12 +1,13 @@
 """Sharded multi-tenant analysis service (ROADMAP: fleet-scale ingest).
 
 Assembles the PR 2 sequenced/idempotent transport contract and the
-columnar analysis engine into a service spine: an admission-controlled
-ingest front (:class:`AnalysisService` / :class:`TenantPort`), a
-consistent-hash :class:`ShardRouter`, and bounded-queue
-:class:`ShardWorker` partitions in front of one analysis store per job
-(:class:`QueryMerger`), whose answers are bit-identical to an unsharded
-server.
+columnar analysis engine into a service spine: an ingest front
+(:class:`AnalysisService`), a consistent-hash :class:`ShardRouter`, and
+bounded-queue :class:`ShardWorker` partitions.  Each job's
+:class:`TenantPort` is its §5.4 analysis server — an ``AnalysisServer``
+with admission control in front — so its answers are bit-identical to an
+unsharded server.  :class:`QueryMerger` is a shim the end-to-end
+benchmark still imports.
 """
 
 from repro.service.front import AnalysisService, TenantPort

@@ -4,16 +4,18 @@ A :class:`ShardWorker` stores nothing.  Sub-batches arrive from the
 ingest front, wait in a bounded queue, and drain through a single-server
 discipline: applied in arrival order, each occupying the shard for its
 processing cost on the run's virtual clock (``busy_until``).  Applying a
-sub-batch ingests it into its tenant's one
-:class:`~repro.runtime.server.AnalysisServer` (``port.store``), so a
-query sees exactly the rows the shards have applied by then.  The
-bounded queue is what admission control pushes against — a full queue
-makes the front reject with a retry-after hint derived from the head
-batch's projected completion.
+sub-batch folds its rows into its tenant's store
+(:meth:`~repro.service.front.TenantPort.apply`) — never through the
+port's ``receive_batch``, so a batch is counted once, by the front that
+admitted it — and a query sees exactly the rows the shards have applied
+by then.  The bounded queue is what admission control pushes against — a
+full queue makes the front reject with a retry-after hint derived from
+the head batch's projected completion.
 
 Processing cost comes from a :class:`ShardCostModel`
 (``base_us + per_row_us * rows``): a pure function of the batch, so the
-service's virtual time never depends on wall time.
+service's virtual time never depends on wall time.  Both costs must be
+finite and non-negative, and a queue must hold at least one batch.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.errors import ReproError
 from repro.obs import NULL_OBS
 from repro.runtime.records import SliceSummary
 
@@ -31,6 +34,12 @@ class ShardCostModel:
 
     base_us: float = 0.0
     per_row_us: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("base_us", "per_row_us"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):
+                raise ReproError(f"shard cost {name} must be finite and >= 0 (got {value!r})")
 
     def estimate(self, rows: int) -> float:
         return self.base_us + self.per_row_us * rows
@@ -60,6 +69,10 @@ class ShardWorker:
     applied_batches: int = 0
     applied_rows: int = 0
     _queue: deque = field(default_factory=deque)
+
+    def __post_init__(self) -> None:
+        if self.queue_limit < 1:
+            raise ReproError(f"shard queue_limit must be >= 1 (got {self.queue_limit!r})")
 
     # -- queue -------------------------------------------------------------
 
@@ -102,24 +115,14 @@ class ShardWorker:
             applied += 1
         return applied
 
-    def drain(self) -> int:
-        """Apply everything queued, advancing the virtual clock past now."""
-        applied = 0
-        while self._queue:
-            head = self._queue.popleft()
-            start = max(self.busy_until, head.enqueued_at)
-            self.busy_until = start + self._apply(head)
-            applied += 1
-        return applied
-
     def _apply(self, batch: _QueuedBatch) -> float:
-        """Ingest one sub-batch into its tenant's store; return its cost."""
+        """Fold one sub-batch into its tenant's store; return its cost."""
         tracer = (self.obs or NULL_OBS).tracer
         with tracer.span(f"service.shard.{self.shard_id}.apply") as span:
             span.set("job", batch.port.job_id)
             span.set("rank", batch.rank)
             span.set("rows", len(batch.rows))
-            batch.port.store.receive_batch(batch.rank, batch.rows)
+            batch.port.apply(batch.rank, batch.rows)
         self.applied_batches += 1
         self.applied_rows += len(batch.rows)
         if self.metrics is not None:

@@ -13,11 +13,13 @@ and then asserts the *same* event set emerges when the batches travel
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.api import compile_and_instrument, run_vsensor
 from repro.runtime.server import AnalysisServer
-from repro.runtime.transport import FileSpool, SpoolingRuntimeMixin
+from repro.runtime.transport import FileSpool
 from repro.runtime.vsensor_hooks import VSensorRuntime
 from repro.sensors.model import SensorType
 from repro.sim import CpuContention, MachineConfig, Simulator
@@ -89,20 +91,19 @@ def test_golden_run_localizes_both_episodes(golden, scenario):
 def test_spool_transport_matches_golden(golden, scenario, tmp_path):
     source, span, injections = scenario
     static = compile_and_instrument(source)
-    runtime = VSensorRuntime(
-        sensors=static.program.sensors,
-        n_ranks=N_RANKS,
-        server=AnalysisServer(
-            n_ranks=N_RANKS, window_us=span / 16, batch_period_us=span / 16
-        ),
-    )
-    mixin = SpoolingRuntimeMixin(spool=FileSpool(directory=str(tmp_path)))
-    mixin.attach(runtime)
+    spool = FileSpool(directory=str(tmp_path))
+    # The rank side ships every batch into the spool instead of the server.
+    writer = SimpleNamespace(batch_period_us=span / 16, receive_batch=spool.append_batch)
+    runtime = VSensorRuntime(sensors=static.program.sensors, n_ranks=N_RANKS, server=writer)
     sim = Simulator(
         static.program.module, _machine(), faults=tuple(injections),
         sensors=static.program.sensors,
     ).run(runtime)
-    mixin.finish(runtime)
+    spool.close()
+    runtime.server = AnalysisServer(
+        n_ranks=N_RANKS, window_us=span / 16, batch_period_us=span / 16
+    )
+    spool.drain_into(runtime.server, expected_ranks=N_RANKS)
     report = runtime.report(sim.total_time)
 
     assert _region_signature(report) == _region_signature(golden.report)

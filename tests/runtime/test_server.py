@@ -112,13 +112,13 @@ def test_sequenced_duplicate_batch_rejected():
 
 def test_watermark_advances_over_out_of_order_seqs():
     server = AnalysisServer(n_ranks=1, window_us=1000.0)
-    assert server.ack_watermark(0) == -1
+    assert not server.is_acked(0, 0)  # no watermark yet
     server.receive_batch(0, [summary(0, 0, 10.0)], seq=0)
     server.receive_batch(0, [summary(0, 2, 10.0)], seq=2)
-    assert server.ack_watermark(0) == 0
+    assert server.is_acked(0, 0) and not server.is_acked(0, 1)  # watermark 0
     assert server.is_acked(0, 2)
     server.receive_batch(0, [summary(0, 1, 10.0)], seq=1)
-    assert server.ack_watermark(0) == 2
+    assert all(server.is_acked(0, s) for s in range(3)) and not server.is_acked(0, 3)
     # Everything at or below the watermark is a duplicate now.
     assert server.receive_batch(0, [summary(0, 1, 10.0)], seq=1) is False
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError
 from repro.obs import Obs
 from repro.runtime.batch_detector import SummaryLog
 from repro.runtime.history import SensorHistory, observe_block
@@ -359,6 +360,38 @@ def test_pure_queries_emit_no_replay_spans():
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown analysis engine"):
         AnalysisServer(n_ranks=2, engine="vectorized")
+
+
+@pytest.mark.parametrize("engine", ["columnar", "reference"])
+@pytest.mark.parametrize("bad_rank", [-1, 2, 5])
+def test_a_row_outside_the_job_is_a_typed_error(engine, bad_rank):
+    """NumPy would wrap rank -1 onto the last matrix row and fail on rank 5
+    with a bare IndexError at some later query; both engines refuse it by
+    the epoch's first read instead, naming the rank, and keep refusing."""
+    server = AnalysisServer(n_ranks=2, window_us=1000.0, engine=engine)
+    server.receive_batch(0, [_summary(0, 1, SensorType.COMPUTATION, "", 0, 10.0)])
+    server.receive_batch(1, [_summary(bad_rank, 1, SensorType.COMPUTATION, "", 0, 20.0)])
+    message = rf"rank {bad_rank}; this job has ranks 0\.\.1"
+    with pytest.raises(ReproError, match=message):
+        server.performance_matrix(SensorType.COMPUTATION)
+    with pytest.raises(ReproError, match=message):
+        _ = server.stored_summaries
+
+
+@pytest.mark.parametrize("engine", ["columnar", "reference"])
+def test_a_spool_file_for_a_rank_the_job_lacks_is_refused(engine):
+    """Spool file names are outside input: ``rank00005.spool`` drained into
+    a two-rank server carries rank 5 into every row it decodes."""
+    from repro.runtime.transport import FileSpool
+
+    with tempfile.TemporaryDirectory() as directory:
+        spool = FileSpool(directory=directory)
+        spool.append_batch(5, [_summary(5, 1, SensorType.COMPUTATION, "", 0, 10.0)])
+        server = AnalysisServer(n_ranks=2, window_us=1000.0, engine=engine)
+        spool.drain_into(server)
+        with pytest.raises(ReproError, match="rank 5"):
+            server.detect_inter_process()
+        spool.close()
 
 
 def test_stored_summaries_counts_deduplicated_rows():

@@ -311,8 +311,9 @@ def test_zero_row_batches_create_no_file_and_quiet_ranks_degrade(tmp_path):
 
 def test_end_to_end_spooled_run(tmp_path):
     """Full pipeline with spool delivery: same matrices as direct."""
+    from types import SimpleNamespace
+
     from repro.api import run_vsensor
-    from repro.runtime.transport import SpoolingRuntimeMixin
     from repro.sim import MachineConfig
     from tests.conftest import SIMPLE_MPI_PROGRAM
     import numpy as np
@@ -327,17 +328,16 @@ def test_end_to_end_spooled_run(tmp_path):
     from repro.sim import Simulator
 
     static = compile_and_instrument(SIMPLE_MPI_PROGRAM)
-    runtime = VSensorRuntime(
-        sensors=static.program.sensors,
-        n_ranks=4,
-        server=AnalysisServer(n_ranks=4, window_us=2000.0, batch_period_us=100_000.0),
-    )
-    mixin = SpoolingRuntimeMixin(spool=FileSpool(directory=str(tmp_path)))
-    mixin.attach(runtime)
+    server = AnalysisServer(n_ranks=4, window_us=2000.0, batch_period_us=100_000.0)
+    spool = FileSpool(directory=str(tmp_path))
+    # The rank side ships every batch into the spool instead of the server.
+    writer = SimpleNamespace(batch_period_us=100_000.0, receive_batch=spool.append_batch)
+    runtime = VSensorRuntime(sensors=static.program.sensors, n_ranks=4, server=writer)
     Simulator(static.program.module, machine, sensors=static.program.sensors).run(runtime)
-    assert mixin.spool._fds, "the writer holds its rank files open"
-    server = mixin.finish(runtime)
-    assert mixin.spool._fds == {}, "finish closes the writer before it drains"
+    assert spool._fds, "the writer holds its rank files open"
+    spool.close()
+    assert spool._fds == {}
+    spool.drain_into(server, expected_ranks=4)
 
     d = direct.report.matrices[SensorType.COMPUTATION]
     s = server.performance_matrix(SensorType.COMPUTATION)

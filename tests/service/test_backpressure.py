@@ -61,7 +61,7 @@ def test_full_queue_rejects_with_retry_after_and_keeps_seq_unconsumed():
     assert port.rejected_batches == 1
     # The sequence number was not consumed — the redelivery will be new.
     assert not port.is_acked(0, 1)
-    assert port.ack_watermark(0) == 0
+    assert port.is_acked(0, 0) and not port.is_acked(0, 1)  # watermark 0
     hint = port.pop_retry_hint(0, 1)
     assert hint is not None and hint >= 10_000.0
     # One-shot: the transport popped it, a second probe finds nothing.
@@ -71,7 +71,7 @@ def test_full_queue_rejects_with_retry_after_and_keeps_seq_unconsumed():
     assert port.receive_batch(0, _batch(0, [1]), seq=1) is True
     service.finish()
     assert port.stored_summaries == 2
-    assert port.ack_watermark(0) == 1
+    assert all(port.is_acked(0, s) for s in (0, 1)) and not port.is_acked(0, 2)
 
 
 def test_transport_honors_retry_after_over_its_own_backoff():
@@ -113,7 +113,8 @@ def test_no_drop_no_double_apply_under_sustained_pressure():
 
     # Exactly-once effect: every row stored once, nothing dropped.
     assert port.stored_summaries == 2 * n_batches
-    assert port.ack_watermark(0) == n_batches - 1
+    assert all(port.is_acked(0, s) for s in range(n_batches))
+    assert not port.is_acked(0, n_batches)
     assert transport.gave_up == {}
     # ... and each applied row went into the job's one store exactly once.
     assert port.duplicate_summaries == 0
@@ -165,7 +166,8 @@ def test_tenants_do_not_share_blame_for_backpressure():
     service.finish()
     for j in (1, 2):
         assert ports[j].stored_summaries == 4
-        assert ports[j].ack_watermark(0) == 3
+        assert all(ports[j].is_acked(0, s) for s in range(4))
+        assert not ports[j].is_acked(0, 4)
         assert transports[j].gave_up == {}
     counters = obs.metrics.as_dict()["counters"]
     total_rejected = counters.get("service.backpressure.rejected", 0)

@@ -8,19 +8,23 @@ from it.
 
 from __future__ import annotations
 
+import math
+
+import pytest
+
+from repro.errors import ReproError
+from repro.service import AnalysisService
 from repro.service.shard import ShardCostModel, ShardWorker
 
 
-class _NullServer:
-    """Accepts any batch; the cost path is what is under test."""
-
-    def receive_batch(self, rank, rows):
-        return True
-
-
 class _NullPort:
+    """Takes any sub-batch; the cost path is what is under test."""
+
     job_id = 0
-    store = _NullServer()
+
+    @staticmethod
+    def apply(rank, rows):
+        pass
 
 
 def _worker(cost: ShardCostModel) -> ShardWorker:
@@ -46,11 +50,11 @@ def test_busy_until_never_regresses_across_zero_row_applies():
     worker = _worker(ShardCostModel(base_us=2.0))
     worker.enqueue(_NullPort, 0, [], now=10.0)
     worker.enqueue(_NullPort, 0, [], now=10.0)
-    worker.drain()
+    worker.process_due(math.inf)
     first = worker.busy_until
     assert first == 14.0  # two base-cost applies back to back
     worker.enqueue(_NullPort, 0, [], now=0.0)  # stale enqueue time
-    worker.drain()
+    worker.process_due(math.inf)
     assert worker.busy_until >= first  # clock is monotone regardless
 
 
@@ -62,19 +66,39 @@ def test_apply_span_encloses_the_ingest():
     obs = Obs.create()
     open_during_ingest = []
 
-    class _Store:
-        def receive_batch(self, rank, rows):
-            open_during_ingest.append(obs.tracer.open_depth)
-            return True
-
     class _Port:
         job_id = 4
-        store = _Store()
+
+        @staticmethod
+        def apply(rank, rows):
+            open_during_ingest.append(obs.tracer.open_depth)
 
     worker = ShardWorker(shard_id=2, obs=obs)
     worker.enqueue(_Port, 1, [], now=0.0)
-    worker.drain()
+    worker.process_due(math.inf)
     assert open_during_ingest == [1]
     (record,) = obs.tracer.records()
     assert record.name == "service.shard.2.apply"
     assert record.attrs == {"job": 4, "rank": 1, "rows": 0}
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [{"base_us": -50.0}, {"per_row_us": -1.0}, {"base_us": math.nan},
+     {"per_row_us": math.nan}, {"base_us": math.inf}],
+)
+def test_negative_or_non_finite_costs_are_refused(costs):
+    """A NaN cost would freeze ``busy_until`` at NaN and hand NaN retry
+    hints to transports; a negative one finishes a batch before it was
+    enqueued."""
+    with pytest.raises(ReproError, match="shard cost"):
+        ShardCostModel(**costs)
+
+
+def test_a_queue_must_hold_a_batch():
+    """``queue_limit=0`` would reject every sequenced batch until the
+    transport gave up, silently degrading every rank."""
+    with pytest.raises(ReproError, match="queue_limit"):
+        AnalysisService(2, queue_limit=0)
+    with pytest.raises(ReproError, match="queue_limit"):
+        ShardWorker(shard_id=0, queue_limit=-1)

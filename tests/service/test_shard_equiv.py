@@ -12,6 +12,7 @@ the engine-equality suites of PRs 5–6 one layer up.
 from __future__ import annotations
 
 import random
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -87,6 +88,16 @@ def _assert_job_equivalent(port, ref: AnalysisServer) -> None:
     assert ref.duplicate_summaries == port.duplicate_summaries
 
 
+def _assert_same_accounting(port, ref: AnalysisServer) -> None:
+    """The port's transport accounting is the solo server's: the same
+    deliveries went into both, and each is counted once."""
+    assert port.batches_received == ref.batches_received
+    assert port.bytes_received == ref.bytes_received
+    assert port.summaries_received == ref.summaries_received
+    assert port.duplicate_batches == ref.duplicate_batches
+    assert port.degraded == ref.degraded
+
+
 @given(
     pools=job_pools(),
     n_shards=st.integers(1, 6),
@@ -123,17 +134,13 @@ def test_sharded_queries_bit_identical_under_redelivery(
         accepted_port = ports[job].receive_batch(rank, list(batch), seq=seq)
         accepted_ref = refs[job].receive_batch(rank, list(batch), seq=seq)
         assert accepted_port == accepted_ref
+        if rng.random() < 0.1:  # a transport gives up on the rank
+            ports[job].mark_degraded(rank)
+            refs[job].mark_degraded(rank)
     service.finish()
     for job in pools:
         _assert_job_equivalent(ports[job], refs[job])
-        # The front's per-job accounting matches the solo server's too:
-        # same deliveries went into both.
-        port = ports[job]
-        ref = refs[job]
-        assert port.batches_received == ref.batches_received
-        assert port.bytes_received == ref.bytes_received
-        assert port.duplicate_batches == ref.duplicate_batches
-        assert port.summaries_received == ref.summaries_received
+        _assert_same_accounting(ports[job], refs[job])
     # Every row a shard applied is in its job's store once or counted as
     # a duplicate there once — no second copy anywhere.
     assert sum(shard.applied_rows for shard in service.shards) == sum(
@@ -279,6 +286,31 @@ def test_sharded_with_queue_delays_still_bit_identical(pools, order_seed):
     service.finish()
     for job, batches in pools.items():
         _assert_job_equivalent(ports[job], _reference_for(batches))
+
+
+@given(pools=job_pools(), n_shards=st.integers(1, 4))
+@settings(max_examples=10, deadline=None)
+def test_a_spool_drain_goes_through_admission_and_the_shards(pools, n_shards):
+    """``FileSpool.drain_into(port)`` reaches the port's own
+    ``receive_batch_columns``: every drained row is applied by a shard,
+    and the port answers as a solo server draining the same spool."""
+    from repro.runtime.transport import FileSpool
+
+    batches = pools[0]
+    with tempfile.TemporaryDirectory() as directory:
+        writer = FileSpool(directory=directory)
+        for rank, batch, _seq in batches:
+            writer.append_batch(rank, list(batch))
+        writer.close()
+        service = AnalysisService(n_shards, window_us=2000.0)
+        port = service.register_job(0, N_RANKS)
+        ref = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0, engine="reference")
+        drained = FileSpool(directory=directory).drain_into(port, expected_ranks=N_RANKS)
+        assert drained == FileSpool(directory=directory).drain_into(ref, expected_ranks=N_RANKS)
+    service.finish()
+    assert sum(shard.applied_rows for shard in service.shards) == drained
+    _assert_job_equivalent(port, ref)
+    _assert_same_accounting(port, ref)
 
 
 def test_single_shard_service_equals_unsharded_server():

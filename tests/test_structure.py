@@ -43,7 +43,7 @@ from repro.runtime.server import AnalysisServer
 from repro.runtime.transport import FileSpool, ReliableTransport, _Pending
 from repro.runtime.vsensor_hooks import VSensorRuntime
 from repro.sensors.extern import default_extern_registry
-from repro.service import AnalysisService
+from repro.service import AnalysisService, QueryMerger, ShardWorker, TenantPort
 from repro.sim import MachineConfig, Simulator
 from repro.sim import clock
 from repro.sim.bytecode import BytecodeInterp, compile_module, dispatch, render
@@ -105,7 +105,7 @@ def test_both_stores_answer_the_same_questions():
 def test_columnar_store_keeps_only_columns_a_query_reads():
     names = [name for name, _ in columnar._COLUMNS]
     assert "count" not in names and "miss" not in names
-    assert set(ColumnarStore(1000.0)._cols) == set(names)
+    assert set(ColumnarStore(1000.0, 1)._cols) == set(names)
 
 
 # -- a closed slice is a row of columns from the detector to the store --------
@@ -194,7 +194,7 @@ def test_records_define_one_columnar_record_class():
 def test_the_batch_path_makes_no_row_objects_and_the_store_keeps_no_key_set():
     assert "SliceSummary" not in inspect.getsource(batch_detector)
     assert "_keys" not in inspect.getsource(columnar)
-    assert not hasattr(ColumnarStore(1000.0), "_keys")
+    assert not hasattr(ColumnarStore(1000.0, 1), "_keys")
     assert "_buffers" not in VSensorRuntime.__slots__
     transport_source = inspect.getsource(ReliableTransport)
     assert "tuple(summaries)" not in transport_source
@@ -250,8 +250,9 @@ def test_dead_state_and_unset_knobs_stay_gone():
 
 def test_surfaces_only_tests_selected_stay_gone():
     """One governor policy with its fixed constants as module constants,
-    an in-memory compile cache, no tenant rate limiter, and no dominator
-    or natural-loop analysis (identification finds loops on the AST)."""
+    an in-memory compile cache, no tenant rate limiter, no dominator or
+    natural-loop analysis (identification finds loops on the AST), no
+    spooling mixin and no second shard drain loop."""
     assert not _field_names(GovernorConfig) & {
         "policy", "promote_confirm", "probation_us", "check_cost", "promote_sensor_types",
     }
@@ -263,6 +264,8 @@ def test_surfaces_only_tests_selected_stay_gone():
     assert "cache_dir" not in _field_names(JobTask)
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.cfa")
+    assert not hasattr(inspect.getmodule(FileSpool), "SpoolingRuntimeMixin")
+    assert not hasattr(ShardWorker, "drain")
 
 
 def test_the_static_passes_run_in_one_written_order():
@@ -344,13 +347,33 @@ def test_no_per_slice_round_loop_in_the_lockstep_clocks():
 
 
 def test_one_analysis_store_per_tenant():
-    """Shard workers apply into the job's one store: the service builds an
-    ``AnalysisServer`` in exactly one place and nothing re-exports rows."""
-    built = sum(
-        source.count("AnalysisServer(")
-        for source in _package_sources(repro.service).values()
-    )
-    assert built == 1
+    """A tenant port is its job's analysis server: the accounting, the
+    watermarks and the degraded set live once, on the inherited server,
+    and no query is forwarded to a second store.  Shards fold rows in
+    with ``port.apply``; nothing re-exports rows."""
+    assert issubclass(TenantPort, AnalysisServer)
+    removed = {
+        "bytes_received", "batches_received", "summaries_received", "duplicate_batches",
+        "degraded", "_seqs", "_merger", "store", "server", "is_acked", "ack_watermark",
+        "mark_degraded", "inter_events", "duplicate_summaries", "stored_summaries",
+        "history", "detect_inter_process", "performance_matrix", "mean_rank_performance",
+        "silent_ranks",
+    }
+    assert not removed & set(vars(TenantPort)), removed & set(vars(TenantPort))
+    assert not hasattr(AnalysisServer, "ack_watermark")
+    # The port's own receive_batch is what a spool drain reaches.
+    assert TenantPort.receive_batch_columns is TenantPort.__dict__["receive_batch"]
+    port = AnalysisService(1).register_job(0, 1)
+    assert QueryMerger(port).refresh() is port  # the benchmark's shim
+    for name, source in _package_sources(repro.service).items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+                    node.func, "id", None
+                )
+                assert callee != "AnalysisServer", f"{name} builds a second store"
+                if name == "shard.py":
+                    assert callee != "receive_batch", "a shard re-counts what the port admitted"
     hop = re.compile(r"export_rows|export_summaries|_sub_seqs")
     for name, source in _package_sources(repro).items():
         assert not hop.search(source), name
