@@ -325,6 +325,7 @@ def run_vsensor(
         n_ranks=machine.n_ranks,
         window_us=window_us,
         batch_period_us=batch_period_us,
+        threshold=(detector or DetectorConfig()).threshold,
         engine=analysis_engine,
         metrics=metrics,
         obs=obs if obs.enabled else None,
@@ -561,6 +562,7 @@ def run_multi_job(
     metrics = obs.metrics if obs.enabled else None
     for job_id, job_run in run.jobs.items():
         port = service.register_job(job_id, job_run.runtime.n_ranks)
+        port.threshold = job_run.runtime.config.threshold
         transports[job_id] = ReliableTransport(
             server=port,
             channel=channels[job_id],

@@ -9,7 +9,7 @@ recursive-descent parser.
 
 Public surface:
 
-* :func:`parse_source` / :func:`parse_file` — text to :class:`~repro.frontend.ast_nodes.Module`.
+* :func:`parse_source` — text to :class:`~repro.frontend.ast_nodes.Module`.
 * :mod:`repro.frontend.ast_nodes` — the AST node classes.
 * :func:`~repro.frontend.pretty.format_module` — AST back to source text.
 """
@@ -41,7 +41,7 @@ from repro.frontend.ast_nodes import (
 )
 from repro.frontend.lexer import tokenize
 from repro.frontend.location import SourceLoc
-from repro.frontend.parser import parse_file, parse_source
+from repro.frontend.parser import parse_source
 from repro.frontend.pretty import format_module
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "VarRef",
     "WhileStmt",
     "format_module",
-    "parse_file",
     "parse_source",
     "tokenize",
 ]

@@ -230,6 +230,11 @@ class FunctionDef(Node):
     body: Block | None = None
 
 
+#: the function every program starts at: where simulation enters, and the
+#: caller-less root inter-procedural promotion stops at
+ENTRY = "main"
+
+
 @dataclass(eq=False, slots=True)
 class Module(Node):
     """A whole translation unit: globals plus function definitions."""

@@ -364,9 +364,3 @@ def parse_source(source: str, filename: str = "<string>") -> A.Module:
     tokens = tokenize(source, filename)
     with A.fresh_node_ids():
         return Parser(tokens, source, filename).parse_module()
-
-
-def parse_file(path: str) -> A.Module:
-    """Parse the program in the file at ``path``."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_source(fh.read(), filename=path)

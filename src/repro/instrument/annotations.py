@@ -16,12 +16,13 @@ Snippets are addressed by (function name, source line).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
-from repro.frontend import ast_nodes as A
-from repro.ir.instructions import CallInstr
-from repro.sensors.identify import IdentificationResult
-from repro.sensors.model import SensorType, Snippet, VSensor
+from repro.diagnostics import Diagnostic, ReasonCode, Span, note
+from repro.sensors.asttools import subtree_ids
+from repro.sensors.identify import IdentificationResult, classify_snippet
+from repro.sensors.model import Snippet, VSensor
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +59,11 @@ class Annotations:
             forced.append(
                 VSensor(
                     snippet=snippet,
-                    sensor_type=_classify(result, snippet),
+                    sensor_type=classify_snippet(
+                        result.ir.functions[snippet.function],
+                        subtree_ids(snippet.node),
+                        result.summaries,
+                    ),
                     scope_loops=list(snippet.enclosing_loops),
                     is_function_scope=True,
                     is_global=True,  # the developer asserts program-wide fixedness
@@ -75,42 +80,26 @@ def _find_snippet(result: IdentificationResult, ref: SnippetRef) -> Snippet | No
     return None
 
 
-def _classify(result: IdentificationResult, snippet: Snippet) -> SensorType:
-    """Same classification the identifier uses (net > io > comp)."""
-    fn = result.ir.functions.get(snippet.function)
-    if fn is None:
-        return SensorType.COMPUTATION
-    from repro.sensors.asttools import subtree_ids
-
-    sub = subtree_ids(snippet.node)
-    has_net = has_io = False
-    for instr in fn.instructions():
-        node = instr.ast_node
-        if node is None or node.node_id not in sub:
-            continue
-        if not isinstance(instr, CallInstr) or instr.is_indirect:
-            continue
-        model = result.summaries.extern_model(instr.callee)
-        if model is not None:
-            has_net |= model.category == "net"
-            has_io |= model.category == "io"
-            continue
-        summary = result.summaries.summaries.get(instr.callee)
-        if summary is not None:
-            has_net |= summary.contains_net
-            has_io |= summary.contains_io
-    if has_net:
-        return SensorType.NETWORK
-    if has_io:
-        return SensorType.IO
-    return SensorType.COMPUTATION
-
-
 def apply_annotations(
     result: IdentificationResult, annotations: Annotations
-) -> IdentificationResult:
-    """Return ``result`` with manual marks applied (mutates the lists)."""
-    kept = [s for s in result.sensors if not annotations.is_excluded(s)]
+) -> tuple[IdentificationResult, list[Diagnostic]]:
+    """``result`` with manual marks applied, and one note per excluded
+    sensor.  The view shares every analysis with ``result`` and holds its
+    own sensor list; ``result`` itself is left as it was (it may be a
+    cached artifact)."""
+    kept: list[VSensor] = []
+    notes: list[Diagnostic] = []
+    for sensor in result.sensors:
+        if not annotations.is_excluded(sensor):
+            kept.append(sensor)
+            continue
+        notes.append(
+            note(
+                ReasonCode.ANNOTATION_EXCLUDED,
+                f"{sensor.snippet.spelled} excluded by developer annotation",
+                span=Span.from_node(sensor.snippet.node),
+                origin="select",
+            )
+        )
     kept.extend(annotations.forced_sensors(result))
-    result.sensors = kept
-    return result
+    return dataclasses.replace(result, sensors=kept), notes

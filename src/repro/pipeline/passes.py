@@ -32,9 +32,9 @@ from typing import Any, Callable, Mapping
 
 from repro.callgraph.graph import CallGraph, build_call_graph
 from repro.callgraph.preprocess import PreprocessResult, preprocess_call_graph
-from repro.diagnostics import Diagnostic, ReasonCode, Span, note
 from repro.frontend import ast_nodes as A
 from repro.frontend.parser import parse_source
+from repro.instrument.annotations import apply_annotations
 from repro.instrument.rewrite import InstrumentedProgram, instrument_module
 from repro.instrument.select import InstrumentationPlan, select_sensors
 from repro.ir.lower import lower_module
@@ -105,7 +105,6 @@ def _identify_pass(
     identifier = _Identifier(
         module,
         _externs(config),
-        entry=config.get("entry", "main"),
         ir=ir,
         callgraph=cfa.callgraph,
         preprocess=cfa.preprocess,
@@ -121,22 +120,9 @@ def _identify_pass(
 
 def _select_pass(config, ident: IdentificationResult) -> SelectionArtifact:
     annotations = config.get("annotations")
-    exclusion_notes: list[Diagnostic] = []
-    view = ident
+    view, exclusion_notes = ident, []
     if annotations is not None:
-        kept = [s for s in ident.sensors if not annotations.is_excluded(s)]
-        for sensor in ident.sensors:
-            if annotations.is_excluded(sensor):
-                exclusion_notes.append(
-                    note(
-                        ReasonCode.ANNOTATION_EXCLUDED,
-                        f"{sensor.snippet.spelled} excluded by developer annotation",
-                        span=Span.from_node(sensor.snippet.node),
-                        origin="select",
-                    )
-                )
-        kept.extend(annotations.forced_sensors(ident))
-        view = dataclasses.replace(ident, sensors=kept)
+        view, exclusion_notes = apply_annotations(ident, annotations)
     plan = select_sensors(
         view,
         max_depth=config.get("max_depth", 3),
@@ -196,7 +182,7 @@ PASSES: tuple[Pass, ...] = (
         "identify",
         ("parse", "lower", "cfa", "dataflow"),
         _identify_pass,
-        ("externs", "static_rules", "entry"),
+        ("externs", "static_rules"),
     ),
     Pass(
         "select",

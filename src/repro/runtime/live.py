@@ -26,7 +26,7 @@ class LiveSnapshot:
     virtual_time_us: float
     matrices: dict[SensorType, np.ndarray]
     intra_events: int
-    #: low-performance cells per component at snapshot time
+    #: cells per component below the run's detector threshold at snapshot time
     low_cells: dict[SensorType, int] = field(default_factory=dict)
     #: delivery counters when batches travel over a simulated channel
     #: (sent / delivered / dropped / retried / duplicated / reordered / late)
@@ -49,7 +49,6 @@ class LiveReporter:
 
     period_us: float = 100_000.0
     callback: Callable[[LiveSnapshot], None] | None = None
-    threshold: float = 0.7
     snapshots: list[LiveSnapshot] = field(default_factory=list)
     _last: float = 0.0
 
@@ -67,12 +66,13 @@ class LiveReporter:
     def _build(self, runtime, now: float) -> LiveSnapshot:
         matrices: dict[SensorType, np.ndarray] = {}
         low_cells: dict[SensorType, int] = {}
+        threshold = runtime.config.threshold
         for sensor_type in SensorType:
             matrix = runtime.server.performance_matrix(sensor_type)
             if np.isfinite(matrix).any():
                 matrices[sensor_type] = matrix
                 low_cells[sensor_type] = int(
-                    (np.isfinite(matrix) & (matrix < self.threshold)).sum()
+                    (np.isfinite(matrix) & (matrix < threshold)).sum()
                 )
         # runtime.server may be a ReliableTransport proxy; unwrap for the
         # degraded set and surface its channel counters when present.

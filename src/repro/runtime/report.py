@@ -207,7 +207,9 @@ def build_report(runtime: "VSensorRuntime", total_time: float) -> VarianceReport
             report.matrices[sensor_type] = matrix
             report.rank_means[sensor_type] = server.mean_rank_performance(sensor_type)
             report.regions.extend(
-                cluster_low_cells(matrix, sensor_type, server.window_us)
+                cluster_low_cells(
+                    matrix, sensor_type, server.window_us, runtime.config.threshold
+                )
             )
     report.regions.sort(key=lambda region: -region.cells)
     return report

@@ -7,17 +7,16 @@ algorithm that decides this:
 
 * :mod:`repro.sensors.slicer` — backward slicing over use–define chains,
   bounded by the snippet's AST subtree, with per-loop variance checking
-  (intra-procedural analysis, §3.2) and whole-function input extraction.
+  (intra-procedural analysis, §3.2), whole-function input extraction, and
+  process-identity (rank) dependence tracked along the same slice (§3.4).
 * :mod:`repro.sensors.summaries` — bottom-up function summaries over the
   preprocessed call graph: workload dependencies, return-value
   dependencies, global mod-sets (§3.3, §3.5).
 * :mod:`repro.sensors.extern` — workload descriptions of external (libc /
   MPI) functions; the undescribed ones are treated as never-fixed (§3.5).
-* :mod:`repro.sensors.multiproc` — process-identity (rank) dependence
-  analysis (§3.4).
 * :mod:`repro.sensors.identify` — the driver that enumerates snippets,
-  runs the analyses, computes scopes, and classifies sensors as
-  Computation / Network / IO.
+  runs the analyses and computes scopes, and the one classifier
+  (``classify_snippet``: Computation / Network / IO).
 * :mod:`repro.sensors.rules` — optional extra static rules (§3.1).
 """
 

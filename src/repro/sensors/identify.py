@@ -92,7 +92,6 @@ class _Identifier:
         self,
         ast_module: A.Module,
         externs: ExternRegistry,
-        entry: str = "main",
         *,
         ir: IRModule | None = None,
         callgraph: CallGraph | None = None,
@@ -104,7 +103,6 @@ class _Identifier:
         anything not supplied is computed here, so the standalone
         :func:`identify_vsensors` path needs no pipeline."""
         self.ast_module = ast_module
-        self.entry = entry
         self.ir = ir if ir is not None else lower_module(ast_module)
         self.cg = callgraph if callgraph is not None else build_call_graph(self.ir)
         self.prep = preprocess if preprocess is not None else preprocess_call_graph(self.cg)
@@ -273,10 +271,9 @@ class _Identifier:
                 reason = _first_reason(entry) or reason
             return None, reason
 
-        sensor_type = self._classify(fn, sub_ids)
         sensor = VSensor(
             snippet=snippet,
-            sensor_type=sensor_type,
+            sensor_type=classify_snippet(fn, sub_ids, self.table),
             scope_loops=scope_loops,
             is_function_scope=is_function_scope,
             is_global=is_global,
@@ -305,7 +302,7 @@ class _Identifier:
         # Pre-seed against (impossible) cycles: pruned call graphs are acyclic.
         self._promo_memo[key] = (False, False, False)
 
-        if fname == self.entry:
+        if fname == A.ENTRY:
             verdict = (True, False, False)
             self._promo_memo[key] = verdict
             return verdict
@@ -395,31 +392,33 @@ class _Identifier:
         repeats = bool(enclosing) or up_repeats
         return up_ok, repeats, rank_dep or up_rank
 
-    # -- classification (§3.1, §5.2) -------------------------------------------------
 
-    def _classify(self, fn, sub_ids: frozenset[int]) -> SensorType:
-        has_net = False
-        has_io = False
-        for instr in fn.instructions():
-            node = instr.ast_node
-            if node is None or node.node_id not in sub_ids:
-                continue
-            if not isinstance(instr, CallInstr) or instr.is_indirect:
-                continue
-            model = self.table.extern_model(instr.callee)
-            if model is not None:
-                has_net |= model.category == "net"
-                has_io |= model.category == "io"
-                continue
-            summary = self.table.summaries.get(instr.callee)
-            if summary is not None:
-                has_net |= summary.contains_net
-                has_io |= summary.contains_io
-        if has_net:
-            return SensorType.NETWORK
-        if has_io:
-            return SensorType.IO
-        return SensorType.COMPUTATION
+def classify_snippet(fn, sub_ids: frozenset[int], table: SummaryTable) -> SensorType:
+    """A sensor's type (§3.1, §5.2) from the calls among ``fn``'s
+    instructions inside ``sub_ids``: Network if any reaches the network,
+    else IO if any does IO, else Computation."""
+    has_net = False
+    has_io = False
+    for instr in fn.instructions():
+        node = instr.ast_node
+        if node is None or node.node_id not in sub_ids:
+            continue
+        if not isinstance(instr, CallInstr) or instr.is_indirect:
+            continue
+        model = table.extern_model(instr.callee)
+        if model is not None:
+            has_net |= model.category == "net"
+            has_io |= model.category == "io"
+            continue
+        summary = table.summaries.get(instr.callee)
+        if summary is not None:
+            has_net |= summary.contains_net
+            has_io |= summary.contains_io
+    if has_net:
+        return SensorType.NETWORK
+    if has_io:
+        return SensorType.IO
+    return SensorType.COMPUTATION
 
 
 def _first_reason(result: SliceResult) -> Diagnostic | None:
@@ -464,14 +463,13 @@ def identify_vsensors(
     ast_module: A.Module,
     externs: ExternRegistry | None = None,
     static_rules: Sequence | Iterable = (),
-    entry: str = "main",
 ) -> IdentificationResult:
     """Identify the v-sensors of a parsed program.
 
     ``static_rules`` is a sequence of :class:`~repro.sensors.rules.StaticRule`
     instances applied as extra vetoes after the default analysis.
     """
-    identifier = _Identifier(ast_module, externs or default_extern_registry(), entry=entry)
+    identifier = _Identifier(ast_module, externs or default_extern_registry())
     result = identifier.run()
     if static_rules:
         apply_static_rules(result, static_rules)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.frontend import ast_nodes as A
-from repro.ir.function import IRFunction
 from repro.ir.instructions import CallInstr, ConstInt
+from repro.sensors.asttools import subtree_ids
 from repro.sensors.model import SensorType, VSensor
 from repro.sensors.summaries import SummaryTable
 
@@ -47,7 +46,7 @@ class FixedDestinationRule:
         fn = table.ir_function(sensor.function)
         if fn is None:
             return True
-        snippet_ids = _snippet_ids(sensor, fn)
+        snippet_ids = subtree_ids(sensor.snippet.node)
         for instr in fn.instructions():
             node = instr.ast_node
             if node is None or node.node_id not in snippet_ids:
@@ -64,22 +63,6 @@ class FixedDestinationRule:
         return True
 
 
-class MaxLoopDepthRule:
-    """Veto sensors nested deeper than ``max_depth`` (granularity, §4).
-
-    Depth 0 is an out-most loop.  This duplicates the instrumenter's
-    max-depth selection as a static rule so rule-stacking can be exercised
-    and ablated independently.
-    """
-
-    def __init__(self, max_depth: int) -> None:
-        self.max_depth = max_depth
-        self.name = f"max-depth<{max_depth}"
-
-    def accepts(self, sensor: VSensor, table: SummaryTable) -> bool:
-        return sensor.snippet.depth < self.max_depth
-
-
 class TypeFilterRule:
     """Keep only sensors of the given types (e.g. network-only studies)."""
 
@@ -89,9 +72,3 @@ class TypeFilterRule:
 
     def accepts(self, sensor: VSensor, table: SummaryTable) -> bool:
         return sensor.sensor_type in self.types
-
-
-def _snippet_ids(sensor: VSensor, fn: IRFunction) -> frozenset[int]:
-    from repro.sensors.asttools import subtree_ids
-
-    return subtree_ids(sensor.snippet.node)

@@ -52,7 +52,6 @@ class AnalysisService:
         *,
         window_us: float = 200_000.0,
         batch_period_us: float = 100_000.0,
-        threshold: float = 0.7,
         engine: str = "columnar",
         queue_limit: int = 64,
         cost: ShardCostModel | None = None,
@@ -60,7 +59,6 @@ class AnalysisService:
     ) -> None:
         self.window_us = window_us
         self.batch_period_us = batch_period_us
-        self.threshold = threshold
         self.engine = engine
         self.obs = obs
         self.metrics = obs.metrics if obs is not None else None
@@ -125,7 +123,6 @@ class TenantPort(AnalysisServer):
             n_ranks=n_ranks,
             window_us=service.window_us,
             batch_period_us=service.batch_period_us,
-            threshold=service.threshold,
             engine=service.engine,
         )
         self.service = service

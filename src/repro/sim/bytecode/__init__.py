@@ -6,10 +6,11 @@ benchmark.  This package lowers each function **once per program** into a
 compact register-based instruction stream:
 
 * locals and globals are resolved to integer slots at compile time;
-* the work-unit costs of every straight-line span are constant-folded into
-  a single ``CHARGE`` instruction per basic block (exact: the folded costs
-  are integer counts of half work units, so grouping cannot change the
-  float result — see the accounting note in :mod:`repro.sim.interp`);
+* the work-unit costs of every straight-line span, and ``compute_units``
+  of a literal, are constant-folded into a single ``CHARGE`` instruction
+  (exact: the folded costs are integer counts of half work units, so
+  grouping cannot change the float result — see the accounting note in
+  :mod:`repro.sim.interp`);
 * call sites are pre-classified (user function / intrinsic family /
   extern model / indirect funcptr) so the VM never string-matches a name
   in the hot loop;

@@ -19,12 +19,16 @@ Lowering decisions:
   local reads can skip the ``CHKDEF`` undefined-variable check (params
   and anything assigned on every path so far; branch results intersect,
   loop bodies don't leak, ``continue`` edges join into the for-step).
-* **Charge folding.**  Work-unit costs (all integer multiples of 0.5)
-  accumulate in an integer half-unit counter and are emitted as one
-  ``CHARGE`` per straight-line span; the span breaks at labels, jumps,
-  returns, calls and any instruction that can flush the clock.  Exact
-  integer accumulation makes the grouping invisible in the float result
-  (see the accounting note in :mod:`repro.sim.interp`).
+* **Charge folding.**  Work-unit costs (all integer multiples of 0.5),
+  and ``compute_units`` of a literal whose doubled value is an exact
+  integer, accumulate in an integer half-unit counter and are emitted as
+  one ``CHARGE`` per straight-line span.  :meth:`_FuncCompiler.emit` ends
+  the span before every op in
+  :data:`~repro.sim.bytecode.dispatch.LANDS_CHARGES` (jumps, calls,
+  returns and every op that reads or hands off the counters) and
+  :meth:`_FuncCompiler.bind` ends it at labels.  Exact integer
+  accumulation makes the grouping invisible in the float result (see the
+  accounting note in :mod:`repro.sim.interp`).
 * **Peepholes.**  compare(+CHARGE)+branch fuses into the ``J??_F`` family.
 """
 
@@ -45,11 +49,13 @@ from repro.sensors.estimate import (
     COST_UNARY,
 )
 from repro.sim.bytecode import ops
+from repro.sim.bytecode.dispatch import LANDS_CHARGES
 from repro.sim.bytecode.render import block_leaders, render_core
 from repro.sim.interp import (
     _INTRINSIC_NAMES,
     _MATH_FUNCS,
     _MPI_COLLECTIVES,
+    _MPI_P2P,
     _binop,
 )
 
@@ -100,8 +106,6 @@ class ProgramCode:
 
 
 _MATH_TWO_ARG = frozenset(("pow", "fmod", "min", "max"))
-
-_P2P_OPS = {"MPI_Send": "send", "MPI_Recv": "recv", "MPI_Sendrecv": "sendrecv"}
 
 _CMP_TO_FUSED = {
     ops.LT: ops.JLT_F,
@@ -200,6 +204,8 @@ class _FuncCompiler:
     # -- emission helpers ---------------------------------------------------
 
     def emit(self, op, a=None, b=None, c=None, name=None) -> None:
+        if op in LANDS_CHARGES:
+            self.flush_charges()
         self.out.append([op, a, b, c])
         self.out_names.append(name)
         self.out_cf.append(None)
@@ -221,6 +227,22 @@ class _FuncCompiler:
         if self._acc:
             self.emit(ops.CHARGE, self._acc)
             self._acc = 0
+
+    def _constant_half_units(self, reg) -> int | None:
+        """Half units ``compute_units(reg)`` always charges when ``reg`` is
+        a literal (the ``CU`` body's rule), or None: a run-time amount, one
+        that takes the fractional path, or one whose conversion raises —
+        the ``CU`` op then charges or raises when it executes."""
+        if type(reg) is not tuple or reg[0] != "k":
+            return None
+        try:
+            units = max(0.0, float(self.const_values[reg[1]]))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        doubled = units + units
+        if doubled < 1e15 and doubled == int(doubled):
+            return int(doubled)
+        return None
 
     def tmp(self):
         reg = ("t", self._tmp)
@@ -342,7 +364,6 @@ class _FuncCompiler:
             args = tuple(self.compile_expr(a) for a in expr.args)
             self.add_cost(COST_CALL)
             out = dst if dst is not None else self.tmp()
-            self.flush_charges()
             self.emit(ops.CALL, out, self.func_order[name], args, name=name)
             return out
         if name not in _INTRINSIC_NAMES:
@@ -354,8 +375,6 @@ class _FuncCompiler:
                 args = tuple(self.compile_expr(a) for a in expr.args)
                 self.add_cost(COST_CALL)
                 out = dst if dst is not None else self.tmp()
-                if model is None or model.category in ("net", "io"):
-                    self.flush_charges()
                 self.emit(ops.EXTCALL, out, (name, model), args, name=name)
                 return out
             # The AST tier resolves the funcptr before evaluating arguments.
@@ -364,7 +383,6 @@ class _FuncCompiler:
             args = tuple(self.compile_expr(a) for a in expr.args)
             self.add_cost(COST_CALL)
             out = dst if dst is not None else self.tmp()
-            self.flush_charges()
             self.emit(ops.CALLIND, out, fp, ((name, model), args), name=name)
             return out
         args = tuple(self.compile_expr(a) for a in expr.args)
@@ -386,10 +404,14 @@ class _FuncCompiler:
             return dst if dst is not None else self.tmp()
 
         if name == "compute_units":
-            self.emit(ops.CU, args[0] if args else -1, name=name)
+            if args:
+                half = self._constant_half_units(args[0])
+                if half is None:
+                    self.emit(ops.CU, args[0], name=name)
+                else:
+                    self._acc += half
             return self._const_zero(dst, discard)
         if name == TICK or name == TOCK:
-            self.flush_charges()
             self.emit(
                 ops.TICKOP if name == TICK else ops.TOCKOP,
                 args[0] if args else -1,
@@ -405,7 +427,6 @@ class _FuncCompiler:
             self.emit(ops.SIZEOP, reg, name=name)
             return reg
         if name == "MPI_Wtime":
-            self.flush_charges()
             reg = out()
             self.emit(ops.WTIME, reg, name=name)
             return reg
@@ -417,16 +438,14 @@ class _FuncCompiler:
                 size = args[1] if len(args) > 1 else -1
             else:
                 size = args[0] if args else -1
-            self.flush_charges()
             reg = out()
             self.emit(ops.COLL, reg, (op, name), size, name=name)
             return reg
-        if name in _P2P_OPS:
+        if name in _MPI_P2P:
             peer = args[0] if args else -1
             size = args[1] if len(args) > 1 else -1
-            self.flush_charges()
             reg = out()
-            self.emit(ops.P2P, reg, (_P2P_OPS[name], name), (peer, size), name=name)
+            self.emit(ops.P2P, reg, (_MPI_P2P[name], name), (peer, size), name=name)
             return reg
         if name in _MATH_FUNCS:
             k = 2 if name in _MATH_TWO_ARG else 1
@@ -434,17 +453,14 @@ class _FuncCompiler:
             self.emit(ops.MATHOP, reg, _MATH_FUNCS[name], args[:k], name=name)
             return reg
         if name == "printf":
-            self.flush_charges()
             reg = out()
             self.emit(ops.IOOP, reg, "printf", -1, name=name)
             return reg
         if name in ("fread", "fwrite"):
-            self.flush_charges()
             reg = out()
             self.emit(ops.IOOP, reg, name, args[0] if args else -1, name=name)
             return reg
         if name in ("fopen", "fclose"):
-            self.flush_charges()
             reg = out()
             self.emit(ops.IOOP, reg, name, -1, name=name)
             return reg
@@ -456,7 +472,6 @@ class _FuncCompiler:
             # No charge, no effect, returns 0 — lowers to nothing.
             return self._const_zero(dst, discard)
         if name == "clock":
-            self.flush_charges()
             reg = out()
             self.emit(ops.CLOCKOP, reg, name=name)
             return reg
@@ -503,7 +518,6 @@ class _FuncCompiler:
             self.compile_stmt(stmt.then_body)
             after_then = self.defined
             if stmt.else_body is not None:
-                self.flush_charges()
                 self.emit(ops.JUMP, end_label)
                 self.bind(else_label)
                 self.defined = set(before)
@@ -533,7 +547,6 @@ class _FuncCompiler:
                 self.defined &= s
             if stmt.step is not None:
                 self.compile_stmt(stmt.step)
-            self.flush_charges()
             self.emit(ops.JUMP, head)
             self.bind(end)
             self.defined = entry_defined
@@ -550,7 +563,6 @@ class _FuncCompiler:
             if stmt.body is not None:
                 self.compile_stmt(stmt.body)
             self.loops.pop()
-            self.flush_charges()
             self.emit(ops.JUMP, head)
             self.bind(end)
             self.defined = entry_defined
@@ -558,21 +570,17 @@ class _FuncCompiler:
         if isinstance(stmt, A.ReturnStmt):
             if stmt.value is not None:
                 reg = self.compile_expr(stmt.value)
-                self.flush_charges()
                 self.emit(ops.RET, reg)
             else:
-                self.flush_charges()
                 self.emit(ops.RETK, 0)
             return
         if isinstance(stmt, A.BreakStmt):
             if self.loops:
-                self.flush_charges()
                 self.emit(ops.JUMP, self.loops[-1][1])
             return
         if isinstance(stmt, A.ContinueStmt):
             if self.loops:
                 self.loops[-1][2].append(set(self.defined))
-                self.flush_charges()
                 self.emit(ops.JUMP, self.loops[-1][0])
             return
         if isinstance(stmt, A.ExprStmt):
@@ -614,7 +622,6 @@ class _FuncCompiler:
             self.emit(ops.STIDX, arr, idx, value, name=target.name)
 
     def emit_jf(self, cond, label: _Label, cf=None) -> None:
-        self.flush_charges()
         self.emit(ops.JF, cond, label)
         self.out_cf[-1] = cf
 
@@ -623,7 +630,6 @@ class _FuncCompiler:
     def compile(self) -> FuncCode:
         if self.fn.body is not None:
             self.compile_stmt(self.fn.body)
-        self.flush_charges()
         self.emit(ops.RETK, 0)
         self._peephole()
 

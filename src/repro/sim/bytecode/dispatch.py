@@ -41,6 +41,7 @@ recipe in DESIGN.md §9.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 
 from repro.sim.bytecode import ops
@@ -146,7 +147,7 @@ if not (regs[a] < regs[b]):
 pc = a
 """, handler="_jump"),
     _spec("CU", FUSE_VECTOR, """\
-units = max(0.0, float(regs[a])) if a >= 0 else 0.0
+units = max(0.0, float(regs[a]))
 doubled = units + units
 if doubled < 1e15 and doubled == int(doubled):
     n = int(doubled)
@@ -471,6 +472,37 @@ regs[a] = 0
 OP_SPECS: dict[int, OpSpec] = {
     code: spec for spec in OP_TABLE for code in spec.codes
 }
+
+#: the half-unit work counters of a scalar body
+_COUNTERS = ("pend_h", "tot_h")
+
+
+def _lands_charges(body: str) -> bool:
+    """Whether ``body`` moves ``pc`` or reads, resets or hands off a work
+    counter.  A body that only adds to the counters (``pend_h += n``)
+    commutes with a ``CHARGE``; any other mention of them does not."""
+    tree = ast.parse(body)
+    adds = {
+        id(node.target)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+    }
+    return any(
+        isinstance(node, ast.Name)
+        and (
+            (node.id == "pc" and isinstance(node.ctx, ast.Store))
+            or (node.id in _COUNTERS and id(node) not in adds)
+        )
+        for node in ast.walk(tree)
+    )
+
+
+#: opcodes before which a pending folded charge must land: the one rule the
+#: compiler (which emits ``CHARGE``) and the renderer (which merges them
+#: within a block) both place work charges by
+LANDS_CHARGES = frozenset(
+    code for spec in OP_TABLE if _lands_charges(spec.body) for code in spec.codes
+)
 
 
 def fuse_class(op: int) -> str | None:

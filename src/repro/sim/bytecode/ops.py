@@ -61,7 +61,7 @@ CALLIND = 37  # a=dst, b=funcptr reg (RESFP result), c=((name, model), arg regs)
 RET = 38      # a=src
 RETK = 39     # a=literal return value
 
-CU = 40      # compute_units: a=arg reg or -1
+CU = 40      # compute_units the compiler cannot fold into a CHARGE: a=arg reg
 TICKOP = 41  # a=sensor-id reg
 TOCKOP = 42  # a=sensor-id reg
 RANKOP = 43  # a=dst

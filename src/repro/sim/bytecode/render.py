@@ -37,13 +37,13 @@ function's globals); ``pc - 1`` and ``pc`` reads become the literal pc of
 the instruction and of its successor, so error paths and the MPI ops'
 ``state.pc`` see exact values while nothing counts ``pc`` along the way.
 
-**Charges.**  Inside a block every ``CHARGE``, and every ``CU`` of a
-constant register whose doubled value is an exact integer, is summed at
-render time and emitted as one ``CHARGE`` body just before the first
-instruction that reads or hands off the half-unit counters (its text
-mentions ``pend_h``/``tot_h``) or transfers control, and at the block's
-end.  Integer adds commute with everything they are moved across, so every
-flush amount, probe instruction count and ``total_work`` is unchanged.
+**Charges.**  The compiler already lands each span's work as one
+``CHARGE`` before every op in :data:`LANDS_CHARGES` and at every label;
+a label no jump targets does not start a block, so the ``CHARGE`` ops
+inside one block are summed here and emitted as one ``CHARGE`` body
+before its first op in that same set, and at the block's end.  Integer
+adds commute with everything they are moved across, so every flush
+amount, probe instruction count and ``total_work`` is unchanged.
 
 The function lives on its ``ProgramCode`` (see ``ProgramCode.core``):
 nothing in this module holds a rendered function.
@@ -59,6 +59,7 @@ from repro.errors import InterpError
 from repro.sim.bytecode import ops
 from repro.sim.bytecode.dispatch import (
     FUSE_CALL,
+    LANDS_CHARGES,
     NEEDS_FULL_BATCH,
     OP_SPECS,
     OP_TABLE,
@@ -69,7 +70,6 @@ from repro.sim.interp import MpiRequest
 
 #: body names the per-instruction substitution fills (read as ``__a__`` … in a template)
 _OPERANDS = ("a", "b", "c", "op")
-_COUNTERS = ("pend_h", "tot_h")
 
 
 def _stores_pc(stmt: ast.stmt) -> bool:
@@ -115,18 +115,8 @@ def _template(spec) -> str:
     return ast.unparse(tree)
 
 
-def _templates() -> dict:
-    table = {}
-    for spec in OP_TABLE:
-        text = _template(spec)
-        lands = "continue" in text or any(name in text for name in _COUNTERS)
-        for code in spec.codes:
-            table[code] = (text, lands)
-    return table
-
-
-#: opcode -> (template text, whether pending folded charges must land first)
-_TEMPLATES = _templates()
+#: opcode -> template text
+_TEMPLATES = {code: _template(spec) for spec in OP_TABLE for code in spec.codes}
 
 _PLACEHOLDER = re.compile(r"__(a|b|c|op|here|next)__")
 
@@ -135,7 +125,7 @@ _PLACEHOLDER = re.compile(r"__(a|b|c|op|here|next)__")
 #: its body assigns to ``pc``
 _JUMP_OPERAND = {
     op: " abc".index(match.group(1))
-    for op, (text, _lands) in _TEMPLATES.items()
+    for op, text in _TEMPLATES.items()
     if (match := re.search(r"pc = __([abc])__", text))
 }
 
@@ -181,23 +171,6 @@ def _literal(value) -> str | None:
     return None
 
 
-def _folded_cu(fc, reg) -> int | None:
-    """Half units a ``CU`` of ``reg`` always charges, or None when the
-    charge depends on run-time state or takes the fractional path."""
-    if reg < 0:
-        return 0
-    if reg < fc.const_base:
-        return None
-    try:
-        units = max(0.0, float(fc.proto[reg]))
-    except (TypeError, ValueError):
-        return None  # the body raises the same error when it executes
-    doubled = units + units
-    if doubled < 1e15 and doubled == int(doubled):
-        return int(doubled)
-    return None
-
-
 class _Renderer:
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -220,7 +193,7 @@ class _Renderer:
             value = values[match.group(1)]
             return _literal(value) or self.bind(value)
 
-        text = _PLACEHOLDER.sub(operand, _TEMPLATES[op][0])
+        text = _PLACEHOLDER.sub(operand, _TEMPLATES[op])
         self.lines += [indent + line for line in text.split("\n")]
 
     def block(self, fc, start: int, end: int, indent: str) -> None:
@@ -235,11 +208,10 @@ class _Renderer:
 
         for pc in range(start, end):
             op, a, b, c = fc.code[pc]
-            folded = a if op == ops.CHARGE else _folded_cu(fc, a) if op == ops.CU else None
-            if folded is not None:
-                charge += folded
+            if op == ops.CHARGE:
+                charge += a
                 continue
-            if _TEMPLATES[op][1]:
+            if op in LANDS_CHARGES:
                 land()
             self.instruction(op, a, b, c, pc, indent)
         land()

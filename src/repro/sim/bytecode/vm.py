@@ -29,6 +29,7 @@ diverged lanes by handing a materialized state to
 from __future__ import annotations
 
 from repro.errors import InterpError
+from repro.frontend.ast_nodes import ENTRY
 from repro.sim.bytecode.dispatch import UNDEF, ScalarState, _Undef
 from repro.sim.interp import RankInterp
 
@@ -38,20 +39,10 @@ __all__ = ["BytecodeInterp", "ScalarState", "UNDEF", "_Undef"]
 class BytecodeInterp(RankInterp):
     """Bytecode-executing drop-in for :class:`RankInterp`."""
 
-    def __init__(self, program, module, rank, n_ranks, machine, faults, hooks,
-                 sensors=None, entry="main", externs=None, probe_control=None):
-        super().__init__(
-            module=module,
-            rank=rank,
-            n_ranks=n_ranks,
-            machine=machine,
-            faults=faults,
-            hooks=hooks,
-            sensors=sensors,
-            entry=entry,
-            externs=externs,
-            probe_control=probe_control,
-        )
+    def __init__(self, program, **rank_interp_args):
+        """``program`` is the shared :class:`ProgramCode`; everything else
+        is :class:`RankInterp`'s."""
+        super().__init__(**rank_interp_args)
         self.program = program
 
     def _init_globals_list(self) -> list:
@@ -68,9 +59,9 @@ class BytecodeInterp(RankInterp):
     def run(self):
         """Generator: yields MpiRequest; receives completion times."""
         program = self.program
-        entry_idx = program.func_index.get(self.entry)
+        entry_idx = program.func_index.get(ENTRY)
         if entry_idx is None:
-            raise InterpError(f"no entry function {self.entry!r}")
+            raise InterpError(f"no entry function {ENTRY!r}")
         fc = program.funcs[entry_idx]
         state = ScalarState(
             glist=self._init_globals_list(),

@@ -49,8 +49,6 @@ from repro.sim.interp import MpiRequest, RankInterp
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkModel
 
-_P2P_OPS = ("send", "recv", "sendrecv")
-
 #: rank count at and above which ``engine="auto"`` picks the lockstep
 #: tier.  Lockstep over the per-program rendered bytecode tier,
 #: instrumented (BENCH_interp.json): at 8 ranks CG 0.46x, FT 0.89x, LULESH
@@ -108,7 +106,6 @@ class Simulator:
         machine: MachineConfig,
         faults: tuple[Fault, ...] | list[Fault] = (),
         sensors: dict[int, SensorInfo] | None = None,
-        entry: str = "main",
         externs=None,
         engine: str = "bytecode",
         obs: Obs | None = None,
@@ -126,7 +123,6 @@ class Simulator:
         self.machine = machine
         self.faults = tuple(faults)
         self.sensors = sensors or {}
-        self.entry = entry
         #: one registry for the compiled program and every rank's interpreter
         self.externs = externs if externs is not None else default_extern_registry()
         self.engine = engine
@@ -148,25 +144,22 @@ class Simulator:
     def _build_interps(self, hooks: RuntimeHooks) -> list:
         n = self.machine.n_ranks
         self._lockstep_runner = None
+        per_rank = dict(
+            module=self.module,
+            n_ranks=n,
+            machine=self.machine,
+            faults=self.faults,
+            hooks=hooks,
+            sensors=self.sensors,
+            externs=self.externs,
+            probe_control=self.probe_control,
+        )
         if self.engine in ("bytecode", "lockstep"):
             from repro.sim.bytecode import BytecodeInterp
 
             program = self._compiled_program()
             interps = [
-                BytecodeInterp(
-                    program=program,
-                    module=self.module,
-                    rank=rank,
-                    n_ranks=n,
-                    machine=self.machine,
-                    faults=self.faults,
-                    hooks=hooks,
-                    sensors=self.sensors,
-                    entry=self.entry,
-                    externs=self.externs,
-                    probe_control=self.probe_control,
-                )
-                for rank in range(n)
+                BytecodeInterp(program, rank=rank, **per_rank) for rank in range(n)
             ]
             CapacityTable.shared_by([interp.clock for interp in interps])
             if self.engine == "bytecode":
@@ -177,19 +170,7 @@ class Simulator:
             return self._lockstep_runner.lanes()
         shared_memo: dict[int, bool] = {}
         interps = [
-            RankInterp(
-                module=self.module,
-                rank=rank,
-                n_ranks=n,
-                machine=self.machine,
-                faults=self.faults,
-                hooks=hooks,
-                sensors=self.sensors,
-                entry=self.entry,
-                shared_has_call=shared_memo,
-                externs=self.externs,
-                probe_control=self.probe_control,
-            )
+            RankInterp(rank=rank, shared_has_call=shared_memo, **per_rank)
             for rank in range(n)
         ]
         CapacityTable.shared_by([interp.clock for interp in interps])

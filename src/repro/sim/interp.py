@@ -60,6 +60,8 @@ _MPI_COLLECTIVES = {
     "MPI_Reduce": "reduce",
 }
 
+_MPI_P2P = {"MPI_Send": "send", "MPI_Recv": "recv", "MPI_Sendrecv": "sendrecv"}
+
 _MATH_FUNCS = {
     "sqrt": lambda a: math.sqrt(abs(a)),
     "fabs": abs,
@@ -115,7 +117,6 @@ class RankInterp:
         faults: tuple[Fault, ...],
         hooks: RuntimeHooks,
         sensors: dict[int, SensorInfo] | None = None,
-        entry: str = "main",
         shared_has_call: dict[int, bool] | None = None,
         externs=None,
         probe_control=None,
@@ -129,7 +130,6 @@ class RankInterp:
         self.faults = faults
         self.hooks = hooks
         self.sensors = sensors or {}
-        self.entry = entry
         node = machine.node_of_rank(rank)
         self.clock = RankClock(
             rank=rank,
@@ -169,9 +169,9 @@ class RankInterp:
     def run(self):
         """Generator: yields MpiRequest; receives completion times."""
         self._init_globals()
-        main = self._functions.get(self.entry)
+        main = self._functions.get(A.ENTRY)
         if main is None:
-            raise InterpError(f"no entry function {self.entry!r}")
+            raise InterpError(f"no entry function {A.ENTRY!r}")
         try:
             yield from self._call_function(main, [])
         except _Return:
@@ -566,7 +566,7 @@ class RankInterp:
         if name in _MPI_COLLECTIVES:
             result = yield from self._mpi_collective(name, args)
             return result
-        if name in ("MPI_Send", "MPI_Recv", "MPI_Sendrecv"):
+        if name in _MPI_P2P:
             result = yield from self._mpi_p2p(name, args)
             return result
         if name in _MATH_FUNCS:
@@ -673,7 +673,7 @@ class RankInterp:
     def _mpi_p2p(self, name: str, args: list):
         peer = int(args[0]) if args else 0
         size = float(args[1]) if len(args) > 1 else 0.0
-        op = {"MPI_Send": "send", "MPI_Recv": "recv", "MPI_Sendrecv": "sendrecv"}[name]
+        op = _MPI_P2P[name]
         self._flush()
         t0 = self.clock.now
         self.hooks.on_mpi_begin(self.rank, name, t0)
@@ -697,14 +697,12 @@ class RankInterp:
 
 _INTRINSIC_NAMES = frozenset(
     list(_MPI_COLLECTIVES)
+    + list(_MPI_P2P)
     + list(_MATH_FUNCS)
     + [
         "MPI_Comm_rank",
         "MPI_Comm_size",
         "MPI_Wtime",
-        "MPI_Send",
-        "MPI_Recv",
-        "MPI_Sendrecv",
         "compute_units",
         TICK,
         TOCK,

@@ -19,6 +19,7 @@ is no partial fusion — a spill drains the whole batch (see DESIGN.md §9).
 
 from __future__ import annotations
 
+from repro.sim.interp import _MPI_P2P
 from repro.sim.lockstep.clocks import VectorClocks
 from repro.sim.lockstep.vm import FusedVM
 
@@ -30,7 +31,7 @@ _DRAINED = "drained"
 _FINISHED = "finished"
 
 #: Rendezvous ops that can never re-fuse a batch (pairwise, not whole-batch).
-_P2P_OPS = frozenset(["send", "recv", "sendrecv"])
+_P2P_OPS = frozenset(_MPI_P2P.values())
 
 #: Notifications the fused VM buffers per lane.
 _BUFFERED_HOOKS = (

@@ -57,6 +57,7 @@ from itertools import repeat
 import numpy as np
 
 from repro.errors import InterpError
+from repro.frontend.ast_nodes import ENTRY
 from repro.sim.bytecode import ops
 from repro.sim.bytecode.dispatch import (
     NEEDS_FULL_BATCH,
@@ -213,9 +214,9 @@ class FusedVM:
     def initial(cls, runner):
         vm = cls(runner)
         probe = vm.interps[0]
-        entry_idx = vm.program.func_index.get(probe.entry)
+        entry_idx = vm.program.func_index.get(ENTRY)
         if entry_idx is None:
-            raise InterpError(f"no entry function {probe.entry!r}")
+            raise InterpError(f"no entry function {ENTRY!r}")
         # Global initializer expressions charge work; every rank would
         # charge identically, so run them once and move the charges onto
         # the uniform counters.
@@ -404,7 +405,7 @@ class FusedVM:
         self.pc = a
 
     def _cu(self, M, op, a, b, c):
-        v = self.regs[a] if a >= 0 else 0.0
+        v = self.regs[a]
         if type(v) is _ND:
             for pos in self._lanes(M):
                 self._charge(max(0.0, float(v[pos])), pos)

@@ -1,7 +1,6 @@
 """Manual-annotation tests."""
 
-import pytest
-
+from repro.diagnostics import ReasonCode
 from repro.frontend.parser import parse_source
 from repro.instrument import select_sensors
 from repro.instrument.annotations import Annotations, SnippetRef, apply_annotations
@@ -33,7 +32,7 @@ def test_exclude_drops_identified_sensor():
     result = identify_vsensors(mod)
     fixed_loop_line = 8
     assert any(s.loc.line == fixed_loop_line for s in result.sensors)
-    apply_annotations(result, Annotations(exclude=[SnippetRef("main", fixed_loop_line)]))
+    result, _notes = apply_annotations(result, Annotations(exclude=[SnippetRef("main", fixed_loop_line)]))
     assert not any(s.loc.line == fixed_loop_line for s in result.sensors)
 
 
@@ -42,7 +41,7 @@ def test_include_forces_rejected_snippet():
     result = identify_vsensors(mod)
     variant_loop_line = 7
     assert not any(s.loc.line == variant_loop_line for s in result.sensors)
-    apply_annotations(result, Annotations(include=[SnippetRef("main", variant_loop_line)]))
+    result, _notes = apply_annotations(result, Annotations(include=[SnippetRef("main", variant_loop_line)]))
     forced = [s for s in result.sensors if s.loc.line == variant_loop_line]
     assert len(forced) == 1
     assert forced[0].is_global
@@ -52,7 +51,7 @@ def test_include_forces_rejected_snippet():
 def test_forced_sensor_is_selectable():
     mod = parse_source(SRC)
     result = identify_vsensors(mod)
-    apply_annotations(result, Annotations(include=[SnippetRef("main", 7)]))
+    result, _notes = apply_annotations(result, Annotations(include=[SnippetRef("main", 7)]))
     plan = select_sensors(result)
     assert any(s.loc.line == 7 for s in plan.selected)
 
@@ -61,7 +60,7 @@ def test_include_of_already_identified_is_noop():
     mod = parse_source(SRC)
     result = identify_vsensors(mod)
     before = len(result.sensors)
-    apply_annotations(result, Annotations(include=[SnippetRef("main", 8)]))
+    result, _notes = apply_annotations(result, Annotations(include=[SnippetRef("main", 8)]))
     assert len(result.sensors) == before
 
 
@@ -69,7 +68,7 @@ def test_include_of_unknown_location_ignored():
     mod = parse_source(SRC)
     result = identify_vsensors(mod)
     before = len(result.sensors)
-    apply_annotations(result, Annotations(include=[SnippetRef("main", 999)]))
+    result, _notes = apply_annotations(result, Annotations(include=[SnippetRef("main", 999)]))
     assert len(result.sensors) == before
 
 
@@ -89,7 +88,20 @@ def test_forced_network_snippet_classified():
     # The allreduce's size varies: rejected (rand() itself is a fixed-cost
     # call and legitimately remains a sensor).
     assert not any(s.loc.line == 6 for s in result.sensors)
-    apply_annotations(result, Annotations(include=[SnippetRef("main", 6)]))
+    result, _notes = apply_annotations(result, Annotations(include=[SnippetRef("main", 6)]))
     forced = [s for s in result.sensors if s.loc.line == 6]
     assert len(forced) == 1
     assert forced[0].sensor_type is SensorType.NETWORK
+
+
+def test_annotation_step_leaves_its_input_unchanged():
+    result = identify_vsensors(parse_source(SRC))
+    before = list(result.sensors)
+    marks = Annotations(
+        include=[SnippetRef("main", 7)], exclude=[SnippetRef("main", 8)]
+    )
+    view, notes = apply_annotations(result, marks)
+    assert result.sensors == before
+    assert [s.loc.line for s in view.sensors if s.loc.line in (7, 8)] == [7]
+    assert view.summaries is result.summaries
+    assert [n.code for n in notes] == [ReasonCode.ANNOTATION_EXCLUDED]

@@ -7,7 +7,8 @@ import pytest
 
 import repro.pipeline.passes as passes_mod
 from repro.pipeline import PASSES, ArtifactStore, run_passes
-from repro.sensors.rules import MaxLoopDepthRule
+from repro.sensors import SensorType
+from repro.sensors.rules import TypeFilterRule
 from repro.workloads import get_workload
 
 SOURCE = get_workload("CG").source(scale=1)
@@ -102,8 +103,8 @@ class TestCaching:
 
     def test_config_key_change_invalidates_pass_and_descendants_only(self):
         store = ArtifactStore()
-        run(store, static_rules=[MaxLoopDepthRule(2)])
-        _, turned = run(store, static_rules=[MaxLoopDepthRule(1)])
+        run(store, static_rules=[TypeFilterRule({SensorType.NETWORK})])
+        _, turned = run(store, static_rules=[TypeFilterRule({SensorType.COMPUTATION})])
         outcome = {t.name: t.cache_hit for t in turned.timings}
         assert outcome == {
             "parse": True,

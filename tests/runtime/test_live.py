@@ -57,7 +57,7 @@ def test_variance_noticed_before_program_end():
     probe = run_vsensor(SIMPLE_MPI_PROGRAM, machine)
     span = probe.sim.total_time
 
-    reporter = LiveReporter(period_us=span / 20, threshold=0.7)
+    reporter = LiveReporter(period_us=span / 20)
     run = run_vsensor(
         SIMPLE_MPI_PROGRAM,
         machine,
@@ -127,6 +127,7 @@ def test_snapshot_build_unwraps_transport_proxy():
     """_build must read ``degraded`` from the real server behind a
     ReliableTransport proxy, and counters from its channel."""
     from repro.runtime.channel import perfect_channel
+    from repro.runtime.detector import DetectorConfig
     from repro.runtime.server import AnalysisServer
     from repro.runtime.transport import ReliableTransport
 
@@ -140,6 +141,7 @@ def test_snapshot_build_unwraps_transport_proxy():
     runtime = FakeRuntime()
     runtime.server = transport
     runtime.events = []
+    runtime.config = DetectorConfig()
     reporter = LiveReporter(period_us=0.0)
     snapshot = reporter.maybe_snapshot(runtime, now=1.0)
     assert snapshot is not None

@@ -1,8 +1,9 @@
 """Static-rule tests (§3.1, Fig. 5)."""
 
+from repro.diagnostics import ReasonCode
 from repro.frontend.parser import parse_source
 from repro.sensors import FixedDestinationRule, SensorType, identify_vsensors
-from repro.sensors.rules import MaxLoopDepthRule, TypeFilterRule
+from repro.sensors.rules import TypeFilterRule
 
 
 NET_SRC = """
@@ -40,20 +41,33 @@ def test_more_strict_rules_produce_fewer_sensors():
     assert len(strict.sensors) < len(plain.sensors)
 
 
-def test_max_loop_depth_rule():
+def test_stacked_rules_veto_what_either_vetoes():
     src = """
     global int c = 0;
     int main() {
-        int a; int b;
-        for (a = 0; a < 5; a = a + 1) {
-            for (b = 0; b < 5; b = b + 1) c = c + 1;
+        int n; int k; int peer;
+        peer = MPI_Comm_rank() + 1;
+        for (n = 0; n < 5; n = n + 1) {
+            for (k = 0; k < 4; k = k + 1) c = c + 1;
+            MPI_Send(3, 64);
+            MPI_Send(peer, 64);
         }
         return 0;
     }
     """
-    shallow = identify_vsensors(parse_source(src), static_rules=[MaxLoopDepthRule(1)])
-    # The inner loop snippet is at depth 1 -> vetoed.
-    assert all(s.snippet.depth < 1 for s in shallow.sensors)
+    net_only = TypeFilterRule({SensorType.NETWORK})
+    stacked = identify_vsensors(
+        parse_source(src), static_rules=[net_only, FixedDestinationRule()]
+    )
+    # The compute loop falls to the type filter, the rank-relative send to
+    # the destination rule: only the constant-destination send is left.
+    assert [s.loc.line for s in stacked.sensors] == [8]
+    vetoed = {
+        r.snippet.loc.line
+        for r in stacked.rejections
+        if r.code is ReasonCode.STATIC_RULE_VETO
+    }
+    assert vetoed == {7, 9}
 
 
 def test_type_filter_rule():

@@ -110,17 +110,6 @@ def test_missing_entry_function():
             pass
 
 
-def test_custom_entry_function():
-    src = """
-    global int g;
-    int alt_main() { g = 9; return 0; }
-    int main() { g = 1; return 0; }
-    """
-    module = parse_source(src)
-    result = Simulator(module, quiet_machine(), entry="alt_main").run()
-    assert result.total_time >= 0
-
-
 def test_string_arguments_pass_through():
     interp = run_single('int main() { printf("hello %d"); return 0; }')
     assert interp.clock.now > 0  # IO op advanced time

@@ -59,7 +59,7 @@ def _every_opcode_renders_from_its_body() -> None:
     sets ``pc``) gives the body back, and a rendered instruction is code."""
     assert set(_TEMPLATES) == set(ops.NAMES)
     for op in ops.NAMES:
-        template = _TEMPLATES[op][0]
+        template = _TEMPLATES[op]
         lines = [ln for ln in template.split("\n") if ln.strip() != "continue"]
         restored = re.sub(r"__(a|b|c|op)__", r"\1", "\n".join(lines))
         restored = restored.replace("__here__", "pc - 1").replace("__next__", "pc")
@@ -176,7 +176,7 @@ int main() {
         local[1] = v;
         table[2] = local[1] + table[0];
         v = rand() + gethostname() + MPI_Comm_rank();
-        compute_units(3);
+        compute_units(v);
         i = 1;
         if (i <= 1) { v = v + 1; }
         if (i > 5) { v = 0; }

@@ -189,9 +189,10 @@ def test_the_folding_program_folds_what_it_should():
     program = compile_module(parse_source(_FOLDING_SRC), default_extern_registry())
     source, _bound = core_source(program)
     cu = sum(ins[0] == ops.CU for fc in program.funcs for ins in fc.code)
-    # compute_units(12) x5, (2.5), (7), (1) and () fold into their block's one
-    # integer add; (0.3), (0.25) and the two variable amounts keep CU's body
-    assert cu == 13
+    # compute_units(12) x5, (2.5), (7), (1) and () fold into their span's
+    # CHARGE at compile time; (0.3), (0.25) and the two variable amounts
+    # keep a CU op and its body
+    assert cu == 4
     assert source.count("units = max(0.0, float(regs[") == 4
     charges = sum(ins[0] == ops.CHARGE for fc in program.funcs for ins in fc.code)
     integer_adds = len(re.findall(r"pend_h \+= \d+\n", source))

@@ -1,10 +1,21 @@
 """High-level API surface tests."""
 
+import numpy as np
 import pytest
 
-from repro.api import StaticResult, compile_and_instrument, run_uninstrumented, run_vsensor
+from repro.api import (
+    JobSpec,
+    StaticResult,
+    compile_and_instrument,
+    run_multi_job,
+    run_uninstrumented,
+    run_vsensor,
+)
 from repro.instrument.annotations import Annotations, SnippetRef
+from repro.runtime.detector import DetectorConfig
 from repro.sim import MachineConfig
+from repro.sim.faults import BadNode
+from repro.workloads import get_workload
 from tests.conftest import SIMPLE_MPI_PROGRAM
 
 
@@ -66,3 +77,66 @@ def test_seed_controls_determinism():
     r2 = run_vsensor(SIMPLE_MPI_PROGRAM, m2)
     assert r1a.sim.total_time == r1b.sim.total_time
     assert r1a.sim.total_time != r2.sim.total_time
+
+
+def _regions(report):
+    return sorted(
+        (r.sensor_type.value, r.rank_lo, r.rank_hi, r.t_start_us, r.cells)
+        for r in report.regions
+    )
+
+
+def _regions_clustered_at(report, threshold):
+    from repro.runtime.report import cluster_low_cells
+
+    return sorted(
+        (r.sensor_type.value, r.rank_lo, r.rank_hi, r.t_start_us, r.cells)
+        for sensor_type, matrix in report.matrices.items()
+        for r in cluster_low_cells(matrix, sensor_type, report.window_us, threshold)
+    )
+
+
+#: CG at 8 ranks, 2 per node, with a mildly bad node 0: the report's regions
+#: differ between the default threshold (0.7) and the one these tests set
+_BAD_NODE = dict(
+    machine=MachineConfig(n_ranks=8, ranks_per_node=2),
+    faults=[BadNode(node_id=0, cpu_factor=0.9, mem_factor=0.9)],
+)
+
+
+def test_run_threshold_reaches_server_report_and_live_reporter():
+    from repro.runtime.live import LiveReporter
+
+    source = get_workload("CG").source()
+    live = LiveReporter(period_us=50_000.0)
+    run = run_vsensor(
+        source,
+        _BAD_NODE["machine"],
+        faults=_BAD_NODE["faults"],
+        detector=DetectorConfig(threshold=0.95),
+        live=live,
+    )
+    assert run.runtime.server.threshold == 0.95
+    assert _regions(run.report) == _regions_clustered_at(run.report, 0.95)
+    assert _regions(run.report) != _regions_clustered_at(run.report, 0.7)
+    for snapshot in live.snapshots:
+        assert snapshot.low_cells == {
+            t: int((np.isfinite(m) & (m < 0.95)).sum())
+            for t, m in snapshot.matrices.items()
+        }
+
+
+def test_each_job_of_a_multi_job_run_uses_its_own_threshold():
+    source = get_workload("CG").source()
+    jobs = [
+        JobSpec(source, _BAD_NODE["machine"], faults=_BAD_NODE["faults"],
+                detector=DetectorConfig(threshold=0.95)),
+        JobSpec(source, _BAD_NODE["machine"], faults=_BAD_NODE["faults"]),
+    ]
+    multi = run_multi_job(jobs, n_shards=2)
+    strict, default = multi.jobs[0], multi.jobs[1]
+    assert multi.service.ports[0].threshold == 0.95
+    assert multi.service.ports[1].threshold == 0.7
+    assert _regions(strict.report) == _regions_clustered_at(strict.report, 0.95)
+    assert _regions(default.report) == _regions_clustered_at(default.report, 0.7)
+    assert _regions(strict.report) != _regions(default.report)

@@ -23,31 +23,38 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.frontend
 import repro.parallel
 import repro.runtime
 import repro.service
 import repro.sim.lockstep
 from repro.api import run_multi_job, run_vsensor, simulate_instrumented
 from repro.frontend import parse_source
+from repro.instrument import annotations
 from repro.parallel import JobTask
 import repro.pipeline
-from repro.pipeline import PASSES, ArtifactStore, Pass
+from repro.pipeline import PASSES, ArtifactStore, Pass, passes
 from repro.runtime import batch_detector, columnar, governor, records
 from repro.runtime.batch_detector import BatchDetector, RankView, SummaryLog
 from repro.runtime.channel import Envelope, LossyChannel
 from repro.runtime.governor import GovernorConfig
+from repro.runtime.live import LiveReporter
 from repro.runtime.columnar import ColumnarStore
 from repro.runtime.records import SliceSummary, SummaryColumns
 from repro.runtime.reference import ReferenceStore
 from repro.runtime.server import AnalysisServer
 from repro.runtime.transport import FileSpool, ReliableTransport, _Pending
 from repro.runtime.vsensor_hooks import VSensorRuntime
+from repro.sensors import identify, rules
 from repro.sensors.extern import default_extern_registry
+from repro.sensors.identify import identify_vsensors
 from repro.service import AnalysisService, QueryMerger, ShardWorker, TenantPort
 from repro.sim import MachineConfig, Simulator
-from repro.sim import clock
-from repro.sim.bytecode import BytecodeInterp, compile_module, dispatch, render
+from repro.sim import clock, engine, interp
+from repro.sim.bytecode import BytecodeInterp, compile_module, compiler, dispatch, render
+from repro.sim.interp import RankInterp
 from repro.sim.lockstep import clocks
+from repro.sim.lockstep import runner as lockstep_runner
 
 
 def _package_sources(package) -> dict[str, str]:
@@ -285,6 +292,83 @@ def test_the_static_passes_run_in_one_written_order():
     assert not hasattr(ArtifactStore(), "stats")
 
 
+# -- each compile-path rule has one statement ---------------------------------
+
+
+def _callers_of(module, method: str) -> set[str]:
+    """Names of the functions in ``module`` whose bodies call ``.method()``."""
+    tree = ast.parse(inspect.getsource(module))
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+    }
+
+
+def test_work_charges_land_by_one_rule():
+    """``dispatch.LANDS_CHARGES`` says where a pending charge lands: the
+    compiler's ``emit`` lands before those ops and ``bind`` at labels (no
+    call site flushes by hand), and the renderer merges ``CHARGE``s by the
+    same set and folds no ``CU`` of its own."""
+    assert _callers_of(compiler, "flush_charges") == {"emit", "bind"}
+    assert compiler.LANDS_CHARGES is dispatch.LANDS_CHARGES
+    assert render.LANDS_CHARGES is dispatch.LANDS_CHARGES
+    assert not hasattr(render, "_folded_cu")
+    render_attrs = {
+        node.attr
+        for node in ast.walk(ast.parse(inspect.getsource(render)))
+        if isinstance(node, ast.Attribute)
+    }
+    assert "CU" not in render_attrs
+
+
+def test_one_classifier_and_one_annotation_step():
+    own = {
+        name
+        for name, fn in inspect.getmembers(annotations, inspect.isfunction)
+        if fn.__module__ == annotations.__name__
+    }
+    assert own == {"apply_annotations", "_find_snippet"}
+    assert annotations.classify_snippet is identify.classify_snippet
+    assert not hasattr(identify._Identifier, "_classify")
+    assert not _callers_of(passes, "is_excluded") | _callers_of(passes, "forced_sensors")
+    assert not hasattr(rules, "MaxLoopDepthRule")
+
+
+def test_a_program_starts_at_one_entry():
+    for fn in (
+        Simulator.__init__, RankInterp.__init__, BytecodeInterp.__init__,
+        identify_vsensors, identify._Identifier.__init__,
+    ):
+        assert "entry" not in inspect.signature(fn).parameters, fn.__qualname__
+    identify_pass = next(p for p in PASSES if p.name == "identify")
+    assert "entry" not in identify_pass.config_keys
+
+
+def test_one_point_to_point_table():
+    assert compiler._MPI_P2P is interp._MPI_P2P
+    assert lockstep_runner._P2P_OPS == frozenset(interp._MPI_P2P.values())
+    assert not hasattr(engine, "_P2P_OPS")
+    spelled = [
+        node
+        for node in ast.walk(ast.parse(inspect.getsource(interp)))
+        if isinstance(node, ast.Constant) and node.value == "MPI_Sendrecv"
+    ]
+    assert len(spelled) == 1
+    assert not hasattr(repro.frontend, "parse_file")
+
+
+def test_a_run_has_one_variance_threshold():
+    """The detector config's threshold is the run's; the service and the
+    live reporter keep no threshold of their own."""
+    assert "threshold" not in inspect.signature(AnalysisService.__init__).parameters
+    assert "threshold" not in _field_names(LiveReporter)
+
+
 # -- gates that used to be grep steps in ci.yml -------------------------------
 
 
@@ -398,7 +482,7 @@ def test_rendering_added_no_engine_name_or_parameter():
     with pytest.raises(ValueError, match=r"\(bytecode\|ast\|lockstep\|auto\)"):
         Simulator(module, machine, engine="rendered")
     assert list(inspect.signature(Simulator.__init__).parameters) == [
-        "self", "module", "machine", "faults", "sensors", "entry", "externs",
+        "self", "module", "machine", "faults", "sensors", "externs",
         "engine", "obs", "probe_control",
     ]
 
