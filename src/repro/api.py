@@ -23,6 +23,7 @@ from repro.obs import NULL_OBS, Obs
 from repro.pipeline import ArtifactStore, PipelineProfile, default_store, run_passes
 from repro.runtime.detector import DetectorConfig
 from repro.runtime.dynrules import DynamicRule, NoGrouping
+from repro.runtime.records import SummaryView
 from repro.runtime.report import VarianceReport
 from repro.runtime.vsensor_hooks import VSensorRuntime
 from repro.sensors import IdentificationResult
@@ -432,14 +433,34 @@ class MultiJobRun:
 
 
 class _BatchRecorder:
-    """Duck-typed server capturing each rank's batch sends with times."""
+    """Duck-typed server capturing each rank's batch sends with times.
+
+    A batch is kept as the :class:`~repro.runtime.records.SummaryView` the
+    runtime shipped, so the rows stay in the detector's log (and cross a
+    process boundary once, with it) until :func:`_replay_batches` turns
+    each job's rows into objects in one gather.
+    """
 
     def __init__(self, batch_period_us: float) -> None:
         self.batch_period_us = batch_period_us
-        self.events: list[tuple[float, int, list]] = []
+        self.events: list[tuple[float, int, SummaryView]] = []
 
-    def send_batch(self, rank: int, summaries: list, now: float) -> None:
-        self.events.append((now, rank, list(summaries)))
+    def send_batch(self, rank: int, summaries: SummaryView, now: float) -> None:
+        self.events.append((now, rank, summaries))
+
+
+def _replay_batches(events: list[tuple[float, int, SummaryView]]) -> list[tuple]:
+    """A recorder's ``(now, rank, view)`` events as ``(now, rank, rows)``,
+    the rows built with one gather over the job's log and sliced per
+    batch."""
+    if not events:
+        return []
+    rows = SummaryView.gather([view for _, _, view in events]).to_summaries()
+    batches, start = [], 0
+    for now, rank, view in events:
+        batches.append((now, rank, rows[start : start + len(view)]))
+        start += len(view)
+    return batches
 
 
 def run_multi_job(
@@ -476,14 +497,22 @@ def run_multi_job(
     shards a virtual processing cost (that is what makes bounded queues
     fill and back-pressure engage); the default is zero cost.
 
+    ``store`` is the artifact cache every job compiles through: the
+    process-wide default, an explicit
+    :class:`~repro.pipeline.ArtifactStore`, or ``None`` for "no cache
+    beyond this call" — one fresh store for the call, so each distinct
+    program is compiled once and its bytecode built once however many
+    jobs run it.
+
     ``workers`` fans the compile+simulate phase out to that many OS
     processes on the deterministic :class:`~repro.parallel.WorkerPool`
     (:mod:`repro.parallel`); only phase 1 is parallel — the time-ordered
     replay, back-pressure drive and per-job reports are a deterministic
     function of its outputs, so ``workers=N`` is bit-identical to
     ``workers=1``.  A pool worker compiles against its own process-default
-    artifact store.  ``max_restarts`` bounds crash/replay respawns per
-    worker.
+    artifact store and ships back ``(sim, runtime)``; the parent takes each
+    job's :class:`StaticResult` from ``store``, as on the in-process path.
+    ``max_restarts`` bounds crash/replay respawns per worker.
 
     ``shard_processes`` is accepted for callers that pin it to ``False``;
     process-backed shards were removed (no measured benefit — see
@@ -546,16 +575,22 @@ def run_multi_job(
                 batch_period_us=batch_period_us,
             )
         )
+    if store is None:
+        store = ArtifactStore()
     if workers > 1:
-        outcomes = simulate_jobs_parallel(
-            tasks, workers, obs=obs, max_restarts=max_restarts
-        )
+        for task, (sim, runtime) in zip(
+            tasks,
+            simulate_jobs_parallel(tasks, workers, obs=obs, max_restarts=max_restarts),
+        ):
+            static = compile_and_instrument(
+                task.source, max_depth=task.max_depth, store=store, obs=obs
+            )
+            runtime.sensors = static.program.sensors
+            run.jobs[task.job_id] = JobRun(task.job_id, static, sim, runtime)
     else:
-        outcomes = [simulate_job(task, store, obs) for task in tasks]
-    for task, (static, sim, runtime) in zip(tasks, outcomes):
-        run.jobs[task.job_id] = JobRun(
-            job_id=task.job_id, static=static, sim=sim, runtime=runtime
-        )
+        for task in tasks:
+            static, sim, runtime = simulate_job(task, store, obs)
+            run.jobs[task.job_id] = JobRun(task.job_id, static, sim, runtime)
 
     # Phase 2: replay all jobs' batches, globally time-ordered, through
     # per-job sequenced transports into the shared sharded front.
@@ -573,7 +608,9 @@ def run_multi_job(
         (
             (now, job_id, order, rank, rows)
             for job_id, job_run in run.jobs.items()
-            for order, (now, rank, rows) in enumerate(job_run.runtime.server.events)
+            for order, (now, rank, rows) in enumerate(
+                _replay_batches(job_run.runtime.server.events)
+            )
         ),
         key=lambda item: (item[0], item[1], item[2]),
     )

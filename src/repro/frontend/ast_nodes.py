@@ -243,6 +243,15 @@ class Module(Node):
     functions: list[FunctionDef] = field(default_factory=list)
     source: str = ""
     filename: str = "<string>"
+    #: this tree's bytecode per extern registry, compiled at a simulator's
+    #: first dispatch (:func:`repro.sim.bytecode.program_code`) and freed
+    #: with the tree; a clone, deep copy or pickle of the tree starts empty
+    bytecode: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["bytecode"] = {}
+        return None, state
 
     def function(self, name: str) -> FunctionDef:
         """Look up a function by name; raises KeyError if absent."""
@@ -364,15 +373,18 @@ def clone_tree(node: Node) -> Node:
     """Structural copy of the tree under ``node``, node ids included.
 
     Nodes and the lists that hold them are copied; everything else a node
-    carries (locations, names, literal values) is immutable and shared.  The
-    instrumenter splices probes into such a copy, so the parse artifact the
-    other passes hold stays as parsed.
+    carries (locations, names, literal values) is immutable and shared, but
+    :attr:`Module.bytecode` starts empty.  The instrumenter splices probes
+    into such a copy, so the parse artifact the other passes hold stays as
+    parsed.
     """
     cls = type(node)
     clone = object.__new__(cls)
     for f in fields(cls):
         value = getattr(node, f.name)
-        if isinstance(value, Node):
+        if f.name == "bytecode":
+            value = {}
+        elif isinstance(value, Node):
             value = clone_tree(value)
         elif type(value) is list:
             value = [clone_tree(child) for child in value]

@@ -6,15 +6,19 @@ and embarrassingly parallel — phases 2–4 (globally time-ordered replay
 through the sharded service, quiescence drive, per-job reports) are a
 deterministic function of phase 1's outputs.  So phase 1 is one list of
 :class:`JobTask` mapped through :func:`simulate_job` — in-process, or on
-the deterministic :class:`~repro.parallel.pool.WorkerPool`, where the
-worker runs it with a null obs bundle (observability is
+the deterministic :class:`~repro.parallel.pool.WorkerPool`, where
+:func:`_simulate_remote` runs it with a null obs bundle (observability is
 behaviour-neutral, so the results are bit-identical to an instrumented
-in-process run) and ships back ``(static, sim, runtime)`` — the
-recorder with its timed batch events rides inside ``runtime.server``.
-Phases 2–4 run in the parent exactly as for ``workers=1``, over rows
-that crossed the pool unchanged, which is what makes ``workers=N``
-bit-identical to ``workers=1`` by construction.  A worker compiles
-against its own process-default artifact store.
+in-process run) and ships back ``(sim, runtime)``: the compile stays in
+the worker, and the recorder at ``runtime.server`` holds its batches as
+views of the detector log that rides along in ``runtime.detector``.  The
+parent compiles each distinct program once through its own store and
+points ``runtime.sensors`` at that compile's sensors.  Phases 2–4 run in
+the parent exactly as for ``workers=1``, over rows that crossed the pool
+unchanged, which is what makes ``workers=N`` bit-identical to
+``workers=1`` by construction.  A worker compiles against its own
+process-default artifact store, which lives as long as the pool: one
+call.
 """
 
 from __future__ import annotations
@@ -47,13 +51,13 @@ def simulate_job(task: JobTask, store=_DEFAULT_STORE, obs: Obs | None = None):
     """Run one job's compile + simulate phase.
 
     One :func:`~repro.api.simulate_instrumented` call recording timed
-    batch sends.  The pool calls it with the task alone (a worker compiles
-    against its process-default store and runs null-obs);
-    :func:`~repro.api.run_multi_job`'s in-process loop passes its own
-    ``store`` and ``obs``.  Returns ``(static, sim, runtime)`` — pickled
-    as one payload on the pool hop, so the ``static.program.sensors``
-    identity shared with the runtime survives the trip back — with the
-    recorder at ``runtime.server``.
+    batch sends.  A pool worker calls it with the task alone, through
+    :func:`_simulate_remote` (it compiles against its process-default
+    store and runs null-obs);
+    :func:`~repro.api.run_multi_job`'s in-process loop passes its
+    per-call ``store`` and ``obs``.  Returns ``(static, sim, runtime)``
+    with the recorder at ``runtime.server`` and
+    ``runtime.sensors is static.program.sensors``.
     """
     return simulate_instrumented(
         task.source,
@@ -70,6 +74,13 @@ def simulate_job(task: JobTask, store=_DEFAULT_STORE, obs: Obs | None = None):
     )
 
 
+def _simulate_remote(task: JobTask):
+    """The pool's task function: :func:`simulate_job` in a worker, which
+    ships back ``(sim, runtime)`` and leaves the compile behind."""
+    _static, sim, runtime = simulate_job(task)
+    return sim, runtime
+
+
 def simulate_jobs_parallel(
     tasks: Sequence[JobTask],
     workers: int,
@@ -79,14 +90,14 @@ def simulate_jobs_parallel(
 ) -> list:
     """Fan phase-1 tasks out to ``workers`` processes; results in order.
 
-    Each result is the ``(static, sim, runtime)`` triple of the task at
-    the same index.  Placement, replay and result ordering come from the
-    deterministic pool, so the caller's downstream phases see the exact
-    sequence an in-process loop would have produced.
+    Each result is the ``(sim, runtime)`` pair of the task at the same
+    index (see :func:`_simulate_remote`).  Placement, replay and result
+    ordering come from the deterministic pool, so the caller's downstream
+    phases see the exact sequence an in-process loop would have produced.
     """
     obs = obs or NULL_OBS
     with obs.tracer.span("parallel.phase1", jobs=len(tasks), workers=workers):
         with WorkerPool(
-            workers, simulate_job, obs=obs, max_restarts=max_restarts
+            workers, _simulate_remote, obs=obs, max_restarts=max_restarts
         ) as pool:
             return pool.run(list(tasks))

@@ -25,7 +25,12 @@ completion time), so the rendezvous engine and every runtime hook are
 unchanged, and the two tiers produce bit-identical results.
 """
 
-from repro.sim.bytecode.compiler import FuncCode, ProgramCode, compile_module
+from repro.sim.bytecode.compiler import (
+    FuncCode,
+    ProgramCode,
+    compile_module,
+    program_code,
+)
 from repro.sim.bytecode.disasm import (
     disassemble,
     disassemble_function,
@@ -42,4 +47,5 @@ __all__ = [
     "disassemble",
     "disassemble_function",
     "fusability_summary",
+    "program_code",
 ]

@@ -1,11 +1,12 @@
 """AST → register bytecode lowering.
 
 One :func:`compile_module` call per program; the result is immutable and
-shared by every rank VM.  The compiler mirrors the AST interpreter's
-semantics *exactly* — including its quirks (dynamic local creation on
-first write, globals shadowed only once the shadowing ``VarDecl`` has
-executed, ``int`` default initializers even for ``float`` scalars) — so
-that the two tiers stay bit-identical.
+shared by every rank VM, and :func:`program_code` holds it on the module
+so every simulator of one compiled tree shares it too.  The compiler
+mirrors the AST interpreter's semantics *exactly* — including its quirks
+(dynamic local creation on first write, globals shadowed only once the
+shadowing ``VarDecl`` has executed, ``int`` default initializers even for
+``float`` scalars) — so that the two tiers stay bit-identical.
 
 Lowering decisions:
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from repro.errors import InterpError
 from repro.frontend import ast_nodes as A
 from repro.instrument.rewrite import TICK, TOCK
+from repro.sensors.extern import default_extern_registry
 from repro.sensors.estimate import (
     COST_BINOP,
     COST_BRANCH,
@@ -54,6 +56,7 @@ from repro.sim.bytecode.render import block_leaders, render_core
 from repro.sim.interp import (
     _INTRINSIC_NAMES,
     _MATH_FUNCS,
+    _MATH_TWO_ARG,
     _MPI_COLLECTIVES,
     _MPI_P2P,
     _binop,
@@ -105,8 +108,6 @@ class ProgramCode:
         return self._core
 
 
-_MATH_TWO_ARG = frozenset(("pow", "fmod", "min", "max"))
-
 _CMP_TO_FUSED = {
     ops.LT: ops.JLT_F,
     ops.LE: ops.JLE_F,
@@ -149,6 +150,23 @@ def compile_module(module: A.Module, externs) -> ProgramCode:
         global_index=global_index,
         global_decls=tuple(module.globals),
     )
+
+
+def program_code(module: A.Module, externs=None) -> ProgramCode:
+    """``module``'s :class:`ProgramCode`, compiled once per extern registry.
+
+    The code lives in ``module.bytecode``: the compile cache hands one tree
+    to every run of unchanged text, so those runs share one compile and one
+    rendered core, freed with the tree.  ``externs=None`` stands for the
+    default registry (a new object per :func:`default_extern_registry`
+    call); a given registry is keyed by its content fingerprint.
+    """
+    key = None if externs is None else externs.cache_fingerprint()
+    code = module.bytecode.get(key)
+    if code is None:
+        registry = default_extern_registry() if externs is None else externs
+        code = module.bytecode[key] = compile_module(module, registry)
+    return code
 
 
 class _Label:

@@ -125,20 +125,22 @@ class Simulator:
         self.sensors = sensors or {}
         #: one registry for the compiled program and every rank's interpreter
         self.externs = externs if externs is not None else default_extern_registry()
+        #: what keys the module's shared bytecode: ``None`` = the default
+        self._given_externs = externs
         self.engine = engine
         self.obs = obs or NULL_OBS
         self.network = NetworkModel(machine=machine, faults=self.faults)
-        self._program_code = None  # compiled lazily, shared across runs/ranks
+        self._program_code = None  # fetched lazily, shared across runs/ranks
         self._lockstep_runner = None  # set per run when engine="lockstep"
 
     # -- interpreter construction -------------------------------------------
 
     def _compiled_program(self):
         if self._program_code is None:
-            from repro.sim.bytecode import compile_module
+            from repro.sim.bytecode import program_code
 
             with self.obs.tracer.span("sim.compile_bytecode"):
-                self._program_code = compile_module(self.module, self.externs)
+                self._program_code = program_code(self.module, self._given_externs)
         return self._program_code
 
     def _build_interps(self, hooks: RuntimeHooks) -> list:

@@ -78,6 +78,9 @@ _MATH_FUNCS = {
     "max": max,
 }
 
+#: the entries of ``_MATH_FUNCS`` that take two arguments (the rest take one)
+_MATH_TWO_ARG = frozenset(("pow", "fmod", "min", "max"))
+
 
 @dataclass(slots=True)
 class MpiRequest:
@@ -572,7 +575,7 @@ class RankInterp:
         if name in _MATH_FUNCS:
             self._charge(2.0)
             try:
-                return _MATH_FUNCS[name](*args[: 2 if name in ("pow", "fmod", "min", "max") else 1])
+                return _MATH_FUNCS[name](*args[: 2 if name in _MATH_TWO_ARG else 1])
             except (ValueError, OverflowError):
                 return 0.0
         if name == "printf":

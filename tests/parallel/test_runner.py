@@ -150,6 +150,6 @@ def test_simulate_jobs_parallel_matches_direct_calls():
     direct = [simulate_job(task) for task in tasks]
     pooled = simulate_jobs_parallel(tasks, 2, obs=None, max_restarts=2)
     assert len(pooled) == len(direct)
-    for (_, sim_d, run_d), (_, sim_p, run_p) in zip(direct, pooled):
+    for (_, sim_d, run_d), (sim_p, run_p) in zip(direct, pooled):
         assert sim_d.total_time == sim_p.total_time
         assert run_d.server.events == run_p.server.events
