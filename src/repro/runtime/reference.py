@@ -14,7 +14,7 @@ span and counters describe the production store only.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -142,12 +142,14 @@ class ReferenceStore:
                 matrix[rank, window] = float(np.mean(values))
         return matrix
 
-    def inter_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        for (sensor_id, window), per_rank in sorted(self._replay().per_sensor.items()):
-            ranks = sorted(per_rank)
-            yield (
-                sensor_id,
-                window,
-                np.array(ranks),
-                np.array([per_rank[rank] for rank in ranks]),
-            )
+    def inter_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        entries = [
+            (sensor_id, window, rank, per_rank[rank])
+            for (sensor_id, window), per_rank in sorted(self._replay().per_sensor.items())
+            for rank in sorted(per_rank)
+        ]
+        sensor, window, rank, mean = zip(*entries) if entries else ((), (), (), ())
+        return (
+            np.array(sensor, np.int64), np.array(window, np.int64),
+            np.array(rank, np.int64), np.array(mean, np.float64),
+        )

@@ -126,6 +126,18 @@ class VarianceReport:
         return "\n".join(lines)
 
 
+def mean_per_rank(matrix: np.ndarray) -> np.ndarray:
+    """Per-rank mean of a (rank, window) matrix over the cells with data.
+
+    Ranks without any data stay NaN (``nanmean`` would warn on their rows).
+    """
+    means = np.full(matrix.shape[0], np.nan)
+    has_data = ~np.isnan(matrix).all(axis=1)
+    if has_data.any():
+        means[has_data] = np.nanmean(matrix[has_data], axis=1)
+    return means
+
+
 def cluster_low_cells(
     matrix: np.ndarray,
     sensor_type: SensorType,
@@ -141,38 +153,36 @@ def cluster_low_cells(
     low = np.isfinite(matrix) & (matrix < threshold)
     if not low.any():
         return []
-    visited = np.zeros_like(low, dtype=bool)
+    seeds = [tuple(cell) for cell in np.argwhere(low).tolist()]
+    unvisited = set(seeds)
     regions: list[VarianceRegion] = []
-    n_ranks, n_windows = low.shape
-    for r in range(n_ranks):
-        for w in range(n_windows):
-            if not low[r, w] or visited[r, w]:
-                continue
-            # BFS flood fill.
-            stack = [(r, w)]
-            visited[r, w] = True
-            cells: list[tuple[int, int]] = []
-            while stack:
-                cr, cw = stack.pop()
-                cells.append((cr, cw))
-                for nr, nw in ((cr - 1, cw), (cr + 1, cw), (cr, cw - 1), (cr, cw + 1)):
-                    if 0 <= nr < n_ranks and 0 <= nw < n_windows and low[nr, nw] and not visited[nr, nw]:
-                        visited[nr, nw] = True
-                        stack.append((nr, nw))
-            rows = [c[0] for c in cells]
-            cols = [c[1] for c in cells]
-            values = [matrix[c] for c in cells]
-            regions.append(
-                VarianceRegion(
-                    sensor_type=sensor_type,
-                    rank_lo=min(rows),
-                    rank_hi=max(rows),
-                    t_start_us=min(cols) * window_us,
-                    t_end_us=(max(cols) + 1) * window_us,
-                    mean_performance=float(np.mean(values)),
-                    cells=len(cells),
-                )
+    # Seeds in row-major order, as a scan of every cell would meet them.
+    for seed in seeds:
+        if seed not in unvisited:
+            continue
+        # BFS flood fill over the low cells not yet in a region.
+        unvisited.remove(seed)
+        stack = [seed]
+        cells: list[tuple[int, int]] = []
+        while stack:
+            cr, cw = stack.pop()
+            cells.append((cr, cw))
+            for neighbor in ((cr - 1, cw), (cr + 1, cw), (cr, cw - 1), (cr, cw + 1)):
+                if neighbor in unvisited:
+                    unvisited.remove(neighbor)
+                    stack.append(neighbor)
+        rows, cols = zip(*cells)
+        regions.append(
+            VarianceRegion(
+                sensor_type=sensor_type,
+                rank_lo=min(rows),
+                rank_hi=max(rows),
+                t_start_us=min(cols) * window_us,
+                t_end_us=(max(cols) + 1) * window_us,
+                mean_performance=float(np.mean(matrix[rows, cols])),
+                cells=len(cells),
             )
+        )
     regions.sort(key=lambda region: -region.cells)
     return regions
 
@@ -205,7 +215,7 @@ def build_report(runtime: "VSensorRuntime", total_time: float) -> VarianceReport
         matrix = server.performance_matrix(sensor_type)
         if np.isfinite(matrix).any():
             report.matrices[sensor_type] = matrix
-            report.rank_means[sensor_type] = server.mean_rank_performance(sensor_type)
+            report.rank_means[sensor_type] = mean_per_rank(matrix)
             report.regions.extend(
                 cluster_low_cells(
                     matrix, sensor_type, server.window_us, runtime.config.threshold

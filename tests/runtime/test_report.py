@@ -84,3 +84,45 @@ def test_summary_text():
     report = VarianceReport(n_ranks=8, total_time_us=2e6, intra_events=3, inter_events=1)
     text = report.summary()
     assert "8 ranks" in text and "intra-process variance events: 3" in text
+
+
+def _scan_every_cell(matrix, sensor_type, window_us, threshold=0.7):
+    """The clustering as a row-major scan of every cell: the oracle for the
+    low-cell walk (same seeds, same flood order, same means)."""
+    low = np.isfinite(matrix) & (matrix < threshold)
+    visited = np.zeros_like(low)
+    n_ranks, n_windows = low.shape
+    regions = []
+    for r in range(n_ranks):
+        for w in range(n_windows):
+            if not low[r, w] or visited[r, w]:
+                continue
+            stack, cells = [(r, w)], []
+            visited[r, w] = True
+            while stack:
+                cr, cw = stack.pop()
+                cells.append((cr, cw))
+                for nr, nw in ((cr - 1, cw), (cr + 1, cw), (cr, cw - 1), (cr, cw + 1)):
+                    if 0 <= nr < n_ranks and 0 <= nw < n_windows and low[nr, nw] and not visited[nr, nw]:
+                        visited[nr, nw] = True
+                        stack.append((nr, nw))
+            rows, cols = [c[0] for c in cells], [c[1] for c in cells]
+            regions.append(
+                VarianceRegion(
+                    sensor_type, min(rows), max(rows), min(cols) * window_us,
+                    (max(cols) + 1) * window_us, float(np.mean([matrix[c] for c in cells])),
+                    len(cells),
+                )
+            )
+    regions.sort(key=lambda region: -region.cells)
+    return regions
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cluster_matches_a_scan_of_every_cell(seed):
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(0.0, 1.4, size=(int(rng.integers(1, 24)), int(rng.integers(1, 24))))
+    matrix[rng.random(matrix.shape) < 0.1] = np.nan
+    assert cluster_low_cells(matrix, SensorType.NETWORK, 1000.0) == _scan_every_cell(
+        matrix, SensorType.NETWORK, 1000.0
+    )
