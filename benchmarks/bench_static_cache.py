@@ -8,7 +8,7 @@ one artifact store — a cold compile (every pass executes) and a warm one
 The shape this pins: warm compiles are ≥5× faster than cold in aggregate,
 and the cached output is *bit-identical* to a fresh uncached compile —
 emitted source and sensor registry alike — including after a targeted
-mid-pipeline invalidation (the dataflow artifact is dropped, recomputes,
+mid-pipeline invalidation (the identify artifact is dropped, recomputes,
 and every downstream stage still hits because keys derive from content).
 """
 
@@ -22,7 +22,7 @@ import pytest
 from benchmarks.conftest import write_payload
 
 from repro.api import compile_and_instrument
-from repro.pipeline import ArtifactStore
+from repro.pipeline import PASSES, ArtifactStore
 from repro.workloads import all_workloads
 
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_static.json")
@@ -55,26 +55,26 @@ def test_static_cache_trajectory():
             return _compile(source, name, ArtifactStore())
 
         cold_s, cold_static = _best(cold_compile)
-        assert cold_static.profile.misses == 7
+        assert cold_static.profile.misses == len(PASSES)
 
         # Warm: one primed store; every pass is a cache hit.
         store = ArtifactStore()
         _compile(source, name, store)
         warm_s, warm_static = _best(lambda: _compile(source, name, store))
-        assert warm_static.profile.hits == 7
+        assert warm_static.profile.hits == len(PASSES)
 
         # Bit-identical proof: warm output == fresh uncached output.
         fresh = _compile(source, name, None)
         assert warm_static.source == fresh.source
         assert sorted(warm_static.program.sensors) == sorted(fresh.program.sensors)
 
-        # Targeted invalidation: dataflow recomputes, downstream still hits,
+        # Targeted invalidation: identify recomputes, downstream still hits,
         # output unchanged.
-        store.invalidate_pass("dataflow")
+        store.invalidate_pass("identify")
         revalidated = _compile(source, name, store)
         outcome = {t.name: t.cache_hit for t in revalidated.profile.timings}
-        assert outcome["dataflow"] is False
-        assert outcome["identify"] and outcome["select"] and outcome["instrument"]
+        assert outcome["identify"] is False
+        assert outcome["select"] and outcome["instrument"]
         assert revalidated.source == fresh.source
 
         cold_total += cold_s

@@ -4,12 +4,11 @@ This package reimplements the full vSensor tool chain (PPoPP 2018) in pure
 Python:
 
 * :mod:`repro.frontend` — a mini C-like language (lexer / parser / AST).
-* :mod:`repro.ir`, :mod:`repro.dataflow` — a three-address IR with a CFG,
-  reaching definitions and use-def chains: the compiler substrate the
-  identification algorithm's slicer runs on (loops are found on the AST).
 * :mod:`repro.callgraph`, :mod:`repro.sensors` — the paper's core
   contribution: automatic identification of *v-sensors* (snippets with a
-  fixed quantity of work over loop iterations and across MPI ranks).
+  fixed quantity of work over loop iterations and across MPI ranks), read
+  off the AST alone: loops, calls, reaching definitions over the
+  structured control flow, and the call graph.
 * :mod:`repro.instrument` — v-sensor selection rules and Tick/Tock source
   instrumentation.
 * :mod:`repro.sim` — a deterministic discrete-event cluster simulator

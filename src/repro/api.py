@@ -1,8 +1,8 @@
 """High-level pipeline: the eight workflow steps in one call.
 
 :func:`compile_and_instrument` covers the static module (steps 1–5) as the
-seven :mod:`repro.pipeline` passes in one fixed order: parse → lower →
-cfa → dataflow → identify → select → instrument, with per-pass timing and
+four :mod:`repro.pipeline` passes in one fixed order: parse → identify →
+select → instrument, with per-pass timing and
 content-addressed artifact caching (repeat compiles of unchanged text and
 config reuse every stage).  :func:`run_vsensor` adds the dynamic module
 (steps 6–8) on the simulated cluster and returns everything a study needs:

@@ -31,7 +31,8 @@ class ParseError(ReproError):
 
 
 class LoweringError(ReproError):
-    """Raised when an AST construct cannot be lowered to IR."""
+    """Raised when a parsed function breaks a rule of the language that the
+    grammar does not (``break`` outside a loop, a local declared twice)."""
 
 
 class InstrumentError(ReproError):

@@ -2,9 +2,10 @@
 
 Every node carries a :class:`~repro.frontend.location.SourceLoc` and a
 process-unique integer ``node_id``.  The id is what the rest of the tool
-chain uses to refer back to source constructs: IR instructions link to the
-node they were lowered from, identified v-sensors name the loop/call node
-they wrap, and the instrumenter keys Tick/Tock insertion off node ids.
+chain uses to refer back to source constructs: the analysis classifies
+definitions and calls by the subtrees holding their ids, identified
+v-sensors name the loop/call node they wrap, and the instrumenter keys
+Tick/Tock insertion off node ids.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Source locations attached to tokens and AST nodes.
 
-Locations power step 3 of the vSensor workflow ("map to source"): every IR
-instruction keeps a back-link to the AST node it was lowered from, and every
-AST node keeps the file/line/column it was parsed at, so an identified
-v-sensor can be reported and instrumented at its source position.
+Locations power step 3 of the vSensor workflow ("map to source"): the
+analysis runs on the AST, and every AST node keeps the file/line/column it
+was parsed at, so an identified v-sensor can be reported and instrumented
+at its source position.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ class Annotations:
                 VSensor(
                     snippet=snippet,
                     sensor_type=classify_snippet(
-                        result.ir.functions[snippet.function],
+                        result.shapes[snippet.function],
                         subtree_ids(snippet.node),
                         result.summaries,
                     ),

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.diagnostics import Diagnostic, ReasonCode, Span, note
 from repro.sensors.asttools import subtree_ids
+from repro.sensors.estimate import WorkloadEstimator
 from repro.sensors.identify import IdentificationResult
 from repro.sensors.model import SensorType, VSensor
 
@@ -142,28 +143,20 @@ def _functions_reachable_from(
 ) -> set[str]:
     """Functions whose code executes inside ``sensor``'s snippet (via calls
     in the snippet's subtree, transitively through the call graph)."""
-    from repro.ir.instructions import CallInstr
-
-    fn = result.ir.functions.get(sensor.function)
-    if fn is None:
+    shape = result.shapes.get(sensor.function)
+    if shape is None:
         return set()
-    roots: set[str] = set()
-    for instr in fn.instructions():
-        node = instr.ast_node
-        if node is None or node.node_id not in subtree:
-            continue
-        if isinstance(instr, CallInstr) and not instr.is_indirect:
-            if result.ir.has_function(instr.callee):
-                roots.add(instr.callee)
+    graph = result.callgraph.graph
+    stack = [
+        call.callee for call in shape.live_calls(subtree)
+        if call.callee in graph and not result.summaries.is_indirect(call)
+    ]
     reachable: set[str] = set()
-    stack = list(roots)
     while stack:
         name = stack.pop()
-        if name in reachable:
-            continue
-        reachable.add(name)
-        if name in result.callgraph.graph:
-            stack.extend(result.callgraph.graph.successors(name))
+        if name not in reachable:
+            reachable.add(name)
+            stack.extend(graph[name])
     return reachable
 
 
@@ -188,23 +181,16 @@ def select_sensors(
     for sensor in result.sensors:
         sensor.selected = False
 
-    estimator = None
-    if result.ir.ast is not None:
-        from repro.sensors.estimate import WorkloadEstimator
-
-        estimator = WorkloadEstimator(result.ir.ast, externs=result.summaries.externs)
-        freqs = _node_frequencies(result.ir.ast, estimator)
-        for sensor in result.sensors:
-            plan.estimates[sensor.sensor_id] = SensorEstimate(
-                est_work=estimator.estimate_snippet(sensor.snippet.node),
-                est_calls=freqs.get(sensor.snippet.node.node_id),
-            )
-    if min_estimated_work <= 0.0:
-        # Estimates feed the runtime governor either way, but the
-        # granularity cut below stays opt-in: only applied when asked.
-        cut_estimator = None
-    else:
-        cut_estimator = estimator
+    estimator = WorkloadEstimator(result.module, externs=result.summaries.externs)
+    freqs = _node_frequencies(result.module, estimator)
+    for sensor in result.sensors:
+        plan.estimates[sensor.sensor_id] = SensorEstimate(
+            est_work=estimator.estimate_snippet(sensor.snippet.node),
+            est_calls=freqs.get(sensor.snippet.node.node_id),
+        )
+    # Estimates feed the runtime governor either way, but the granularity
+    # cut below stays opt-in: only applied when asked.
+    cut_estimator = estimator if min_estimated_work > 0.0 else None
 
     candidates: list[VSensor] = []
     for sensor in result.sensors:

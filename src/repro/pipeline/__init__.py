@@ -1,9 +1,9 @@
-"""The static (compile-time) side of vSensor as seven passes in one order.
+"""The static (compile-time) side of vSensor as four passes in one order.
 
 Public surface:
 
-* :data:`PASSES` / :class:`Pass` — parse, lower, cfa, dataflow, identify,
-  select, instrument, each with its inputs and cache-relevant config keys.
+* :data:`PASSES` / :class:`Pass` — parse, identify, select, instrument,
+  each with its inputs and cache-relevant config keys.
 * :func:`run_passes` — runs the tuple for one compile and returns the
   artifacts plus its :class:`PipelineProfile` (per-pass time, cache hits).
 * :class:`ArtifactStore` — content-addressed in-memory LRU cache.
@@ -18,7 +18,6 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.passes import (
     PASSES,
-    CfaArtifact,
     Pass,
     SelectionArtifact,
     default_store,
@@ -29,7 +28,6 @@ from repro.pipeline.profile import PassTiming, PipelineProfile
 __all__ = [
     "PASSES",
     "ArtifactStore",
-    "CfaArtifact",
     "FingerprintError",
     "Pass",
     "PassTiming",

@@ -92,7 +92,7 @@ class ArtifactStore:
     """Bounded in-memory LRU of pass artifacts.
 
     ``capacity`` bounds the number of entries (artifacts are whole ASTs /
-    IR modules, so the bound is a count, not bytes).
+    identification results, so the bound is a count, not bytes).
     """
 
     def __init__(self, capacity: int = 128) -> None:

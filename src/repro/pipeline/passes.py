@@ -4,15 +4,12 @@
 pass        does                                                 paper step
 =========== ==================================================== ==============
 parse       source text → AST (deterministic node ids)           1 (compile)
-lower       AST → three-address IR with AST back-links           1 (compile)
-cfa         call graph + recursion/pointer pruning + shapes      2a (call graph)
-dataflow    use–def chains + bottom-up function summaries        2c (summaries)
-identify    snippet enumeration, v-sensor predicate, rejections  2, 3 (identify)
+identify    call graph, summaries, snippets, v-sensor predicate  2, 3 (identify)
 select      scope / granularity / nesting rules + annotations    4 (selection)
 instrument  Tick/Tock splicing into a copy of the parse tree     4, 5 (modify)
 =========== ==================================================== ==============
 
-:data:`PASSES` lists the seven in this order, each with its inputs (earlier
+:data:`PASSES` lists the four in this order, each with its inputs (earlier
 passes only) and the config keys that change its output; :func:`run_passes`
 walks the tuple once per compile, caching artifacts content-addressed, so a
 change re-runs exactly the stages it invalidates.
@@ -30,35 +27,15 @@ import dataclasses
 import time
 from typing import Any, Callable, Mapping
 
-from repro.callgraph.graph import CallGraph, build_call_graph
-from repro.callgraph.preprocess import PreprocessResult, preprocess_call_graph
 from repro.frontend import ast_nodes as A
 from repro.frontend.parser import parse_source
 from repro.instrument.annotations import apply_annotations
 from repro.instrument.rewrite import InstrumentedProgram, instrument_module
 from repro.instrument.select import InstrumentationPlan, select_sensors
-from repro.ir.lower import lower_module
 from repro.obs import NULL_OBS, Obs
 from repro.pipeline.artifacts import ArtifactStore, FingerprintError, digest, fingerprint
 from repro.pipeline.profile import PassTiming, PipelineProfile
-from repro.sensors.asttools import FunctionShape
-from repro.sensors.extern import default_extern_registry
-from repro.sensors.identify import (
-    IdentificationResult,
-    _Identifier,
-    apply_static_rules,
-    compute_function_shapes,
-)
-from repro.sensors.summaries import compute_summaries
-
-
-@dataclasses.dataclass(slots=True)
-class CfaArtifact:
-    """Output of the ``cfa`` pass: call-side control structure."""
-
-    callgraph: CallGraph
-    preprocess: PreprocessResult
-    shapes: dict[str, FunctionShape]
+from repro.sensors.identify import IdentificationResult, identify_vsensors
 
 
 @dataclasses.dataclass(slots=True)
@@ -74,48 +51,14 @@ class SelectionArtifact:
     plan: InstrumentationPlan
 
 
-def _externs(config: Mapping[str, Any]):
-    return config.get("externs") or default_extern_registry()
-
-
 def _parse_pass(config) -> A.Module:
     return parse_source(config["source"], filename=config["filename"])
 
 
-def _lower_pass(_config, module: A.Module):
-    return lower_module(module)
-
-
-def _cfa_pass(_config, ir) -> CfaArtifact:
-    callgraph = build_call_graph(ir)
-    return CfaArtifact(
-        callgraph=callgraph,
-        preprocess=preprocess_call_graph(callgraph),
-        shapes=compute_function_shapes(ir),
+def _identify_pass(config, module: A.Module) -> IdentificationResult:
+    return identify_vsensors(
+        module, config.get("externs"), tuple(config.get("static_rules") or ())
     )
-
-
-def _dataflow_pass(config, ir, cfa: CfaArtifact):
-    return compute_summaries(ir, cfa.callgraph, cfa.preprocess, _externs(config))
-
-
-def _identify_pass(
-    config, module: A.Module, ir, cfa: CfaArtifact, summaries
-) -> IdentificationResult:
-    identifier = _Identifier(
-        module,
-        _externs(config),
-        ir=ir,
-        callgraph=cfa.callgraph,
-        preprocess=cfa.preprocess,
-        summaries=summaries,
-        shapes=cfa.shapes,
-    )
-    result = identifier.run()
-    static_rules = tuple(config.get("static_rules") or ())
-    if static_rules:
-        apply_static_rules(result, static_rules)
-    return result
 
 
 def _select_pass(config, ident: IdentificationResult) -> SelectionArtifact:
@@ -175,15 +118,7 @@ class Pass:
 
 PASSES: tuple[Pass, ...] = (
     Pass("parse", (), _parse_pass),
-    Pass("lower", ("parse",), _lower_pass),
-    Pass("cfa", ("lower",), _cfa_pass),
-    Pass("dataflow", ("lower", "cfa"), _dataflow_pass, ("externs",)),
-    Pass(
-        "identify",
-        ("parse", "lower", "cfa", "dataflow"),
-        _identify_pass,
-        ("externs", "static_rules"),
-    ),
+    Pass("identify", ("parse",), _identify_pass, ("externs", "static_rules")),
     Pass(
         "select",
         ("identify",),

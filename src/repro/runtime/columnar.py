@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.runtime.history import normalized, observe_block
 from repro.runtime.records import (
-    CODE_SENSOR_TYPE, SliceSummary, SummaryColumns, SummaryView, rank_error,
+    CODE_SENSOR_TYPE, SliceSummary, SummaryColumns, SummaryView, duration_error, rank_error,
 )
 from repro.sensors.model import SensorType
 
@@ -253,9 +253,9 @@ class ColumnarStore:
 
     def _take_staged(self) -> dict[str, np.ndarray]:
         """Every staged row, store-coded, in arrival order (``_STAGED``
-        columns).  A row naming a rank outside the job raises before
-        anything is taken, and the staged batches stay staged, so every
-        later read raises too."""
+        columns).  A row naming a rank outside the job, or else one holding
+        a NaN mean duration, raises before anything is taken, and the
+        staged batches stay staged, so every later read raises too."""
         blocks = []  # per batch of columns: its arrays in ``_STAGED`` order
         for cols in self._staged_columns():
             if not len(cols):
@@ -273,11 +273,15 @@ class ColumnarStore:
                  cols.mean_duration, cols.sensor_type_code,
                  np.floor_divide(t_start, self.window_us), t_start)
             )
-        self._staged = []
-        return {
+        new = {
             name: np.concatenate(parts, dtype=dtype, casting="unsafe")
             for (name, dtype), parts in zip(_STAGED, zip(*blocks))
         }
+        nan = np.flatnonzero(np.isnan(new["duration"])) if new else ()
+        if len(nan):
+            raise duration_error(*(int(new[k][nan[0]]) for k in ("rank", "sensor", "slice")))
+        self._staged = []
+        return new
 
     def settle(self) -> int:
         """Fold the staged batches in and drop identity duplicates;
@@ -387,8 +391,9 @@ class ColumnarStore:
         n, start = len(self), self._replayed
         if start == n:
             return None
-        moved = self._moved(start) if start else None
-        if moved is None:
+        if start:
+            at, perf, standard = self._moved(start)
+        else:
             at = np.arange(n)
             perf, standard = (
                 np.concatenate(part)
@@ -397,8 +402,6 @@ class ColumnarStore:
                     for lo, hi in pairwise(self._bounds.tolist())
                 ))
             )
-        else:
-            at, perf, standard = moved
         rows = self._order[at]
         flipped = (rows < start) & (perf.view(np.int64) != self._perf[rows].view(np.int64))
         self._perf[rows] = perf
@@ -407,9 +410,9 @@ class ColumnarStore:
         self._refresh(np.concatenate((np.arange(start, n), rows[flipped])))
         return ("full" if len(rows) == n else "incremental"), len(rows)
 
-    def _moved(self, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def _moved(self, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(positions, perf, standards)`` of the rows a late epoch must
-        observe, in order; ``None`` when it cannot tell exactly.
+        observe, in order.
 
         The standard is a cumulative minimum along a stream, so after a
         new row it is ``min(held, m)``: the standard the replayed rows
@@ -422,18 +425,13 @@ class ColumnarStore:
         position before it.  ``min`` then picks what the sequential
         minimum picks, except between ``-0.0`` and ``0.0``, which no
         answer tells apart (the scalar history already picks differently
-        there).  A NaN held standard sorts last, where nothing after it
-        can move; a NaN new duration poisons every standard after it,
-        which ``min(held, m)`` does not model, so it answers ``None`` and
-        the epoch observes every stream whole.
+        there).
         """
         order, bounds, held = self._order, self._bounds, self._held
         duration = self._cols["duration"]
         new_at = np.flatnonzero(order >= start)
         stream = np.searchsorted(bounds, new_at, side="right") - 1
         d = duration[order[new_at]]
-        if np.isnan(d).any():
-            return None
         cuts = np.flatnonzero(np.concatenate(([True], stream[1:] != stream[:-1], [True])))
         runs = list(pairwise(cuts.tolist()))
         lo, hi = bounds[stream[cuts[:-1]]], bounds[stream[cuts[:-1]] + 1]

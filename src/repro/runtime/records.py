@@ -77,6 +77,26 @@ def rank_error(rank: int, n_ranks: int) -> ReproError:
     return ReproError(f"summary row names rank {rank}; this job has ranks 0..{n_ranks - 1}")
 
 
+def duration_error(rank: int, sensor_id: int, slice_index: int) -> ReproError:
+    """What a store raises at its first read after ingesting a row whose
+    mean duration is NaN — outside input as well: a slice's mean over
+    executions the detector timed is a number (``inf`` stays valid)."""
+    return ReproError(
+        f"summary row of rank {rank}, sensor {sensor_id}, slice {slice_index} "
+        "has a NaN mean duration"
+    )
+
+
+def duration_error(rank: int, sensor_id: int, slice_index: int) -> ReproError:
+    """What a store raises at its first read after ingesting a row whose
+    mean duration is NaN — outside input as well: a slice's mean over
+    executions the detector timed is a number (``inf`` stays valid)."""
+    return ReproError(
+        f"summary row of rank {rank}, sensor {sensor_id}, slice {slice_index} "
+        "has a NaN mean duration"
+    )
+
+
 _ROW_FIELDS = attrgetter(
     "rank", "sensor_id", "sensor_type", "group", "slice_index",
     "t_slice_start", "mean_duration", "count", "mean_cache_miss",

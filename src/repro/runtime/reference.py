@@ -14,13 +14,16 @@ span and counters describe the production store only.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.runtime.history import SensorHistory
-from repro.runtime.records import CODE_SENSOR_TYPE, SliceSummary, SummaryColumns, rank_error
+from repro.runtime.records import (
+    CODE_SENSOR_TYPE, SliceSummary, SummaryColumns, duration_error, rank_error,
+)
 from repro.sensors.model import SensorType
 
 
@@ -48,8 +51,10 @@ class ReferenceStore:
         self._last_seen: dict[int, float] = {}
         #: identity duplicates seen and not yet reported by ``settle``
         self._duplicates = 0
-        #: ranks of ingested rows outside the job; ``settle`` raises on them
+        #: ranks of ingested rows outside the job, and (rank, sensor, slice)
+        #: of rows with a NaN duration; ``settle`` raises on them
         self._bad_ranks: list[int] = []
+        self._nan_rows: list[tuple[int, int, int]] = []
 
     def __len__(self) -> int:
         return len(self._store)
@@ -60,6 +65,9 @@ class ReferenceStore:
         for summary in summaries:
             if not 0 <= summary.rank < self.n_ranks:
                 self._bad_ranks.append(summary.rank)
+                continue
+            if math.isnan(summary.mean_duration):
+                self._nan_rows.append((summary.rank, summary.sensor_id, summary.slice_index))
                 continue
             key = summary.identity
             if key in self._store:
@@ -78,6 +86,8 @@ class ReferenceStore:
     def settle(self) -> int:
         if self._bad_ranks:
             raise rank_error(self._bad_ranks[0], self.n_ranks)
+        if self._nan_rows:
+            raise duration_error(*self._nan_rows[0])
         duplicates, self._duplicates = self._duplicates, 0
         return duplicates
 

@@ -1,15 +1,15 @@
 """AST structure utilities used by snippet analysis.
 
-Snippet membership ("is this IR instruction part of loop L?") is decided by
-AST-subtree containment: the lowering tags every instruction with the AST
-node it implements, and these helpers precompute subtree node-id sets and
-loop ancestry chains per function.
+Snippet membership ("is this definition or call part of loop L?") is decided
+by AST-subtree containment: these helpers precompute subtree node-id sets,
+loop ancestry chains and the nodes that can execute, per function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import LoweringError
 from repro.frontend import ast_nodes as A
 
 
@@ -55,10 +55,23 @@ class FunctionShape:
     call_subtrees: dict[int, frozenset[int]] = field(default_factory=dict)
     #: whole-body subtree ids
     body_ids: frozenset[int] = frozenset()
+    #: the nodes that can execute, in evaluation order (each after the
+    #: expressions it reads): calls, ``&f``, assignments, initialized
+    #: declarations, returns, and branches (``if``/loops with a condition)
+    live: list[A.Node] = field(default_factory=list)
+    #: node ids of the calls made through a funcptr variable
+    indirect: frozenset[int] = frozenset()
 
     def loop_depth(self, loop: A.Stmt) -> int:
         """0 for an out-most loop, 1 for its direct subloops, ..."""
         return len(self.enclosing.get(loop.node_id, []))
+
+    def live_calls(self, ids: frozenset[int] | None = None) -> list[A.CallExpr]:
+        """Calls that can execute, optionally only those inside ``ids``."""
+        return [
+            n for n in self.live
+            if isinstance(n, A.CallExpr) and (ids is None or n.node_id in ids)
+        ]
 
 
 def compute_shape(fn: A.FunctionDef) -> FunctionShape:
@@ -96,8 +109,91 @@ def compute_shape(fn: A.FunctionDef) -> FunctionShape:
             visit(child, loop_stack)
 
     visit(fn.body, [])
-
-    # walk_exprs on compound statements only yields that statement's own
-    # expressions, so nested statements' expressions were handled in their
-    # own visit() calls; nothing further to do.
+    walk = _LiveWalk(fn)
+    walk.stmt(fn.body)
+    shape.live = walk.live
+    shape.indirect = frozenset(walk.indirect)
     return shape
+
+
+class _LiveWalk:
+    """Collect the nodes of one function that can execute.
+
+    Code after ``break``/``continue``/``return``, a ``for`` step no
+    iteration reaches and code after a ``for (;;)`` without ``break`` never
+    run, so they are left out.  Also rejects what C rejects: ``break`` /
+    ``continue`` outside a loop and a local declared twice.
+    """
+
+    def __init__(self, fn: A.FunctionDef) -> None:
+        self.live: list[A.Node] = []
+        self.indirect: set[int] = set()
+        #: per enclosing loop: [reaches a break, reaches a continue]
+        self.loops: list[list[bool]] = []
+        self.declared = {p.name for p in fn.params}
+        self.funcptrs = {p.name for p in fn.params if p.var_type == "funcptr"}
+
+    def expr(self, expr: A.Expr) -> None:
+        for child in A.child_exprs(expr):
+            self.expr(child)
+        if isinstance(expr, A.CallExpr):
+            if expr.callee in self.funcptrs:
+                self.indirect.add(expr.node_id)
+            self.live.append(expr)
+        elif isinstance(expr, A.AddrOf):
+            self.live.append(expr)
+
+    def stmt(self, stmt: A.Stmt) -> bool:
+        """Walk ``stmt``; True when control can fall through it."""
+        if isinstance(stmt, A.Block):
+            return all(self.stmt(child) for child in stmt.stmts)
+        if isinstance(stmt, A.VarDecl):
+            if stmt.name in self.declared:
+                raise LoweringError(f"{stmt.loc}: redeclaration of {stmt.name!r}")
+            self.declared.add(stmt.name)
+            if stmt.var_type == "funcptr":
+                self.funcptrs.add(stmt.name)
+            if stmt.init is not None:
+                self.expr(stmt.init)
+                self.live.append(stmt)
+        elif isinstance(stmt, A.Assign):
+            self.expr(stmt.value)
+            if isinstance(stmt.target, A.ArrayRef):
+                self.expr(stmt.target.index)
+            elif isinstance(stmt.value, A.AddrOf):
+                self.funcptrs.add(stmt.target.name)
+            self.live.append(stmt)
+        elif isinstance(stmt, A.ExprStmt):
+            self.expr(stmt.expr)
+        elif isinstance(stmt, A.ReturnStmt):
+            if stmt.value is not None:
+                self.expr(stmt.value)
+            self.live.append(stmt)
+            return False
+        elif isinstance(stmt, (A.BreakStmt, A.ContinueStmt)):
+            if not self.loops:
+                word = "break" if isinstance(stmt, A.BreakStmt) else "continue"
+                raise LoweringError(f"{stmt.loc}: {word} outside loop")
+            self.loops[-1][isinstance(stmt, A.ContinueStmt)] = True
+            return False
+        elif isinstance(stmt, A.IfStmt):
+            self.expr(stmt.cond)
+            self.live.append(stmt)
+            then = self.stmt(stmt.then_body)
+            return (self.stmt(stmt.else_body) if stmt.else_body is not None else True) or then
+        else:
+            return self.loop(stmt)
+        return True
+
+    def loop(self, stmt: A.ForStmt | A.WhileStmt) -> bool:
+        if isinstance(stmt, A.ForStmt) and stmt.init is not None:
+            self.stmt(stmt.init)
+        if stmt.cond is not None:
+            self.expr(stmt.cond)
+            self.live.append(stmt)
+        self.loops.append([False, False])
+        falls = self.stmt(stmt.body)
+        breaks, continues = self.loops.pop()
+        if isinstance(stmt, A.ForStmt) and stmt.step is not None and (falls or continues):
+            self.stmt(stmt.step)
+        return stmt.cond is not None or breaks

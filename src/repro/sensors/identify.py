@@ -2,7 +2,8 @@
 
 Pipeline per module:
 
-1. lower the AST to IR, build + preprocess the call graph (2a),
+1. compute each function's shape (loops, calls, what can execute) and
+   build + preprocess the call graph (2a),
 2. compute bottom-up function summaries (2c),
 3. enumerate snippet candidates — every loop and every call (§3.1),
 4. for each snippet, find the maximal contiguous chain of enclosing loops
@@ -19,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.callgraph.graph import CallGraph, build_call_graph
+from repro.callgraph import CallGraph, PreprocessResult, build_call_graph, preprocess_call_graph
 from repro.diagnostics import Diagnostic, ReasonCode, Span, note
-from repro.callgraph.preprocess import PreprocessResult, preprocess_call_graph
 from repro.frontend import ast_nodes as A
-from repro.ir.instructions import CallInstr
-from repro.ir.irmodule import IRModule
-from repro.ir.lower import lower_module
-from repro.sensors.asttools import FunctionShape, compute_shape, subtree_ids
+from repro.sensors.asttools import FunctionShape, compute_shape
 from repro.sensors.extern import ExternRegistry, default_extern_registry
 from repro.sensors.model import (
     SensorType,
@@ -35,7 +32,7 @@ from repro.sensors.model import (
     SnippetKind,
     VSensor,
 )
-from repro.sensors.slicer import run_slice, workload_inputs
+from repro.sensors.slicer import args_for, run_slice, workload_inputs
 from repro.sensors.summaries import SummaryTable, compute_summaries
 
 
@@ -63,7 +60,7 @@ class Rejection:
 class IdentificationResult:
     """Everything the static module learned about one program."""
 
-    ir: IRModule
+    module: A.Module
     callgraph: CallGraph
     preprocess: PreprocessResult
     summaries: SummaryTable
@@ -88,31 +85,12 @@ class IdentificationResult:
 
 
 class _Identifier:
-    def __init__(
-        self,
-        ast_module: A.Module,
-        externs: ExternRegistry,
-        *,
-        ir: IRModule | None = None,
-        callgraph: CallGraph | None = None,
-        preprocess: PreprocessResult | None = None,
-        summaries: SummaryTable | None = None,
-        shapes: dict[str, FunctionShape] | None = None,
-    ) -> None:
-        """Precomputed artifacts (from the pass pipeline) may be injected;
-        anything not supplied is computed here, so the standalone
-        :func:`identify_vsensors` path needs no pipeline."""
+    def __init__(self, ast_module: A.Module, externs: ExternRegistry) -> None:
         self.ast_module = ast_module
-        self.ir = ir if ir is not None else lower_module(ast_module)
-        self.cg = callgraph if callgraph is not None else build_call_graph(self.ir)
-        self.prep = preprocess if preprocess is not None else preprocess_call_graph(self.cg)
-        self.table = (
-            summaries
-            if summaries is not None
-            else compute_summaries(self.ir, self.cg, self.prep, externs)
-        )
-        self.shapes = shapes if shapes is not None else compute_function_shapes(self.ir)
-        self.global_names = set(self.ir.globals)
+        self.shapes = {fn.name: compute_shape(fn) for fn in ast_module.functions}
+        self.cg = build_call_graph(ast_module, self.shapes)
+        self.prep = preprocess_call_graph(self.cg)
+        self.table = compute_summaries(ast_module, self.shapes, self.cg, self.prep, externs)
         #: memo for call-site promotion: (fn, params, globals) -> verdict
         self._promo_memo: dict[tuple[str, frozenset[str], frozenset[str]], tuple[bool, bool, bool]] = {}
 
@@ -120,17 +98,14 @@ class _Identifier:
 
     def run(self) -> IdentificationResult:
         result = IdentificationResult(
-            ir=self.ir,
+            module=self.ast_module,
             callgraph=self.cg,
             preprocess=self.prep,
             summaries=self.table,
             shapes=self.shapes,
         )
         never_fixed = self.prep.never_fixed()
-        for name, fn in self.ir.functions.items():
-            shape = self.shapes.get(name)
-            if shape is None:
-                continue
+        for name, shape in self.shapes.items():
             snippets = self._enumerate_snippets(name, shape)
             result.snippets.extend(snippets)
             if name in never_fixed:
@@ -148,7 +123,7 @@ class _Identifier:
                     )
                 continue  # candidates counted, but never sensors (§3.5)
             for snippet in snippets:
-                sensor, reason = self._analyze_snippet(fn.name, snippet, shape)
+                sensor, reason = self._analyze_snippet(snippet, shape)
                 if sensor is not None:
                     result.sensors.append(sensor)
                 else:
@@ -195,11 +170,11 @@ class _Identifier:
         return shape.call_subtrees[snippet.node.node_id]
 
     def _analyze_snippet(
-        self, fname: str, snippet: Snippet, shape: FunctionShape
+        self, snippet: Snippet, shape: FunctionShape
     ) -> tuple[VSensor | None, Diagnostic | None]:
-        fn = self.ir.functions[fname]
+        fn = shape.fn
         sub_ids = self._snippet_subtree(snippet, shape)
-        values, seed, callee_sites = workload_inputs(fn, sub_ids, self.table)
+        values, seed, callee_sites = workload_inputs(shape, sub_ids, self.table)
         if seed.nonfixed:
             return None, _first_reason(seed)
 
@@ -211,11 +186,9 @@ class _Identifier:
             region = shape.loop_regions[loop.node_id]
             res = run_slice(
                 fn,
-                self.table.use_def(fname),
                 self.table,
                 snippet_ids=sub_ids,
                 region_ids=region,
-                global_names=self.global_names,
                 values=values,
                 seed=_copy_seed(seed),
                 callee_global_sites=callee_sites,
@@ -235,11 +208,9 @@ class _Identifier:
         # Whole-function input extraction for inter-procedural propagation.
         entry = run_slice(
             fn,
-            self.table.use_def(fname),
             self.table,
             snippet_ids=sub_ids,
             region_ids=shape.body_ids,
-            global_names=self.global_names,
             values=values,
             seed=_copy_seed(seed),
             callee_global_sites=callee_sites,
@@ -250,7 +221,7 @@ class _Identifier:
         repeats = bool(snippet.enclosing_loops)
         if is_function_scope and entry.fixed:
             ok, promoted_repeats, promoted_rank = self._promote(
-                fname, frozenset(entry.params), frozenset(entry.globals)
+                fn.name, frozenset(entry.params), frozenset(entry.globals)
             )
             is_global = ok
             repeats = repeats or promoted_repeats
@@ -273,7 +244,7 @@ class _Identifier:
 
         sensor = VSensor(
             snippet=snippet,
-            sensor_type=classify_snippet(fn, sub_ids, self.table),
+            sensor_type=classify_snippet(shape, sub_ids, self.table),
             scope_loops=scope_loops,
             is_function_scope=is_function_scope,
             is_global=is_global,
@@ -338,31 +309,20 @@ class _Identifier:
         caller = site.caller
         if caller in self.prep.never_fixed():
             return False, False, False
-        caller_fn = self.ir.functions[caller]
         shape = self.shapes[caller]
-        call_instr: CallInstr = site.instr
-        call_node = call_instr.ast_node
-        sub_ids = shape.call_subtrees.get(call_node.node_id, frozenset({call_node.node_id}))
+        call = site.call
+        sub_ids = shape.call_subtrees.get(call.node_id, frozenset({call.node_id}))
+        values = args_for(self.table, call, params)
+        callee_sites = [(call, set(globals_))] if globals_ else []
 
-        callee_fn = self.ir.functions[site.callee]
-        values = []
-        for pname in sorted(params):
-            if pname in callee_fn.params:
-                idx = callee_fn.params.index(pname)
-                if idx < len(call_instr.args):
-                    values.append(call_instr.args[idx])
-        callee_sites = [(call_instr, set(globals_))] if globals_ else []
-
-        enclosing = list(reversed(shape.enclosing.get(call_node.node_id, [])))
+        enclosing = list(reversed(shape.enclosing.get(call.node_id, [])))
         rank_dep = False
         for loop in enclosing:
             res = run_slice(
-                caller_fn,
-                self.table.use_def(caller),
+                shape.fn,
                 self.table,
                 snippet_ids=sub_ids,
                 region_ids=shape.loop_regions[loop.node_id],
-                global_names=self.global_names,
                 values=values,
                 seed=SliceResult(),
                 callee_global_sites=callee_sites,
@@ -372,12 +332,10 @@ class _Identifier:
                 return False, False, False
 
         entry = run_slice(
-            caller_fn,
-            self.table.use_def(caller),
+            shape.fn,
             self.table,
             snippet_ids=sub_ids,
             region_ids=shape.body_ids,
-            global_names=self.global_names,
             values=values,
             seed=SliceResult(),
             callee_global_sites=callee_sites,
@@ -393,24 +351,21 @@ class _Identifier:
         return up_ok, repeats, rank_dep or up_rank
 
 
-def classify_snippet(fn, sub_ids: frozenset[int], table: SummaryTable) -> SensorType:
-    """A sensor's type (§3.1, §5.2) from the calls among ``fn``'s
-    instructions inside ``sub_ids``: Network if any reaches the network,
+def classify_snippet(shape: FunctionShape, sub_ids: frozenset[int], table: SummaryTable) -> SensorType:
+    """A sensor's type (§3.1, §5.2) from the calls of ``shape``'s function
+    that can execute inside ``sub_ids``: Network if any reaches the network,
     else IO if any does IO, else Computation."""
     has_net = False
     has_io = False
-    for instr in fn.instructions():
-        node = instr.ast_node
-        if node is None or node.node_id not in sub_ids:
+    for call in shape.live_calls(sub_ids):
+        if table.is_indirect(call):
             continue
-        if not isinstance(instr, CallInstr) or instr.is_indirect:
-            continue
-        model = table.extern_model(instr.callee)
+        model = table.extern_model(call.callee)
         if model is not None:
             has_net |= model.category == "net"
             has_io |= model.category == "io"
             continue
-        summary = table.summaries.get(instr.callee)
+        summary = table.summaries.get(call.callee)
         if summary is not None:
             has_net |= summary.contains_net
             has_io |= summary.contains_io
@@ -444,13 +399,6 @@ def _rejection_diag(snippet: Snippet, reason: Diagnostic | None) -> Diagnostic:
             origin=reason.origin or "identify",
         )
     return reason
-
-
-def compute_function_shapes(ir: IRModule) -> dict[str, FunctionShape]:
-    """Per-function AST structure facts (the pipeline's ``cfa`` artifact)."""
-    return {
-        name: compute_shape(fn.ast) for name, fn in ir.functions.items() if fn.ast
-    }
 
 
 def _copy_seed(seed: SliceResult) -> SliceResult:

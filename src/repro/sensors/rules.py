@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.ir.instructions import CallInstr, ConstInt
+from repro.frontend import ast_nodes as A
 from repro.sensors.asttools import subtree_ids
 from repro.sensors.model import SensorType, VSensor
 from repro.sensors.summaries import SummaryTable
@@ -43,22 +43,18 @@ class FixedDestinationRule:
     def accepts(self, sensor: VSensor, table: SummaryTable) -> bool:
         if sensor.sensor_type is not SensorType.NETWORK:
             return True
-        fn = table.ir_function(sensor.function)
-        if fn is None:
+        shape = table.shapes.get(sensor.function)
+        if shape is None:
             return True
-        snippet_ids = subtree_ids(sensor.snippet.node)
-        for instr in fn.instructions():
-            node = instr.ast_node
-            if node is None or node.node_id not in snippet_ids:
+        for call in shape.live_calls(subtree_ids(sensor.snippet.node)):
+            if table.is_indirect(call):
                 continue
-            if not isinstance(instr, CallInstr) or instr.is_indirect:
-                continue
-            model = table.extern_model(instr.callee)
+            model = table.extern_model(call.callee)
             if model is None or model.dest_arg is None:
                 continue
-            if model.dest_arg >= len(instr.args):
+            if model.dest_arg >= len(call.args):
                 continue
-            if not isinstance(instr.args[model.dest_arg], ConstInt):
+            if not isinstance(call.args[model.dest_arg], A.IntLit):
                 return False
         return True
 

@@ -4,8 +4,9 @@ The engine answers one question in two configurations:
 
 1. **Per-loop variance check** — is snippet S's quantity of work fixed over
    iterations of enclosing loop L?  Starting from S's *workload inputs*
-   (branch-condition registers of loops/branches inside S, workload-relevant
-   argument registers of calls inside S), walk use–define chains backwards.
+   (branch conditions of loops/branches inside S, workload-relevant
+   arguments of calls inside S), walk expressions and the definitions
+   reaching their variable reads backwards.
    Definitions are classified by AST position:
 
    * inside S's subtree — expand further (S's own induction structure is
@@ -39,28 +40,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.diagnostics import ReasonCode, Span
-from repro.dataflow.usedef import UseDefChains
 from repro.frontend import ast_nodes as A
-from repro.ir.function import IRFunction
-from repro.ir.instructions import (
-    AddrOfInstr,
-    BinInstr,
-    Branch,
-    CallInstr,
-    ConstFloat,
-    ConstInt,
-    ConstStr,
-    Instr,
-    Load,
-    LoadElem,
-    Reg,
-    Store,
-    StoreElem,
-    UnaryInstr,
-    Value,
-)
+from repro.sensors.asttools import FunctionShape
 from repro.sensors.extern import RET_ARGS, RET_CONST, RET_NONFIXED, RET_RANK
 from repro.sensors.model import SliceResult
+from repro.sensors.reaching import Definition, ReachingDefinitions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sensors.summaries import SummaryTable
@@ -70,26 +54,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class SliceContext:
     """Everything one slicing run needs."""
 
-    fn: IRFunction
-    chains: UseDefChains
+    fn: A.FunctionDef
+    reaching: ReachingDefinitions
     summaries: "SummaryTable"
     #: AST node-ids belonging to the snippet S (expansion is free inside)
     snippet_ids: frozenset[int]
     #: AST node-ids of the per-iteration region of the checked loop L —
     #: for whole-function extraction this is the whole body.
     region_ids: frozenset[int]
-    #: names of globals in the module
-    global_names: set[str]
-
-
-def _in_snippet(ctx: SliceContext, instr: Instr) -> bool:
-    node = instr.ast_node
-    return node is not None and node.node_id in ctx.snippet_ids
-
-
-def _in_region(ctx: SliceContext, instr: Instr) -> bool:
-    node = instr.ast_node
-    return node is not None and node.node_id in ctx.region_ids
 
 
 class Slicer:
@@ -98,102 +70,52 @@ class Slicer:
     def __init__(self, ctx: SliceContext) -> None:
         self.ctx = ctx
         self.result = SliceResult()
-        # Registers fully processed (memoization).
-        self._done_regs: set[Reg] = set()
-        # Registers currently on the walk stack (cycle detection).
-        self._active_regs: set[Reg] = set()
-        # (var, instr_id) load sites already processed.
-        self._done_loads: set[tuple[str, int]] = set()
-        self._active_loads: set[tuple[str, int]] = set()
-
-    # -- entry points --------------------------------------------------------
-
-    def trace_value(self, value: Value) -> None:
-        """Trace one operand value backwards."""
-        if isinstance(value, (ConstInt, ConstFloat, ConstStr)):
-            return
-        if isinstance(value, Reg):
-            self._trace_reg(value)
-            return
-        # Values are only registers or constants.
-        raise TypeError(type(value).__name__)
+        #: expression node ids already traced (a second visit — a use–def
+        #: cycle such as ``x = f(x)``, or a shared input — adds nothing)
+        self._seen: set[int] = set()
 
     # -- the walk --------------------------------------------------------------
 
-    def _trace_reg(self, reg: Reg) -> None:
-        if reg in self._done_regs:
+    def trace_expr(self, expr: A.Expr) -> None:
+        """Trace one expression's value backwards."""
+        if expr.node_id in self._seen:
             return
-        if reg in self._active_regs:
-            # A register cycle cannot occur (registers are single-assignment
-            # and acyclic through blocks); cycles materialize through loads.
-            return
-        self._active_regs.add(reg)
-        try:
-            instr = self.ctx.chains.def_of_reg(reg)
-            self._trace_defining_instr(instr)
-        finally:
-            self._active_regs.discard(reg)
-            self._done_regs.add(reg)
-
-    def _trace_defining_instr(self, instr: Instr) -> None:
-        if isinstance(instr, (BinInstr, UnaryInstr)):
-            for op in instr.operands():
-                self.trace_value(op)
-            return
-        if isinstance(instr, Load):
-            self._trace_load(instr)
-            return
-        if isinstance(instr, LoadElem):
+        self._seen.add(expr.node_id)
+        if isinstance(expr, (A.BinOp, A.UnaryOp)):
+            for operand in A.child_exprs(expr):
+                self.trace_expr(operand)
+        elif isinstance(expr, A.VarRef):
+            self._trace_load(expr)
+        elif isinstance(expr, A.ArrayRef):
             # Array contents are not tracked: workload depending on data
             # values is never provably fixed (conservative, §3.5).
             self.result.fail(
-                f"array load {instr.arr}[] at {_loc(instr)}",
-                code=ReasonCode.ARRAY_LOAD, span=_span(instr), nonfixed=True,
+                f"array load {expr.name}[] at {expr.loc}",
+                code=ReasonCode.ARRAY_LOAD, span=Span.from_loc(expr.loc), nonfixed=True,
             )
-            return
-        if isinstance(instr, CallInstr):
-            self._trace_call_return(instr)
-            return
-        if isinstance(instr, AddrOfInstr):
-            return  # a constant function address
-        raise TypeError(f"register defined by {type(instr).__name__}")
+        elif isinstance(expr, A.CallExpr):
+            self._trace_call_return(expr)
+        # literals and ``&f`` are constants
 
     # -- loads ------------------------------------------------------------------
 
-    def _trace_load(self, load: Load) -> None:
-        key = (load.var, load.instr_id)
-        if key in self._done_loads:
-            return
-        if key in self._active_loads:
-            # A use-def cycle: an induction chain (x = f(x)).  Harmless when
-            # it lives entirely inside the snippet (its own loop counters);
-            # the caller detects outside-cycles via definition classification
-            # below, so reaching here again just terminates the recursion.
-            return
-        self._active_loads.add(key)
-        try:
-            self._trace_load_inner(load)
-        finally:
-            self._active_loads.discard(key)
-            self._done_loads.add(key)
-
-    def _trace_load_inner(self, load: Load) -> None:
-        defs = self.ctx.chains.defs_for_load(load)
+    def _trace_load(self, load: A.VarRef) -> None:
+        defs = self.ctx.reaching.reaching(load)
         if not defs:
             # No reaching definition: read of never-written storage.
             self.result.fail(
-                f"uninitialized read of {load.var} at {_loc(load)}",
-                code=ReasonCode.UNINITIALIZED_READ, span=_span(load), nonfixed=True,
+                f"uninitialized read of {load.name} at {load.loc}",
+                code=ReasonCode.UNINITIALIZED_READ, span=Span.from_loc(load.loc), nonfixed=True,
             )
             return
 
-        inside_region: list = []
-        outside_region: list = []
-        entry_defs: list = []
+        inside_region: list[Definition] = []
+        outside_region: list[Definition] = []
+        entry_defs: list[Definition] = []
         for d in defs:
             if d.is_entry:
                 entry_defs.append(d)
-            elif _in_region(self.ctx, d.instr):
+            elif d.node.node_id in self.ctx.region_ids:
                 inside_region.append(d)
             else:
                 outside_region.append(d)
@@ -206,12 +128,12 @@ class Slicer:
             # pre-region def reaches only the snippet's own first reads and
             # the snippet re-establishes the value; conservatively we still
             # flag it, matching the paper's avoid-false-positives stance).
-            if not all(_in_snippet(self.ctx, d.instr) for d in inside_region) or not _in_snippet(
-                self.ctx, load
+            if not all(self._in_snippet(d.node) for d in inside_region) or not self._in_snippet(
+                load
             ):
                 self.result.fail(
-                    f"{load.var} mixes pre-loop and in-loop definitions at {_loc(load)}",
-                    code=ReasonCode.MIXED_DEFS, span=_span(load),
+                    f"{load.name} mixes pre-loop and in-loop definitions at {load.loc}",
+                    code=ReasonCode.MIXED_DEFS, span=Span.from_loc(load.loc),
                 )
                 return
             # All in-region defs are the snippet's own writes, and the
@@ -219,8 +141,8 @@ class Slicer:
             # depends on cross-execution state (e.g. a counter that is not
             # re-initialized).  Variant.
             self.result.fail(
-                f"{load.var} carries state across snippet executions at {_loc(load)}",
-                code=ReasonCode.CROSS_EXEC_STATE, span=_span(load),
+                f"{load.name} carries state across snippet executions at {load.loc}",
+                code=ReasonCode.CROSS_EXEC_STATE, span=Span.from_loc(load.loc),
             )
             return
 
@@ -233,20 +155,24 @@ class Slicer:
 
         # All definitions are inside the region: expand each.
         for d in inside_region:
-            self._expand_definition(d.instr, load)
+            self._expand_definition(d, load.name)
 
-    def _record_external_input(self, load: Load, entry_defs, outside_defs) -> None:
-        var = load.var
+    def _in_snippet(self, node: A.Node) -> bool:
+        return node.node_id in self.ctx.snippet_ids
+
+    def _record_external_input(self, load: A.VarRef, entry_defs, outside_defs) -> None:
+        var = load.name
         if entry_defs:
-            if var in self.ctx.fn.params:
+            if any(p.name == var for p in self.ctx.fn.params):
                 self.result.params.add(var)
-            elif var in self.ctx.global_names:
+            elif var in self.ctx.summaries.globals:
                 self.result.globals.add(var)
             else:
                 # An uninitialized local reaching from entry.
                 self.result.fail(
-                    f"uninitialized local {var} at {_loc(load)}",
-                    code=ReasonCode.UNINITIALIZED_LOCAL, span=_span(load), nonfixed=True,
+                    f"uninitialized local {var} at {load.loc}",
+                    code=ReasonCode.UNINITIALIZED_LOCAL, span=Span.from_loc(load.loc),
+                    nonfixed=True,
                 )
                 return
         if outside_defs and self.ctx.region_ids is not self.ctx.snippet_ids:
@@ -254,86 +180,81 @@ class Slicer:
             # input for this loop; whole-function extraction never ends up
             # here because its region covers everything.
             for d in outside_defs:
-                self._expand_outside_definition(d.instr, load)
+                self._expand_outside_definition(d)
 
-    def _expand_outside_definition(self, instr: Instr, load: Load) -> None:
+    def _expand_outside_definition(self, d: Definition) -> None:
         """For the inter-procedural residue: trace outside-region defs to
         function inputs without variance checking (their values are fixed
         for the checked loop, but the caller needs to know what they are a
         function of)."""
-        if isinstance(instr, Store):
-            # Keep walking backwards from the store's operand; region rules
-            # still classify further loads, and any deeper in-region writes
-            # would already have been seen by the per-loop pass of the
-            # *outer* loop when scopes are computed loop-by-loop.
-            self.trace_value(instr.src)
-            return
-        if isinstance(instr, StoreElem):
-            self.result.fail(
-                f"array store into {instr.arr} at {_loc(instr)}",
-                code=ReasonCode.ARRAY_STORE, span=_span(instr), nonfixed=True,
-            )
-            return
-        if isinstance(instr, CallInstr):
+        if isinstance(d.node, A.CallExpr):
             # A call's side effect wrote this global: opaque value, but
             # fixed for this loop.  Whether it stays fixed program-wide is
             # re-checked by outer-scope passes; treat as an opaque global
             # input here.
-            self.result.globals.update(self._call_moded_globals(instr))
-            return
-        raise TypeError(f"memory defined by {type(instr).__name__}")
+            self.result.globals.update(self._call_moded_globals(d.node))
+        elif d.is_may:
+            self._array_store(d.node)
+        else:
+            # Keep walking backwards from the stored value; region rules
+            # still classify further loads, and any deeper in-region writes
+            # would already have been seen by the per-loop pass of the
+            # *outer* loop when scopes are computed loop-by-loop.
+            self.trace_expr(_stored_value(d.node))
 
-    def _expand_definition(self, instr: Instr, load: Load) -> None:
-        if isinstance(instr, Store):
-            self.trace_value(instr.src)
-            return
-        if isinstance(instr, StoreElem):
-            self.result.fail(
-                f"array store into {instr.arr} at {_loc(instr)}",
-                code=ReasonCode.ARRAY_STORE, span=_span(instr), nonfixed=True,
-            )
-            return
-        if isinstance(instr, CallInstr):
+    def _expand_definition(self, d: Definition, var: str) -> None:
+        node = d.node
+        if isinstance(node, A.CallExpr):
             # A call inside the region may modify the variable: the value
             # changes across iterations under the callee's control.
-            if _in_snippet(self.ctx, instr):
+            if self._in_snippet(node):
                 # The snippet's own call rewrites the value each execution;
                 # whether that is fixed depends on the callee's stored value,
                 # which we do not track: non-fixed.
                 self.result.fail(
-                    f"{load.var} written by call {instr.callee} inside snippet",
-                    code=ReasonCode.SNIPPET_CALL_CLOBBERS, span=_span(instr), nonfixed=True,
+                    f"{var} written by call {node.callee} inside snippet",
+                    code=ReasonCode.SNIPPET_CALL_CLOBBERS, span=Span.from_loc(node.loc),
+                    nonfixed=True,
                 )
             else:
                 self.result.fail(
-                    f"{load.var} may be modified by call {instr.callee} within the loop",
-                    code=ReasonCode.CALL_CLOBBERS, span=_span(instr),
+                    f"{var} may be modified by call {node.callee} within the loop",
+                    code=ReasonCode.CALL_CLOBBERS, span=Span.from_loc(node.loc),
                 )
-            return
-        raise TypeError(f"memory defined by {type(instr).__name__}")
+        elif d.is_may:
+            self._array_store(node)
+        else:
+            self.trace_expr(_stored_value(node))
 
-    def _call_moded_globals(self, instr: CallInstr) -> set[str]:
-        summary = self.ctx.summaries.for_call(instr)
-        return set(summary.mods) if summary is not None else set(self.ctx.global_names)
+    def _array_store(self, node: A.Assign) -> None:
+        self.result.fail(
+            f"array store into {node.target.name} at {node.loc}",
+            code=ReasonCode.ARRAY_STORE, span=Span.from_loc(node.loc), nonfixed=True,
+        )
+
+    def _call_moded_globals(self, call: A.CallExpr) -> set[str]:
+        summary = self.ctx.summaries.for_call(call)
+        return set(summary.mods) if summary is not None else set(self.ctx.summaries.globals)
 
     # -- call returns -------------------------------------------------------------
 
-    def _trace_call_return(self, instr: CallInstr) -> None:
-        if instr.is_indirect:
+    def _trace_call_return(self, call: A.CallExpr) -> None:
+        table = self.ctx.summaries
+        if table.is_indirect(call):
             self.result.fail(
-                f"indirect call {instr.callee} at {_loc(instr)}",
-                code=ReasonCode.INDIRECT_CALL, span=_span(instr), nonfixed=True,
+                f"indirect call {call.callee} at {call.loc}",
+                code=ReasonCode.INDIRECT_CALL, span=Span.from_loc(call.loc), nonfixed=True,
             )
             return
-        summary = self.ctx.summaries.for_call(instr)
+        summary = table.for_call(call)
         if summary is None:
             # Undescribed extern: never fixed (§3.5 default policy).
             self.result.fail(
-                f"undescribed extern {instr.callee}",
-                code=ReasonCode.UNDESCRIBED_EXTERN, span=_span(instr), nonfixed=True,
+                f"undescribed extern {call.callee}",
+                code=ReasonCode.UNDESCRIBED_EXTERN, span=Span.from_loc(call.loc), nonfixed=True,
             )
             return
-        extern = self.ctx.summaries.extern_model(instr.callee)
+        extern = table.extern_model(call.callee)
         if extern is not None:
             if extern.ret == RET_CONST:
                 return
@@ -341,77 +262,76 @@ class Slicer:
                 self.result.rank = True
                 return
             if extern.ret == RET_ARGS:
-                for arg in instr.args:
-                    self.trace_value(arg)
+                for arg in call.args:
+                    self.trace_expr(arg)
                 return
             if extern.ret == RET_NONFIXED:
                 self.result.fail(
-                    f"extern {instr.callee} returns unanalyzable value",
-                    code=ReasonCode.EXTERN_NONFIXED_RETURN, span=_span(instr), nonfixed=True,
+                    f"extern {call.callee} returns unanalyzable value",
+                    code=ReasonCode.EXTERN_NONFIXED_RETURN, span=Span.from_loc(call.loc),
+                    nonfixed=True,
                 )
                 return
         # Defined function: substitute its return summary at this site.
         ret = summary.ret
         if summary.never_fixed or ret.nonfixed or ret.variant:
             self.result.fail(
-                f"call {instr.callee} returns non-fixed value",
-                code=ReasonCode.CALLEE_NONFIXED_RETURN, span=_span(instr), nonfixed=True,
+                f"call {call.callee} returns non-fixed value",
+                code=ReasonCode.CALLEE_NONFIXED_RETURN, span=Span.from_loc(call.loc),
+                nonfixed=True,
             )
             return
         if ret.rank:
             self.result.rank = True
-        for pname in ret.params:
-            idx = self._param_index(instr.callee, pname)
-            if idx is not None and idx < len(instr.args):
-                self.trace_value(instr.args[idx])
-        for gname in ret.globals:
+        for arg in args_for(table, call, ret.params):
+            self.trace_expr(arg)
+        for gname in sorted(ret.globals):
             # The callee reads global gname: the value it sees is the value
             # at the call site; model as a load of the global at this call.
-            self._trace_global_at(instr, gname)
+            self.trace_global_at(call, gname)
 
-    def _trace_global_at(self, instr: CallInstr, gname: str) -> None:
-        """Treat global ``gname`` as if loaded immediately before ``instr``."""
-        defs = self.ctx.chains.defs_before(instr, gname)
-        inside = [d for d in defs if not d.is_entry and _in_region(self.ctx, d.instr)]
-        outside = [d for d in defs if d.is_entry or not _in_region(self.ctx, d.instr)]
+    def trace_global_at(self, call: A.CallExpr, gname: str) -> None:
+        """Treat global ``gname`` as if loaded immediately before ``call``."""
+        defs = self.ctx.reaching.reaching(call, gname)
+        region = self.ctx.region_ids
+        inside = [d for d in defs if not d.is_entry and d.node.node_id in region]
+        outside = [d for d in defs if d.is_entry or d.node.node_id not in region]
         if inside and outside:
-            if not all(_in_snippet(self.ctx, d.instr) for d in inside) or not _in_snippet(
-                self.ctx, instr
-            ):
+            if not all(self._in_snippet(d.node) for d in inside) or not self._in_snippet(call):
                 self.result.fail(
-                    f"global {gname} mixes definitions at call {instr.callee}",
-                    code=ReasonCode.MIXED_DEFS, span=_span(instr),
+                    f"global {gname} mixes definitions at call {call.callee}",
+                    code=ReasonCode.MIXED_DEFS, span=Span.from_loc(call.loc),
                 )
                 return
             self.result.fail(
                 f"global {gname} carries state across snippet executions",
-                code=ReasonCode.CROSS_EXEC_STATE, span=_span(instr),
+                code=ReasonCode.CROSS_EXEC_STATE, span=Span.from_loc(call.loc),
             )
             return
         if not inside:
             self.result.globals.add(gname)
             return
         for d in inside:
-            self._expand_definition(d.instr, Load(ast_node=instr.ast_node, dest=Reg(-1), var=gname))
-
-    def _param_index(self, callee: str, pname: str) -> int | None:
-        fn = self.ctx.summaries.ir_function(callee)
-        if fn is None:
-            return None
-        try:
-            return fn.params.index(pname)
-        except ValueError:
-            return None
+            self._expand_definition(d, gname)
 
 
-def _loc(instr: Instr) -> str:
-    node = instr.ast_node
-    return str(node.loc) if node is not None else "<?>"
+def _stored_value(node: A.Assign | A.VarDecl) -> A.Expr:
+    return node.value if isinstance(node, A.Assign) else node.init
 
 
-def _span(instr: Instr) -> Span:
-    node = instr.ast_node
-    return Span.from_loc(node.loc) if node is not None else Span()
+def args_for(table: "SummaryTable", call: A.CallExpr, params) -> list[A.Expr]:
+    """The arguments ``call`` passes for the callee parameters ``params``,
+    in name order (so the first recorded reason does not depend on set
+    iteration order)."""
+    fn = table.function(call.callee)
+    if fn is None:
+        return []
+    names = [p.name for p in fn.params]
+    return [
+        call.args[names.index(p)]
+        for p in sorted(params)
+        if p in names and names.index(p) < len(call.args)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -420,104 +340,95 @@ def _span(instr: Instr) -> Span:
 
 
 def workload_inputs(
-    fn: IRFunction,
+    shape: FunctionShape,
     snippet_ids: frozenset[int],
     summaries: "SummaryTable",
-) -> tuple[list[Value], SliceResult, list[tuple[CallInstr, set[str]]]]:
-    """The operand values that determine a snippet's quantity of work.
+) -> tuple[list[A.Expr], SliceResult, list[tuple[A.CallExpr, set[str]]]]:
+    """The expressions that determine a snippet's quantity of work.
 
-    Returns ``(values, seed, callee_global_sites)``: the values to trace, a
-    pre-seeded result carrying poison markers discovered while scanning
-    (undescribed externs, never-fixed callees), and the list of call sites
-    whose callee workload depends on globals — those globals must be traced
-    *at the call site* by the slicer.
+    Returns ``(values, seed, callee_global_sites)``: the expressions to
+    trace, a pre-seeded result carrying poison markers discovered while
+    scanning (undescribed externs, never-fixed callees), and the list of
+    call sites whose callee workload depends on globals — those globals
+    must be traced *at the call site* by the slicer.
     """
     seed = SliceResult()
-    values: list[Value] = []
-    callee_global_sites: list[tuple[CallInstr, set[str]]] = []
-    for block in fn.blocks:
-        for instr in block.instrs:
-            node = instr.ast_node
-            if node is None or node.node_id not in snippet_ids:
-                continue
-            if isinstance(instr, Branch):
-                values.append(instr.cond)
-            elif isinstance(instr, CallInstr):
-                _collect_call_inputs(instr, summaries, seed, values, callee_global_sites)
+    values: list[A.Expr] = []
+    callee_global_sites: list[tuple[A.CallExpr, set[str]]] = []
+    for node in shape.live:
+        if node.node_id not in snippet_ids:
+            continue
+        if isinstance(node, A.CallExpr):
+            _collect_call_inputs(node, summaries, seed, values, callee_global_sites)
+        elif isinstance(node, (A.IfStmt, A.ForStmt, A.WhileStmt)):
+            values.append(node.cond)
     return values, seed, callee_global_sites
 
 
 def _collect_call_inputs(
-    instr: CallInstr,
+    call: A.CallExpr,
     summaries: "SummaryTable",
     seed: SliceResult,
-    values: list[Value],
-    callee_global_sites: list[tuple[CallInstr, set[str]]],
+    values: list[A.Expr],
+    callee_global_sites: list[tuple[A.CallExpr, set[str]]],
 ) -> None:
-    if instr.is_indirect:
+    span = Span.from_loc(call.loc)
+    if summaries.is_indirect(call):
         seed.fail(
-            f"indirect call {instr.callee}",
-            code=ReasonCode.INDIRECT_CALL, span=_span(instr), nonfixed=True,
+            f"indirect call {call.callee}",
+            code=ReasonCode.INDIRECT_CALL, span=span, nonfixed=True,
         )
         return
-    extern = summaries.extern_model(instr.callee)
+    extern = summaries.extern_model(call.callee)
     if extern is not None:
         for idx in extern.workload_args:
-            if idx < len(instr.args):
-                values.append(instr.args[idx])
+            if idx < len(call.args):
+                values.append(call.args[idx])
         return
-    summary = summaries.for_call(instr)
+    summary = summaries.for_call(call)
     if summary is None:
         seed.fail(
-            f"undescribed extern {instr.callee}",
-            code=ReasonCode.UNDESCRIBED_EXTERN, span=_span(instr), nonfixed=True,
+            f"undescribed extern {call.callee}",
+            code=ReasonCode.UNDESCRIBED_EXTERN, span=span, nonfixed=True,
         )
         return
     if summary.never_fixed or summary.workload.nonfixed:
         seed.fail(
-            f"call {instr.callee} has never-fixed workload",
-            code=ReasonCode.CALLEE_NONFIXED_WORKLOAD, span=_span(instr), nonfixed=True,
+            f"call {call.callee} has never-fixed workload",
+            code=ReasonCode.CALLEE_NONFIXED_WORKLOAD, span=span, nonfixed=True,
         )
         return
     if summary.workload.rank:
         seed.rank = True
-    fn = summaries.ir_function(instr.callee)
-    for pname in summary.workload.params:
-        if fn is not None and pname in fn.params:
-            idx = fn.params.index(pname)
-            if idx < len(instr.args):
-                values.append(instr.args[idx])
+    values.extend(args_for(summaries, call, summary.workload.params))
     if summary.workload.globals:
-        callee_global_sites.append((instr, set(summary.workload.globals)))
+        callee_global_sites.append((call, set(summary.workload.globals)))
 
 
 def run_slice(
-    fn: IRFunction,
-    chains: UseDefChains,
+    fn: A.FunctionDef,
     summaries: "SummaryTable",
     snippet_ids: frozenset[int],
     region_ids: frozenset[int],
-    global_names: set[str],
-    values: list[Value],
+    values: list[A.Expr],
     seed: SliceResult,
-    callee_global_sites: list[tuple[CallInstr, set[str]]] | None = None,
+    callee_global_sites: list[tuple[A.CallExpr, set[str]]] | None = None,
 ) -> SliceResult:
     """Run one slice over ``values`` (plus callee-global sites) and return
     the combined result."""
     ctx = SliceContext(
         fn=fn,
-        chains=chains,
+        reaching=summaries.reaching[fn.name],
         summaries=summaries,
         snippet_ids=snippet_ids,
         region_ids=region_ids,
-        global_names=global_names,
     )
     slicer = Slicer(ctx)
     slicer.result.merge(seed)
     # Seeded globals (callee workload deps) are resolved at each call site.
     for site, globs in callee_global_sites or []:
         for gname in sorted(globs):
-            slicer._trace_global_at(site, gname)
+            slicer.trace_global_at(site, gname)
     for value in values:
-        slicer.trace_value(value)
+        slicer.trace_expr(value)
     return slicer.result

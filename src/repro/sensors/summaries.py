@@ -17,42 +17,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.callgraph.graph import CallGraph
-from repro.callgraph.preprocess import PreprocessResult
-from repro.dataflow.usedef import UseDefChains, build_use_def_chains
+from repro.callgraph import CallGraph, PreprocessResult
 from repro.diagnostics import ReasonCode
-from repro.ir.function import IRFunction
-from repro.ir.instructions import CallInstr, Ret, Store
-from repro.ir.irmodule import IRModule
+from repro.frontend import ast_nodes as A
+from repro.sensors.asttools import FunctionShape
 from repro.sensors.extern import RET_RANK, ExternModel, ExternRegistry
 from repro.sensors.model import FunctionSummary, SliceResult
+from repro.sensors.reaching import ReachingDefinitions, compute_reaching_definitions
 
 
 @dataclass(slots=True)
 class SummaryTable:
     """All function summaries plus shared lookups used by the slicer."""
 
-    module: IRModule
     externs: ExternRegistry
+    shapes: dict[str, FunctionShape]
+    callgraph: CallGraph
     summaries: dict[str, FunctionSummary] = field(default_factory=dict)
-    chains: dict[str, UseDefChains] = field(default_factory=dict)
+    reaching: dict[str, ReachingDefinitions] = field(default_factory=dict)
     #: functions whose address is taken (possible indirect-call targets)
     pointer_targets: set[str] = field(default_factory=set)
+    globals: set[str] = field(default_factory=set)
 
-    def ir_function(self, name: str) -> IRFunction | None:
-        return self.module.functions.get(name)
+    def function(self, name: str) -> A.FunctionDef | None:
+        shape = self.shapes.get(name)
+        return shape.fn if shape is not None else None
+
+    def is_indirect(self, call: A.CallExpr) -> bool:
+        site = self.callgraph.site_of.get(call.node_id)
+        return site is not None and site.kind == "indirect"
 
     def extern_model(self, name: str) -> ExternModel | None:
-        if self.module.has_function(name):
+        if name in self.shapes:
             return None
         return self.externs.lookup(name)
 
-    def for_call(self, instr: CallInstr) -> FunctionSummary | None:
+    def for_call(self, call: A.CallExpr) -> FunctionSummary | None:
         """Summary for a call's callee; None for undescribed externs and
         indirect calls (= never analyzable)."""
-        if instr.is_indirect:
+        if self.is_indirect(call):
             return None
-        name = instr.callee
+        name = call.callee
         if name in self.summaries:
             return self.summaries[name]
         model = self.extern_model(name)
@@ -72,51 +77,52 @@ class SummaryTable:
         summary.contains_io = model.category == "io"
         return summary
 
-    def call_mod_set(self, instr: CallInstr) -> set[str]:
+    def call_mod_set(self, call: A.CallExpr) -> set[str]:
         """Globals a call may modify (drives reaching-def may-defs)."""
-        if instr.is_indirect:
+        if self.is_indirect(call):
             # Could land in any address-taken function; if none are known,
             # fall back to every global.
             if self.pointer_targets:
                 mods: set[str] = set()
                 for name in self.pointer_targets:
                     summary = self.summaries.get(name)
-                    mods |= summary.mods if summary is not None else set(self.module.globals)
+                    mods |= summary.mods if summary is not None else self.globals
                 return mods
-            return set(self.module.globals)
-        summary = self.summaries.get(instr.callee)
+            return set(self.globals)
+        summary = self.summaries.get(call.callee)
         if summary is not None:
             return set(summary.mods)
         # Externs cannot write program globals in this closed language.
         return set()
 
-    def use_def(self, name: str) -> UseDefChains:
-        return self.chains[name]
-
 
 def compute_summaries(
-    module: IRModule,
+    module: A.Module,
+    shapes: dict[str, FunctionShape],
     cg: CallGraph,
     prep: PreprocessResult,
     externs: ExternRegistry,
 ) -> SummaryTable:
     """Compute summaries in callee-first order (workflow step 2a+2c)."""
-    table = SummaryTable(module=module, externs=externs)
-    table.pointer_targets = set(prep.pointer_targets)
+    table = SummaryTable(
+        externs=externs,
+        shapes=shapes,
+        callgraph=cg,
+        pointer_targets=set(prep.pointer_targets),
+        globals=module.global_names(),
+    )
+    _compute_mod_sets(table, prep)
+    _compute_category_flags(table)
 
-    _compute_mod_sets(table, module, prep)
-    _compute_category_flags(table, module, externs)
-
-    # Use-def chains are built after mod sets exist, since call instructions
-    # act as may-definitions of the globals their callee modifies.
-    for name, fn in module.functions.items():
-        table.chains[name] = build_use_def_chains(
-            fn, set(module.globals), call_mod_sets=table.call_mod_set
+    # Reaching definitions are solved after mod sets exist, since calls act
+    # as may-definitions of the globals their callee modifies.
+    for name, shape in shapes.items():
+        table.reaching[name] = compute_reaching_definitions(
+            shape.fn, table.globals, call_mods=table.call_mod_set
         )
 
     never_fixed = prep.never_fixed()
     for name in prep.order:
-        fn = module.functions[name]
         summary = table.summaries[name]
         if name in never_fixed:
             summary.never_fixed = True
@@ -129,54 +135,33 @@ def compute_summaries(
                 code=ReasonCode.RECURSIVE_FUNCTION, nonfixed=True,
             )
             continue
-        _summarize_workload(table, fn, summary)
-        _summarize_return(table, fn, summary)
+        _summarize_workload(table, shapes[name], summary)
+        _summarize_return(table, shapes[name], summary)
 
     return table
 
 
-def _compute_mod_sets(table: SummaryTable, module: IRModule, prep: PreprocessResult) -> None:
+def _compute_mod_sets(table: SummaryTable, prep: PreprocessResult) -> None:
     """Fixpoint over direct stores + callee mods (cycles converge)."""
-    for name in module.functions:
-        table.summaries[name] = FunctionSummary(name=name)
-
-    direct: dict[str, set[str]] = {}
     callees: dict[str, set[str]] = {}
-    has_indirect: dict[str, bool] = {}
-    for name, fn in module.functions.items():
-        mods: set[str] = set()
-        callee_names: set[str] = set()
-        indirect = False
-        for instr in fn.instructions():
-            if isinstance(instr, Store) and instr.var in module.globals:
-                mods.add(instr.var)
-            from repro.ir.instructions import StoreElem
-
-            if isinstance(instr, StoreElem) and instr.arr in module.globals:
-                mods.add(instr.arr)
-            if isinstance(instr, CallInstr):
-                if instr.is_indirect:
-                    indirect = True
-                elif module.has_function(instr.callee):
-                    callee_names.add(instr.callee)
-        direct[name] = mods
-        callees[name] = callee_names
-        has_indirect[name] = indirect
-
-    all_globals = set(module.globals)
-    result = {name: set(m) for name, m in direct.items()}
-    for name in module.functions:
-        if has_indirect[name]:
+    result: dict[str, set[str]] = {}
+    for name, shape in table.shapes.items():
+        table.summaries[name] = FunctionSummary(name=name)
+        result[name] = {
+            _target_name(node) for node in shape.live
+            if isinstance(node, (A.Assign, A.VarDecl)) and _target_name(node) in table.globals
+        }
+        callees[name] = set(table.callgraph.graph[name])
+        if any(table.is_indirect(call) for call in shape.live_calls()):
             # An indirect call may reach any address-taken function.
-            for target in prep.pointer_targets:
-                callees[name].add(target)
+            callees[name] |= prep.pointer_targets
     changed = True
     while changed:
         changed = False
-        for name in module.functions:
+        for name in table.shapes:
             merged = set(result[name])
             for callee in callees[name]:
-                merged |= result.get(callee, all_globals)
+                merged |= result.get(callee, table.globals)
             if merged != result[name]:
                 result[name] = merged
                 changed = True
@@ -184,23 +169,27 @@ def _compute_mod_sets(table: SummaryTable, module: IRModule, prep: PreprocessRes
         table.summaries[name].mods = mods
 
 
-def _compute_category_flags(table: SummaryTable, module: IRModule, externs: ExternRegistry) -> None:
+def _target_name(node: A.Assign | A.VarDecl) -> str:
+    return node.target.name if isinstance(node, A.Assign) else node.name
+
+
+def _compute_category_flags(table: SummaryTable) -> None:
     """Propagate contains_net / contains_io bottom-up (fixpoint)."""
     changed = True
     while changed:
         changed = False
-        for name, fn in module.functions.items():
+        for name, shape in table.shapes.items():
             summary = table.summaries[name]
             net, io = summary.contains_net, summary.contains_io
-            for instr in fn.instructions():
-                if not isinstance(instr, CallInstr) or instr.is_indirect:
+            for call in shape.live_calls():
+                if table.is_indirect(call):
                     continue
-                callee_summary = table.summaries.get(instr.callee)
+                callee_summary = table.summaries.get(call.callee)
                 if callee_summary is not None:
                     net |= callee_summary.contains_net
                     io |= callee_summary.contains_io
                 else:
-                    model = externs.lookup(instr.callee)
+                    model = table.externs.lookup(call.callee)
                     if model is not None:
                         net |= model.category == "net"
                         io |= model.category == "io"
@@ -209,50 +198,40 @@ def _compute_category_flags(table: SummaryTable, module: IRModule, externs: Exte
                 changed = True
 
 
-def _summarize_workload(table: SummaryTable, fn: IRFunction, summary: FunctionSummary) -> None:
+def _summarize_workload(table: SummaryTable, shape: FunctionShape, summary: FunctionSummary) -> None:
     """Whole-function workload inputs, expressed over params/globals."""
-    from repro.sensors.asttools import subtree_ids
     from repro.sensors.slicer import run_slice, workload_inputs
 
-    if fn.ast is None or fn.ast.body is None:
+    if shape.fn.body is None:
         return
-    body_ids = subtree_ids(fn.ast.body)
-    values, seed, callee_sites = workload_inputs(fn, body_ids, table)
-    result = run_slice(
-        fn,
-        table.use_def(fn.name),
+    body_ids = shape.body_ids
+    values, seed, callee_sites = workload_inputs(shape, body_ids, table)
+    summary.workload = run_slice(
+        shape.fn,
         table,
         snippet_ids=body_ids,
         region_ids=body_ids,
-        global_names=set(table.module.globals),
         values=values,
         seed=seed,
         callee_global_sites=callee_sites,
     )
-    summary.workload = result
 
 
-def _summarize_return(table: SummaryTable, fn: IRFunction, summary: FunctionSummary) -> None:
+def _summarize_return(table: SummaryTable, shape: FunctionShape, summary: FunctionSummary) -> None:
     """What the return value depends on."""
-    from repro.sensors.asttools import subtree_ids
     from repro.sensors.slicer import run_slice
 
-    if fn.ast is None or fn.ast.body is None:
+    if shape.fn.body is None:
         return
-    body_ids = subtree_ids(fn.ast.body)
     values = [
-        instr.value
-        for instr in fn.instructions()
-        if isinstance(instr, Ret) and instr.value is not None
+        node.value for node in shape.live
+        if isinstance(node, A.ReturnStmt) and node.value is not None
     ]
-    result = run_slice(
-        fn,
-        table.use_def(fn.name),
+    summary.ret = run_slice(
+        shape.fn,
         table,
-        snippet_ids=body_ids,
-        region_ids=body_ids,
-        global_names=set(table.module.globals),
+        snippet_ids=shape.body_ids,
+        region_ids=shape.body_ids,
         values=values,
         seed=SliceResult(),
     )
-    summary.ret = result

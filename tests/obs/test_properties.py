@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import run_vsensor
 from repro.obs import Obs, TraceError, Tracer
-from repro.pipeline import ArtifactStore
+from repro.pipeline import PASSES, ArtifactStore
 from repro.sim import MachineConfig
 from repro.sim.noise import NoiseConfig
 
@@ -184,4 +184,4 @@ def test_cached_artifacts_identical_with_and_without_obs():
     assert keys_off == keys_on  # obs is never part of a cache fingerprint
     # a second observed run over the obs-off store hits every pass
     run = _run(Obs.create(), "bytecode", None, store=store_off)
-    assert run.static.profile.hits == 7 and run.static.profile.misses == 0
+    assert run.static.profile.hits == len(PASSES) and run.static.profile.misses == 0

@@ -89,8 +89,8 @@ def test_one_compile_and_one_bytecode_per_distinct_program(monkeypatch):
     monkeypatch.setattr(compiler, "compile_module", counting)
     obs = Obs.create()
     run = _run(1, obs)
-    assert obs.metrics.counter("pipeline.cache_misses").value == 28  # 7 passes x 4
-    assert obs.metrics.counter("pipeline.cache_hits").value == 84
+    assert obs.metrics.counter("pipeline.cache_misses").value == 16  # 4 passes x 4
+    assert obs.metrics.counter("pipeline.cache_hits").value == 48
     assert len(built) == 4
     modules = {id(job.static.program.module) for job in run.jobs.values()}
     assert modules == {id(module) for module in built}
@@ -103,7 +103,7 @@ def test_runtime_sensors_are_the_compile_sensors(workers):
     for job in run.jobs.values():
         assert job.runtime.sensors is job.static.program.sensors
     # The parent compiles through its per-call store on the pool path too.
-    assert obs.metrics.counter("pipeline.cache_misses").value == 28
+    assert obs.metrics.counter("pipeline.cache_misses").value == 16
 
 
 def test_pool_payload_holds_no_compile_and_no_row_objects():

@@ -12,11 +12,11 @@ from repro.sensors.rules import TypeFilterRule
 from repro.workloads import get_workload
 
 SOURCE = get_workload("CG").source(scale=1)
-PASS_NAMES = ["parse", "lower", "cfa", "dataflow", "identify", "select", "instrument"]
+PASS_NAMES = ["parse", "identify", "select", "instrument"]
 
 
 def run(store, source=SOURCE, **config):
-    """``(artifacts, profile)`` of one run of the seven passes."""
+    """``(artifacts, profile)`` of one run of the passes."""
     return run_passes({"source": source, "filename": "CG", **config}, store)
 
 
@@ -46,8 +46,8 @@ class TestOrdering:
         assert [t.name for t in profile.timings] == [p.name for p in PASSES]
 
     def test_diamond_order_respects_registration_tiebreak(self):
-        # identify reads parse, lower, cfa and dataflow: it runs after all four,
-        # and the rest keep the order they are written in
+        # identify reads parse: it runs after it, and the rest keep the
+        # order they are written in
         assert [p.name for p in PASSES] == PASS_NAMES
 
     def test_unknown_input_rejected(self):
@@ -84,7 +84,7 @@ class TestExecution:
         _, profile = run(None)
         assert not profile.cache_enabled
         assert profile.cache_disabled_reason == "no artifact store"
-        assert profile.misses == 7
+        assert profile.misses == len(PASS_NAMES)
 
 
 class TestCaching:
@@ -92,14 +92,14 @@ class TestCaching:
         store = ArtifactStore()
         run(store)
         _, warm = run(store)
-        assert warm.hits == 7 and warm.misses == 0
+        assert warm.hits == len(PASS_NAMES) and warm.misses == 0
         assert all(len(seen) == 1 for seen in calls.values())
 
     def test_source_change_misses_everything(self):
         store = ArtifactStore()
         run(store)
         _, other = run(store, source=get_workload("FT").source(scale=1))
-        assert other.misses == 7 and other.hits == 0
+        assert other.misses == len(PASS_NAMES) and other.hits == 0
 
     def test_config_key_change_invalidates_pass_and_descendants_only(self):
         store = ArtifactStore()
@@ -108,9 +108,6 @@ class TestCaching:
         outcome = {t.name: t.cache_hit for t in turned.timings}
         assert outcome == {
             "parse": True,
-            "lower": True,
-            "cfa": True,
-            "dataflow": True,
             "identify": False,
             "select": False,
             "instrument": False,
@@ -137,11 +134,11 @@ class TestCaching:
     def test_targeted_invalidation_recomputes_only_that_pass(self, calls):
         store = ArtifactStore()
         run(store)
-        store.invalidate_pass("cfa")
+        store.invalidate_pass("identify")
         _, third = run(store)
         outcome = {t.name: t.cache_hit for t in third.timings}
-        # cfa recomputes, but its key (hence every later key) is unchanged
-        assert outcome == {name: name != "cfa" for name in PASS_NAMES}
+        # identify recomputes, but its key (hence every later key) is unchanged
+        assert outcome == {name: name != "identify" for name in PASS_NAMES}
         assert {name: len(seen) for name, seen in calls.items()} == {
-            name: 2 if name == "cfa" else 1 for name in PASS_NAMES
+            name: 2 if name == "identify" else 1 for name in PASS_NAMES
         }

@@ -1,4 +1,4 @@
-"""The seven-pass static pipeline: caching, determinism, bit-identical output."""
+"""The static pass pipeline: caching, determinism, bit-identical output."""
 
 import copy
 
@@ -11,14 +11,14 @@ from repro.frontend import ast_nodes as A
 from repro.frontend.pretty import format_module
 from repro.instrument.annotations import Annotations, SnippetRef
 from repro.instrument.rewrite import instrument_module
-from repro.pipeline import ArtifactStore, run_passes
+from repro.pipeline import PASSES, ArtifactStore, run_passes
 from repro.workloads import all_workloads, get_workload
 
 SOURCE = get_workload("CG").source(scale=1)
 
 
 def compile_with(store, source=SOURCE, **config):
-    """``(artifacts, profile)`` of one run of the seven passes."""
+    """``(artifacts, profile)`` of one run of the passes."""
     return run_passes({"source": source, "filename": "CG", **config}, store)
 
 
@@ -69,8 +69,8 @@ class TestCaching:
         store = ArtifactStore()
         _, cold = compile_with(store)
         _, warm = compile_with(store)
-        assert cold.misses == 7 and cold.hits == 0
-        assert warm.hits == 7 and warm.misses == 0
+        assert cold.misses == len(PASSES) and cold.hits == 0
+        assert warm.hits == len(PASSES) and warm.misses == 0
 
     def test_warm_output_bit_identical_to_uncached(self):
         store = ArtifactStore()
@@ -89,9 +89,6 @@ class TestCaching:
         outcome = {t.name: t.cache_hit for t in turned.timings}
         assert outcome == {
             "parse": True,
-            "lower": True,
-            "cfa": True,
-            "dataflow": True,
             "identify": True,
             "select": False,
             "instrument": False,
@@ -100,16 +97,13 @@ class TestCaching:
     def test_mid_pipeline_invalidation_keeps_downstream_hits(self):
         store = ArtifactStore()
         before, _ = compile_with(store)
-        store.invalidate_pass("dataflow")
+        store.invalidate_pass("identify")
         after, profile = compile_with(store)
         outcome = {t.name: t.cache_hit for t in profile.timings}
-        # dataflow recomputes; its key is unchanged, so downstream still hits
+        # identify recomputes; its key is unchanged, so downstream still hits
         assert outcome == {
             "parse": True,
-            "lower": True,
-            "cfa": True,
-            "dataflow": False,
-            "identify": True,
+            "identify": False,
             "select": True,
             "instrument": True,
         }
@@ -155,13 +149,13 @@ class TestApiIntegration:
     def test_default_store_shares_across_calls(self):
         first = compile_and_instrument(SOURCE, filename="CG-api-share")
         second = compile_and_instrument(SOURCE, filename="CG-api-share")
-        assert second.profile.hits == 7
+        assert second.profile.hits == len(PASSES)
         assert first.source == second.source
 
     def test_store_none_disables_cache(self):
         static = compile_and_instrument(SOURCE, store=None)
         assert not static.profile.cache_enabled
-        assert static.profile.misses == 7
+        assert static.profile.misses == len(PASSES)
 
     def test_store_none_records_its_reason(self):
         static = compile_and_instrument(SOURCE, store=None)
@@ -173,7 +167,7 @@ class TestApiIntegration:
         rules = [OpaqueDepthRule(1)]
         cached = compile_and_instrument(SOURCE, store=store, static_rules=rules)
         uncached = compile_and_instrument(SOURCE, store=None, static_rules=rules)
-        assert not cached.profile.cache_enabled and cached.profile.misses == 7
+        assert not cached.profile.cache_enabled and cached.profile.misses == len(PASSES)
         assert "fingerprint" in cached.profile.cache_disabled_reason
         assert len(store) == 0  # nothing was stored under a guessed key
         assert ReasonCode.STATIC_RULE_VETO in {d.code for d in cached.diagnostics}

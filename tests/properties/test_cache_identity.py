@@ -12,11 +12,11 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.api import compile_and_instrument
-from repro.pipeline import ArtifactStore
+from repro.pipeline import PASSES, ArtifactStore
 from repro.workloads import all_workloads
 
 WORKLOADS = sorted(all_workloads())
-MID_PASSES = ["lower", "cfa", "dataflow", "identify", "select"]
+MID_PASSES = ["identify", "select"]
 
 configs = st.fixed_dictionaries(
     {
@@ -43,7 +43,7 @@ def test_warm_cache_bit_identical_to_fresh(workload, config):
     compile_and_instrument(source, filename=workload, store=store, **config)
     warm = compile_and_instrument(source, filename=workload, store=store, **config)
     fresh = compile_and_instrument(source, filename=workload, store=None, **config)
-    assert warm.profile.hits == 7
+    assert warm.profile.hits == len(PASSES)
     assert signature(warm) == signature(fresh)
 
 

@@ -332,32 +332,35 @@ def test_late_rows_at_a_stream_start_and_on_zero_standards():
         _assert_equivalent(*servers)
 
 
-def test_a_late_epoch_over_a_nan_standard_answers_what_one_epoch_does():
-    """A NaN duration poisons its stream's cumulative minimum (the scalar
-    history skips it instead, so there is no reference to hold this to);
-    late epochs over such a stream, or bringing one, still answer what one
-    epoch over the same rows answers."""
-    first = [(0, 1, s, d) for s, d in enumerate([10.0, 9.0, math.nan, 8.0, 7.0])]
-    first += [(0, 2, s, d) for s, d in enumerate([10.0, 9.0, 8.0, 7.0])]
-    late = [(1, 1, 0, 5.0), (1, 1, 3, 6.0), (2, 1, 4, 4.0), (1, 2, 1, math.nan)]
-    live = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0)
-    whole = AnalysisServer(n_ranks=N_RANKS, window_us=2000.0)
-    for server, rounds in ((live, (first, late)), (whole, (first + late,))):
-        for batch in rounds:
-            for rank, sensor, slice_index, duration in batch:
-                server.receive_batch(
-                    rank,
-                    [_summary(rank, sensor, SensorType.COMPUTATION, "", slice_index, duration)],
-                )
-            server.performance_matrix(SensorType.COMPUTATION)
-    assert np.array_equal(
-        live.performance_matrix(SensorType.COMPUTATION),
-        whole.performance_matrix(SensorType.COMPUTATION),
-        equal_nan=True,
-    )
-    for sensor in (1, 2):
-        assert np.isnan(live.history.standard_time(sensor))
-        assert np.isnan(whole.history.standard_time(sensor))
+def test_both_engines_refuse_a_nan_duration():
+    """A NaN slice mean can only come from outside input (a spool file, a
+    duck-typed sender): the cumulative minimum would carry it into every
+    later standard of its stream, so both engines refuse it at the epoch's
+    first read with one message, on a first epoch and on a late one, and
+    keep refusing.  ``inf`` stays a valid duration."""
+    message = r"rank 0, sensor 1, slice 1 has a NaN mean duration"
+    for rounds in (([10.0, math.nan, 5.0, 20.0],), ([10.0], [math.nan, 5.0, 20.0])):
+        for server in _servers():
+            slice_index = 0
+            for durations in rounds:
+                for duration in durations:
+                    server.receive_batch(
+                        0, [_summary(0, 1, SensorType.COMPUTATION, "", slice_index, duration)]
+                    )
+                    slice_index += 1
+                if durations is not rounds[-1]:
+                    server.performance_matrix(SensorType.COMPUTATION)
+            with pytest.raises(ReproError, match=message):
+                server.performance_matrix(SensorType.COMPUTATION)
+            with pytest.raises(ReproError, match=message):
+                _ = server.stored_summaries
+    servers = _servers()
+    for server in servers:
+        for slice_index, duration in enumerate([10.0, math.inf, 5.0, 20.0]):
+            server.receive_batch(
+                0, [_summary(0, 1, SensorType.COMPUTATION, "", slice_index, duration)]
+            )
+    _assert_equivalent(*servers)
 
 
 @given(

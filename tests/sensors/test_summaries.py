@@ -4,16 +4,17 @@ import pytest
 
 from repro.callgraph import build_call_graph, preprocess_call_graph
 from repro.frontend.parser import parse_source
-from repro.ir import lower_module
+from repro.sensors.asttools import compute_shape
 from repro.sensors.extern import default_extern_registry
 from repro.sensors.summaries import compute_summaries
 
 
 def summaries_of(src):
-    module = lower_module(parse_source(src))
-    cg = build_call_graph(module)
+    module = parse_source(src)
+    shapes = {fn.name: compute_shape(fn) for fn in module.functions}
+    cg = build_call_graph(module, shapes)
     prep = preprocess_call_graph(cg)
-    return compute_summaries(module, cg, prep, default_extern_registry())
+    return compute_summaries(module, shapes, cg, prep, default_extern_registry())
 
 
 class TestWorkloadSummaries:

@@ -172,8 +172,7 @@ class TestPipelineFlags:
         assert main(["identify", "--workload", "CG", "--profile-passes"]) == 0
         out = capsys.readouterr().out
         assert "per-pass profile:" in out
-        for name in ("parse", "lower", "cfa", "dataflow", "identify", "select",
-                     "instrument", "total"):
+        for name in ("parse", "identify", "select", "instrument", "total"):
             assert name in out
 
     def test_no_cache_disables_store(self, capsys):

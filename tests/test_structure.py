@@ -15,7 +15,9 @@ import gc
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -258,7 +260,8 @@ def test_dead_state_and_unset_knobs_stay_gone():
 def test_surfaces_only_tests_selected_stay_gone():
     """One governor policy with its fixed constants as module constants,
     an in-memory compile cache, no tenant rate limiter, no dominator or
-    natural-loop analysis (identification finds loops on the AST), no
+    natural-loop analysis and no IR or CFG dataflow (identification reads
+    the AST alone), no
     spooling mixin and no second shard drain loop."""
     assert not _field_names(GovernorConfig) & {
         "policy", "promote_confirm", "probation_us", "check_cost", "promote_sensor_types",
@@ -269,14 +272,27 @@ def test_surfaces_only_tests_selected_stay_gone():
     ):
         assert not knobs & set(inspect.signature(fn).parameters), fn.__qualname__
     assert "cache_dir" not in _field_names(JobTask)
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.cfa")
+    for gone in ("repro.cfa", "repro.ir", "repro.dataflow"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
     assert not hasattr(inspect.getmodule(FileSpool), "SpoolingRuntimeMixin")
     assert not hasattr(ShardWorker, "drain")
 
 
+def test_the_api_loads_no_graph_library():
+    """The call graph is a dict and its order comes from ``graphlib``, so
+    ``import repro.api`` leaves networkx unloaded."""
+    code = "import sys, repro.api; print('networkx' in sys.modules)"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_the_static_passes_run_in_one_written_order():
-    """``PASSES`` is the schedule: seven passes, each reading only passes
+    """``PASSES`` is the schedule: four passes, each reading only passes
     before it.  No pass manager, context record, per-pass version or store
     statistics grows back beside it."""
     gone = {"PassManager", "CompilerContext", "PipelineError", "StoreStats"}
@@ -285,7 +301,7 @@ def test_the_static_passes_run_in_one_written_order():
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     names = [p.name for p in PASSES]
-    assert names == ["parse", "lower", "cfa", "dataflow", "identify", "select", "instrument"]
+    assert names == ["parse", "identify", "select", "instrument"]
     for index, pass_ in enumerate(PASSES):
         assert set(pass_.inputs) <= set(names[:index]), pass_.name
     assert _field_names(Pass) == {"name", "inputs", "run", "config_keys"}
