@@ -223,7 +223,6 @@ def simulate_instrumented(
             static.program.module,
             machine,
             faults=tuple(faults),
-            sensors=static.program.sensors,
             externs=externs,
             engine=engine,
             obs=obs,

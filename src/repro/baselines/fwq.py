@@ -61,7 +61,7 @@ def run_fwq_probe(
     plan = select_sensors(ident)
     program = instrument_module(module, plan.selected)
     hooks = _QuantumHooks()
-    result = Simulator(program.module, machine, faults=faults, sensors=program.sensors).run(hooks)
+    result = Simulator(program.module, machine, faults=faults).run(hooks)
     return FwqObservation(
         times=np.asarray(hooks.durations),
         starts=np.asarray(hooks.starts),

@@ -87,16 +87,6 @@ def duration_error(rank: int, sensor_id: int, slice_index: int) -> ReproError:
     )
 
 
-def duration_error(rank: int, sensor_id: int, slice_index: int) -> ReproError:
-    """What a store raises at its first read after ingesting a row whose
-    mean duration is NaN — outside input as well: a slice's mean over
-    executions the detector timed is a number (``inf`` stays valid)."""
-    return ReproError(
-        f"summary row of rank {rank}, sensor {sensor_id}, slice {slice_index} "
-        "has a NaN mean duration"
-    )
-
-
 _ROW_FIELDS = attrgetter(
     "rank", "sensor_id", "sensor_type", "group", "slice_index",
     "t_slice_start", "mean_duration", "count", "mean_cache_miss",

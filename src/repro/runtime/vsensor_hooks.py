@@ -67,13 +67,6 @@ class VSensorRuntime(RuntimeHooks):
 
     # -- hook interface ----------------------------------------------------
 
-    @property
-    def accepts_sensor_batches(self) -> bool:
-        """Fused Tocks are taken whole unless a governor is installed: its
-        budget loop feeds back across ranks per record, which only the
-        scalar record order can honour."""
-        return self.governor is None
-
     def on_program_start(self, n_ranks: int) -> None:
         gov = self.governor
         self.detector = BatchDetector(
@@ -107,6 +100,12 @@ class VSensorRuntime(RuntimeHooks):
         self._ship_if_due(rank, t_end)
 
     def on_sensor_batch(self, batch: SensorBatch, defer) -> None:
+        if self.governor is not None:
+            # The governor's budget loop feeds back across ranks per record,
+            # which only the scalar record order honours: one deferred
+            # on_sensor_record per lane (the RuntimeHooks default).
+            RuntimeHooks.on_sensor_batch(self, batch, defer)
+            return
         info = self.sensors.get(batch.sensor_id)
         if info is None:
             return

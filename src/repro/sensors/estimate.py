@@ -162,8 +162,7 @@ class WorkloadEstimator:
             if value is None:
                 return None
             units *= max(0.0, float(value))
-        extra = model.unit_cost * units if model.workload_args else 0.0
-        return model.base_cost + extra
+        return model.cost(units)
 
     # -- loop trip counts ----------------------------------------------------------
 

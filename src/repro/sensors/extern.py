@@ -47,6 +47,19 @@ class ExternModel:
     #: such call snippets are identified but never selected (§4 granularity)
     probe_worthy: bool = True
 
+    def units(self, args) -> float:
+        """Quantity of work of one call: the product of its workload
+        arguments (negatives count as 0; absent positions as 1)."""
+        units = 1.0
+        for idx in self.workload_args:
+            if idx < len(args):
+                units *= max(0.0, float(args[idx]))
+        return units
+
+    def cost(self, units: float) -> float:
+        """Simulated cost (work units) of a call doing ``units`` of work."""
+        return self.base_cost + self.unit_cost * (units if self.workload_args else 0.0)
+
 
 class ExternRegistry:
     """Lookup table of extern models, with the conservative default."""

@@ -2,10 +2,10 @@
 
 One :class:`BytecodeInterp` per rank, all sharing one read-only
 :class:`~repro.sim.bytecode.compiler.ProgramCode`.  The VM subclasses
-:class:`~repro.sim.interp.RankInterp` so the clock, PMU, RNG, probe and IO
-machinery — everything observable — is literally the same object code as
-the AST tier; only statement/expression execution is replaced, by the
-program's *rendered core* (``ProgramCode.core()``,
+:class:`~repro.sim.interp.RankInterp` so the clock, PMU, RNG, probe, IO
+and extern-call machinery — everything observable — is literally the same
+object code as the AST tier; only statement/expression execution is
+replaced, by the program's *rendered core* (``ProgramCode.core()``,
 :mod:`repro.sim.bytecode.render`): one generator function per program whose
 basic blocks are straight-line code assembled from the
 :data:`~repro.sim.bytecode.dispatch.OP_TABLE` bodies.  There is no generic
@@ -14,9 +14,9 @@ per-instruction loop beside it.
 The core keeps the hot half-unit work counters (``pend_h`` / ``tot_h``) in
 Python locals and mirrors them into the inherited ``_pending_half`` /
 ``_total_half`` attributes around every call that might read or reset them
-(flushes, probes, IO).  Residual (non-half-unit) charges go straight to
-the ``_pending_frac`` / ``_total_frac`` attributes — they are rare and
-must be applied in program order.
+(flushes, probes, IO, extern calls).  Residual (non-half-unit) charges go
+straight to the ``_pending_frac`` / ``_total_frac`` attributes — they are
+rare and must be applied in program order.
 
 The generator protocol is the AST tier's: MPI rendezvous yields an
 :class:`~repro.sim.interp.MpiRequest` and receives the completion time.
@@ -91,41 +91,15 @@ class BytecodeInterp(RankInterp):
     # -- cold paths ---------------------------------------------------------
 
     def _extern(self, meta, args, pend_h, tot_h):
-        """Run an extern-model call; returns the updated half counters.
-
-        Mirrors the extern branch of :meth:`RankInterp._intrinsic` exactly.
-        """
+        """Run an extern-model call through :meth:`RankInterp._extern_call`;
+        the core's half counters are handed over and back."""
         name, model = meta
         if model is None:
             raise InterpError(f"rank {self.rank}: call to unknown function {name!r}")
-        units = 1.0
-        for idx in model.workload_args:
-            if idx < len(args):
-                units *= max(0.0, float(args[idx]))
-        cost = model.base_cost + model.unit_cost * (units if model.workload_args else 0.0)
-        if model.category == "net":
-            self._pending_half = pend_h
-            self._total_half = tot_h
-            self._flush()
-            pend_h = 0
-            t0 = self.clock.now
-            self.clock.advance_wall(cost * self.network.stretch_at(t0))
-            self.hooks.on_mpi_end(self.rank, name, t0, self.clock.now, units)
-        elif model.category == "io":
-            self._pending_half = pend_h
-            self._total_half = tot_h
-            self._io_op(name, units)
-            pend_h = 0
-        else:
-            doubled = cost + cost
-            if doubled < 1e15 and doubled == int(doubled):
-                n = int(doubled)
-                pend_h += n
-                tot_h += n
-            else:
-                self._pending_frac += cost
-                self._total_frac += cost
-        return pend_h, tot_h
+        self._pending_half = pend_h
+        self._total_half = tot_h
+        self._extern_call(name, model, args)
+        return self._pending_half, self._total_half
 
     def _bad_array(self, fc, pc):
         raise InterpError(f"{fc.names.get(pc, '?')!r} is not an array")

@@ -30,6 +30,12 @@ fetches each instruction once for the whole fused rank batch and drains
 diverging ranks onto per-rank bytecode interpreters.  All tiers produce
 bit-identical results; the AST tier is kept as the executable
 specification.
+
+Every tier builds one interpreter per rank and the engine reads each
+rank's finish time, work and record count off it.  Only the rank's
+generator differs: ``interp.run()`` on the scalar tiers,
+``LockstepRunner.run(lane)`` on the lockstep tier, where the runner moves
+the rank between the fused batch and its own interpreter.
 """
 
 from __future__ import annotations
@@ -98,7 +104,8 @@ class SimResult:
 
 
 class Simulator:
-    """Runs one program on one machine configuration."""
+    """Runs one program on one machine configuration (``sensors`` is
+    accepted and unread: probes carry their ids, hooks hold the table)."""
 
     def __init__(
         self,
@@ -122,7 +129,6 @@ class Simulator:
         self.probe_control = probe_control
         self.machine = machine
         self.faults = tuple(faults)
-        self.sensors = sensors or {}
         #: one registry for the compiled program and every rank's interpreter
         self.externs = externs if externs is not None else default_extern_registry()
         #: what keys the module's shared bytecode: ``None`` = the default
@@ -152,30 +158,27 @@ class Simulator:
             machine=self.machine,
             faults=self.faults,
             hooks=hooks,
-            sensors=self.sensors,
             externs=self.externs,
             probe_control=self.probe_control,
         )
-        if self.engine in ("bytecode", "lockstep"):
+        if self.engine == "ast":
+            shared_memo: dict[int, bool] = {}
+            interps = [
+                RankInterp(rank=rank, shared_has_call=shared_memo, **per_rank)
+                for rank in range(n)
+            ]
+        else:
             from repro.sim.bytecode import BytecodeInterp
 
             program = self._compiled_program()
             interps = [
                 BytecodeInterp(program, rank=rank, **per_rank) for rank in range(n)
             ]
-            CapacityTable.shared_by([interp.clock for interp in interps])
-            if self.engine == "bytecode":
-                return interps
+        CapacityTable.shared_by([interp.clock for interp in interps])
+        if self.engine == "lockstep":
             from repro.sim.lockstep import LockstepRunner
 
             self._lockstep_runner = LockstepRunner(interps, hooks, self.obs)
-            return self._lockstep_runner.lanes()
-        shared_memo: dict[int, bool] = {}
-        interps = [
-            RankInterp(rank=rank, shared_has_call=shared_memo, **per_rank)
-            for rank in range(n)
-        ]
-        CapacityTable.shared_by([interp.clock for interp in interps])
         return interps
 
     # -- main loop ----------------------------------------------------------
@@ -217,9 +220,10 @@ class Simulator:
         hooks.on_program_start(n)
         with self.obs.tracer.span("sim.build_interps"):
             interps = self._build_interps(hooks)
-        gens = [interp.run() for interp in interps]
-        network = self.network
         runner = self._lockstep_runner
+        gens = [interp.run() if runner is None else runner.run(lane)
+                for lane, interp in enumerate(interps)]
+        network = self.network
         rounds = 0
 
         blocked: dict[int, MpiRequest] = {}

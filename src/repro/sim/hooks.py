@@ -3,6 +3,12 @@
 The vSensor dynamic module, the mpiP-like profiler baseline and the
 ITAC-like tracer baseline all observe execution through this interface —
 the simulator is tool-agnostic, exactly as a real machine is.
+
+Every tier delivers the same per-rank notification stream.  The lockstep
+tier executes a Tock once for all ranks and hands it over as one
+:meth:`RuntimeHooks.on_sensor_batch`; the default unrolls it into the
+per-lane ``on_sensor_record`` calls the scalar tiers make, so a tool
+overrides the batch entry only to take the rank axis whole.
 """
 
 from __future__ import annotations
@@ -15,10 +21,9 @@ from repro.sim.pmu import PmuSample
 class SensorBatch:
     """One fused Tock: the same sensor's Tick..Tock record on every lane.
 
-    The lockstep tier executes a Tock once for all ranks; this carries the
-    rank axis to hooks that accept it instead of unrolling it into one
-    ``on_sensor_record`` per lane.  Entry ``i`` of every vector belongs to
-    lane ``i``, whose rank is ``ranks[i]``.
+    The lockstep tier executes a Tock once for all ranks and hands the rank
+    axis to :meth:`RuntimeHooks.on_sensor_batch`.  Entry ``i`` of every
+    vector belongs to lane ``i``, whose rank is ``ranks[i]``.
     """
 
     __slots__ = ("sensor_id", "ranks", "t_start", "t_end", "instructions",
@@ -34,17 +39,6 @@ class SensorBatch:
         self.instructions = instructions
         self.cache_miss_rate = cache_miss_rate
 
-    def unrolled(self) -> list[tuple]:
-        """Per-lane ``on_sensor_record`` argument tuples, in lane order."""
-        sid = self.sensor_id
-        return [
-            (rank, sid, t_start, t_end, PmuSample(instructions, miss))
-            for rank, t_start, t_end, instructions, miss in zip(
-                self.ranks.tolist(), self.t_start.tolist(), self.t_end.tolist(),
-                self.instructions.tolist(), self.cache_miss_rate.tolist(),
-            )
-        ]
-
 
 class RuntimeHooks:
     """Override the notifications a tool cares about.  Times are µs."""
@@ -53,13 +47,9 @@ class RuntimeHooks:
     #: (expensive; only full tracers want them)
     wants_function_events: bool = False
 
-    #: set True to receive a fused lockstep Tock as one
-    #: :meth:`on_sensor_batch` instead of one ``on_sensor_record`` per lane
-    accepts_sensor_batches: bool = False
-
     def observes(self, name: str) -> bool:
-        """False when notification ``name`` is still this class's no-op, so
-        an engine that buffers events may drop it unbuffered."""
+        """False when notification ``name`` is still this class's default,
+        so an engine that buffers events may drop it unbuffered."""
         return getattr(getattr(self, name), "__func__", None) is not getattr(
             RuntimeHooks, name
         )
@@ -86,15 +76,25 @@ class RuntimeHooks:
     ) -> None:  # pragma: no cover
         """One Tick..Tock execution of an instrumented v-sensor."""
 
-    def on_sensor_batch(self, batch: SensorBatch, defer) -> None:  # pragma: no cover
-        """One fused Tock over all lanes (``accepts_sensor_batches`` only).
+    def on_sensor_batch(self, batch: SensorBatch, defer) -> None:
+        """One fused Tock over all lanes (lockstep tier).
 
         Called when the Tock executes, before any lane's earlier buffered
         events have been delivered: advance per-rank state here, and hand
         everything visible outside a rank to ``defer(lane, fn, args)``,
         which runs ``fn(*args)`` at that lane's normal delivery point — the
-        position the lane's ``on_sensor_record`` would have had.
+        position the lane's ``on_sensor_record`` has on the scalar tiers.
+        This default defers exactly that ``on_sensor_record``, lane by lane.
         """
+        if not self.observes("on_sensor_record"):
+            return
+        record = self.on_sensor_record
+        sid = batch.sensor_id
+        for lane, (rank, t_start, t_end, instructions, miss) in enumerate(zip(
+            batch.ranks.tolist(), batch.t_start.tolist(), batch.t_end.tolist(),
+            batch.instructions.tolist(), batch.cache_miss_rate.tolist(),
+        )):
+            defer(lane, record, (rank, sid, t_start, t_end, PmuSample(instructions, miss)))
 
     def on_mpi_begin(self, rank: int, op: str, t: float) -> None:  # pragma: no cover
         pass
@@ -117,7 +117,6 @@ class TeeHooks(RuntimeHooks):
     def __init__(self, *hooks: RuntimeHooks) -> None:
         self.hooks = [h for h in hooks if h is not None]
         self.wants_function_events = any(h.wants_function_events for h in self.hooks)
-        self.accepts_sensor_batches = any(h.accepts_sensor_batches for h in self.hooks)
 
     def observes(self, name: str) -> bool:
         return any(h.observes(name) for h in self.hooks)
@@ -135,16 +134,8 @@ class TeeHooks(RuntimeHooks):
             h.on_sensor_record(rank, sensor_id, t_start, t_end, pmu)
 
     def on_sensor_batch(self, batch, defer) -> None:
-        records = None
         for h in self.hooks:
-            if h.accepts_sensor_batches:
-                h.on_sensor_batch(batch, defer)
-            elif h.observes("on_sensor_record"):
-                # Members without batch support see their scalar stream.
-                if records is None:
-                    records = batch.unrolled()
-                for lane, args in enumerate(records):
-                    defer(lane, h.on_sensor_record, args)
+            h.on_sensor_batch(batch, defer)
 
     def on_mpi_begin(self, rank, op, t) -> None:
         for h in self.hooks:

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import InterpError
 from repro.frontend import ast_nodes as A
-from repro.instrument.rewrite import TICK, TOCK, SensorInfo
+from repro.instrument.rewrite import TICK, TOCK
 from repro.sensors.estimate import (
     COST_BINOP,
     COST_BRANCH,
@@ -44,7 +44,7 @@ from repro.sensors.estimate import (
     COST_UNARY,
 )
 from repro.sim.clock import RankClock
-from repro.sim.faults import Fault
+from repro.sim.faults import Fault, io_factor_at
 from repro.sim.hooks import RuntimeHooks
 from repro.sim.machine import MachineConfig
 from repro.sim.network import NetworkModel
@@ -119,7 +119,6 @@ class RankInterp:
         machine: MachineConfig,
         faults: tuple[Fault, ...],
         hooks: RuntimeHooks,
-        sensors: dict[int, SensorInfo] | None = None,
         shared_has_call: dict[int, bool] | None = None,
         externs=None,
         probe_control=None,
@@ -132,7 +131,6 @@ class RankInterp:
         self.machine = machine
         self.faults = faults
         self.hooks = hooks
-        self.sensors = sensors or {}
         node = machine.node_of_rank(rank)
         self.clock = RankClock(
             rank=rank,
@@ -601,24 +599,25 @@ class RankInterp:
             return self.clock.node.node_id
         model = self._externs.lookup(name)
         if model is not None:
-            # A user-described external function: costed from its model.
-            units = 1.0
-            for idx in model.workload_args:
-                if idx < len(args):
-                    units *= max(0.0, float(args[idx]))
-            cost = model.base_cost + model.unit_cost * (units if model.workload_args else 0.0)
-            if model.category == "net":
-                self._flush()
-                t0 = self.clock.now
-                self.clock.advance_wall(cost * self.network.stretch_at(t0))
-                self.hooks.on_mpi_end(self.rank, name, t0, self.clock.now, units)
-            elif model.category == "io":
-                self._io_op(name, units)
-            else:
-                self._charge(cost)
+            self._extern_call(name, model, args)
             return 0
         raise InterpError(f"rank {self.rank}: call to unknown function {name!r}")
         yield  # pragma: no cover - makes this a generator
+
+    def _extern_call(self, name: str, model, args) -> None:
+        """A user-described external function, costed from its model: a
+        ``net`` call stretches wall time, an ``io`` call is an IO op, and
+        anything else charges work units."""
+        units = model.units(args)
+        if model.category == "net":
+            self._flush()
+            t0 = self.clock.now
+            self.clock.advance_wall(model.cost(units) * self.network.stretch_at(t0))
+            self.hooks.on_mpi_end(self.rank, name, t0, self.clock.now, units)
+        elif model.category == "io":
+            self._io_op(name, units)
+        else:
+            self._charge(model.cost(units))
 
     # ------------------------------------------------------------------
     # Probes (the instrumented Tick/Tock runtime entry, §4/§5)
@@ -688,14 +687,17 @@ class RankInterp:
         return 0
 
     def _io_op(self, op: str, size: float) -> None:
-        from repro.sim.faults import io_factor_at
-
         self._flush()
         t0 = self.clock.now
-        cost = self.machine.io_alpha + self.machine.io_beta * size
-        cost /= max(io_factor_at(self.faults, self.clock.node.node_id, t0), 1e-6)
-        self.clock.advance_wall(cost)
+        self.clock.advance_wall(self.io_cost(size, t0))
         self.hooks.on_io(self.rank, op, t0, self.clock.now, size)
+
+    def io_cost(self, size: float, t0: float) -> float:
+        """Wall time of an IO op of ``size`` started at ``t0`` on this
+        rank's node (every tier charges IO through this)."""
+        machine = self.machine
+        factor = io_factor_at(self.faults, self.clock.node.node_id, t0)
+        return (machine.io_alpha + machine.io_beta * size) / max(factor, 1e-6)
 
 
 _INTRINSIC_NAMES = frozenset(

@@ -1,16 +1,21 @@
 """Batch orchestration for the lockstep tier: fuse, drain, re-fuse.
 
 The :class:`LockstepRunner` owns one :class:`~repro.sim.lockstep.vm.FusedVM`
-(while all lanes are fused) plus the per-rank ``BytecodeInterp`` backing
-stores that carry clocks, PMUs and RNG streams across the fused/drained
-boundary.  The rendezvous engine never sees any of this: each rank hands it
-a :class:`_LockstepLane` facade whose ``run()`` generator speaks the exact
-scalar protocol (yield :class:`MpiRequest`, receive completion time), so
-``engine="lockstep"`` plugs into :meth:`Simulator._run_loop` unchanged
-except for one call: the engine forwards each resolved rendezvous group to
-:meth:`on_group` *before* resuming its members, which is what lets a fused
-batch absorb completions for lanes the engine has not polled yet and what
-lets fully-drained batches re-fuse at a whole-batch collective.
+(while all lanes are fused) over the per-rank ``BytecodeInterp`` objects
+that carry clocks, PMUs and RNG streams across the fused/drained boundary.
+Those interpreters are the ones the engine builds on every tier and reads
+results from; on this tier only the engine's per-rank generators differ:
+:meth:`LockstepRunner.run` speaks the exact scalar protocol (yield
+:class:`MpiRequest`, receive completion time), so ``engine="lockstep"``
+plugs into :meth:`Simulator._run_loop` with one addition: the engine
+forwards each resolved rendezvous group to :meth:`on_group` *before*
+resuming its members, which is what lets a fused batch absorb completions
+for lanes the engine has not polled yet and what lets fully-drained
+batches re-fuse at a whole-batch collective.
+
+A fused Tock reaches the hooks as one ``on_sensor_batch`` whenever they
+observe records at all; :class:`~repro.sim.hooks.RuntimeHooks`' default
+unrolls it into per-lane ``on_sensor_record`` calls through :meth:`defer`.
 
 Invariant: either every lane is fused in ``self.vm``, or ``self.vm`` is
 ``None`` and every unfinished lane runs drained on its own interp.  There
@@ -40,44 +45,6 @@ _BUFFERED_HOOKS = (
 )
 
 
-def _adapter(runner: "LockstepRunner", lane: int):
-    """Generator speaking the scalar rank protocol for one lane."""
-    completion = None
-    while True:
-        item = runner.next_item(lane, completion)
-        if item is _DONE:
-            return
-        completion = yield item
-
-
-class _LockstepLane:
-    """Engine-facing stand-in for one rank's interpreter."""
-
-    def __init__(self, runner: "LockstepRunner", lane: int) -> None:
-        self._runner = runner
-        self._interp = runner.interps[lane]
-        self._lane = lane
-
-    def run(self):
-        return _adapter(self._runner, self._lane)
-
-    @property
-    def rank(self) -> int:
-        return self._interp.rank
-
-    @property
-    def clock(self):
-        return self._interp.clock
-
-    @property
-    def total_work(self) -> float:
-        return self._interp.total_work
-
-    @property
-    def sensor_record_count(self) -> int:
-        return self._interp.sensor_record_count
-
-
 class LockstepRunner:
     """Drives one fused batch over per-rank interpreter backing stores."""
 
@@ -96,9 +63,11 @@ class LockstepRunner:
             for name in _BUFFERED_HOOKS
             if hooks.observes(name)
         }
-        #: ``hooks.on_sensor_batch`` when the hooks take a fused Tock whole
+        #: ``hooks.on_sensor_batch`` when anything listens to records
         self.batch_sink = (
-            hooks.on_sensor_batch if hooks.accepts_sensor_batches else None
+            hooks.on_sensor_batch
+            if hooks.observes("on_sensor_batch") or hooks.observes("on_sensor_record")
+            else None
         )
         self.bufs: list[list] = [[] for _ in range(self.n)]
         self.status = [_FUSED] * self.n
@@ -109,11 +78,7 @@ class LockstepRunner:
         self.await_mpi = [False] * self.n     # drained with undelivered MPI
         self.stats = {"fuse": 0, "diverge": 0, "drain": 0, "governor_drain": 0}
         self.diverged_ranks: set[int] = set()
-        self._counters_flushed = False
         self.vm = FusedVM.initial(self)
-
-    def lanes(self) -> list[_LockstepLane]:
-        return [_LockstepLane(self, lane) for lane in range(self.n)]
 
     # -- hook buffering ------------------------------------------------------
 
@@ -130,7 +95,7 @@ class LockstepRunner:
             self.bufs[lane].append((sink, args))
 
     def defer(self, lane: int, fn, args: tuple) -> None:
-        """Queue ``fn(*args)`` at ``lane``'s next flush (batch hooks)."""
+        """Queue ``fn(*args)`` at ``lane``'s next flush (``on_sensor_batch``)."""
         self.bufs[lane].append((fn, args))
 
     def _flush(self, lane: int) -> None:
@@ -141,6 +106,15 @@ class LockstepRunner:
             buf.clear()
 
     # -- engine protocol -----------------------------------------------------
+
+    def run(self, lane: int):
+        """Generator speaking the scalar rank protocol for one lane."""
+        completion = None
+        while True:
+            item = self.next_item(lane, completion)
+            if item is _DONE:
+                return
+            completion = yield item
 
     def next_item(self, lane: int, completion):
         """Produce the next engine item (MpiRequest or _DONE) for a lane."""
@@ -201,19 +175,23 @@ class LockstepRunner:
             if self.gens[lane] is None and self.await_mpi[lane]:
                 # Lane was drained mid-block: its request is already posted,
                 # so apply the post-MPI effects the scalar core would run on
-                # resume. The hook is buffered to preserve segment order.
-                st = self.states[lane]
-                interp = self.interps[lane]
-                dst, spelled, t0, size = st.mpi
-                interp.clock.wait_until(completion)
-                self.emit(lane, "on_mpi_end",
-                          (interp.rank, spelled, t0, interp.clock.now, size))
-                st.regs[dst] = 0
-                st.mpi = None
+                # resume.
+                self._complete_mpi(lane, completion)
                 self.await_mpi[lane] = False
             # Lanes with a live generator get their completion through the
             # engine's normal gen.send on next poll.
         self._maybe_refuse(group)
+
+    def _complete_mpi(self, lane: int, completion: float) -> None:
+        """Apply a drained lane's post-MPI effects outside its generator;
+        the hook is buffered to preserve segment order."""
+        st = self.states[lane]
+        interp = self.interps[lane]
+        dst, spelled, t0, size = st.mpi
+        interp.clock.wait_until(completion)
+        self.emit(lane, "on_mpi_end", (interp.rank, spelled, t0, interp.clock.now, size))
+        st.regs[dst] = 0
+        st.mpi = None
 
     # -- spill / finish callbacks (from FusedVM) -----------------------------
 
@@ -239,10 +217,8 @@ class LockstepRunner:
         self.vm = None
 
     def flush_counters(self) -> None:
-        """Report cumulative stats to obs.metrics (idempotent, end of run)."""
-        if self._counters_flushed:
-            return
-        self._counters_flushed = True
+        """Report cumulative stats to obs.metrics (once, at the end of the
+        run this runner was built for)."""
         metrics = self.obs.metrics
         metrics.counter("sim.lockstep.fuse").inc(self.stats["fuse"])
         metrics.counter("sim.lockstep.diverge").inc(self.stats["diverge"])
@@ -299,14 +275,7 @@ class LockstepRunner:
             gen = self.gens[lane]
             if gen is None:
                 continue
-            st = states[lane]
-            interp = self.interps[lane]
-            dst, spelled, t0, size = st.mpi
-            interp.clock.wait_until(completions[interp.rank])
-            self.emit(lane, "on_mpi_end",
-                      (interp.rank, spelled, t0, interp.clock.now, size))
-            st.regs[dst] = 0
-            st.mpi = None
+            self._complete_mpi(lane, completions[self.interps[lane].rank])
             gen.close()
             self.gens[lane] = None
         self.vm = FusedVM.from_states(self, states)

@@ -65,7 +65,6 @@ from repro.sim.bytecode.dispatch import (
     UNDEF,
     ScalarState,
 )
-from repro.sim.faults import io_factor_at
 from repro.sim.hooks import SensorBatch
 from repro.sim.interp import MpiRequest
 
@@ -179,7 +178,6 @@ class FusedVM:
         self.func_index = self.program.func_index
         self.machine = first.machine
         self.network = first.network
-        self.faults = first.faults
         #: governor control table shared by every lane (None = no governor)
         self.control = first.probe_control
         self.n_ranks = first.n_ranks
@@ -594,15 +592,13 @@ class FusedVM:
         ]
         self.counts += 1
         runner = self.runner
-        if runner.batch_sink is None and "on_sensor_record" not in runner.sinks:
+        if runner.batch_sink is None:
             return False
         err, miss = np.array(draws).T
-        batch = SensorBatch(sid, self.rank_ids, t_start, t_end, true_work * err, miss)
-        if runner.batch_sink is not None:
-            runner.batch_sink(batch, runner.defer)
-        else:
-            for pos, args in enumerate(batch.unrolled()):
-                runner.emit(pos, "on_sensor_record", args)
+        runner.batch_sink(
+            SensorBatch(sid, self.rank_ids, t_start, t_end, true_work * err, miss),
+            runner.defer,
+        )
 
     def _io_full(self, op, a, b, c):
         self._io_lanes(b, self._lane_floats(self.regs[c] if c >= 0 else 1.0))
@@ -610,16 +606,12 @@ class FusedVM:
 
     def _io_lanes(self, opname: str, sizes: list) -> None:
         self._flush_all()
-        machine = self.machine
-        faults = self.faults
         clocks = self.clocks
         t0 = clocks.now.copy()
         emit = self.runner.emit
         for pos, interp in enumerate(self.interps):
             size = sizes[pos]
-            cost = machine.io_alpha + machine.io_beta * size
-            cost /= max(io_factor_at(faults, interp.clock.node.node_id,
-                                     float(t0[pos])), 1e-6)
+            cost = interp.io_cost(size, float(t0[pos]))
             clocks.now[pos] = t0[pos] + max(0.0, cost)
             emit(pos, "on_io",
                  (interp.rank, opname, float(t0[pos]), float(clocks.now[pos]), size))
@@ -641,26 +633,21 @@ class FusedVM:
         return self._extern(a, b, [self.regs[i] for i in c])
 
     def _extern(self, dst: int, meta, args):
-        """Extern-model call at full width."""
+        """Extern-model call at full width: the model's arithmetic per lane."""
         name, model = meta
         if model is None:
             # The scalar tier raises a per-rank InterpError here — drain so
             # the error surfaces with the right rank attribution.
             return self._spill(self.pc - 1)
         n = self.n
-
-        def units_of(pos):
-            units = 1.0
-            for idx in model.workload_args:
-                if idx < len(args):
-                    units *= max(0.0, float(_lane_get(args[idx], pos)))
-            return units
-
-        def cost_of(units):
-            return model.base_cost + model.unit_cost * (
-                units if model.workload_args else 0.0
-            )
-
+        varying = any(type(x) is _ND for x in args)
+        if varying:
+            units = [
+                model.units([x[pos] if type(x) is _ND else x for x in args])
+                for pos in range(n)
+            ]
+        else:
+            units = [model.units(args)] * n
         if model.category == "net":
             self._flush_all()
             clocks = self.clocks
@@ -668,20 +655,19 @@ class FusedVM:
             t0 = clocks.now.copy()
             emit = self.runner.emit
             for pos, interp in enumerate(self.interps):
-                units = units_of(pos)
                 clocks.now[pos] = t0[pos] + max(
-                    0.0, cost_of(units) * network.stretch_at(float(t0[pos]))
+                    0.0, model.cost(units[pos]) * network.stretch_at(float(t0[pos]))
                 )
                 emit(pos, "on_mpi_end",
                      (interp.rank, name, float(t0[pos]),
-                      float(clocks.now[pos]), units))
+                      float(clocks.now[pos]), units[pos]))
         elif model.category == "io":
-            self._io_lanes(name, [units_of(pos) for pos in range(n)])
-        elif any(type(x) is _ND for x in args):
+            self._io_lanes(name, units)
+        elif varying:
             for pos in range(n):
-                self._charge(cost_of(units_of(pos)), pos)
+                self._charge(model.cost(units[pos]), pos)
         else:
-            self._charge(cost_of(units_of(0)))
+            self._charge(model.cost(units[0]))
         self.regs[dst] = 0
 
     # -- MPI (full width only) ----------------------------------------------

@@ -398,29 +398,38 @@ def test_live_snapshots_match_bytecode():
     assert any(low for _, _, low, *_ in snapshots["lockstep"])
 
 
-# -- (f) a governor means scalar ---------------------------------------------
+# -- (f) a governor means per-record order ----------------------------------
 
 
 @pytest.mark.parametrize("governor", ["neutral", "adaptive"])
 def test_governed_lockstep_run_takes_scalar_path(governor):
+    """A governed runtime takes fused Tocks through the RuntimeHooks
+    default (one deferred record per lane): its whole state equals the
+    scalar tier's governed run."""
     wl = all_workloads()["CG"]
     machine = wl.machine(n_ranks=16, ranks_per_node=4)
-    if governor == "neutral":
-        run = run_with_governor(
-            NeutralGovernor(), wl.source(), machine, engine="lockstep", faults=_FAULT,
-            window_us=10_000.0, batch_period_us=5_000.0,
-        )
-    else:
-        run = _run(wl.source(), machine, "lockstep", faults=_FAULT, governor=GovernorConfig())
-    runtime = run.runtime
-    assert not runtime.accepts_sensor_batches
-    assert all(isinstance(d, RankView) for d in runtime.detectors.values())
+    runs = {}
+    for engine in ("bytecode", "lockstep"):
+        if governor == "neutral":
+            runs[engine] = run_with_governor(
+                NeutralGovernor(), wl.source(), machine, engine=engine, faults=_FAULT,
+                window_us=10_000.0, batch_period_us=5_000.0,
+            )
+        else:
+            runs[engine] = _run(
+                wl.source(), machine, engine, faults=_FAULT, governor=GovernorConfig()
+            )
+    run = runs["lockstep"]
+    assert runtime_state(run) == runtime_state(runs["bytecode"])
+    assert run.runtime.events or run.runtime.detector.log.rows.any()
+    assert all(isinstance(d, RankView) for d in run.runtime.detectors.values())
     if governor == "neutral":
         # a governor that changes nothing in the engine is bit-identical to
         # no governor at all — scalar records on one side, batches on the other
         ungoverned = _run(wl.source(), machine, "lockstep", faults=_FAULT)
         assert runtime_state(run) == runtime_state(ungoverned)
-        assert ungoverned.runtime.accepts_sensor_batches
+    else:
+        assert run.runtime.governor.decisions == runs["bytecode"].runtime.governor.decisions
 
 
 # -- (g) unhappy paths: silent ranks and sensors shut off everywhere ---------

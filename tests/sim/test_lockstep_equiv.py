@@ -20,6 +20,7 @@ from repro.frontend import parse_source
 from repro.obs import Obs
 from repro.runtime.batch_detector import RankView
 from repro.runtime.detector import DetectorConfig
+from repro.runtime.governor import GovernorConfig
 from repro.sim.engine import Simulator
 from repro.sim.faults import BadNode, IoDegradation, NetworkDegradation
 from repro.sim.hooks import NullHooks, RawRecorder, RuntimeHooks, TeeHooks
@@ -266,22 +267,26 @@ def test_forced_drains_interleave_scalar_records_with_batches(marked, with_fault
 
 
 def test_tee_unrolls_batches_for_members_without_batch_support():
-    """``TeeHooks(runtime, RawRecorder())``: the runtime takes each fused
-    Tock whole, the recorder still sees its scalar per-lane stream."""
+    """``TeeHooks(runtime, RawRecorder())``: an ungoverned runtime takes
+    each fused Tock whole, a governed one and the recorder take the
+    ``RuntimeHooks`` default (one deferred record per lane), and every
+    member's stream equals the bytecode tier's."""
     wl = all_workloads()["CG"]
     machine = wl.machine(n_ranks=16, ranks_per_node=4)
-    runs, raw = {}, {}
-    for engine in ("bytecode", "lockstep"):
-        recorder = RawRecorder()
-        runs[engine] = run_vsensor(
-            wl.source(), machine, faults=_DEFAULT_FAULT, engine=engine,
-            store=None, extra_hooks=(recorder,),
-        )
-        raw[engine] = recorder.records
-    assert raw["lockstep"] == raw["bytecode"]
-    assert raw["lockstep"]
-    assert runtime_state(runs["lockstep"]) == runtime_state(runs["bytecode"])
-    assert isinstance(runs["lockstep"].runtime.detectors[0], RankView)
+    for governor in (None, GovernorConfig()):
+        runs, raw = {}, {}
+        for engine in ("bytecode", "lockstep"):
+            recorder = RawRecorder()
+            runs[engine] = run_vsensor(
+                wl.source(), machine, faults=_DEFAULT_FAULT, engine=engine,
+                store=None, extra_hooks=(recorder,), governor=governor,
+            )
+            raw[engine] = recorder.records
+        assert raw["lockstep"] == raw["bytecode"]
+        assert raw["lockstep"]
+        assert runtime_state(runs["lockstep"]) == runtime_state(runs["bytecode"])
+        assert isinstance(runs["lockstep"].runtime.detectors[0], RankView)
+        assert (runs["lockstep"].runtime.governor is None) == (governor is None)
 
 
 def test_only_observed_notifications_are_buffered():

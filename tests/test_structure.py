@@ -54,9 +54,11 @@ from repro.service import AnalysisService, QueryMerger, ShardWorker, TenantPort
 from repro.sim import MachineConfig, Simulator
 from repro.sim import clock, engine, interp
 from repro.sim.bytecode import BytecodeInterp, compile_module, compiler, dispatch, render
+from repro.sim.hooks import NullHooks, RuntimeHooks, SensorBatch, TeeHooks
 from repro.sim.interp import RankInterp
 from repro.sim.lockstep import clocks
 from repro.sim.lockstep import runner as lockstep_runner
+from repro.sim.lockstep import vm as lockstep_vm
 
 
 def _package_sources(package) -> dict[str, str]:
@@ -547,3 +549,50 @@ def test_a_summary_row_carries_no_job():
     assert "job" not in _field_names(SummaryColumns)
     assert "job" not in inspect.signature(FileSpool.drain_into).parameters
     assert "job" not in inspect.signature(repro.parallel.decode_rows).parameters
+
+
+# -- one rank contract across the simulator tiers ------------------------------
+
+
+def test_no_module_binds_a_top_level_name_twice():
+    """A second top-level ``def``/``class`` of a name silently replaces the
+    first; no linter runs in CI, so the parse is the gate."""
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        seen: set[str] = set()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                assert node.name not in seen, f"{path.relative_to(root)}: {node.name}"
+                seen.add(node.name)
+
+
+def test_every_tier_hands_the_engine_its_rank_interpreters():
+    """No lane facade: on the lockstep tier the engine reads results off the
+    same per-rank interpreters the runner drives."""
+    assert not hasattr(lockstep_runner, "_LockstepLane")
+    assert not hasattr(lockstep_runner.LockstepRunner, "lanes")
+    module = parse_source("int main() { MPI_Barrier(); return 0; }")
+    machine = MachineConfig(n_ranks=2, ranks_per_node=2)
+    sim = Simulator(module, machine, engine="lockstep")
+    interps = sim._build_interps(NullHooks())
+    assert [type(i) for i in interps] == [BytecodeInterp, BytecodeInterp]
+    assert sim._lockstep_runner.interps is interps
+    assert "sensors" not in inspect.signature(RankInterp.__init__).parameters
+
+
+def test_a_fused_tock_reaches_hooks_one_way():
+    """Every fused Tock goes to ``on_sensor_batch``; the ``RuntimeHooks``
+    default unrolls it, so no capability flag or second branch exists."""
+    for cls in (RuntimeHooks, TeeHooks, VSensorRuntime):
+        assert not hasattr(cls, "accepts_sensor_batches"), cls.__name__
+    assert not hasattr(SensorBatch, "unrolled")
+    assert '"on_sensor_record"' not in inspect.getsource(lockstep_vm)
+
+
+def test_extern_and_io_costs_are_written_once():
+    """The extern arithmetic lives on ``ExternModel``; the IO cost rule in
+    ``RankInterp.io_cost``."""
+    for name, source in _package_sources(repro.sim).items():
+        assert "workload_args" not in source, name
+        if name not in ("interp.py", "machine.py", "faults.py"):
+            assert "io_alpha" not in source and "io_factor_at" not in source, name
